@@ -29,7 +29,7 @@ from .dataio import (
     write_csv,
 )
 from .errors import ConfigurationError, NumericalError, ParseError
-from .gpmap import TrainingSet, fit as gp_fit, predict
+from .gpmap import TrainingSet, fit as gp_fit, predict_batch
 from .harness import (
     ChartTrainingConfig,
     ExperimentConfig,
@@ -179,13 +179,15 @@ def cmd_select_rate(doc, seed, out_dir, full):
         queries = np.asarray(section["queries"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad select_rate section: {exc}")
+    if not 0.0 < delta < 1.0:
+        raise ConfigurationError(
+            f"select_rate.delta must lie in (0, 1), got {delta}")
     if queries.ndim != 2 or queries.shape[1] != 2:
         raise ConfigurationError("queries must be a list of [x, y] pairs")
     fmap = load_map(map_path)
-    rows = []
-    for q in queries:
-        decision = select_rate_map(predict(fmap, q), delta)
-        rows.append((float(q[0]), float(q[1]), decision.rate, POLICY_MAP))
+    rows = [(float(q[0]), float(q[1]), select_rate_map(pred, delta).rate,
+             POLICY_MAP)
+            for q, pred in zip(queries, predict_batch(fmap, queries))]
     path = os.path.join(out_dir, "rates.csv")
     write_csv(path, ["x", "y", "rate", "policy"], rows)
     print(f"wrote {path} ({len(rows)} queries, delta={delta:g})")

@@ -120,8 +120,11 @@ def load_dataset(path) -> Dataset:
 
 def kernel_checksum(train: TrainingSet, hyper: Hyperparams) -> str:
     """SHA-256 of the dense training kernel matrix bytes."""
-    k = np.ascontiguousarray(kernel_matrix(train.coords, hyper))
-    return hashlib.sha256(k.tobytes()).hexdigest()
+    return _sha256(kernel_matrix(train.coords, hyper))
+
+
+def _sha256(k: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(k).data).hexdigest()
 
 
 def save_map(fmap: FittedMap, path) -> None:
@@ -139,7 +142,10 @@ def save_map(fmap: FittedMap, path) -> None:
 
 
 def load_map(path) -> FittedMap:
-    """Rebuilds the Cholesky factor and verifies the stored kernel checksum."""
+    """Rebuilds the Cholesky factor and verifies the stored kernel checksum.
+
+    The kernel matrix is built once: it is hashed, then factored once.
+    """
     doc = _load_json_doc(path, "statmap-gp-map", MAP_VERSION)
     try:
         hyper = Hyperparams(**doc["hyper"])
@@ -148,12 +154,13 @@ def load_map(path) -> FittedMap:
         stored = doc["kernel_checksum"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad map document: {exc}", path=path) from exc
-    actual = kernel_checksum(train, hyper)
+    k = kernel_matrix(train.coords, hyper)
+    actual = _sha256(k)
     if actual != stored:
         raise ParseError("kernel matrix checksum mismatch "
                          f"(stored {stored[:12]}.., recomputed {actual[:12]}..)",
                          path=path, field="kernel_checksum")
-    fmap = build_map(train, hyper)
+    fmap = build_map(train, hyper, k)
     return dataclasses.replace(fmap, diagnostics=diag)
 
 

@@ -3,15 +3,18 @@
 The statistical radio map regresses per-location outage-capacity estimates
 with a squared-exponential kernel plus nugget. Hyperparameters maximize the
 log marginal likelihood via a multi-start Nelder-Mead simplex search in log
-space; the prior mean is profiled out in closed form at every evaluation.
+space; the prior mean is profiled out in closed form at every evaluation,
+and the pairwise training distances are computed once per fit.
 A fitted map is immutable: it freezes the Cholesky factor of K + nugget*I
-and the solved weight vector, and prediction is pure linear algebra.
+and the solved weight vector, and prediction is pure linear algebra: a
+batch of queries costs one cross-kernel product and one triangular solve
+with a right-hand side per query.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -36,6 +39,7 @@ __all__ = [
 
 LOG2PI = math.log(2.0 * math.pi)
 JITTER_REL = 1e-9  # relative jitter when a noise-free Cholesky fails
+PREDICT_CHUNK = 1024  # queries per triangular solve; bounds memory to n * chunk
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,11 @@ class Hyperparams:
     noise_var: float
 
     def __post_init__(self):
+        values = (self.prior_mean, self.signal_var, self.length_scale,
+                  self.noise_var)
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigurationError(
+                f"hyperparameters must be finite, got {values}")
         if self.signal_var <= 0 or self.length_scale <= 0:
             raise ConfigurationError(
                 "signal_var and length_scale must be positive, got "
@@ -125,18 +134,38 @@ def kernel(x, x_prime, hyper: Hyperparams) -> float:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sum(diff * diff, axis=-1)
+    """Pairwise squared distances, (len(a), len(b)), summed per coordinate.
+
+    dx*dx + dy*dy is bit-identical to summing a 3-D difference array over its
+    last axis, so stored kernel checksums stay valid, without the temporary.
+    """
+    d2 = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    return d2
+
+
+def _covariance(d2: np.ndarray, hyper: Hyperparams,
+                with_nugget: bool) -> np.ndarray:
+    """signal_var * exp(-d2 / (2 l^2)) in a single new array.
+
+    Dividing by the negated denominator equals negating the numerator bit for
+    bit, as IEEE rounding is symmetric in sign.
+    """
+    k = d2 / (-2.0 * hyper.length_scale ** 2)
+    np.exp(k, out=k)
+    k *= hyper.signal_var
+    if with_nugget:
+        k[np.diag_indices_from(k)] += hyper.noise_var
+    return k
 
 
 def kernel_matrix(coords: np.ndarray, hyper: Hyperparams,
                   with_nugget: bool = True) -> np.ndarray:
     """Dense training covariance; the nugget rides on the diagonal only."""
-    k = hyper.signal_var * np.exp(
-        -_sq_dists(coords, coords) / (2.0 * hyper.length_scale ** 2))
-    if with_nugget:
-        k[np.diag_indices_from(k)] += hyper.noise_var
-    return k
+    return _covariance(_sq_dists(coords, coords), hyper, with_nugget)
 
 
 def _cholesky_with_jitter(k: np.ndarray, hyper: Hyperparams):
@@ -164,15 +193,17 @@ def _validate_duplicates(train: TrainingSet, hyper: Hyperparams):
             "duplicate training coordinates require a positive nugget")
 
 
+def _lml_from_factor(low: np.ndarray, r: np.ndarray,
+                     alpha: np.ndarray) -> float:
+    """-0.5 r^T C^-1 r - 0.5 ln det C - n/2 ln 2pi, given low = chol(C) and
+    alpha = C^-1 r."""
+    logdet = 2.0 * np.sum(np.log(np.diag(low)))
+    return float(-0.5 * r @ alpha - 0.5 * logdet - 0.5 * r.size * LOG2PI)
+
+
 def log_marginal_likelihood(hyper: Hyperparams, train: TrainingSet) -> float:
     """-0.5 r^T C^-1 r - 0.5 ln det C - n/2 ln 2pi with C = K + noise_var*I."""
-    _validate_duplicates(train, hyper)
-    k = kernel_matrix(train.coords, hyper)
-    low, _ = _cholesky_with_jitter(k, hyper)
-    r = train.targets - hyper.prior_mean
-    alpha = cho_solve((low, True), r)
-    logdet = 2.0 * np.sum(np.log(np.diag(low)))
-    return float(-0.5 * r @ alpha - 0.5 * logdet - 0.5 * train.n * LOG2PI)
+    return build_map(train, hyper).diagnostics.log_marginal_likelihood
 
 
 def default_bounds(train: TrainingSet) -> dict:
@@ -209,6 +240,7 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
     bounds proposals are clipped with a soft penalty. Multi-start jitters are
     seeded, so the whole fit is deterministic.
     """
+    d2 = _sq_dists(train.coords, train.coords)
     if bounds is None:
         bounds = default_bounds(train)
     lo = np.log([bounds["signal_var"][0], bounds["length_scale"][0],
@@ -219,7 +251,6 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
         raise ConfigurationError("bounds must be positive with low < high")
     if init is None:
         var = max(float(np.var(train.targets)), 1e-10)
-        d2 = _sq_dists(train.coords, train.coords)
         med = math.sqrt(float(np.median(d2[d2 > 0])))
         init = Hyperparams(prior_mean=float(np.mean(train.targets)),
                            signal_var=var, length_scale=med,
@@ -235,18 +266,15 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
                             signal_var=float(np.exp(clipped[0])),
                             length_scale=float(np.exp(clipped[1])),
                             noise_var=float(np.exp(clipped[2])))
-        k = kernel_matrix(train.coords, hyper)
         try:
-            low_f, jit = _cholesky_with_jitter(k, hyper)
+            low_f, jit = _cholesky_with_jitter(
+                _covariance(d2, hyper, with_nugget=True), hyper)
         except IllConditionedError:
             return 1e12 + penalty
         jitter_seen = jitter_seen or jit
-        m0 = _profiled_mean(low_f, train.targets)
-        r = train.targets - m0
-        alpha = cho_solve((low_f, True), r)
-        logdet = 2.0 * np.sum(np.log(np.diag(low_f)))
-        lml = -0.5 * r @ alpha - 0.5 * logdet - 0.5 * train.n * LOG2PI
-        return -float(lml) + 1e3 * penalty
+        r = train.targets - _profiled_mean(low_f, train.targets)
+        return (-_lml_from_factor(low_f, r, cho_solve((low_f, True), r))
+                + 1e3 * penalty)
 
     x0 = np.clip(np.log([init.signal_var, init.length_scale,
                          max(init.noise_var, math.exp(lo[2]))]), lo, hi)
@@ -271,15 +299,14 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
                          length_scale=float(np.exp(best_x[1])),
                          noise_var=float(np.exp(best_x[2])))
     _validate_duplicates(train, hyper0)
-    k = kernel_matrix(train.coords, hyper0)
-    low_f, jit = _cholesky_with_jitter(k, hyper0)
+    low_f, jit = _cholesky_with_jitter(
+        _covariance(d2, hyper0, with_nugget=True), hyper0)
     m0 = _profiled_mean(low_f, train.targets)
-    hyper = Hyperparams(prior_mean=m0, signal_var=hyper0.signal_var,
-                        length_scale=hyper0.length_scale,
-                        noise_var=hyper0.noise_var)
-    alpha = cho_solve((low_f, True), train.targets - m0)
-    final_lml = log_marginal_likelihood(hyper, train)
-    diag = FitDiagnostics(log_marginal_likelihood=final_lml,
+    hyper = replace(hyper0, prior_mean=m0)
+    r = train.targets - m0
+    alpha = cho_solve((low_f, True), r)
+    diag = FitDiagnostics(log_marginal_likelihood=_lml_from_factor(
+                              low_f, r, alpha),
                           iterations=total_iter, restarts=len(starts),
                           converged=converged,
                           jitter_applied=jitter_seen or jit)
@@ -287,41 +314,58 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
                      diagnostics=diag)
 
 
-def build_map(train: TrainingSet, hyper: Hyperparams) -> FittedMap:
-    """Freeze a map at fixed hyperparameters (no optimization)."""
+def build_map(train: TrainingSet, hyper: Hyperparams,
+              k: np.ndarray | None = None) -> FittedMap:
+    """Freeze a map at fixed hyperparameters (no optimization).
+
+    ``k`` is ``kernel_matrix(train.coords, hyper)``, when the caller already
+    holds it; the kernel is factored once and the log marginal likelihood
+    comes from that factor.
+    """
     _validate_duplicates(train, hyper)
-    k = kernel_matrix(train.coords, hyper)
+    if k is None:
+        k = kernel_matrix(train.coords, hyper)
     low, jit = _cholesky_with_jitter(k, hyper)
-    alpha = cho_solve((low, True), train.targets - hyper.prior_mean)
-    lml = log_marginal_likelihood(hyper, train)
+    r = train.targets - hyper.prior_mean
+    alpha = cho_solve((low, True), r)
     return FittedMap(hyper=hyper, train=train, chol=low, alpha=alpha,
-                     diagnostics=FitDiagnostics(lml, 0, 0, True, jit))
-
-
-def _predict_one(fmap: FittedMap, q: np.ndarray) -> PredictiveDistribution:
-    hyper = fmap.hyper
-    diff = fmap.train.coords - q
-    kx = hyper.signal_var * np.exp(
-        -np.sum(diff * diff, axis=1) / (2.0 * hyper.length_scale ** 2))
-    mean = hyper.prior_mean + kx @ fmap.alpha
-    v = solve_triangular(fmap.chol, kx, lower=True)
-    var = hyper.signal_var - v @ v
-    return PredictiveDistribution(mean=float(mean), variance=max(float(var), 0.0))
+                     diagnostics=FitDiagnostics(_lml_from_factor(low, r, alpha),
+                                                0, 0, True, jit))
 
 
 def predict_batch(fmap: FittedMap, queries) -> list[PredictiveDistribution]:
     """Posterior at each query point.
 
-    Evaluated query by query so results are bit-identical to sequential
-    :func:`predict` calls regardless of batch size.
+    Queries are evaluated in chunks of up to ``PREDICT_CHUNK``: per chunk,
+    the (n, chunk) cross-kernel, its product with the weight vector, and one
+    triangular solve with a column per query, so memory stays O(n * chunk)
+    whatever the batch size.
+    BLAS solves many columns in other blocks than one, so a query's moments
+    may differ from those of the same query in a batch of another size by
+    ~1e-14; :func:`predict` is a batch of one. The frozen factor was checked
+    finite when it was made and is not scanned again; the queries are, and
+    non-finite ones raise ConfigurationError.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=float))
-    if q.shape[1] != 2:
+    if q.ndim != 2 or q.shape[1] != 2:
         raise ConfigurationError("queries must be 2-D points")
-    return [_predict_one(fmap, row) for row in q]
+    if not np.isfinite(q).all():
+        raise ConfigurationError("queries must be finite")
+    hyper = fmap.hyper
+    out = []
+    for start in range(0, len(q), PREDICT_CHUNK):
+        kx = _covariance(_sq_dists(fmap.train.coords,
+                                   q[start:start + PREDICT_CHUNK]),
+                         hyper, with_nugget=False)
+        means = hyper.prior_mean + fmap.alpha @ kx
+        v = solve_triangular(fmap.chol, kx, lower=True, check_finite=False)
+        variances = hyper.signal_var - np.einsum("ij,ij->j", v, v)
+        out.extend(PredictiveDistribution(mean=float(m),
+                                          variance=max(float(s), 0.0))
+                   for m, s in zip(means, variances))
+    return out
 
 
 def predict(fmap: FittedMap, query) -> PredictiveDistribution:
-    """Posterior at one query point (identical to a batch of one)."""
-    q = np.asarray(query, dtype=float).reshape(2)
-    return _predict_one(fmap, q)
+    """Posterior at one query point: a batch of one."""
+    return predict_batch(fmap, np.asarray(query, dtype=float).reshape(1, 2))[0]

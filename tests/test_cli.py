@@ -1,11 +1,14 @@
 """CLI tests: command pipelines, exit codes, and byte-identical reruns."""
 
 import json
+import math
 import os
 
 import pytest
 
 from statmap.cli import main
+from statmap.dataio import save_map
+from statmap.gpmap import Hyperparams, TrainingSet, build_map
 
 SCENARIO_SMALL = {"field_components": 64}
 
@@ -182,6 +185,58 @@ def test_exit_3_numerical_failure(tmp_path):
     doc["experiment"]["oracle_n"] = 50_000
     cfg2 = write_config(tmp_path, doc, "cfg2.json")
     assert run("fit-map", cfg2, out) == 3
+
+
+def small_map(tmp_path):
+    path = tmp_path / "map.json"
+    train = TrainingSet.new([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]],
+                            [1.0, 2.0, 1.5])
+    save_map(build_map(train, Hyperparams(1.5, 0.5, 8.0, 0.05)), path)
+    return path
+
+
+def select_rate_config(tmp_path, map_path, delta=0.05,
+                       queries=((0.0, 0.0),)):
+    return write_config(tmp_path, {"select_rate": {
+        "map": str(map_path), "delta": delta, "queries": queries}},
+        "request.json")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exit_2_non_finite_query(tmp_path, capsys, bad):
+    cfg = select_rate_config(tmp_path, small_map(tmp_path),
+                             queries=[[0.0, 0.0], [bad, 1.0]])
+    out = tmp_path / "out"
+    assert run("select-rate", cfg, out) == 2
+    assert not (out / "rates.csv").exists()
+    err = capsys.readouterr().err
+    assert "finite" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("delta", [0, 1, 1.5, -0.1, "NaN"])
+def test_exit_2_delta_outside_unit_interval(tmp_path, capsys, monkeypatch,
+                                            delta):
+    import statmap.cli as cli
+
+    def no_load(path):
+        raise AssertionError("a bad delta must be refused before load_map")
+
+    monkeypatch.setattr(cli, "load_map", no_load)
+    cfg = select_rate_config(tmp_path, tmp_path / "map.json", delta=delta)
+    assert run("select-rate", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "delta" in err and len(err.splitlines()) == 1
+
+
+def test_exit_2_non_finite_map_hyperparameter(tmp_path, capsys):
+    map_path = small_map(tmp_path)
+    doc = json.loads(map_path.read_text())
+    doc["hyper"]["prior_mean"] = float("nan")  # not covered by the checksum
+    map_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("select-rate", select_rate_config(tmp_path, map_path), out) == 2
+    assert not (out / "rates.csv").exists()
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------- reruns

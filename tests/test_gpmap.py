@@ -8,6 +8,7 @@ import pytest
 
 from statmap.errors import ConfigurationError, IllConditionedError
 from statmap.gpmap import (
+    PREDICT_CHUNK,
     FittedMap,
     Hyperparams,
     TrainingSet,
@@ -52,6 +53,31 @@ def test_kernel_matrix_nugget_on_diagonal_only():
     k = kernel_matrix(coords, h)
     assert k[0, 0] == pytest.approx(2.3)
     assert k[0, 1] == pytest.approx(kernel(coords[0], coords[1], h))
+
+
+@pytest.mark.parametrize("n", [3, 50, 1000])
+def test_kernel_matrix_bytes_match_broadcast_formula(n):
+    # Saved maps carry a SHA-256 of these bytes, so the kernel must stay
+    # bit-identical to the formula they were written with.
+    rng = np.random.default_rng(n)
+    coords = rng.uniform(-300, 300, size=(n, 2))
+    h = Hyperparams(0.3, 1.7, 37.3, 0.21)
+    diff = coords[:, None, :] - coords[None, :, :]
+    old = h.signal_var * np.exp(
+        -np.sum(diff * diff, axis=-1) / (2.0 * h.length_scale ** 2))
+    assert kernel_matrix(coords, h, with_nugget=False).tobytes() == old.tobytes()
+    old[np.diag_indices_from(old)] += h.noise_var
+    assert kernel_matrix(coords, h).tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("field", ["prior_mean", "signal_var", "length_scale",
+                                   "noise_var"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_hyperparams_reject_non_finite(field, value):
+    fields = {"prior_mean": 0.0, "signal_var": 1.0, "length_scale": 1.0,
+              "noise_var": 0.1, field: value}
+    with pytest.raises(ConfigurationError):
+        Hyperparams(**fields)
 
 
 # ------------------------------------------------- marginal likelihood
@@ -212,6 +238,9 @@ def test_predict_one_point_closed_form():
 
 
 def test_predict_batch_equals_single_calls():
+    # A batch is not bit-equal to single calls: BLAS blocks many-column
+    # solves and products differently (measured gap ~1e-14), hence the
+    # tolerance. A batch of one is what predict computes, so that stays exact.
     rng = np.random.default_rng(8)
     train, _ = random_train(30, rng)
     fmap = build_map(train, Hyperparams(0.1, 1.2, 1.5, 0.05))
@@ -219,13 +248,27 @@ def test_predict_batch_equals_single_calls():
     batch = predict_batch(fmap, queries)
     for i in range(0, 10_000, 997):
         single = predict(fmap, queries[i])
-        assert batch[i].mean == single.mean
-        assert batch[i].variance == single.variance
+        assert predict_batch(fmap, [queries[i]])[0] == single
+        assert batch[i].mean == pytest.approx(single.mean, abs=1e-12)
+        assert batch[i].variance == pytest.approx(single.variance, abs=1e-12)
     # permuting queries permutes outputs
     perm = rng.permutation(200)
     permuted = predict_batch(fmap, queries[perm])
     for j, i in enumerate(perm):
-        assert permuted[j] == batch[i]
+        assert permuted[j].mean == pytest.approx(batch[i].mean, abs=1e-12)
+        assert permuted[j].variance == pytest.approx(batch[i].variance,
+                                                     abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [[[np.nan, 0.0]], [[0.0, np.inf]],
+                                 [[1.0, 2.0], [-np.inf, 3.0]]])
+def test_predict_rejects_non_finite_queries(bad):
+    train = TrainingSet.new([[0.0, 0.0], [1.0, 0.0]], [3.0, 4.0])
+    fmap = build_map(train, Hyperparams(2.0, 1.5, 1.0, 0.1))
+    with pytest.raises(ConfigurationError):
+        predict_batch(fmap, bad)
+    with pytest.raises(ConfigurationError):
+        predict(fmap, bad[-1])
 
 
 def test_posterior_variance_bounded_by_prior():
@@ -249,6 +292,19 @@ def dense_posterior(hyper, train, query):
     mean = hyper.prior_mean + kx @ kinv @ r
     var = hyper.signal_var - kx @ kinv @ kx
     return float(mean), float(max(var, 0.0))
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 128, 2 * PREDICT_CHUNK + 3])
+def test_predict_batch_matches_dense_inverse(batch_size):
+    rng = np.random.default_rng(11)
+    train, _ = random_train(40, rng)
+    h = Hyperparams(0.4, 1.3, 1.1, 0.08)
+    fmap = build_map(train, h)
+    queries = rng.uniform(-6, 6, size=(batch_size, 2))
+    for q, got in zip(queries, predict_batch(fmap, queries)):
+        mean, var = dense_posterior(h, train, q)
+        assert got.mean == pytest.approx(mean, abs=1e-8)
+        assert got.variance == pytest.approx(var, abs=1e-8)
 
 
 def test_cholesky_posterior_matches_dense_inverse():

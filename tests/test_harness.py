@@ -139,6 +139,47 @@ def test_map_checksum_detects_tampering(tmp_path):
     assert "checksum" in str(exc.value)
 
 
+def test_map_non_finite_prior_mean_rejected(tmp_path):
+    # prior_mean is not part of the kernel checksum, so the check that
+    # catches it is the finiteness check on the hyperparameters
+    fmap = fitted_map()
+    path = tmp_path / "map.json"
+    save_map(fmap, path)
+    doc = path.read_text()
+    tampered = doc.replace(f'"prior_mean":{fmap.hyper.prior_mean!r}',
+                           '"prior_mean":NaN', 1)
+    assert tampered != doc
+    path.write_text(tampered)
+    with pytest.raises(ConfigurationError) as exc:
+        load_map(path)
+    assert "finite" in str(exc.value)
+
+
+def test_load_map_builds_and_factors_the_kernel_once(tmp_path, monkeypatch):
+    import statmap.dataio as dio
+    import statmap.gpmap as gm
+
+    fmap = fitted_map()
+    path = tmp_path / "map.json"
+    save_map(fmap, path)
+    calls = {"cholesky": 0, "kernel_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gm, "cholesky", counted("cholesky", gm.cholesky))
+    counted_kernel = counted("kernel_matrix", gm.kernel_matrix)
+    for module in (gm, dio):
+        monkeypatch.setattr(module, "kernel_matrix", counted_kernel)
+    back = load_map(path)
+    assert calls == {"cholesky": 1, "kernel_matrix": 1}
+    np.testing.assert_array_equal(back.chol, fmap.chol)
+    np.testing.assert_array_equal(back.alpha, fmap.alpha)
+
+
 def test_map_unknown_version(tmp_path):
     path = tmp_path / "map.json"
     path.write_text('{"kind":"statmap-gp-map","version":7}\n')
