@@ -26,12 +26,10 @@ __all__ = [
     "MAX_SUBCARRIER_FEATURES",
     "init_chart_model",
     "csi_features",
-    "feature_dimension",
     "build_triplets",
     "forward",
     "triplet_loss",
     "train",
-    "embed_dataset",
 ]
 
 DEFAULT_HIDDEN = (256, 128, 64)
@@ -79,7 +77,6 @@ class Triplet:
 class TrainResult:
     model: ChartModel
     epoch_losses: list[float]
-    skipped_anchors: int = 0
 
 
 def init_chart_model(input_dim: int, hidden=DEFAULT_HIDDEN,
@@ -92,13 +89,6 @@ def init_chart_model(input_dim: int, hidden=DEFAULT_HIDDEN,
         weights.append(rng.normal(0.0, math.sqrt(2.0 / d_in), (d_in, d_out)))
         biases.append(np.zeros(d_out))
     return ChartModel(weights=tuple(weights), biases=tuple(biases))
-
-
-def feature_dimension(num_antennas: int, num_subcarriers: int,
-                      s_red: int) -> int:
-    step = math.ceil(num_subcarriers / s_red)
-    kept = len(range(0, num_subcarriers, step))
-    return 2 * num_antennas * kept + 1
 
 
 def csi_features(csi, s_red: int = MAX_SUBCARRIER_FEATURES) -> np.ndarray:
@@ -306,10 +296,3 @@ def train(model: ChartModel, triplets, features, margin: float = 1.0,
         model=ChartModel(weights=tuple(weights), biases=tuple(biases)),
         epoch_losses=trace)
 
-
-def embed_dataset(model: ChartModel, records) -> list:
-    """(user_id, latent point) for each (user_id, feature vector) record."""
-    out = []
-    for user_id, feats in records:
-        out.append((user_id, forward(model, feats)))
-    return out

@@ -19,7 +19,6 @@ import time
 
 import numpy as np
 
-from . import chart as chart_mod
 from .dataio import (
     load_dataset,
     load_map,
@@ -29,21 +28,21 @@ from .dataio import (
     write_csv,
 )
 from .errors import ConfigurationError, NumericalError, ParseError
-from .gpmap import TrainingSet, fit as gp_fit, predict_batch
+from .gpmap import predict_batch
 from .harness import (
     ChartTrainingConfig,
     ExperimentConfig,
     MismatchDemoConfig,
-    estimate_capacities,
+    fit_chart,
+    fit_location_map,
     run_chart_experiment,
     run_location_experiment,
     run_mismatch_demo,
     simulate_dataset,
     write_report,
 )
-from .propagation import Location, PointProcessConfig, ScenarioConfig, derive_seed
+from .propagation import Location, PointProcessConfig, ScenarioConfig
 from .rateselect import POLICY_MAP, select_rate_map
-from .stats import capacity_from_power
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,13 +53,23 @@ FULL_SCALE = {"epsilon": 1e-3, "delta": 1e-3, "samples_per_user": 10_000,
 
 
 def _build(cls, data: dict, context: str):
-    """Strict dataclass construction: unknown keys are config errors."""
+    """Strict dataclass construction: unknown keys and values of the wrong
+    type are config errors."""
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) {sorted(unknown)} in '{context}' section")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad value in '{context}' section: {exc}")
+
+
+def _as_tuple(value, name: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def _load_config(path) -> dict:
@@ -77,7 +86,12 @@ def _load_config(path) -> dict:
 def _scenario_config(doc: dict) -> ScenarioConfig:
     data = dict(doc.get("scenario", {}))
     if "bs_location" in data:
-        data["bs_location"] = Location(*data["bs_location"])
+        xyz = data["bs_location"]
+        if not (isinstance(xyz, list) and len(xyz) == 3
+                and all(isinstance(v, (int, float)) for v in xyz)):
+            raise ConfigurationError(
+                f"scenario.bs_location must be [x, y, z], got {xyz!r}")
+        data["bs_location"] = Location(*xyz)
     return _build(ScenarioConfig, data, "scenario")
 
 
@@ -92,7 +106,7 @@ def _experiment_config(doc: dict, seed: int, full: bool) -> ExperimentConfig:
         exp["oracle_n"] = max(exp.get("oracle_n", 0), 100_000)
     chart_cfg = dict(doc.get("chart", {}))
     if "hidden" in chart_cfg:
-        chart_cfg["hidden"] = tuple(chart_cfg["hidden"])
+        chart_cfg["hidden"] = _as_tuple(chart_cfg["hidden"], "chart.hidden")
     return _build(ExperimentConfig, {
         "scenario": _scenario_config(doc),
         "pointprocess": _build(PointProcessConfig,
@@ -122,15 +136,8 @@ def cmd_simulate(doc, seed, out_dir, full):
 
 def cmd_fit_map(doc, seed, out_dir, full):
     config = _experiment_config(doc, seed, full)
-    dataset = load_dataset(_dataset_path(doc, out_dir))
-    if any(r.location is None for r in dataset.records):
-        raise ConfigurationError("fit-map needs a location for every user")
-    targets = estimate_capacities(dataset, config.epsilon,
-                                  config.scenario.noise_power)
-    coords = [[r.location.x, r.location.y] for r in dataset.records]
-    fmap = gp_fit(TrainingSet.new(coords, targets),
-                  restarts=config.gp_restarts,
-                  seed=derive_seed(seed, "gp-fit"))
+    fmap = fit_location_map(load_dataset(_dataset_path(doc, out_dir)), config,
+                            seed)
     path = os.path.join(out_dir, "map.json")
     save_map(fmap, path)
     d = fmap.diagnostics
@@ -141,31 +148,14 @@ def cmd_fit_map(doc, seed, out_dir, full):
 
 def cmd_train_chart(doc, seed, out_dir, full):
     config = _experiment_config(doc, seed, full)
-    cc = config.chart
-    dataset = load_dataset(_dataset_path(doc, out_dir))
-    if any(r.csi is None for r in dataset.records):
-        raise ConfigurationError("train-chart needs a CSI snapshot per user")
-    capacity_rows = [capacity_from_power(r.power_samples,
-                                         config.scenario.noise_power)
-                     for r in dataset.records]
-    triplets, skipped = chart_mod.build_triplets(
-        capacity_rows, cc.n_triplets, cc.close_quantile, cc.far_quantile,
-        seed=derive_seed(seed, "triplets"))
-    feats = np.vstack([chart_mod.csi_features(r.csi, cc.s_red)
-                       for r in dataset.records])
-    model0 = chart_mod.init_chart_model(feats.shape[1], cc.hidden,
-                                        seed=derive_seed(seed, "chart-init"))
-    result = chart_mod.train(model0, triplets, feats, margin=cc.margin,
-                             step_size=cc.step_size, epochs=cc.epochs,
-                             batch_size=cc.batch_size,
-                             seed=derive_seed(seed, "chart-train"))
+    charted = fit_chart(load_dataset(_dataset_path(doc, out_dir)), config, seed)
     chart_path = os.path.join(out_dir, "chart.json")
-    save_chart(result.model, chart_path)
+    save_chart(charted.model, chart_path)
     trace_path = os.path.join(out_dir, "chart_trace.csv")
     write_csv(trace_path, ["epoch", "mean_loss"],
-              list(enumerate(result.epoch_losses)))
+              list(enumerate(charted.epoch_losses)))
     print(f"wrote {chart_path} and {trace_path} "
-          f"({len(triplets)} triplets, {skipped} skipped)")
+          f"({charted.n_triplets} triplets, {charted.skipped} skipped)")
     return [chart_path, trace_path]
 
 
@@ -179,6 +169,9 @@ def cmd_select_rate(doc, seed, out_dir, full):
         queries = np.asarray(section["queries"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad select_rate section: {exc}")
+    if not isinstance(map_path, str):
+        raise ConfigurationError(
+            f"select_rate.map must be a path string, got {map_path!r}")
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(
             f"select_rate.delta must lie in (0, 1), got {delta}")
@@ -212,10 +205,9 @@ def cmd_evaluate(doc, seed, out_dir, full):
 
 def cmd_mismatch_demo(doc, seed, out_dir, full):
     data = dict(doc.get("demo", {}))
-    if "path_amplitudes" in data:
-        data["path_amplitudes"] = tuple(data["path_amplitudes"])
-    if "fit_sizes" in data:
-        data["fit_sizes"] = tuple(data["fit_sizes"])
+    for key in ("path_amplitudes", "fit_sizes"):
+        if key in data:
+            data[key] = _as_tuple(data[key], f"demo.{key}")
     data["seed"] = seed
     demo = _build(MismatchDemoConfig, data, "demo")
     summary = run_mismatch_demo(demo, out_dir)
@@ -253,7 +245,11 @@ def main(argv=None) -> int:
         doc = _load_config(args.config)
         if not isinstance(doc, dict):
             raise ConfigurationError("config root must be a JSON object")
-        seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+        try:
+            seed = int(doc.get("seed", 0)) if args.seed is None else args.seed
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"seed must be an integer, got {doc['seed']!r}")
         os.makedirs(args.out, exist_ok=True)
         COMMANDS[args.command](doc, seed, args.out, args.full)
     except (ConfigurationError, OSError) as exc:

@@ -14,7 +14,7 @@ with a right-hand side per query.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -28,7 +28,6 @@ __all__ = [
     "FittedMap",
     "PredictiveDistribution",
     "FitDiagnostics",
-    "kernel",
     "kernel_matrix",
     "log_marginal_likelihood",
     "fit",
@@ -122,15 +121,7 @@ class FittedMap:
     train: TrainingSet
     chol: np.ndarray            # lower-triangular factor of K + noise_var*I
     alpha: np.ndarray           # (K + noise_var*I)^-1 (y - m0)
-    diagnostics: FitDiagnostics = field(
-        default_factory=lambda: FitDiagnostics(float("nan"), 0, 0, True, False))
-
-
-def kernel(x, x_prime, hyper: Hyperparams) -> float:
-    """Squared-exponential covariance between two 2-D points (no nugget)."""
-    d2 = float(np.sum((np.asarray(x, dtype=float)
-                       - np.asarray(x_prime, dtype=float)) ** 2))
-    return hyper.signal_var * math.exp(-d2 / (2.0 * hyper.length_scale ** 2))
+    diagnostics: FitDiagnostics
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,20 +18,22 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import chart as chart_mod
+from .chart import ChartModel
 from .dataio import Dataset, UserRecord, write_csv
 from .errors import ConfigurationError
-from .gpmap import TrainingSet, fit as gp_fit, predict
+from .gpmap import FittedMap, TrainingSet, fit as gp_fit, predict
 from .propagation import (
     Location,
     PointProcessConfig,
-    Scenario,
     ScenarioConfig,
     band_variant,
     derive_seed,
     draw_csi,
     draw_power_samples,
     generate_scenario,
+    multipath_power_samples,
     sample_locations_thomas,
+    true_outage_capacity,
 )
 from .rateselect import POLICY_BASELINE, POLICY_MAP, select_rate_baseline, select_rate_map
 from .stats import (
@@ -48,8 +50,11 @@ __all__ = [
     "MismatchDemoConfig",
     "ReportRow",
     "ExperimentReport",
+    "ChartFit",
     "simulate_dataset",
     "estimate_capacities",
+    "fit_location_map",
+    "fit_chart",
     "run_location_experiment",
     "run_chart_experiment",
     "run_mismatch_demo",
@@ -62,6 +67,7 @@ DEFAULT_POINT_PROCESS = PointProcessConfig(
 # Dominant-path profile for the mismatch demo: the reachable power set has a
 # hard lower edge, which no Rician CDF can reproduce in the deep tail.
 DEMO_AMPLITUDES = (1.0, 0.55, 0.08, 0.05, 0.04, 0.025, 0.015)
+DEMO_ORACLE_CHUNK = 2_000_000   # oracle draws held in memory at once
 
 
 @dataclass(frozen=True)
@@ -178,6 +184,18 @@ class ExperimentReport:
         return [(p, (i + 1) / n) for i, p in enumerate(probs)]
 
 
+@dataclass(frozen=True)
+class ChartFit:
+    """Chart stage output: the trained chart plus the inputs of its map."""
+
+    model: ChartModel
+    epoch_losses: list
+    n_triplets: int
+    skipped: int            # anchors that yielded no triplet
+    features: np.ndarray    # CSI features of the training users, one row each
+    targets: np.ndarray     # their eps-outage capacity estimates
+
+
 # ------------------------------------------------------------ simulation
 
 def _thomas_exact_count(pp: PointProcessConfig, scenario_cfg: ScenarioConfig,
@@ -216,41 +234,12 @@ def simulate_dataset(config: ExperimentConfig, seed: int,
     return Dataset(records=records)
 
 
-def estimate_capacities(dataset: Dataset, epsilon: float,
-                        noise_power: float) -> np.ndarray:
-    """Per-user lower eps-quantile of the capacity samples."""
-    out = np.empty(len(dataset.records))
-    for i, rec in enumerate(dataset.records):
-        caps = capacity_from_power(rec.power_samples, noise_power)
-        out[i] = empirical_quantile(
-            EmpiricalDistribution.from_samples(caps), epsilon)
-    return out
-
-
 def _uniform_test_locations(config: ExperimentConfig, seed: int) -> list:
     rng = np.random.default_rng(derive_seed(seed, "test-users"))
     half = config.scenario.cell_side / 2.0
     xy = rng.uniform(-half, half, size=(config.n_test_users, 2))
     return [Location(float(x), float(y), config.scenario.user_height)
             for x, y in xy]
-
-
-def _measure_policies(scenario: Scenario, loc: Location, rates: dict,
-                      config: ExperimentConfig, seed: int, user: int):
-    """True capacity and per-policy outage, sharing one capacity draw."""
-    true_c = empirical_quantile(
-        EmpiricalDistribution.from_samples(capacity_from_power(
-            draw_power_samples(scenario, loc, config.oracle_n,
-                               derive_seed(seed, "oracle", user)),
-            scenario.config.noise_power)),
-        config.epsilon)
-    caps = capacity_from_power(
-        draw_power_samples(scenario, loc, config.outage_draws,
-                           derive_seed(seed, "outage", user)),
-        scenario.config.noise_power)
-    outages = {policy: float(np.count_nonzero(caps < rate)) / caps.size
-               for policy, rate in rates.items()}
-    return true_c, outages
 
 
 def _echo(config: ExperimentConfig) -> dict:
@@ -260,59 +249,139 @@ def _echo(config: ExperimentConfig) -> dict:
     return echo
 
 
+# ------------------------------------------------------------ stages
+# The pipeline stages that the experiments and the CLI commands share.
+
+def _capacity_rows(dataset: Dataset, noise_power: float) -> list:
+    return [capacity_from_power(r.power_samples, noise_power)
+            for r in dataset.records]
+
+
+def _eps_quantiles(capacity_rows, epsilon: float) -> np.ndarray:
+    return np.array([empirical_quantile(EmpiricalDistribution.from_samples(c),
+                                        epsilon) for c in capacity_rows])
+
+
+def estimate_capacities(dataset: Dataset, epsilon: float,
+                        noise_power: float) -> np.ndarray:
+    """Per-user lower eps-quantile of the capacity samples."""
+    return _eps_quantiles(_capacity_rows(dataset, noise_power), epsilon)
+
+
+def _fit_gp(coords, targets, config: ExperimentConfig, seed: int) -> FittedMap:
+    return gp_fit(TrainingSet.new(coords, targets),
+                  restarts=config.gp_restarts, seed=derive_seed(seed, "gp-fit"))
+
+
+def fit_location_map(dataset: Dataset, config: ExperimentConfig,
+                     seed: int) -> FittedMap:
+    """Location stage: per-user eps-outage capacities, then a GP over (x, y)."""
+    if any(r.location is None for r in dataset.records):
+        raise ConfigurationError("fit-map needs a location for every user")
+    targets = estimate_capacities(dataset, config.epsilon,
+                                  config.scenario.noise_power)
+    return _fit_gp([[r.location.x, r.location.y] for r in dataset.records],
+                   targets, config, seed)
+
+
+def fit_chart(dataset: Dataset, config: ExperimentConfig, seed: int) -> ChartFit:
+    """Chart stage: capacity rows, their eps-quantiles, W1 triplets mined from
+    the rows, CSI features, and the chart trained on those triplets."""
+    if any(r.csi is None for r in dataset.records):
+        raise ConfigurationError("train-chart needs a CSI snapshot per user")
+    cc = config.chart
+    rows = _capacity_rows(dataset, config.scenario.noise_power)
+    targets = _eps_quantiles(rows, config.epsilon)
+    triplets, skipped = chart_mod.build_triplets(
+        rows, cc.n_triplets, cc.close_quantile, cc.far_quantile,
+        seed=derive_seed(seed, "triplets"))
+    feats = np.vstack([chart_mod.csi_features(r.csi, cc.s_red)
+                       for r in dataset.records])
+    model0 = chart_mod.init_chart_model(feats.shape[1], cc.hidden,
+                                        seed=derive_seed(seed, "chart-init"))
+    result = chart_mod.train(model0, triplets, feats, margin=cc.margin,
+                             step_size=cc.step_size, epochs=cc.epochs,
+                             batch_size=cc.batch_size,
+                             seed=derive_seed(seed, "chart-train"))
+    return ChartFit(model=result.model, epoch_losses=result.epoch_losses,
+                    n_triplets=len(triplets), skipped=skipped,
+                    features=feats, targets=targets)
+
+
 # ------------------------------------------------------------ experiments
 
 def run_location_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Location-based statistical radio map versus nearest-neighbor baseline."""
+    return _run_experiment(config, "location")
+
+
+def run_chart_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Chart-based map: CSI from the high band, rates in the scenario band."""
+    return _run_experiment(config, "chart")
+
+
+def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
+    """Fit a map on simulated users, then select rates for uniform test users
+    and judge them against the oracle. Errors name the stage they came from."""
     seed = config.seed
+    echo = _echo(config)
     stage = "generate-scenario"
     try:
         scenario = generate_scenario(config.scenario, seed)
         stage = "simulate-training-users"
-        dataset = simulate_dataset(config, seed, with_csi=False)
-        stage = "estimate-outage-capacities"
-        targets = estimate_capacities(dataset, config.epsilon,
-                                      config.scenario.noise_power)
-        coords = np.array([[r.location.x, r.location.y]
-                           for r in dataset.records])
-        train = TrainingSet.new(coords, targets)
-        stage = "fit-map"
-        fmap = gp_fit(train, restarts=config.gp_restarts,
-                      seed=derive_seed(seed, "gp-fit"))
+        dataset = simulate_dataset(config, seed, with_csi=mode == "chart")
+        if mode == "location":
+            stage = "fit-map"
+            fmap = fit_location_map(dataset, config, seed)
+
+            def query_of(loc, user):
+                return np.array([loc.x, loc.y])
+        else:
+            stage = "train-chart"
+            charted = fit_chart(dataset, config, seed)
+            echo["chart_epoch_losses"] = charted.epoch_losses
+            stage = "fit-map-in-latent-space"
+            fmap = _fit_gp(chart_mod.forward(charted.model, charted.features),
+                           charted.targets, config, seed)
+            csi_scenario = band_variant(scenario,
+                                        **config.chart.band_overrides())
+
+            def query_of(loc, user):
+                csi = draw_csi(csi_scenario, loc,
+                               derive_seed(seed, "test-csi", user))
+                return chart_mod.forward(charted.model, chart_mod.csi_features(
+                    csi, config.chart.s_red))
         stage = "evaluate-test-users"
-        rows, calibration = _evaluate_test_users(
-            scenario, config, seed,
-            query_of=lambda loc, user: np.array([loc.x, loc.y]),
-            fmap=fmap, train=train)
+        rows, echo["predictive_calibration"] = _evaluate_test_users(
+            scenario, config, seed, query_of, fmap)
     except Exception as exc:
         exc.args = (f"[stage {stage}] {exc}",)
         raise
-    return ExperimentReport(mode="location", rows=rows, epsilon=config.epsilon,
-                            delta=config.delta, seed=seed,
-                            config_echo={**_echo(config),
-                                         "predictive_calibration": calibration})
+    return ExperimentReport(mode=mode, rows=rows, epsilon=config.epsilon,
+                            delta=config.delta, seed=seed, config_echo=echo)
 
 
-def _evaluate_test_users(scenario, config, seed, query_of, fmap, train):
+def _evaluate_test_users(scenario, config, seed, query_of, fmap):
     rows = []
     pred_means, pred_vars, truths = [], [], []
     for user, loc in enumerate(_uniform_test_locations(config, seed)):
         query = query_of(loc, user)
         pred = predict(fmap, query)
-        rates = {
-            POLICY_MAP: select_rate_map(pred, config.delta).rate,
-            POLICY_BASELINE: select_rate_baseline(train, query).rate,
-        }
-        true_c, outages = _measure_policies(scenario, loc, rates, config,
-                                            seed, user)
+        rates = (select_rate_map(pred, config.delta).rate,
+                 select_rate_baseline(fmap.train, query).rate)
+        true_c, outages = true_outage_capacity(
+            scenario, loc, config.epsilon, rates, config.oracle_n,
+            config.outage_draws, derive_seed(seed, "oracle", user),
+            derive_seed(seed, "outage", user))
         pred_means.append(pred.mean)
         pred_vars.append(pred.variance)
         truths.append(true_c)
-        for policy in (POLICY_MAP, POLICY_BASELINE):
+        for policy, rate, outage in zip((POLICY_MAP, POLICY_BASELINE), rates,
+                                        outages):
             rows.append(ReportRow(
                 user_id=user, x=float(query[0]), y=float(query[1]),
-                true_ceps=true_c, rate=rates[policy],
-                outage_prob=outages[policy], policy=policy))
+                true_ceps=true_c, rate=rate, outage_prob=outage,
+                policy=policy))
     rows.sort(key=lambda r: (r.user_id, r.policy))
     residuals = np.asarray(truths) - np.asarray(pred_means)
     calibration = {
@@ -321,60 +390,6 @@ def _evaluate_test_users(scenario, config, seed, query_of, fmap, train):
         "residual_mean": float(np.mean(residuals)),
     }
     return rows, calibration
-
-
-def run_chart_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Chart-based map: CSI from the high band, rates in the scenario band."""
-    seed = config.seed
-    cc = config.chart
-    stage = "generate-scenario"
-    try:
-        scenario = generate_scenario(config.scenario, seed)
-        csi_scenario = band_variant(scenario, **cc.band_overrides())
-        stage = "simulate-training-users"
-        dataset = simulate_dataset(config, seed, with_csi=True)
-        stage = "estimate-outage-capacities"
-        targets = estimate_capacities(dataset, config.epsilon,
-                                      config.scenario.noise_power)
-        stage = "mine-triplets"
-        capacity_rows = [capacity_from_power(r.power_samples,
-                                             config.scenario.noise_power)
-                         for r in dataset.records]
-        triplets, _ = chart_mod.build_triplets(
-            capacity_rows, cc.n_triplets, cc.close_quantile, cc.far_quantile,
-            seed=derive_seed(seed, "triplets"))
-        stage = "train-chart"
-        feats = np.vstack([chart_mod.csi_features(r.csi, cc.s_red)
-                           for r in dataset.records])
-        model0 = chart_mod.init_chart_model(feats.shape[1], cc.hidden,
-                                            seed=derive_seed(seed, "chart-init"))
-        result = chart_mod.train(model0, triplets, feats, margin=cc.margin,
-                                 step_size=cc.step_size, epochs=cc.epochs,
-                                 batch_size=cc.batch_size,
-                                 seed=derive_seed(seed, "chart-train"))
-        stage = "fit-map-in-latent-space"
-        latents = chart_mod.forward(result.model, feats)
-        train = TrainingSet.new(latents, targets)
-        fmap = gp_fit(train, restarts=config.gp_restarts,
-                      seed=derive_seed(seed, "gp-fit"))
-        stage = "evaluate-test-users"
-
-        def embed_new_user(loc, user):
-            csi = draw_csi(csi_scenario, loc, derive_seed(seed, "test-csi", user))
-            return chart_mod.forward(result.model,
-                                     chart_mod.csi_features(csi, cc.s_red))
-
-        rows, calibration = _evaluate_test_users(scenario, config, seed,
-                                                 query_of=embed_new_user,
-                                                 fmap=fmap, train=train)
-    except Exception as exc:
-        exc.args = (f"[stage {stage}] {exc}",)
-        raise
-    return ExperimentReport(mode="chart", rows=rows, epsilon=config.epsilon,
-                            delta=config.delta, seed=seed,
-                            config_echo={**_echo(config),
-                                         "chart_epoch_losses": result.epoch_losses,
-                                         "predictive_calibration": calibration})
 
 
 # ------------------------------------------------------------ reports
@@ -409,28 +424,6 @@ def write_report(report: ExperimentReport, out_dir) -> list:
 
 # ------------------------------------------------------------ mismatch demo
 
-def _demo_power_chunks(amplitudes: np.ndarray, total: int, seed: int,
-                       chunk: int = 2_000_000):
-    """Normalized multipath power samples, streamed in deterministic chunks."""
-    rng = np.random.default_rng(derive_seed(seed, "demo-oracle"))
-    mean_power = float(np.sum(amplitudes ** 2))
-    remaining = total
-    while remaining > 0:
-        n = min(chunk, remaining)
-        phases = rng.uniform(0.0, 2.0 * np.pi, (n, amplitudes.size))
-        h = (amplitudes * np.exp(1j * phases)).sum(axis=1)
-        yield (np.abs(h) ** 2) / mean_power
-        remaining -= n
-
-
-def _demo_fit_sample(amplitudes: np.ndarray, n: int, seed: int, label) -> np.ndarray:
-    rng = np.random.default_rng(derive_seed(seed, "demo-fit", label))
-    mean_power = float(np.sum(amplitudes ** 2))
-    phases = rng.uniform(0.0, 2.0 * np.pi, (n, amplitudes.size))
-    h = (amplitudes * np.exp(1j * phases)).sum(axis=1)
-    return (np.abs(h) ** 2) / mean_power
-
-
 def run_mismatch_demo(config: MismatchDemoConfig, out_dir) -> dict:
     """Tail mismatch of a Rician ML fit versus the non-parametric estimator.
 
@@ -440,18 +433,30 @@ def run_mismatch_demo(config: MismatchDemoConfig, out_dir) -> dict:
     """
     os.makedirs(out_dir, exist_ok=True)
     a = np.asarray(config.path_amplitudes, dtype=float)
+    mean_power = float(np.sum(a ** 2))
+
+    def normalized_powers(n, rng):
+        return multipath_power_samples(a, n, rng) / mean_power
+
+    def fit_sample(n, label):
+        return normalized_powers(n, np.random.default_rng(
+            derive_seed(config.seed, "demo-fit", label)))
 
     # breakpoints: pilot-sample quantiles on a fixed probability grid, dense
     # toward the deep tail
-    pilot = _demo_fit_sample(a, 1_000_000, config.seed, "pilot")
+    pilot = fit_sample(1_000_000, "pilot")
     probs = np.unique(np.concatenate([
         np.geomspace(1e-5, 0.01, 40),
         np.linspace(0.02, 0.999, 80),
     ]))
     breakpoints = np.quantile(pilot, probs)
 
+    oracle_rng = np.random.default_rng(
+        derive_seed(config.seed, "demo-oracle"))
     oracle_counts = np.zeros(breakpoints.size, dtype=np.int64)
-    for block in _demo_power_chunks(a, config.oracle_samples, config.seed):
+    for start in range(0, config.oracle_samples, DEMO_ORACLE_CHUNK):
+        block = normalized_powers(
+            min(DEMO_ORACLE_CHUNK, config.oracle_samples - start), oracle_rng)
         block.sort()
         oracle_counts += np.searchsorted(block, breakpoints, side="right")
     oracle_cdf = oracle_counts / config.oracle_samples
@@ -459,10 +464,9 @@ def run_mismatch_demo(config: MismatchDemoConfig, out_dir) -> dict:
     columns = {"value": breakpoints, "oracle_cdf": oracle_cdf}
     fits = {}
     for n in config.fit_sizes:
-        sample = _demo_fit_sample(a, n, config.seed, n)
-        sample_sorted = np.sort(sample)
-        columns[f"empirical_cdf_n{n}"] = (
-            np.searchsorted(sample_sorted, breakpoints, side="right") / n)
+        sample = fit_sample(n, n)
+        columns[f"empirical_cdf_n{n}"] = EmpiricalDistribution.from_samples(
+            sample).cdf(breakpoints)
         fit = fit_rician_ml(np.sqrt(sample))
         fits[n] = fit
         columns[f"rician_cdf_n{n}"] = fit.power_cdf(breakpoints)

@@ -35,31 +35,24 @@ __all__ = [
     "band_variant",
     "derive_seed",
     "sample_locations_thomas",
-    "channel_coefficient",
     "draw_power_samples",
     "draw_csi",
     "true_outage_capacity",
-    "measure_outage_probability",
     "multipath_power_samples",
 ]
 
 TWO_PI = 2.0 * math.pi
 
 
-def _label_entropy(label: str) -> int:
-    """Stable 64-bit entropy word for a purpose label (never python hash())."""
-    return int.from_bytes(
-        hashlib.blake2s(label.encode("utf-8"), digest_size=8).digest(), "little")
-
-
-def _location_entropy(x: float, y: float, z: float) -> int:
-    buf = np.asarray([x, y, z], dtype=np.float64).tobytes()
-    return int.from_bytes(hashlib.blake2s(buf, digest_size=8).digest(), "little")
+def _entropy(data: bytes) -> int:
+    """Stable 64-bit entropy word for a label or a location (never hash())."""
+    return int.from_bytes(hashlib.blake2s(data, digest_size=8).digest(),
+                          "little")
 
 
 def _substream(*entropy) -> np.random.Generator:
     words = [e & 0xFFFFFFFFFFFFFFFF if isinstance(e, (int, np.integer))
-             else _label_entropy(str(e)) for e in entropy]
+             else _entropy(str(e).encode("utf-8")) for e in entropy]
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
@@ -248,11 +241,6 @@ class Scenario:
         wobble = np.stack([f.evaluate(xy) for f in self.angle_fields], axis=1)
         return self.base_angles + self.config.angle_spread_rad * wobble
 
-    def mean_power(self, loc: Location) -> float:
-        """Average received SISO/MRC reference power: sum of a_p^2."""
-        a = self.path_amplitudes(loc.as_array())
-        return float(np.sum(a * a))
-
     # -------------------------------------------------- sampling helpers
 
     def _geometry(self, loc: Location):
@@ -264,7 +252,7 @@ class Scenario:
 
     def _phase_rng(self, loc: Location, purpose: str, sample_seed: int):
         return _substream(self.seed, purpose,
-                          _location_entropy(loc.x, loc.y, loc.z), sample_seed)
+                          _entropy(loc.as_array().tobytes()), sample_seed)
 
     def subcarrier_ramps(self) -> np.ndarray:
         """(P, S) phase ramps from per-path delay across the subcarrier grid."""
@@ -355,16 +343,6 @@ def multipath_power_samples(amplitudes, n: int,
     return np.abs(h) ** 2
 
 
-def channel_coefficient(scenario: Scenario, loc: Location,
-                        sample_seed: int) -> np.ndarray:
-    """One channel realization at the reference subcarrier, per antenna."""
-    scenario._check_inside(loc)
-    a, steering = scenario._geometry(loc)
-    rng = scenario._phase_rng(loc, "channel", sample_seed)
-    phases = rng.uniform(0.0, TWO_PI, a.size)
-    return (a * np.exp(1j * phases)) @ steering
-
-
 def draw_power_samples(scenario: Scenario, loc: Location, n: int,
                        sample_seed: int) -> np.ndarray:
     """n effective received power samples (MRC over antennas), noiseless."""
@@ -391,33 +369,27 @@ def draw_csi(scenario: Scenario, loc: Location, sample_seed: int) -> CSISample:
 
 
 def true_outage_capacity(scenario: Scenario, loc: Location, epsilon: float,
-                         oracle_n: int, seed: int) -> float:
-    """Monte-Carlo ground truth for the eps-outage capacity at a location."""
+                         rates, oracle_n: int, n_mc: int, oracle_seed: int,
+                         outage_seed: int) -> tuple[float, list[float]]:
+    """Monte-Carlo truth at a location: the eps-outage capacity and the
+    outage probability of each rate.
+
+    The capacity is the lower eps-quantile of oracle_n capacity draws taken
+    with sample seed oracle_seed. The outage probability of a rate is the
+    fraction of one shared set of n_mc draws, taken with sample seed
+    outage_seed, that lies strictly below it.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
     required = int(math.ceil(100.0 / epsilon))
     if oracle_n < required:
         raise InsufficientSamplesError(oracle_n, epsilon, required=required)
-    powers = draw_power_samples(scenario, loc, oracle_n, _oracle_seed(seed))
-    caps = capacity_from_power(powers, scenario.config.noise_power)
-    return empirical_quantile(EmpiricalDistribution.from_samples(caps), epsilon)
-
-
-def measure_outage_probability(scenario: Scenario, loc: Location, rate: float,
-                               n_mc: int, seed: int) -> float:
-    """Fraction of n_mc capacity draws strictly below the given rate."""
-    if n_mc < 1:
-        raise ValueError("need n_mc >= 1 draws")
-    if rate <= 0.0:
-        return 0.0
-    powers = draw_power_samples(scenario, loc, n_mc, _outage_seed(seed))
-    caps = capacity_from_power(powers, scenario.config.noise_power)
-    return float(np.count_nonzero(caps < rate)) / n_mc
-
-
-def _oracle_seed(seed: int) -> int:
-    return (int(seed) ^ _label_entropy("capacity-oracle")) & 0xFFFFFFFFFFFFFFFF
-
-
-def _outage_seed(seed: int) -> int:
-    return (int(seed) ^ _label_entropy("outage-measure")) & 0xFFFFFFFFFFFFFFFF
+    noise = scenario.config.noise_power
+    oracle = capacity_from_power(
+        draw_power_samples(scenario, loc, oracle_n, oracle_seed), noise)
+    true_c = empirical_quantile(EmpiricalDistribution.from_samples(oracle),
+                                epsilon)
+    caps = capacity_from_power(
+        draw_power_samples(scenario, loc, n_mc, outage_seed), noise)
+    return true_c, [float(np.count_nonzero(caps < rate)) / caps.size
+                    for rate in rates]

@@ -23,7 +23,6 @@ from .errors import (
 
 __all__ = [
     "EmpiricalDistribution",
-    "OutageCapacityEstimate",
     "RicianFit",
     "capacity_from_power",
     "empirical_quantile",
@@ -32,7 +31,6 @@ __all__ = [
     "fit_rician_ml",
     "sample_rician",
     "dkw_band",
-    "estimate_outage_capacity",
 ]
 
 
@@ -65,34 +63,12 @@ class EmpiricalDistribution:
 
 
 @dataclass(frozen=True)
-class OutageCapacityEstimate:
-    """Empirical eps-outage capacity derived from power samples."""
-
-    epsilon: float
-    value: float  # bits/s/Hz
-    n_samples: int
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if self.value < 0.0:
-            raise ValueError("outage capacity cannot be negative")
-        if self.n_samples * self.epsilon <= 1.0:
-            raise InsufficientSamplesError(
-                self.n_samples, self.epsilon,
-                required=math.floor(1.0 / self.epsilon) + 1)
-
-
-@dataclass(frozen=True)
 class RicianFit:
     """Rician fading parameters: K factor and mean power omega."""
 
     K: float
     omega: float
     log_likelihood: float
-
-    def envelope_logpdf(self, r) -> np.ndarray:
-        return _rician_logpdf(np.asarray(r, dtype=float), self.K, self.omega)
 
     def power_cdf(self, y) -> np.ndarray:
         """CDF of the received power ``|h|^2`` under the fitted parameters.
@@ -177,17 +153,6 @@ def wasserstein1(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     qa = xs[np.ceil(mids * n).astype(int) - 1]
     qb = ys[np.ceil(mids * m).astype(int) - 1]
     return float(np.sum(np.abs(qa - qb) * widths))
-
-
-def estimate_outage_capacity(power_samples, epsilon: float,
-                             noise_power: float) -> OutageCapacityEstimate:
-    """Map power samples to capacities and take the lower eps-quantile."""
-    caps = capacity_from_power(np.asarray(power_samples, dtype=float),
-                               noise_power)
-    dist = EmpiricalDistribution.from_samples(caps)
-    value = empirical_quantile(dist, epsilon)
-    return OutageCapacityEstimate(epsilon=epsilon, value=value,
-                                  n_samples=dist.n)
 
 
 def _rician_logpdf(r: np.ndarray, K: float, omega: float) -> np.ndarray:

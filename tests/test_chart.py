@@ -13,8 +13,6 @@ from statmap.chart import (
     _batch_loss_and_grads,
     build_triplets,
     csi_features,
-    embed_dataset,
-    feature_dimension,
     forward,
     init_chart_model,
     train,
@@ -49,7 +47,6 @@ def test_features_scaling_moves_only_log_entry():
 
 
 def test_features_declared_dimension():
-    assert feature_dimension(64, 288, 24) == 2 * 64 * 24 + 1
     rng = np.random.default_rng(2)
     f = csi_features(random_csi(rng, a=64, s=288), s_red=24)
     assert f.shape == (2 * 64 * 24 + 1,)
@@ -315,15 +312,16 @@ def test_chart_quality_spearman_improves():
     assert result.epoch_losses[-1] <= result.epoch_losses[0]
 
 
-def test_embed_dataset_shapes_and_consistency():
+def test_forward_batch_shapes_and_consistency():
     rng = np.random.default_rng(21)
     feats = rng.normal(size=(10, 7))
     feats[4] = feats[2]
     m = init_chart_model(7, hidden=(6,), seed=9)
-    out = embed_dataset(m, [(i, feats[i]) for i in range(10)])
-    assert len(out) == 10
-    assert all(z.shape == (2,) for _, z in out)
-    np.testing.assert_array_equal(out[2][1], out[4][1])
+    out = forward(m, feats)
+    assert out.shape == (10, 2)
+    np.testing.assert_array_equal(out[2], out[4])
+    for i in range(10):
+        np.testing.assert_allclose(out[i], forward(m, feats[i]), rtol=1e-12)
 
 
 def test_lipschitz_bound_from_frobenius_norms():

@@ -7,8 +7,16 @@ import os
 import pytest
 
 from statmap.cli import main
-from statmap.dataio import save_map
+from statmap.dataio import save_chart, save_map
 from statmap.gpmap import Hyperparams, TrainingSet, build_map
+from statmap.harness import (
+    ChartTrainingConfig,
+    ExperimentConfig,
+    fit_chart,
+    fit_location_map,
+    simulate_dataset,
+)
+from statmap.propagation import ScenarioConfig
 
 SCENARIO_SMALL = {"field_components": 64}
 
@@ -57,6 +65,16 @@ def run(cmd, cfg, out, seed=None, full=False):
     return main(argv)
 
 
+def experiment_config(doc):
+    """The ExperimentConfig that the CLI reads from doc, built directly."""
+    chart = dict(doc.get("chart", {}))
+    if "hidden" in chart:
+        chart["hidden"] = tuple(chart["hidden"])
+    return ExperimentConfig(scenario=ScenarioConfig(**doc["scenario"]),
+                            chart=ChartTrainingConfig(**chart),
+                            seed=doc["seed"], **doc["experiment"])
+
+
 def read_all(out_dir):
     blobs = {}
     for name in sorted(os.listdir(out_dir)):
@@ -76,7 +94,13 @@ def test_simulate_fit_select_pipeline(tmp_path):
     doc = dict(BASE_CONFIG, dataset=str(out / "dataset.jsonl"))
     cfg2 = write_config(tmp_path, doc, "cfg2.json")
     assert run("fit-map", cfg2, out) == 0
-    assert (out / "map.json").exists()
+    # fit-map runs the location experiment's own stage
+    config = experiment_config(BASE_CONFIG)
+    seed = BASE_CONFIG["seed"]
+    save_map(fit_location_map(simulate_dataset(config, seed), config, seed),
+             tmp_path / "stage_map.json")
+    assert (out / "map.json").read_bytes() == \
+        (tmp_path / "stage_map.json").read_bytes()
 
     doc3 = dict(doc, select_rate={
         "map": str(out / "map.json"), "delta": 0.05,
@@ -96,7 +120,14 @@ def test_train_chart_pipeline(tmp_path):
     doc = dict(CHART_CONFIG, dataset=str(out / "dataset.jsonl"))
     cfg2 = write_config(tmp_path, doc, "cfg2.json")
     assert run("train-chart", cfg2, out) == 0
-    assert (out / "chart.json").exists()
+    # train-chart runs the chart experiment's own stage
+    config = experiment_config(CHART_CONFIG)
+    seed = CHART_CONFIG["seed"]
+    charted = fit_chart(simulate_dataset(config, seed, with_csi=True), config,
+                        seed)
+    save_chart(charted.model, tmp_path / "stage_chart.json")
+    assert (out / "chart.json").read_bytes() == \
+        (tmp_path / "stage_chart.json").read_bytes()
     trace = (out / "chart_trace.csv").read_text().splitlines()
     assert trace[0] == "epoch,mean_loss"
     assert len(trace) == 1 + CHART_CONFIG["chart"]["epochs"]
@@ -148,6 +179,24 @@ def test_exit_2_unknown_key(tmp_path):
     doc["scenario"] = {"not_a_field": 1}
     cfg = write_config(tmp_path, doc)
     assert run("simulate", cfg, tmp_path) == 2
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (None, "seed", "abc"),
+    ("experiment", "n_train_users", "many"),
+    ("chart", "hidden", 5),
+    ("scenario", "bs_location", [1, 2]),
+])
+def test_exit_2_config_value_of_wrong_type(tmp_path, capsys, section, key,
+                                           value):
+    doc = json.loads(json.dumps(CHART_CONFIG))
+    (doc if section is None else doc[section])[key] = value
+    cfg = write_config(tmp_path, doc)
+    assert run("simulate", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_exit_2_invalid_epsilon(tmp_path):
@@ -226,6 +275,24 @@ def test_exit_2_delta_outside_unit_interval(tmp_path, capsys, monkeypatch,
     assert run("select-rate", cfg, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "delta" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("map_value", [0, None, ["map.json"]])
+def test_exit_2_map_not_a_path(tmp_path, capsys, monkeypatch, map_value):
+    # an integer would reach open() as a file descriptor (0 is stdin)
+    import statmap.cli as cli
+
+    def no_load(path):
+        raise AssertionError("a bad map must be refused before load_map")
+
+    monkeypatch.setattr(cli, "load_map", no_load)
+    cfg = write_config(tmp_path, {"select_rate": {
+        "map": map_value, "delta": 0.05, "queries": [[0.0, 0.0]]}})
+    out = tmp_path / "out"
+    assert run("select-rate", cfg, out) == 2
+    assert not (out / "rates.csv").exists()
+    err = capsys.readouterr().err
+    assert "select_rate.map" in err and len(err.splitlines()) == 1
 
 
 def test_exit_2_non_finite_map_hyperparameter(tmp_path, capsys):

@@ -15,7 +15,6 @@ from statmap.gpmap import (
     build_map,
     default_bounds,
     fit,
-    kernel,
     kernel_matrix,
     log_marginal_likelihood,
     predict,
@@ -34,17 +33,30 @@ def random_train(n, rng, noise=0.1):
 
 # ---------------------------------------------------------------- kernel
 
+def pair_covariance(x, x_prime, hyper):
+    """Covariance of two 2-D points, read off a noise-free kernel matrix."""
+    return kernel_matrix(np.array([x, x_prime], dtype=float), hyper,
+                         with_nugget=False)[0, 1]
+
+
+def se_covariance(d2, hyper):
+    """The squared-exponential formula, written out independently."""
+    return hyper.signal_var * np.exp(
+        -np.asarray(d2) / (2.0 * hyper.length_scale ** 2))
+
+
 def test_kernel_at_zero_distance():
-    assert kernel([1.0, 2.0], [1.0, 2.0], HYPER) == 1.0
+    assert pair_covariance([1.0, 2.0], [1.0, 2.0], HYPER) == 1.0
 
 
 def test_kernel_decays_to_zero():
-    assert kernel([0.0, 0.0], [1e6, 0.0], HYPER) == 0.0
+    assert pair_covariance([0.0, 0.0], [1e6, 0.0], HYPER) == 0.0
 
 
 def test_kernel_half_point():
     d = math.sqrt(2.0 * math.log(2.0))
-    assert kernel([0.0, 0.0], [d, 0.0], HYPER) == pytest.approx(0.5, abs=1e-12)
+    assert pair_covariance([0.0, 0.0], [d, 0.0], HYPER) == pytest.approx(
+        0.5, abs=1e-12)
 
 
 def test_kernel_matrix_nugget_on_diagonal_only():
@@ -52,7 +64,8 @@ def test_kernel_matrix_nugget_on_diagonal_only():
     coords = np.array([[0.0, 0.0], [1.0, 0.0]])
     k = kernel_matrix(coords, h)
     assert k[0, 0] == pytest.approx(2.3)
-    assert k[0, 1] == pytest.approx(kernel(coords[0], coords[1], h))
+    assert k[0, 1] == pytest.approx(se_covariance(1.0, h))
+    assert kernel_matrix(coords, h, with_nugget=False)[0, 0] == 2.0
 
 
 @pytest.mark.parametrize("n", [3, 50, 1000])
@@ -287,7 +300,7 @@ def dense_posterior(hyper, train, query):
     """Brute-force posterior via explicit matrix inverse."""
     k = kernel_matrix(train.coords, hyper)
     kinv = np.linalg.inv(k)
-    kx = np.array([kernel(c, query, hyper) for c in train.coords])
+    kx = se_covariance(np.sum((train.coords - query) ** 2, axis=1), hyper)
     r = train.targets - hyper.prior_mean
     mean = hyper.prior_mean + kx @ kinv @ r
     var = hyper.signal_var - kx @ kinv @ kx

@@ -229,6 +229,17 @@ def test_estimate_capacities_matches_manual():
     assert got[7] == want
 
 
+def test_estimate_capacities_one_record():
+    # the quantile runs over all 5000 samples of the one user
+    p = np.random.default_rng(9).exponential(size=5000)
+    ds = Dataset(records=[UserRecord(user_id=0, location=None,
+                                     power_samples=p)])
+    got = estimate_capacities(ds, 0.01, noise_power=1.0)
+    d = EmpiricalDistribution.from_samples(capacity_from_power(p, 1.0))
+    assert got.shape == (1,)
+    assert got[0] == empirical_quantile(d, 0.01)
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(samples_per_user=10, epsilon=0.05)

@@ -1,5 +1,5 @@
 """Tests for the synthetic propagation environment: random-field statistics,
-Thomas sampling, channel/power/CSI draws, and the capacity oracles."""
+Thomas sampling, power/CSI draws, and the capacity oracle."""
 
 import math
 
@@ -15,11 +15,9 @@ from statmap.propagation import (
     Scenario,
     ScenarioConfig,
     band_variant,
-    channel_coefficient,
     draw_csi,
     draw_power_samples,
     generate_scenario,
-    measure_outage_probability,
     multipath_power_samples,
     sample_locations_thomas,
     true_outage_capacity,
@@ -31,6 +29,16 @@ LOC = Location(20.0, -35.0, 1.5)
 
 def make_scenario(seed=1, **overrides):
     return generate_scenario(ScenarioConfig(**overrides), seed)
+
+
+def path_power_sum(s):
+    """Mean single-antenna received power at LOC: the sum of a_p^2."""
+    return float(np.sum(s.path_amplitudes(LOC.as_array()) ** 2))
+
+
+def oracle_capacity(s, eps, oracle_n, seed):
+    """The oracle's eps-outage capacity at LOC, with no rates to measure."""
+    return true_outage_capacity(s, LOC, eps, (), oracle_n, 1, seed, 0)[0]
 
 
 # ---------------------------------------------------------------- config
@@ -166,10 +174,10 @@ def test_thomas_empty_result_is_allowed():
 # ---------------------------------------------------------------- channel
 
 def test_single_path_siso_has_constant_magnitude():
-    s = make_scenario(seed=6, num_paths=1)
+    s = make_scenario(seed=6, num_paths=1)  # one antenna, one subcarrier
     a1 = s.path_amplitudes(LOC.as_array())[0, 0]
     for seed in range(5):
-        h = channel_coefficient(s, LOC, sample_seed=seed)
+        h = draw_csi(s, LOC, sample_seed=seed).entries[:, 0]
         assert h.shape == (1,)
         assert abs(abs(h[0]) - a1) < 1e-12 * a1
 
@@ -177,7 +185,7 @@ def test_single_path_siso_has_constant_magnitude():
 def test_mean_power_matches_sum_of_squared_amplitudes():
     s = make_scenario(seed=7)
     p = draw_power_samples(s, LOC, 100_000, sample_seed=0)
-    expect = s.mean_power(LOC)
+    expect = path_power_sum(s)
     assert np.mean(p) == pytest.approx(expect, rel=0.01)
 
 
@@ -228,7 +236,7 @@ def test_csi_shape_and_determinism():
 
 def test_csi_frobenius_norm_distribution_stable_across_seeds():
     s = make_scenario(seed=10, num_antennas=4, num_subcarriers=8)
-    expect = 4 * 8 * s.mean_power(LOC)
+    expect = 4 * 8 * path_power_sum(s)
     means = []
     for offset in (0, 10_000):
         sq = [np.sum(np.abs(draw_csi(s, LOC, sample_seed=offset + i).entries) ** 2)
@@ -253,21 +261,21 @@ def test_true_outage_capacity_deterministic_channel():
     a1 = s.path_amplitudes(LOC.as_array())[0, 0]
     s_unit = band_variant(s, noise_power=float(a1 * a1))  # SNR exactly 1
     for eps in (0.001, 0.01, 0.2):
-        c = true_outage_capacity(s_unit, LOC, eps, oracle_n=200_000, seed=0)
+        c = oracle_capacity(s_unit, eps, oracle_n=200_000, seed=0)
         assert c == pytest.approx(1.0, abs=1e-12)
 
 
 def test_true_outage_capacity_monotone_in_epsilon():
     s = make_scenario(seed=13)
-    c1 = true_outage_capacity(s, LOC, 0.01, oracle_n=100_000, seed=5)
-    c2 = true_outage_capacity(s, LOC, 0.05, oracle_n=100_000, seed=5)
+    c1 = oracle_capacity(s, 0.01, oracle_n=100_000, seed=5)
+    c2 = oracle_capacity(s, 0.05, oracle_n=100_000, seed=5)
     assert c1 <= c2
 
 
 def test_true_outage_capacity_rejects_small_oracle():
     s = make_scenario(seed=13)
     with pytest.raises(InsufficientSamplesError):
-        true_outage_capacity(s, LOC, 0.001, oracle_n=50_000, seed=0)
+        oracle_capacity(s, 0.001, oracle_n=50_000, seed=0)
 
 
 def test_rayleigh_limit_many_equal_paths():
@@ -275,26 +283,29 @@ def test_rayleigh_limit_many_equal_paths():
     # SNR approaches mean_snr * (-ln(1-eps))
     s = make_scenario(seed=14, num_paths=64, path_weight_decay=0.0,
                       path_amp_field_std_db=0.0, field_components=32)
-    snr_mean = s.mean_power(LOC) / s.config.noise_power
+    snr_mean = path_power_sum(s) / s.config.noise_power
     eps = 1e-2
     want = math.log2(1.0 + snr_mean * (-math.log1p(-eps)))
-    got = true_outage_capacity(s, LOC, eps, oracle_n=200_000, seed=3)
+    got = oracle_capacity(s, eps, oracle_n=200_000, seed=3)
     assert got == pytest.approx(want, rel=0.05)
 
 
-def test_measure_outage_probability_edges():
+def test_true_outage_capacity_outage_edges():
     s = make_scenario(seed=15)
-    assert measure_outage_probability(s, LOC, 0.0, 1000, seed=0) == 0.0
     a = s.path_amplitudes(LOC.as_array())[0]
     max_rate = math.log2(1.0 + float(np.sum(a)) ** 2 / s.config.noise_power)
-    assert measure_outage_probability(s, LOC, max_rate + 1.0, 1000, seed=0) == 1.0
+    _, outages = true_outage_capacity(s, LOC, 0.1, (0.0, max_rate + 1.0),
+                                      1000, 1000, 0, 0)
+    assert outages == [0.0, 1.0]
 
 
-def test_measure_outage_probability_at_true_capacity():
+def test_true_outage_capacity_outage_at_capacity():
     s = make_scenario(seed=16)
     eps = 1e-2
-    c = true_outage_capacity(s, LOC, eps, oracle_n=1_000_000, seed=21)
-    out = measure_outage_probability(s, LOC, c, n_mc=1_000_000, seed=22)
+    c = oracle_capacity(s, eps, oracle_n=1_000_000, seed=21)
+    again, (out,) = true_outage_capacity(s, LOC, eps, (c,), 1_000_000,
+                                         1_000_000, 21, 22)
+    assert again == c
     ci = 2.576 * math.sqrt(eps * (1 - eps) / 1_000_000)
     assert abs(out - eps) < ci
 
@@ -344,8 +355,8 @@ def test_phase_independence_beyond_ten_wavelengths():
     for k in range(100):
         x, y = rng.uniform(-80, 80, 2)
         la, lb = Location(x, y, 1.5), Location(x + gap, y, 1.5)
-        h1 = np.array([channel_coefficient(s, la, i)[0] for i in range(200)])
-        h2 = np.array([channel_coefficient(s, lb, i)[0] for i in range(200)])
+        h1 = np.array([draw_csi(s, la, i).entries[0, 0] for i in range(200)])
+        h2 = np.array([draw_csi(s, lb, i).entries[0, 0] for i in range(200)])
         num = np.abs(np.mean(h1 * np.conj(h2)))
         den = math.sqrt(np.mean(np.abs(h1) ** 2) * np.mean(np.abs(h2) ** 2))
         corrs.append(num / den)
