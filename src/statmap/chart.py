@@ -119,13 +119,17 @@ def csi_features(csi, s_red: int = MAX_SUBCARRIER_FEATURES) -> np.ndarray:
     return np.concatenate([block, [math.log10(total)]])
 
 
-def _pairwise_w1_rows(sorted_samples: np.ndarray, anchor: int) -> np.ndarray:
+def _pairwise_w1_rows(sorted_samples: np.ndarray, anchor: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """W1 from one user to all users when sample counts are equal.
 
     For equal sizes the quantile integral reduces to the mean absolute
     difference of sorted samples (verified against stats.wasserstein1).
+    The differences are written into ``out`` when given, an array shaped
+    like ``sorted_samples`` that callers reuse across anchors.
     """
-    return np.mean(np.abs(sorted_samples - sorted_samples[anchor]), axis=1)
+    diff = np.subtract(sorted_samples, sorted_samples[anchor], out=out)
+    return np.abs(diff, out=diff).mean(axis=1)
 
 
 def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
@@ -147,28 +151,29 @@ def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
         raise ConfigurationError("triplet mining needs at least 3 users")
     sizes = {row.size for row in sorted_rows}
     matrix = np.vstack(sorted_rows) if len(sizes) == 1 else None
-    dists = [
-        EmpiricalDistribution.from_samples(r) for r in sorted_rows
-    ] if matrix is None else None
+    if matrix is not None:
+        scratch = np.empty_like(matrix)
+    else:
+        dists = [EmpiricalDistribution.from_samples(r) for r in sorted_rows]
 
     rng = np.random.default_rng(seed)
-    row_cache: dict[int, np.ndarray] = {}
-    triplets, skipped = [], 0
-    for anchor in rng.integers(0, n_users, size=n_triplets):
-        anchor = int(anchor)
-        if anchor not in row_cache:
-            if matrix is not None:
-                row = _pairwise_w1_rows(matrix, anchor)
-            else:
-                row = np.array([wasserstein1(dists[anchor], d) for d in dists])
-            row_cache[anchor] = row
-        row = row_cache[anchor]
+    anchors = rng.integers(0, n_users, size=n_triplets)
+    # per anchor: its W1 row and its positive and negative pools
+    pools = {}
+    for anchor in np.unique(anchors).tolist():
+        if matrix is not None:
+            row = _pairwise_w1_rows(matrix, anchor, scratch)
+        else:
+            row = np.array([wasserstein1(dists[anchor], d) for d in dists])
         others = np.arange(n_users) != anchor
         w_others = row[others]
         close_cut = np.quantile(w_others, close_quantile)
         far_cut = np.quantile(w_others, far_quantile)
-        pos_pool = np.flatnonzero(others & (row < close_cut))
-        neg_pool = np.flatnonzero(others & (row > far_cut))
+        pools[anchor] = (row, np.flatnonzero(others & (row < close_cut)),
+                         np.flatnonzero(others & (row > far_cut)))
+    triplets, skipped = [], 0
+    for anchor in anchors.tolist():
+        row, pos_pool, neg_pool = pools[anchor]
         if pos_pool.size == 0 or neg_pool.size == 0:
             skipped += 1
             continue

@@ -11,11 +11,12 @@ to stdout only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -52,14 +53,36 @@ FULL_SCALE = {"epsilon": 1e-3, "delta": 1e-3, "samples_per_user": 10_000,
               "oracle_n": 100_000}
 
 
+def _has_kind(value, hint) -> bool:
+    """Whether a config value is of the kind its field is annotated with:
+    an integer for int (booleans are not), a finite number for float, a
+    tuple of such items for tuple[...], an instance for any other class."""
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, tuple) and all(_has_kind(v, item)
+                                                for v in value)
+    return isinstance(value, hint)
+
+
 def _build(cls, data: dict, context: str):
     """Strict dataclass construction: unknown keys and values of the wrong
-    type are config errors."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    kind are config errors."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) {sorted(unknown)} in '{context}' section")
+    for key, value in data.items():
+        if not _has_kind(value, hints[key]):
+            kind = getattr(hints[key], "__name__", hints[key])
+            raise ConfigurationError(
+                f"bad value in '{context}' section: {key} must be {kind}, "
+                f"got {value!r}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -88,7 +111,7 @@ def _scenario_config(doc: dict) -> ScenarioConfig:
     if "bs_location" in data:
         xyz = data["bs_location"]
         if not (isinstance(xyz, list) and len(xyz) == 3
-                and all(isinstance(v, (int, float)) for v in xyz)):
+                and all(_has_kind(v, float) for v in xyz)):
             raise ConfigurationError(
                 f"scenario.bs_location must be [x, y, z], got {xyz!r}")
         data["bs_location"] = Location(*xyz)
@@ -97,6 +120,10 @@ def _scenario_config(doc: dict) -> ScenarioConfig:
 
 def _experiment_config(doc: dict, seed: int, full: bool) -> ExperimentConfig:
     exp = dict(doc.get("experiment", {}))
+    if "seed" in exp:
+        raise ConfigurationError(
+            "'experiment' section may not set 'seed': the root seed is the "
+            "top-level 'seed' or --seed")
     if full:
         exp.update(FULL_SCALE)
         if doc.get("mode", "location") == "chart":
@@ -245,11 +272,9 @@ def main(argv=None) -> int:
         doc = _load_config(args.config)
         if not isinstance(doc, dict):
             raise ConfigurationError("config root must be a JSON object")
-        try:
-            seed = int(doc.get("seed", 0)) if args.seed is None else args.seed
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"seed must be an integer, got {doc['seed']!r}")
+        seed = doc.get("seed", 0) if args.seed is None else args.seed
+        if not _has_kind(seed, int):
+            raise ConfigurationError(f"seed must be an integer, got {seed!r}")
         os.makedirs(args.out, exist_ok=True)
         COMMANDS[args.command](doc, seed, args.out, args.full)
     except (ConfigurationError, OSError) as exc:

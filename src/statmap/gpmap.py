@@ -38,7 +38,7 @@ __all__ = [
 
 LOG2PI = math.log(2.0 * math.pi)
 JITTER_REL = 1e-9  # relative jitter when a noise-free Cholesky fails
-PREDICT_CHUNK = 1024  # queries per triangular solve; bounds memory to n * chunk
+PREDICT_CHUNK = 128  # queries per triangular solve; bounds memory to n * chunk
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import chart as chart_mod
 from .chart import ChartModel
 from .dataio import Dataset, UserRecord, write_csv
 from .errors import ConfigurationError
-from .gpmap import FittedMap, TrainingSet, fit as gp_fit, predict
+from .gpmap import FittedMap, TrainingSet, fit as gp_fit, predict_batch
 from .propagation import (
     Location,
     PointProcessConfig,
@@ -79,7 +80,7 @@ class ChartTrainingConfig:
     csi_wavelength: float = 0.0857      # 3.5 GHz
     csi_bandwidth_hz: float = 5e6
     s_red: int = 8
-    hidden: tuple = chart_mod.DEFAULT_HIDDEN
+    hidden: tuple[int, ...] = chart_mod.DEFAULT_HIDDEN
     n_triplets: int = 8000
     close_quantile: float = 0.05
     far_quantile: float = 0.5
@@ -131,9 +132,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MismatchDemoConfig:
-    path_amplitudes: tuple = DEMO_AMPLITUDES
+    path_amplitudes: tuple[float, ...] = DEMO_AMPLITUDES
     oracle_samples: int = 100_000_000
-    fit_sizes: tuple = (1_000, 10_000, 1_000_000)
+    fit_sizes: tuple[int, ...] = (1_000, 10_000, 1_000_000)
     confidence: float = 0.99
     seed: int = 0
 
@@ -361,31 +362,53 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
                             delta=config.delta, seed=seed, config_echo=echo)
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _evaluate_test_users(scenario, config, seed, query_of, fmap):
-    rows = []
-    pred_means, pred_vars, truths = [], [], []
-    for user, loc in enumerate(_uniform_test_locations(config, seed)):
-        query = query_of(loc, user)
-        pred = predict(fmap, query)
-        rates = (select_rate_map(pred, config.delta).rate,
-                 select_rate_baseline(fmap.train, query).rate)
-        true_c, outages = true_outage_capacity(
-            scenario, loc, config.epsilon, rates, config.oracle_n,
+    """Rates for the uniform test users, judged against the oracle.
+
+    Queries are made in user order and predicted in one batch. The oracle
+    calls, the bulk of the work, run on one thread per usable CPU: each user
+    draws from its own derived seeds, and the draws release the interpreter
+    lock. Results are collected in user order, so the report does not
+    depend on the number of threads.
+    """
+    locs = _uniform_test_locations(config, seed)
+    queries = [query_of(loc, user) for user, loc in enumerate(locs)]
+    preds = predict_batch(fmap, queries)
+    rates = [(select_rate_map(pred, config.delta).rate,
+              select_rate_baseline(fmap.train, query).rate)
+             for pred, query in zip(preds, queries)]
+
+    def judge(user):
+        return true_outage_capacity(
+            scenario, locs[user], config.epsilon, rates[user], config.oracle_n,
             config.outage_draws, derive_seed(seed, "oracle", user),
             derive_seed(seed, "outage", user))
-        pred_means.append(pred.mean)
-        pred_vars.append(pred.variance)
-        truths.append(true_c)
-        for policy, rate, outage in zip((POLICY_MAP, POLICY_BASELINE), rates,
-                                        outages):
+
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        judged = list(pool.map(judge, range(len(locs))))
+    rows = []
+    for user, (query, user_rates, (true_c, outages)) in enumerate(
+            zip(queries, rates, judged)):
+        for policy, rate, outage in zip((POLICY_MAP, POLICY_BASELINE),
+                                        user_rates, outages):
             rows.append(ReportRow(
                 user_id=user, x=float(query[0]), y=float(query[1]),
                 true_ceps=true_c, rate=rate, outage_prob=outage,
                 policy=policy))
     rows.sort(key=lambda r: (r.user_id, r.policy))
-    residuals = np.asarray(truths) - np.asarray(pred_means)
+    residuals = np.asarray([true_c for true_c, _ in judged]) \
+        - np.asarray([pred.mean for pred in preds])
     calibration = {
-        "mean_predictive_std": float(np.mean(np.sqrt(pred_vars))),
+        "mean_predictive_std": float(np.mean(np.sqrt(
+            [pred.variance for pred in preds]))),
         "residual_std": float(np.std(residuals)),
         "residual_mean": float(np.mean(residuals)),
     }

@@ -106,6 +106,43 @@ def test_triplets_deterministic():
     assert a != c
 
 
+def per_triplet_mining(rows, n_triplets, close_q, far_q, seed):
+    """build_triplets as one pass per drawn anchor, on wasserstein1."""
+    dists = [EmpiricalDistribution.from_samples(r) for r in rows]
+    n = len(rows)
+    rng = np.random.default_rng(seed)
+    triplets, skipped = [], 0
+    for anchor in rng.integers(0, n, size=n_triplets):
+        anchor = int(anchor)
+        row = np.array([wasserstein1(dists[anchor], d) for d in dists])
+        others = np.arange(n) != anchor
+        close_cut = np.quantile(row[others], close_q)
+        far_cut = np.quantile(row[others], far_q)
+        pos_pool = np.flatnonzero(others & (row < close_cut))
+        neg_pool = np.flatnonzero(others & (row > far_cut))
+        if pos_pool.size == 0 or neg_pool.size == 0:
+            skipped += 1
+            continue
+        pos, neg = int(rng.choice(pos_pool)), int(rng.choice(neg_pool))
+        if row[pos] < row[neg]:
+            triplets.append(Triplet(anchor, pos, neg))
+        else:
+            skipped += 1
+    return triplets, skipped
+
+
+@pytest.mark.parametrize("sizes", ["equal", "unequal"])
+def test_triplets_match_per_triplet_reference(sizes):
+    rng = np.random.default_rng(9)
+    rows = [rng.normal(loc=rng.uniform(0, 5), size=40 if sizes == "equal"
+                       else 30 + i % 5) for i in range(25)]
+    rows += [rows[0].copy() for _ in range(3)]   # ties leave an empty pool
+    got = build_triplets(rows, 300, 0.05, 0.5, seed=10)
+    want = per_triplet_mining(rows, 300, 0.05, 0.5, seed=10)
+    assert got == want
+    assert want[1] > 0
+
+
 def test_fast_w1_row_matches_generic():
     rng = np.random.default_rng(8)
     rows = np.sort(rng.normal(size=(10, 64)), axis=1)

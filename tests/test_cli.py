@@ -1,13 +1,19 @@
 """CLI tests: command pipelines, exit codes, and byte-identical reruns."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import typing
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from statmap.cli import main
 from statmap.dataio import save_chart, save_map
+from statmap.errors import FitError
 from statmap.gpmap import Hyperparams, TrainingSet, build_map
 from statmap.harness import (
     ChartTrainingConfig,
@@ -16,7 +22,7 @@ from statmap.harness import (
     fit_location_map,
     simulate_dataset,
 )
-from statmap.propagation import ScenarioConfig
+from statmap.propagation import Location, PointProcessConfig, ScenarioConfig
 
 SCENARIO_SMALL = {"field_components": 64}
 
@@ -199,6 +205,91 @@ def test_exit_2_config_value_of_wrong_type(tmp_path, capsys, section, key,
     assert "Traceback" not in err
 
 
+def test_exit_2_experiment_seed(tmp_path, capsys):
+    # the root seed is the only seed; an experiment.seed would shadow --seed
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["experiment"]["seed"] = 5
+    cfg = write_config(tmp_path, doc)
+    for command in ("evaluate", "simulate"):
+        assert run(command, cfg, tmp_path / "out", seed=9) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "report_rows.csv").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (None, "seed", 2.5),
+    ("experiment", "n_test_users", 2.5),
+    ("experiment", "samples_per_user", True),
+    ("experiment", "oracle_n", 2000.0),
+    ("scenario", "num_paths", 3.5),
+    ("chart", "n_triplets", 300.5),
+    ("chart", "hidden", [16, 8.5]),
+    ("chart", "batch_size", False),
+])
+def test_exit_2_non_integer_count(tmp_path, capsys, section, key, value):
+    doc = json.loads(json.dumps(CHART_CONFIG))
+    (doc if section is None else doc[section])[key] = value
+    assert run("evaluate", write_config(tmp_path, doc), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+    assert len(err.splitlines()) == 1
+
+
+def _fuzzed_fields():
+    """(section, key, annotated type) for every field a config file sets."""
+    sections = {"scenario": ScenarioConfig, "experiment": ExperimentConfig,
+                "chart": ChartTrainingConfig,
+                "pointprocess": PointProcessConfig}
+    fields = [(None, "seed", int)]
+    for section, cls in sections.items():
+        for key, hint in typing.get_type_hints(cls).items():
+            if not (section == "experiment" and key in (
+                    "scenario", "pointprocess", "chart", "seed")):
+                fields.append((section, key, hint))
+    return fields
+
+
+JUNK = (st.none() | st.text(max_size=8)
+        | st.lists(st.integers(), max_size=2)
+        | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+NOT_A_NUMBER = JUNK | st.booleans() | st.sampled_from(
+    [math.nan, math.inf, -math.inf])
+
+
+def malformed(hint):
+    if hint is int:
+        return NOT_A_NUMBER | st.floats()
+    if hint is float:
+        return NOT_A_NUMBER
+    if hint is Location:
+        return NOT_A_NUMBER | st.floats() | st.lists(
+            st.floats(-10, 10), min_size=0, max_size=5).filter(
+            lambda v: len(v) != 3) | st.tuples(
+            st.floats(-10, 10), st.floats(-10, 10), NOT_A_NUMBER).map(list)
+    return (NOT_A_NUMBER | st.floats()).filter(
+        lambda v: not isinstance(v, list)) | st.lists(
+        NOT_A_NUMBER | st.floats(), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_malformed_config_value_exits_2(tmp_path, data):
+    section, key, hint = data.draw(st.sampled_from(_fuzzed_fields()))
+    doc = json.loads(json.dumps(CHART_CONFIG))
+    doc["pointprocess"] = {"parent_intensity": 5e-4,
+                           "mean_cluster_size": 25.0, "offspring_std": 8.0}
+    (doc if section is None else doc[section])[key] = data.draw(
+        malformed(hint))
+    cfg = write_config(tmp_path, doc)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run("simulate", cfg, tmp_path / "out") == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+
+
 def test_exit_2_invalid_epsilon(tmp_path):
     doc = json.loads(json.dumps(BASE_CONFIG))
     doc["experiment"]["samples_per_user"] = 10
@@ -234,6 +325,20 @@ def test_exit_3_numerical_failure(tmp_path):
     doc["experiment"]["oracle_n"] = 50_000
     cfg2 = write_config(tmp_path, doc, "cfg2.json")
     assert run("fit-map", cfg2, out) == 3
+
+
+def test_exit_3_oracle_failure_in_a_worker(tmp_path, capsys, monkeypatch):
+    import statmap.harness as harness
+
+    def oracle(*args):
+        raise FitError("oracle failed")
+
+    monkeypatch.setattr(harness, "true_outage_capacity", oracle)
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    assert run("evaluate", cfg, tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: [stage evaluate-test-users] "
+                   "oracle failed\n")
 
 
 def small_map(tmp_path):

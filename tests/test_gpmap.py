@@ -307,7 +307,8 @@ def dense_posterior(hyper, train, query):
     return float(mean), float(max(var, 0.0))
 
 
-@pytest.mark.parametrize("batch_size", [1, 7, 128, 2 * PREDICT_CHUNK + 3])
+@pytest.mark.parametrize("batch_size",
+                         [1, 7, 128, 2 * PREDICT_CHUNK + 3, 2051])
 def test_predict_batch_matches_dense_inverse(batch_size):
     rng = np.random.default_rng(11)
     train, _ = random_train(40, rng)

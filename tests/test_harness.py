@@ -4,6 +4,7 @@ pipeline determinism, and the mismatch demo at reduced scale."""
 import dataclasses
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from statmap.dataio import (
     save_dataset,
     save_map,
 )
+from statmap import harness
 from statmap.chart import forward, init_chart_model
-from statmap.errors import ConfigurationError, ParseError
+from statmap.errors import ConfigurationError, FitError, ParseError
 from statmap.gpmap import TrainingSet, fit, predict
 from statmap.harness import (
     ChartTrainingConfig,
@@ -32,6 +34,13 @@ from statmap.harness import (
     simulate_dataset,
     write_report,
 )
+from statmap.propagation import (
+    Location,
+    derive_seed,
+    generate_scenario,
+    true_outage_capacity,
+)
+from statmap.rateselect import POLICY_BASELINE, POLICY_MAP
 from statmap.stats import (
     EmpiricalDistribution,
     capacity_from_power,
@@ -306,6 +315,71 @@ def test_stage_name_in_errors():
     with pytest.raises(ConfigurationError) as exc:
         run_location_experiment(bad)
     assert "stage" in str(exc.value)
+
+
+# ---------------------------------------------------------------- test users
+# The oracle calls of the test users run on a thread pool.
+
+THREADED = dataclasses.replace(SMALL, n_test_users=40)
+
+
+def test_threaded_oracle_matches_serial_loop():
+    report = run_location_experiment(THREADED)
+    scenario = generate_scenario(THREADED.scenario, THREADED.seed)
+    seed = THREADED.seed
+    by_user = {}
+    for row in report.rows:
+        by_user.setdefault(row.user_id, {})[row.policy] = row
+    assert sorted(by_user) == list(range(THREADED.n_test_users))
+    for user in range(THREADED.n_test_users):
+        m, b = by_user[user][POLICY_MAP], by_user[user][POLICY_BASELINE]
+        loc = Location(m.x, m.y, THREADED.scenario.user_height)
+        true_c, outages = true_outage_capacity(
+            scenario, loc, THREADED.epsilon, (m.rate, b.rate),
+            THREADED.oracle_n, THREADED.outage_draws,
+            derive_seed(seed, "oracle", user),
+            derive_seed(seed, "outage", user))
+        assert m.true_ceps == b.true_ceps == true_c
+        assert [m.outage_prob, b.outage_prob] == outages
+
+
+def test_oracle_error_in_a_worker_names_the_stage(monkeypatch):
+    failing_seed = derive_seed(THREADED.seed, "oracle", 7)
+
+    def oracle(scenario, loc, epsilon, rates, oracle_n, n_mc, oracle_seed,
+               outage_seed):
+        if oracle_seed == failing_seed:
+            raise FitError("oracle failed")
+        return true_outage_capacity(scenario, loc, epsilon, rates, oracle_n,
+                                    n_mc, oracle_seed, outage_seed)
+
+    monkeypatch.setattr(harness, "true_outage_capacity", oracle)
+    with pytest.raises(FitError,
+                       match=r"^\[stage evaluate-test-users\] oracle failed$"):
+        run_location_experiment(THREADED)
+
+
+def test_report_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
+    blobs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # switch threads often
+    try:
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            assert harness._worker_count() == cpus
+            paths = write_report(run_location_experiment(THREADED),
+                                 tmp_path / str(cpus))
+            blobs.append([open(p, "rb").read() for p in paths])
+    finally:
+        sys.setswitchinterval(interval)
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_worker_count_without_cpu_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert harness._worker_count() == (os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------- demo

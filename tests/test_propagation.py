@@ -197,6 +197,37 @@ def test_mrc_power_two_antennas_single_path():
     assert np.allclose(p, 2.0 * a1 * a1, rtol=1e-12)
 
 
+def complex_exp_draws(s, loc, n, sample_seed):
+    """draw_power_samples written with the complex exponential."""
+    a = s.path_amplitudes(loc.as_array())[0]
+    theta = s.path_angles(loc.as_array())[0]
+    steering = np.exp(-1j * math.pi * np.outer(
+        np.sin(theta), np.arange(s.config.num_antennas)))
+    phases = s._phase_rng(loc, "power", sample_seed).uniform(
+        0.0, 2.0 * math.pi, (n, a.size))
+    h = (a * np.exp(1j * phases)) @ steering
+    return np.sum(np.abs(h) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("antennas", [1, 2])
+def test_power_draws_equal_complex_exponential_bit_for_bit(antennas):
+    s = make_scenario(seed=11, num_antennas=antennas)
+    for i, loc in enumerate([LOC, Location(-60.0, 80.0), Location(99.0, 5.0)]):
+        got = draw_power_samples(s, loc, 10_000, sample_seed=i)
+        assert got.tobytes() == complex_exp_draws(s, loc, 10_000, i).tobytes()
+
+
+def test_multipath_samples_equal_complex_exponential_bit_for_bit():
+    from statmap.harness import DEMO_AMPLITUDES
+
+    a = np.asarray(DEMO_AMPLITUDES)
+    got = multipath_power_samples(a, 100_000, np.random.default_rng(12))
+    phases = np.random.default_rng(12).uniform(0.0, 2.0 * math.pi,
+                                               (100_000, a.size))
+    want = np.abs((a * np.exp(1j * phases)).sum(axis=1)) ** 2
+    assert got.tobytes() == want.tobytes()
+
+
 def test_equal_seven_paths_near_exponential_with_tail_deficit():
     # Parametric-mismatch phenomenon: bulk close to exponential, deep tail departs.
     # Thresholds calibrated against a 1e7-sample run (tail ratio ~0.93).
