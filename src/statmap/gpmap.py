@@ -2,9 +2,10 @@
 
 The statistical radio map regresses per-location outage-capacity estimates
 with a squared-exponential kernel plus nugget. Hyperparameters maximize the
-log marginal likelihood via a multi-start Nelder-Mead simplex search in log
-space; the prior mean is profiled out in closed form at every evaluation,
-and the pairwise training distances are computed once per fit.
+log marginal likelihood by multi-start L-BFGS-B in log space within box
+bounds, on the analytic gradient that each evaluation reads off its own
+Cholesky factor; the prior mean is profiled out in closed form at every
+evaluation, and the pairwise training distances are computed once per fit.
 A fitted map is immutable: it freezes the Cholesky factor of K + nugget*I
 and the solved weight vector, and prediction is pure linear algebra: a
 batch of queries costs one cross-kernel product and one triangular solve
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 from scipy.optimize import minimize
 
 from .errors import ConfigurationError, FitError, IllConditionedError
@@ -39,6 +40,7 @@ __all__ = [
 LOG2PI = math.log(2.0 * math.pi)
 JITTER_REL = 1e-9  # relative jitter when a noise-free Cholesky fails
 PREDICT_CHUNK = 128  # queries per triangular solve; bounds memory to n * chunk
+FAILED_NEG_LML = 1e12  # search objective where the kernel does not factor
 
 
 @dataclass(frozen=True)
@@ -221,16 +223,58 @@ def _profiled_mean(low: np.ndarray, targets: np.ndarray) -> float:
     return float(ones @ ci_y) / float(ones @ ci_1)
 
 
+def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray):
+    """LML with the prior mean profiled out, at theta = (log signal_var,
+    log length_scale, log noise_var), and its gradient in theta.
+
+    Returns (lml, profiled mean, gradient). Each component of the gradient is
+    0.5 * (alpha^T dC alpha - tr(C^-1 dC)) (GPML eq. 5.9) with
+    alpha = C^-1 (y - mean); the profiled mean maximizes the LML, so its own
+    derivative drops out. Raises IllConditionedError when C does not factor.
+    """
+    signal_var, length_scale, noise_var = (float(v) for v in np.exp(theta))
+    hyper = Hyperparams(0.0, signal_var, length_scale, noise_var)
+    k = _covariance(d2, hyper, with_nugget=True)
+    low, _ = _cholesky_with_jitter(k, hyper)
+    mean = _profiled_mean(low, targets)
+    r = targets - mean
+    alpha = cho_solve((low, True), r)
+    lml = _lml_from_factor(low, r, alpha)
+    cinv, info = lapack.dpotri(low, lower=1)  # lower triangle of C^-1
+    if info != 0:
+        raise IllConditionedError(f"inverting the kernel failed (info={info})")
+    # cinv is Fortran-ordered; its transpose is C-ordered, as the kernels
+    # are, and holds C^-1 in the upper triangle, which by symmetry serves
+    # the traces below equally well.
+    upper, inv_diag = cinv.T, np.diag(cinv)
+    # C minus the nugget, exactly: K's diagonal is signal_var * exp(0).
+    k[np.diag_indices_from(k)] = signal_var
+
+    def quad_minus_trace(dc):
+        trace = 2.0 * np.vdot(upper, dc) - inv_diag @ np.diag(dc)
+        return alpha @ (dc @ alpha) - trace
+
+    grad = 0.5 * np.array([
+        quad_minus_trace(k),
+        quad_minus_trace(k * d2) / length_scale ** 2,
+        noise_var * (alpha @ alpha - inv_diag.sum())])
+    return lml, mean, grad
+
+
 def fit(train: TrainingSet, init: Hyperparams | None = None,
         bounds: dict | None = None, restarts: int = 3, seed: int = 0,
         max_iterations: int = 400) -> FittedMap:
     """Maximize the log marginal likelihood and freeze the posterior solves.
 
-    The search runs in (log signal_var, log length_scale, log noise_var)
-    with the prior mean profiled out analytically at each evaluation; out of
-    bounds proposals are clipped with a soft penalty. Multi-start jitters are
-    seeded, so the whole fit is deterministic.
+    L-BFGS-B runs on the analytic gradient in (log signal_var,
+    log length_scale, log noise_var) within the box bounds, with the prior
+    mean profiled out analytically at each evaluation. A point whose kernel
+    does not factor scores FAILED_NEG_LML with a zero gradient, so the line
+    search backs off from it. Multi-start jitters are seeded, so the whole
+    fit is deterministic; ``max_iterations`` caps the evaluations per start.
     """
+    if restarts < 1:
+        raise ConfigurationError(f"restarts must be at least 1, got {restarts}")
     d2 = _sq_dists(train.coords, train.coords)
     if bounds is None:
         bounds = default_bounds(train)
@@ -247,62 +291,47 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
                            signal_var=var, length_scale=med,
                            noise_var=0.1 * var)
 
-    jitter_seen = False
+    # The best point evaluated and its profiled mean, which build_map then
+    # freezes as they are.
+    best = {"neg_lml": math.inf}
 
     def objective(theta):
-        nonlocal jitter_seen
-        clipped = np.clip(theta, lo, hi)
-        penalty = float(np.sum((theta - clipped) ** 2))
-        hyper = Hyperparams(prior_mean=0.0,
-                            signal_var=float(np.exp(clipped[0])),
-                            length_scale=float(np.exp(clipped[1])),
-                            noise_var=float(np.exp(clipped[2])))
         try:
-            low_f, jit = _cholesky_with_jitter(
-                _covariance(d2, hyper, with_nugget=True), hyper)
+            lml, mean, grad = _profiled_lml(theta, d2, train.targets)
         except IllConditionedError:
-            return 1e12 + penalty
-        jitter_seen = jitter_seen or jit
-        r = train.targets - _profiled_mean(low_f, train.targets)
-        return (-_lml_from_factor(low_f, r, cho_solve((low_f, True), r))
-                + 1e3 * penalty)
+            return FAILED_NEG_LML, np.zeros(3)
+        if -lml < best["neg_lml"]:
+            best.update(neg_lml=-lml, theta=theta.copy(), prior_mean=mean)
+        return -lml, -grad
 
     x0 = np.clip(np.log([init.signal_var, init.length_scale,
                          max(init.noise_var, math.exp(lo[2]))]), lo, hi)
     rng = np.random.default_rng(seed)
     starts = [x0] + [np.clip(x0 + rng.normal(0.0, 0.7, 3), lo, hi)
-                     for _ in range(max(restarts - 1, 0))]
+                     for _ in range(restarts - 1)]
 
-    best_x, best_val, total_iter, converged = None, np.inf, 0, False
+    total_iter, converged = 0, False
     for start in starts:
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"maxfev": max_iterations, "xatol": 1e-6,
-                                "fatol": 1e-9})
+        before = best["neg_lml"]
+        res = minimize(objective, start, jac=True, method="L-BFGS-B",
+                       bounds=list(zip(lo, hi)),
+                       options={"maxfun": max_iterations, "ftol": 1e-12,
+                                "gtol": 1e-6})
         total_iter += int(res.nfev)
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), np.clip(res.x, lo, hi)
+        if best["neg_lml"] < before:
             converged = bool(res.success)
-    if best_x is None or not np.isfinite(best_val) or best_val >= 1e12:
+    if "theta" not in best:
         raise FitError("all restarts failed to factorize the kernel matrix")
 
-    hyper0 = Hyperparams(prior_mean=0.0,
-                         signal_var=float(np.exp(best_x[0])),
-                         length_scale=float(np.exp(best_x[1])),
-                         noise_var=float(np.exp(best_x[2])))
-    _validate_duplicates(train, hyper0)
-    low_f, jit = _cholesky_with_jitter(
-        _covariance(d2, hyper0, with_nugget=True), hyper0)
-    m0 = _profiled_mean(low_f, train.targets)
-    hyper = replace(hyper0, prior_mean=m0)
-    r = train.targets - m0
-    alpha = cho_solve((low_f, True), r)
-    diag = FitDiagnostics(log_marginal_likelihood=_lml_from_factor(
-                              low_f, r, alpha),
-                          iterations=total_iter, restarts=len(starts),
-                          converged=converged,
-                          jitter_applied=jitter_seen or jit)
-    return FittedMap(hyper=hyper, train=train, chol=low_f, alpha=alpha,
-                     diagnostics=diag)
+    signal_var, length_scale, noise_var = np.exp(best["theta"])
+    hyper = Hyperparams(prior_mean=best["prior_mean"],
+                        signal_var=float(signal_var),
+                        length_scale=float(length_scale),
+                        noise_var=float(noise_var))
+    fmap = build_map(train, hyper, _covariance(d2, hyper, with_nugget=True))
+    return replace(fmap, diagnostics=replace(
+        fmap.diagnostics, iterations=total_iter, restarts=len(starts),
+        converged=converged))
 
 
 def build_map(train: TrainingSet, hyper: Hyperparams,

@@ -120,6 +120,9 @@ class ExperimentConfig:
                 f"epsilon={self.epsilon}; need more than {1.0 / self.epsilon:g}")
         if self.n_train_users < 3 or self.n_test_users < 1:
             raise ConfigurationError("need at least 3 training users and 1 test user")
+        if self.gp_restarts < 1:
+            raise ConfigurationError(
+                f"gp_restarts must be at least 1, got {self.gp_restarts}")
         if self.oracle_n < math.ceil(100.0 / self.epsilon):
             raise ConfigurationError(
                 f"oracle_n must be at least 100/epsilon = {100.0 / self.epsilon:g}")
@@ -341,6 +344,7 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
             stage = "train-chart"
             charted = fit_chart(dataset, config, seed)
             echo["chart_epoch_losses"] = charted.epoch_losses
+            echo["triplets_skipped"] = charted.skipped
             stage = "fit-map-in-latent-space"
             fmap = _fit_gp(chart_mod.forward(charted.model, charted.features),
                            charted.targets, config, seed)
@@ -352,6 +356,8 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
                                derive_seed(seed, "test-csi", user))
                 return chart_mod.forward(charted.model, chart_mod.csi_features(
                     csi, config.chart.s_red))
+        echo["gp_fit"] = {"hyper": dataclasses.asdict(fmap.hyper),
+                          "diagnostics": dataclasses.asdict(fmap.diagnostics)}
         stage = "evaluate-test-users"
         rows, echo["predictive_calibration"] = _evaluate_test_users(
             scenario, config, seed, query_of, fmap)

@@ -7,6 +7,7 @@ import math
 import os
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -149,6 +150,9 @@ def test_evaluate_location(tmp_path):
     agg = (out / "report_aggregates.csv").read_text().splitlines()
     assert agg[0] == "policy,violation_fraction,n"
     assert len(agg) == 3
+    meta = json.loads((out / "report_meta.json").read_text())
+    assert_fit_recorded(meta)
+    assert "triplets_skipped" not in meta["config"]
 
 
 def test_evaluate_chart(tmp_path):
@@ -157,6 +161,21 @@ def test_evaluate_chart(tmp_path):
     assert run("evaluate", cfg, out) == 0
     meta = json.loads((out / "report_meta.json").read_text())
     assert meta["mode"] == "chart"
+    assert_fit_recorded(meta)
+    assert 0 <= meta["config"]["triplets_skipped"] < \
+        CHART_CONFIG["experiment"]["n_train_users"]
+
+
+def assert_fit_recorded(meta):
+    """report_meta.json carries the fitted GP and its FitDiagnostics."""
+    gp = meta["config"]["gp_fit"]
+    Hyperparams(**gp["hyper"])
+    diag = gp["diagnostics"]
+    assert math.isfinite(diag["log_marginal_likelihood"])
+    assert diag["iterations"] > 0
+    assert diag["restarts"] == 1
+    assert isinstance(diag["converged"], bool)
+    assert isinstance(diag["jitter_applied"], bool)
 
 
 def test_mismatch_demo_cli(tmp_path):
@@ -325,6 +344,42 @@ def test_exit_3_numerical_failure(tmp_path):
     doc["experiment"]["oracle_n"] = 50_000
     cfg2 = write_config(tmp_path, doc, "cfg2.json")
     assert run("fit-map", cfg2, out) == 3
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_exit_2_gp_restarts_below_one(tmp_path, capsys, restarts):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "out"
+    assert run("simulate", cfg, out) == 0
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["dataset"] = str(out / "dataset.jsonl")
+    doc["experiment"]["gp_restarts"] = restarts
+    capsys.readouterr()
+    assert run("fit-map", write_config(tmp_path, doc, "cfg2.json"), out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "gp_restarts" in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "map.json").exists()
+
+
+def test_exit_3_no_kernel_factors(tmp_path, capsys, monkeypatch):
+    import statmap.gpmap as gm
+
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "out"
+    assert run("simulate", cfg, out) == 0
+
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(gm, "cholesky", boom)
+    doc = dict(BASE_CONFIG, dataset=str(out / "dataset.jsonl"))
+    capsys.readouterr()
+    assert run("fit-map", write_config(tmp_path, doc, "cfg2.json"), out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "map.json").exists()
 
 
 def test_exit_3_oracle_failure_in_a_worker(tmp_path, capsys, monkeypatch):

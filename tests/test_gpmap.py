@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from statmap.errors import ConfigurationError, IllConditionedError
+import statmap.gpmap as gm
+from statmap.errors import ConfigurationError, FitError, IllConditionedError
 from statmap.gpmap import (
     PREDICT_CHUNK,
     FittedMap,
@@ -146,8 +148,6 @@ def test_lml_rejects_duplicates_without_nugget():
 
 
 def test_cholesky_failure_raises_ill_conditioned(monkeypatch):
-    import statmap.gpmap as gm
-
     def boom(*a, **k):
         raise np.linalg.LinAlgError("forced")
 
@@ -215,6 +215,106 @@ def test_fit_deterministic():
     b = fit(train, restarts=3, seed=11)
     assert a.hyper == b.hyper
     np.testing.assert_array_equal(a.alpha, b.alpha)
+
+
+def log_theta(hyper):
+    return np.log([hyper.signal_var, hyper.length_scale, hyper.noise_var])
+
+
+def prior_train(seed, n, truth):
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(-5, 5, size=(n, 2))
+    return TrainingSet.new(coords, sample_from_prior(truth, coords, rng))
+
+
+TRUTH = Hyperparams(prior_mean=1.0, signal_var=1.5, length_scale=1.2,
+                    noise_var=0.1)
+
+
+@pytest.mark.parametrize("n,where", [(30, "inside"), (30, "noise-bound"),
+                                     (30, "long-scale"), (250, "inside")])
+def test_lml_gradient_matches_central_differences(n, where):
+    train = prior_train(20 + n, n, TRUTH)
+    d2 = gm._sq_dists(train.coords, train.coords)
+    theta = log_theta(TRUTH) + np.array([0.3, -0.2, 0.4])
+    if where == "noise-bound":     # just inside the nugget's lower bound
+        theta[2] = math.log(default_bounds(train)["noise_var"][0]) + 1e-3
+    elif where == "long-scale":    # a near-flat, badly conditioned kernel
+        theta[1] = math.log(20.0)
+    lml, mean, grad = gm._profiled_lml(theta, d2, train.targets)
+    signal_var, length_scale, noise_var = np.exp(theta)
+    assert lml == pytest.approx(log_marginal_likelihood(
+        Hyperparams(mean, signal_var, length_scale, noise_var), train),
+        abs=1e-9)
+    step = 1e-6
+    central = np.array([
+        (gm._profiled_lml(theta + e, d2, train.targets)[0]
+         - gm._profiled_lml(theta - e, d2, train.targets)[0]) / (2 * step)
+        for e in step * np.eye(3)])
+    assert np.linalg.norm(grad - central) < 1e-4 * np.linalg.norm(central)
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_fit_reaches_nelder_mead_optimum(seed):
+    # Oracle: a tight simplex search over (prior mean, log hyperparameters)
+    # on the LML itself, from the same start and within the same bounds.
+    train = prior_train(seed, 40, TRUTH)
+    init = Hyperparams(float(np.mean(train.targets)), 1.0, 1.0, 0.2)
+    bounds = default_bounds(train)
+    box = [(None, None)] + [tuple(np.log(bounds[key]))
+                            for key in ("signal_var", "length_scale",
+                                        "noise_var")]
+
+    def neg_lml(x):
+        return -log_marginal_likelihood(
+            Hyperparams(x[0], *np.exp(x[1:])), train)
+
+    oracle = minimize(neg_lml, np.r_[init.prior_mean, log_theta(init)],
+                      method="Nelder-Mead", bounds=box,
+                      options={"maxfev": 4000, "xatol": 1e-9, "fatol": 1e-12})
+    fmap = fit(train, init=init, restarts=1, seed=0)
+    assert fmap.diagnostics.log_marginal_likelihood >= -oracle.fun - 1e-6
+
+
+def test_fit_rejects_fewer_than_one_start():
+    train, _ = random_train(10, np.random.default_rng(14))
+    for restarts in (0, -3):
+        with pytest.raises(ConfigurationError):
+            fit(train, restarts=restarts)
+
+
+def test_fit_raises_fit_error_when_no_kernel_factors(monkeypatch):
+    def boom(*a, **k):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(gm, "cholesky", boom)
+    train, _ = random_train(20, np.random.default_rng(15))
+    with pytest.raises(FitError):
+        fit(train, restarts=2, seed=0)
+
+
+def test_fit_backs_off_from_failed_factorizations(monkeypatch):
+    # Kernels with length scales above the cap fail to factor, and the
+    # unconstrained optimum lies beyond it. The search must back off from
+    # the failures and climb up to the cap, not abort at the first one.
+    train = prior_train(16, 60, TRUTH)
+    cap = 0.7 * fit(train, restarts=1).hyper.length_scale
+    real = gm._cholesky_with_jitter
+    failures = []
+
+    def flaky(k, hyper):
+        if hyper.length_scale > cap:
+            failures.append(hyper.length_scale)
+            raise IllConditionedError("forced")
+        return real(k, hyper)
+
+    monkeypatch.setattr(gm, "_cholesky_with_jitter", flaky)
+    init = Hyperparams(0.0, 1.0, 0.5 * cap, 0.2)
+    fmap = fit(train, init=init, restarts=1)
+    assert failures
+    assert 0.9 * cap < fmap.hyper.length_scale <= cap
+    assert fmap.diagnostics.log_marginal_likelihood > (
+        log_marginal_likelihood(init, train) + 1.0)
 
 
 # ---------------------------------------------------------------- predict
