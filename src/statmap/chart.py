@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .errors import ConfigurationError, DegenerateInputError, TrainingError
 from .stats import EmpiricalDistribution, wasserstein1
@@ -119,17 +120,14 @@ def csi_features(csi, s_red: int = MAX_SUBCARRIER_FEATURES) -> np.ndarray:
     return np.concatenate([block, [math.log10(total)]])
 
 
-def _pairwise_w1_rows(sorted_samples: np.ndarray, anchor: int,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """W1 from one user to all users when sample counts are equal.
-
-    For equal sizes the quantile integral reduces to the mean absolute
-    difference of sorted samples (verified against stats.wasserstein1).
-    The differences are written into ``out`` when given, an array shaped
-    like ``sorted_samples`` that callers reuse across anchors.
-    """
-    diff = np.subtract(sorted_samples, sorted_samples[anchor], out=out)
-    return np.abs(diff, out=diff).mean(axis=1)
+def _condensed_row(condensed: np.ndarray, n: int, i: int) -> np.ndarray:
+    """Row i of the symmetric n x n matrix whose condensed form (the order
+    of scipy's pdist) is given, with a zero diagonal."""
+    j = np.arange(n)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    row = condensed[n * lo - lo * (lo + 1) // 2 + hi - lo - 1]
+    row[i] = 0.0
+    return row
 
 
 def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
@@ -150,10 +148,11 @@ def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
     if n_users < 3:
         raise ConfigurationError("triplet mining needs at least 3 users")
     sizes = {row.size for row in sorted_rows}
-    matrix = np.vstack(sorted_rows) if len(sizes) == 1 else None
-    if matrix is not None:
-        scratch = np.empty_like(matrix)
+    if len(sizes) == 1:
+        # equal sizes: W1 is the mean absolute difference of sorted samples
+        condensed = pdist(np.vstack(sorted_rows), "cityblock") / sizes.pop()
     else:
+        condensed = None
         dists = [EmpiricalDistribution.from_samples(r) for r in sorted_rows]
 
     rng = np.random.default_rng(seed)
@@ -161,8 +160,8 @@ def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
     # per anchor: its W1 row and its positive and negative pools
     pools = {}
     for anchor in np.unique(anchors).tolist():
-        if matrix is not None:
-            row = _pairwise_w1_rows(matrix, anchor, scratch)
+        if condensed is not None:
+            row = _condensed_row(condensed, n_users, anchor)
         else:
             row = np.array([wasserstein1(dists[anchor], d) for d in dists])
         others = np.arange(n_users) != anchor

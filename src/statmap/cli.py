@@ -225,8 +225,10 @@ def cmd_evaluate(doc, seed, out_dir, full):
         raise ConfigurationError(f"unknown mode {mode!r} (location or chart)")
     paths = write_report(report, out_dir)
     for policy in report.policies():
-        frac, n = report.violation_fraction(policy)
-        print(f"{policy}: violation fraction {frac:.4f} over {n} users")
+        frac, n, over_delta, rate_ratio = report.aggregates(policy)
+        print(f"{policy}: violation fraction {frac:.4f} over {n} users "
+              f"({over_delta:.2f} x delta), mean rate {rate_ratio:.3f} of "
+              f"mean true C_eps")
     return paths
 
 

@@ -89,6 +89,27 @@ class ChartTrainingConfig:
     epochs: int = 15
     batch_size: int = 128
 
+    def __post_init__(self):
+        if any(width < 1 for width in self.hidden):
+            raise ConfigurationError(
+                f"hidden widths must be at least 1, got {list(self.hidden)}")
+        for name in ("epochs", "batch_size", "n_triplets"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 1 <= self.s_red <= chart_mod.MAX_SUBCARRIER_FEATURES:
+            raise ConfigurationError(
+                f"s_red must lie in [1, {chart_mod.MAX_SUBCARRIER_FEATURES}], "
+                f"got {self.s_red}")
+        for name in ("step_size", "margin"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(
+                    f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.close_quantile < self.far_quantile <= 1.0:
+            raise ConfigurationError(
+                "need 0 < close_quantile < far_quantile <= 1, got "
+                f"{self.close_quantile} and {self.far_quantile}")
+
     def band_overrides(self) -> dict:
         return {"num_antennas": self.csi_antennas,
                 "num_subcarriers": self.csi_subcarriers,
@@ -126,6 +147,9 @@ class ExperimentConfig:
         if self.oracle_n < math.ceil(100.0 / self.epsilon):
             raise ConfigurationError(
                 f"oracle_n must be at least 100/epsilon = {100.0 / self.epsilon:g}")
+        if self.n_mc_outage < 0:
+            raise ConfigurationError(
+                f"n_mc_outage must be at least 0, got {self.n_mc_outage}")
 
     @property
     def outage_draws(self) -> int:
@@ -181,6 +205,15 @@ class ExperimentReport:
             raise ConfigurationError(f"no rows for policy {policy}")
         frac = sum(1 for r in rows if r.outage_prob > self.epsilon) / len(rows)
         return frac, len(rows)
+
+    def aggregates(self, policy: str) -> tuple:
+        """(violation fraction, n, violation fraction / delta, mean rate /
+        mean true eps-outage capacity): how often the policy overshoots and
+        how much rate it gives up."""
+        frac, n = self.violation_fraction(policy)
+        rows = [r for r in self.rows if r.policy == policy]
+        return (frac, n, frac / self.delta,
+                sum(r.rate for r in rows) / sum(r.true_ceps for r in rows))
 
     def outage_cdf_table(self, policy: str) -> list:
         probs = sorted(r.outage_prob for r in self.rows if r.policy == policy)
@@ -381,9 +414,10 @@ def _evaluate_test_users(scenario, config, seed, query_of, fmap):
 
     Queries are made in user order and predicted in one batch. The oracle
     calls, the bulk of the work, run on one thread per usable CPU: each user
-    draws from its own derived seeds, and the draws release the interpreter
-    lock. Results are collected in user order, so the report does not
-    depend on the number of threads.
+    is judged from its own location and derived seeds, and the Bessel
+    evaluations and draws release the interpreter lock. Results are
+    collected in user order, so the report does not depend on the number of
+    threads.
     """
     locs = _uniform_test_locations(config, seed)
     queries = [query_of(loc, user) for user, loc in enumerate(locs)]
@@ -433,8 +467,9 @@ def write_report(report: ExperimentReport, out_dir) -> list:
               [(r.user_id, r.x, r.y, r.true_ceps, r.rate, r.outage_prob,
                 r.policy) for r in report.rows])
     agg_path = os.path.join(out_dir, "report_aggregates.csv")
-    write_csv(agg_path, ["policy", "violation_fraction", "n"],
-              [(p, *report.violation_fraction(p)) for p in report.policies()])
+    write_csv(agg_path, ["policy", "violation_fraction", "n",
+                         "violation_over_delta", "rate_over_true_ceps"],
+              [(p, *report.aggregates(p)) for p in report.policies()])
     cdf_path = os.path.join(out_dir, "outage_cdf.csv")
     cdf_rows = []
     for policy in report.policies():

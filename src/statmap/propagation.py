@@ -9,8 +9,10 @@ approximately Gaussian for a large number of spectral components.
 
 Fast fading comes from i.i.d. uniform path phases drawn per sample (block
 fading), so received power at a fixed location is the squared magnitude of a
-sum of fixed-amplitude random-phase paths. Everything is reproducible through
-seed sub-streams derived by hashing (purpose label, location, sample seed).
+sum of fixed-amplitude random-phase paths. With one antenna that magnitude
+has an exact CDF (Kluyver 1906), which the outage oracle evaluates by
+quadrature. Everything is reproducible through seed sub-streams derived by
+hashing (purpose label, location, sample seed).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import j0, j1
 
 from .errors import ConfigurationError, InsufficientSamplesError
 from .stats import EmpiricalDistribution, capacity_from_power, empirical_quantile
@@ -48,6 +51,18 @@ TWO_PI = 2.0 * math.pi
 # its spinning helper threads take the cores from the oracle's worker
 # threads. Rows are independent, so the blocking changes no value.
 GEMV_BLOCK_ENTRIES = 3584
+# Gauss-Legendre grid of the Kluyver integral: 16-point panels of width 4.
+# With the amplitudes scaled to sum to 1 the integrand oscillates at angular
+# frequency at most 2, so a panel spans under 1.3 periods.
+KLUYVER_PANEL_NODES = 16
+KLUYVER_PANEL_WIDTH = 4.0
+KLUYVER_NODES = 4096            # the integral is cut at t = 1024
+# Convergence test of the quadrature: cutting the integral at half the grid
+# may move the CDF at the eps-quantile by at most this fraction of eps.
+KLUYVER_CONVERGENCE_TOL = 1e-2
+# The root search stops when the CDF is within this fraction of eps of eps.
+KLUYVER_ROOT_TOL = 1e-10
+KLUYVER_MAX_ITERATIONS = 100
 
 
 def _entropy(data: bytes) -> int:
@@ -391,22 +406,133 @@ def draw_csi(scenario: Scenario, loc: Location, sample_seed: int) -> CSISample:
     return CSISample(entries=entries)
 
 
+def _kluyver_grid(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, n_nodes / 4] in panels."""
+    x, w = np.polynomial.legendre.leggauss(KLUYVER_PANEL_NODES)
+    half = KLUYVER_PANEL_WIDTH / 2.0
+    left = KLUYVER_PANEL_WIDTH * np.arange(n_nodes // KLUYVER_PANEL_NODES)
+    return ((left[:, None] + half * (x + 1.0)).ravel(),
+            np.tile(half * w, left.size))
+
+
+_KLUYVER_GRID = _kluyver_grid(KLUYVER_NODES)
+
+
+class _KluyverCDF:
+    """Exact CDF of |sum_p a_p e^{j phi_p}| / sum_p a_p under i.i.d. uniform
+    phases, on [0, 1]:
+
+        P(|h| <= r) = r * int_0^inf J1(r t) prod_p J0(a_p t) dt
+
+    (Kluyver 1906), with the amplitudes scaled to sum to 1. The weighted
+    product of J0 is built once; each CDF value is then one dot product.
+    """
+
+    def __init__(self, amplitudes, grid=_KLUYVER_GRID):
+        self.nodes, weighted = grid
+        a = np.asarray(amplitudes, dtype=float)
+        weighted = weighted.copy()
+        for amp in a / a.sum():
+            weighted *= j0(amp * self.nodes)
+        self.weighted = weighted
+
+    def truncated(self, r: float) -> tuple[float, float]:
+        """The CDF at r with the integral cut at the end of the grid and at
+        its midpoint; how far the two differ shows whether it converged."""
+        terms = j1(r * self.nodes)
+        terms *= self.weighted
+        mid = terms.size // 2
+        head = r * float(terms[:mid].sum())
+        return head + r * float(terms[mid:].sum()), head
+
+    def __call__(self, r: float) -> float:
+        if r <= 0.0:
+            return 0.0
+        if r >= 1.0:
+            return 1.0
+        return min(1.0, max(0.0, self.truncated(r)[0]))
+
+    def quantile(self, level: float):
+        """The r in (0, 1) where the CDF crosses level, found by Illinois
+        regula falsi, or None when the quadrature has not converged there
+        or the search does not reach KLUYVER_ROOT_TOL.
+        """
+        lo, hi, g_lo, g_hi = 0.0, 1.0, -level, 1.0 - level
+        side = 0
+        for _ in range(KLUYVER_MAX_ITERATIONS):
+            r = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+            if not lo < r < hi:
+                return None
+            value, head = self.truncated(r)
+            g = value - level
+            if abs(g) <= KLUYVER_ROOT_TOL * level:
+                if abs(value - head) > KLUYVER_CONVERGENCE_TOL * level:
+                    return None
+                return r
+            if g < 0.0:
+                lo, g_lo = r, g
+                if side < 0:
+                    g_hi /= 2.0
+                side = -1
+            else:
+                hi, g_hi = r, g
+                if side > 0:
+                    g_lo /= 2.0
+                side = 1
+        return None
+
+
+def _exact_outage_capacity(scenario: Scenario, loc: Location, epsilon: float,
+                           rates):
+    """The single-antenna truth from the Kluyver CDF, or None where its
+    quadrature does not converge."""
+    a = scenario.path_amplitudes(loc.as_array())[0]
+    cdf = _KluyverCDF(a)
+    r = cdf.quantile(epsilon)
+    if r is None:
+        return None
+    peak, noise = float(a.sum()), scenario.config.noise_power
+    max_rate = math.log2(1.0 + peak ** 2 / noise)
+
+    def outage(rate):
+        if rate >= max_rate:    # out of reach; 2^rate may also overflow
+            return 1.0
+        return cdf(math.sqrt(max(0.0, math.expm1(rate * math.log(2.0)))
+                             * noise) / peak)
+
+    return (math.log2(1.0 + (peak * r) ** 2 / noise),
+            [outage(rate) for rate in rates])
+
+
 def true_outage_capacity(scenario: Scenario, loc: Location, epsilon: float,
                          rates, oracle_n: int, n_mc: int, oracle_seed: int,
                          outage_seed: int) -> tuple[float, list[float]]:
-    """Monte-Carlo truth at a location: the eps-outage capacity and the
-    outage probability of each rate.
+    """Truth at a location: the eps-outage capacity and the outage
+    probability of each rate.
 
-    The capacity is the lower eps-quantile of oracle_n capacity draws taken
-    with sample seed oracle_seed. The outage probability of a rate is the
-    fraction of one shared set of n_mc draws, taken with sample seed
-    outage_seed, that lies strictly below it.
+    With one antenna both come from the exact CDF of the received magnitude
+    (``_KluyverCDF``): the capacity at the root of CDF = eps, the outage of
+    a rate as the CDF at its magnitude. The quadrature is trusted when
+    cutting its integral at half the grid moves the CDF at the root by at
+    most KLUYVER_CONVERGENCE_TOL * eps; one or two dominant paths fail that
+    test and fall back to Monte Carlo, as do several antennas (MRC).
+
+    Monte Carlo: the capacity is the lower eps-quantile of oracle_n
+    capacity draws taken with sample seed oracle_seed. The outage
+    probability of a rate is the fraction of one shared set of n_mc draws,
+    taken with sample seed outage_seed, that lies strictly below it.
+    oracle_n must reach 100/eps on either path.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
     required = int(math.ceil(100.0 / epsilon))
     if oracle_n < required:
         raise InsufficientSamplesError(oracle_n, epsilon, required=required)
+    if scenario.config.num_antennas == 1:
+        scenario._check_inside(loc)
+        exact = _exact_outage_capacity(scenario, loc, epsilon, rates)
+        if exact is not None:
+            return exact
     noise = scenario.config.noise_power
     oracle = capacity_from_power(
         draw_power_samples(scenario, loc, oracle_n, oracle_seed), noise)

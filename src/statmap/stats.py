@@ -26,10 +26,8 @@ __all__ = [
     "RicianFit",
     "capacity_from_power",
     "empirical_quantile",
-    "empirical_cdf",
     "wasserstein1",
     "fit_rician_ml",
-    "sample_rician",
     "dkw_band",
 ]
 
@@ -122,16 +120,6 @@ def empirical_quantile(dist: EmpiricalDistribution, epsilon: float) -> float:
     return float(dist.sorted_samples[k - 1])
 
 
-def empirical_cdf(dist: EmpiricalDistribution) -> np.ndarray:
-    """Step-function table: row i is (i-th sorted sample, i/n).
-
-    Returned as an (n, 2) array; the CDF at the largest sample is 1.
-    """
-    n = dist.n
-    probs = np.arange(1, n + 1, dtype=float) / n
-    return np.column_stack([dist.sorted_samples, probs])
-
-
 def wasserstein1(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     """Exact 1-Wasserstein distance between two empirical distributions.
 
@@ -166,17 +154,6 @@ def _rician_logpdf(r: np.ndarray, K: float, omega: float) -> np.ndarray:
     log_i0 = z + np.log(i0e(z))
     return (math.log(2.0 * (1.0 + K) / omega) + np.log(r)
             - K - (1.0 + K) * r * r / omega + log_i0)
-
-
-def sample_rician(K: float, omega: float, n: int, rng) -> np.ndarray:
-    """Draw n Rician envelope samples with Rician factor K and mean power omega."""
-    if K < 0 or omega <= 0:
-        raise ValueError("need K >= 0 and omega > 0")
-    nu = math.sqrt(K * omega / (1.0 + K))
-    sigma = math.sqrt(omega / (2.0 * (1.0 + K)))
-    re = rng.normal(nu, sigma, size=n)
-    im = rng.normal(0.0, sigma, size=n)
-    return np.hypot(re, im)
 
 
 def fit_rician_ml(samples, k_max: float = 1e4,

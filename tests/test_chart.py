@@ -144,14 +144,19 @@ def test_triplets_match_per_triplet_reference(sizes):
 
 
 def test_fast_w1_row_matches_generic():
+    # every row of the condensed cityblock matrix is a row of W1 distances
     rng = np.random.default_rng(8)
     rows = np.sort(rng.normal(size=(10, 64)), axis=1)
-    from statmap.chart import _pairwise_w1_rows
+    from scipy.spatial.distance import pdist
+    from statmap.chart import _condensed_row
 
-    got = _pairwise_w1_rows(rows, 3)
+    condensed = pdist(rows, "cityblock") / 64
     dists = [EmpiricalDistribution.from_samples(r) for r in rows]
-    want = [wasserstein1(dists[3], d) for d in dists]
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    for anchor in range(10):
+        got = _condensed_row(condensed, 10, anchor)
+        want = [wasserstein1(dists[anchor], d) for d in dists]
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        assert got[anchor] == 0.0
 
 
 # ---------------------------------------------------------------- forward

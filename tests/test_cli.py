@@ -140,15 +140,20 @@ def test_train_chart_pipeline(tmp_path):
     assert len(trace) == 1 + CHART_CONFIG["chart"]["epochs"]
 
 
-def test_evaluate_location(tmp_path):
+def test_evaluate_location(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"
     assert run("evaluate", cfg, out) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if "violation fraction" in line]
+    assert len(printed) == 2
+    assert all(" x delta), mean rate " in line for line in printed)
     for name in ("report_rows.csv", "report_aggregates.csv",
                  "outage_cdf.csv", "report_meta.json"):
         assert (out / name).exists()
     agg = (out / "report_aggregates.csv").read_text().splitlines()
-    assert agg[0] == "policy,violation_fraction,n"
+    assert agg[0] == ("policy,violation_fraction,n,violation_over_delta,"
+                      "rate_over_true_ceps")
     assert len(agg) == 3
     meta = json.loads((out / "report_meta.json").read_text())
     assert_fit_recorded(meta)
@@ -307,6 +312,92 @@ def test_fuzz_malformed_config_value_exits_2(tmp_path, data):
         assert run("simulate", cfg, tmp_path / "out") == 2
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("configuration error:")
+
+
+FINITE = {"allow_nan": False, "allow_infinity": False}
+NOT_POSITIVE_INT = st.integers(max_value=0)
+NOT_POSITIVE_FLOAT = st.floats(max_value=0.0, **FINITE)
+# (section, key) -> values out of range for CHART_CONFIG (epsilon 0.05, so
+# at least 21 samples per user and 2000 oracle draws; quantiles 0.05 / 0.5)
+OUT_OF_RANGE = {
+    ("chart", "hidden"): st.tuples(
+        st.lists(st.integers(1, 64), max_size=2), NOT_POSITIVE_INT,
+        st.lists(st.integers(1, 64), max_size=2)).map(
+        lambda t: t[0] + [t[1]] + t[2]),
+    ("chart", "epochs"): NOT_POSITIVE_INT,
+    ("chart", "batch_size"): NOT_POSITIVE_INT,
+    ("chart", "n_triplets"): NOT_POSITIVE_INT,
+    ("chart", "s_red"): NOT_POSITIVE_INT | st.integers(min_value=25),
+    ("chart", "step_size"): NOT_POSITIVE_FLOAT,
+    ("chart", "margin"): NOT_POSITIVE_FLOAT,
+    ("chart", "close_quantile"): NOT_POSITIVE_FLOAT | st.floats(
+        min_value=0.5, **FINITE),
+    ("chart", "far_quantile"): st.floats(max_value=0.05, **FINITE)
+    | st.floats(min_value=1.0, exclude_min=True, **FINITE),
+    ("experiment", "n_mc_outage"): st.integers(max_value=-1),
+    ("experiment", "gp_restarts"): NOT_POSITIVE_INT,
+    ("experiment", "n_train_users"): st.integers(max_value=2),
+    ("experiment", "n_test_users"): NOT_POSITIVE_INT,
+    ("experiment", "samples_per_user"): st.integers(max_value=20),
+    ("experiment", "oracle_n"): st.integers(max_value=1999),
+    ("experiment", "epsilon"): NOT_POSITIVE_FLOAT | st.floats(
+        min_value=1.0, **FINITE),
+    ("experiment", "delta"): NOT_POSITIVE_FLOAT | st.floats(
+        min_value=1.0, **FINITE),
+    ("scenario", "num_paths"): NOT_POSITIVE_INT,
+    ("scenario", "num_antennas"): NOT_POSITIVE_INT,
+    ("scenario", "field_components"): NOT_POSITIVE_INT,
+    ("scenario", "cell_side"): NOT_POSITIVE_FLOAT,
+    ("scenario", "noise_power"): NOT_POSITIVE_FLOAT,
+    ("scenario", "user_height"): st.floats(max_value=0.0, exclude_max=True,
+                                           **FINITE),
+    ("pointprocess", "parent_intensity"): NOT_POSITIVE_FLOAT,
+    ("pointprocess", "offspring_std"): st.floats(
+        max_value=0.0, exclude_max=True, **FINITE),
+}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_out_of_range_config_value_exits_2(tmp_path, data):
+    # refused with one line before any user is simulated
+    section, key = data.draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+    doc = json.loads(json.dumps(CHART_CONFIG))
+    doc["pointprocess"] = {"parent_intensity": 5e-4,
+                           "mean_cluster_size": 25.0, "offspring_std": 8.0}
+    doc[section][key] = data.draw(OUT_OF_RANGE[section, key])
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run("simulate", write_config(tmp_path, doc), out) == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert not (out / "dataset.jsonl").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("chart", "hidden", [0]),
+    ("chart", "epochs", 0),
+    ("chart", "margin", -1.0),
+    ("experiment", "n_mc_outage", -5),
+])
+def test_exit_2_out_of_range_before_any_work(tmp_path, capsys, monkeypatch,
+                                             section, key, value):
+    import statmap.harness as harness
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a user was simulated")
+
+    monkeypatch.setattr(harness, "draw_power_samples", no_simulation)
+    doc = json.loads(json.dumps(CHART_CONFIG))
+    doc[section][key] = value
+    out = tmp_path / "out"
+    assert run("evaluate", write_config(tmp_path, doc), out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "report_rows.csv").exists()
 
 
 def test_exit_2_invalid_epsilon(tmp_path):

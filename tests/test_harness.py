@@ -377,6 +377,25 @@ def test_report_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_aggregates_report_what_the_rate_costs(tmp_path):
+    report = run_location_experiment(THREADED)
+    paths = write_report(report, tmp_path)
+    lines = open(paths[1]).read().splitlines()
+    assert lines[0] == ("policy,violation_fraction,n,violation_over_delta,"
+                        "rate_over_true_ceps")
+    rows = [line.split(",") for line in open(paths[0]).read().splitlines()[1:]]
+    for line in lines[1:]:
+        policy, frac, n, over_delta, rate_ratio = line.split(",")
+        mine = [r for r in rows if r[6] == policy]
+        assert float(frac) == report.violation_fraction(policy)[0]
+        assert int(n) == len(mine) == THREADED.n_test_users
+        assert float(over_delta) == pytest.approx(
+            float(frac) / THREADED.delta, rel=1e-15)
+        assert float(rate_ratio) == pytest.approx(
+            sum(float(r[4]) for r in mine) / sum(float(r[3]) for r in mine),
+            rel=1e-12)
+
+
 def test_worker_count_without_cpu_affinity(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert harness._worker_count() == (os.cpu_count() or 1)

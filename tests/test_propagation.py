@@ -8,7 +8,10 @@ import pytest
 from scipy.stats import spearmanr
 
 from statmap.errors import ConfigurationError, InsufficientSamplesError
+from statmap.harness import DEMO_AMPLITUDES
 from statmap.propagation import (
+    KLUYVER_CONVERGENCE_TOL,
+    KLUYVER_ROOT_TOL,
     CosineField,
     Location,
     PointProcessConfig,
@@ -21,8 +24,17 @@ from statmap.propagation import (
     multipath_power_samples,
     sample_locations_thomas,
     true_outage_capacity,
+    _exact_outage_capacity,
+    _kluyver_grid,
+    _KluyverCDF,
 )
-from statmap.stats import EmpiricalDistribution, wasserstein1
+from statmap.stats import (
+    EmpiricalDistribution,
+    capacity_from_power,
+    dkw_band,
+    empirical_quantile,
+    wasserstein1,
+)
 
 LOC = Location(20.0, -35.0, 1.5)
 
@@ -251,6 +263,9 @@ def test_location_outside_cell_rejected():
     s = make_scenario(seed=1)
     with pytest.raises(ValueError):
         draw_power_samples(s, Location(500.0, 0.0, 1.5), 4, sample_seed=0)
+    with pytest.raises(ValueError, match="outside the cell"):   # exact oracle
+        true_outage_capacity(s, Location(500.0, 0.0, 1.5), 0.01, (), 10_000,
+                             1, 0, 0)
 
 
 # ---------------------------------------------------------------- CSI
@@ -339,6 +354,116 @@ def test_true_outage_capacity_outage_at_capacity():
     assert again == c
     ci = 2.576 * math.sqrt(eps * (1 - eps) / 1_000_000)
     assert abs(out - eps) < ci
+
+
+# ---------------------------------------------------------------- exact oracle
+# With one antenna the oracle evaluates the Kluyver CDF of the received
+# magnitude; Monte Carlo remains the reference it is checked against.
+
+LEVELS = (1e-3, 1e-2, 1e-1)
+# default 7-path scenario: mid-cell, far corner, next to the BS, cell edge
+EXACT_LOCATIONS = (LOC, Location(-60.0, 70.0, 1.5), Location(90.0, 90.0, 1.5),
+                   Location(-95.0, -5.0, 1.5))
+
+
+def amplitude_cases():
+    s = make_scenario(seed=1)
+    cases = [pytest.param(
+        s.path_amplitudes(loc.as_array())[0],
+        lambda n, loc=loc: np.sqrt(draw_power_samples(s, loc, n, 31)),
+        id=f"scenario{i}") for i, loc in enumerate(EXACT_LOCATIONS)]
+    demo = np.asarray(DEMO_AMPLITUDES)
+    cases.append(pytest.param(demo, lambda n: np.sqrt(multipath_power_samples(
+        demo, n, np.random.default_rng(32))), id="demo"))
+    return cases
+
+
+def mc_truth(s, loc, eps, rates, oracle_n, n_mc, oracle_seed, outage_seed):
+    """The Monte-Carlo oracle written out: eps-quantile of oracle_n capacity
+    draws, outage as the fraction of n_mc draws below each rate."""
+    noise = s.config.noise_power
+    oracle = capacity_from_power(
+        draw_power_samples(s, loc, oracle_n, oracle_seed), noise)
+    true_c = empirical_quantile(EmpiricalDistribution.from_samples(oracle), eps)
+    caps = capacity_from_power(draw_power_samples(s, loc, n_mc, outage_seed),
+                               noise)
+    return true_c, [float(np.count_nonzero(caps < r)) / caps.size
+                    for r in rates]
+
+
+@pytest.mark.parametrize("amplitudes, draw", amplitude_cases())
+def test_exact_cdf_inside_dkw_band_of_monte_carlo(amplitudes, draw):
+    n = 1_000_000
+    mc = EmpiricalDistribution.from_samples(draw(n) / np.sum(amplitudes))
+    cdf = _KluyverCDF(amplitudes)
+    band = dkw_band(n, 0.99)
+    for level in LEVELS:
+        r = cdf.quantile(level)
+        assert r is not None
+        emp = float(mc.cdf(r))
+        assert abs(emp - level) < band
+        # pointwise, the binomial spread is far tighter than the band
+        assert abs(emp - level) < 4.0 * math.sqrt(level * (1 - level) / n)
+    # and across the whole support, at the sample's own deciles
+    deciles = np.quantile(mc.sorted_samples, np.linspace(0.1, 0.9, 9))
+    assert np.max(np.abs([cdf(r) for r in deciles]
+                         - mc.cdf(deciles))) < band
+
+
+@pytest.mark.parametrize("amplitudes, draw", amplitude_cases())
+def test_kluyver_quadrature_converges(amplitudes, draw):
+    # 4096 nodes (cut at t = 1024) against 16384 (cut at t = 4096): the
+    # quantile found on the first grid is the quantile on the second one to
+    # the tolerance of the oracle's own convergence test
+    fine = _KluyverCDF(amplitudes, _kluyver_grid(16384))
+    for level in LEVELS:
+        r = _KluyverCDF(amplitudes).quantile(level)
+        assert abs(fine(r) - level) <= KLUYVER_CONVERGENCE_TOL * level
+
+
+def two_path_cdf(a1, a2, r):
+    """P(|a1 + a2 e^{j phi}| <= r) for uniform phi, in closed form."""
+    cos_phi = (r * r - a1 * a1 - a2 * a2) / (2.0 * a1 * a2)
+    return 1.0 - math.acos(min(1.0, max(-1.0, cos_phi))) / math.pi
+
+
+@pytest.mark.parametrize("ratio", [0.2, 0.5, 0.8, 0.95])
+def test_convergence_test_admits_only_accurate_two_path_quantiles(ratio):
+    # two paths are the hardest case (a square-root edge in the CDF); where
+    # the quadrature passes its own convergence test it must be right
+    a = np.array([1.0, ratio]) / (1.0 + ratio)
+    cdf = _KluyverCDF(a)
+    for level in LEVELS:
+        r = cdf.quantile(level)
+        if r is not None:
+            assert abs(two_path_cdf(*a, r) - level) <= \
+                KLUYVER_CONVERGENCE_TOL * level
+    assert cdf.quantile(1e-3) is None
+
+
+@pytest.mark.parametrize("loc", EXACT_LOCATIONS, ids=range(4))
+def test_exact_outage_at_exact_capacity_is_epsilon(loc):
+    s = make_scenario(seed=1)
+    for eps in LEVELS:
+        c, _ = true_outage_capacity(s, loc, eps, (), 100_000, 1, 0, 0)
+        assert (c, []) == _exact_outage_capacity(s, loc, eps, ())
+        again, (out,) = true_outage_capacity(s, loc, eps, (c,), 100_000, 1,
+                                             0, 0)
+        assert again == c
+        assert abs(out - eps) <= 2.0 * KLUYVER_ROOT_TOL * eps
+
+
+@pytest.mark.parametrize("overrides, eps", [
+    ({"num_paths": 2}, 1e-2),
+    ({"num_paths": 2}, 1e-3),
+    ({"num_antennas": 4}, 1e-2),
+], ids=["two-path-1e-2", "two-path-1e-3", "mrc-1e-2"])
+def test_two_path_and_mrc_fall_back_to_monte_carlo_bit_for_bit(overrides, eps):
+    s = make_scenario(seed=16, **overrides)
+    if s.config.num_antennas == 1:
+        assert _exact_outage_capacity(s, LOC, eps, ()) is None
+    args = (s, LOC, eps, (1.0, 3.0, 6.0), int(200 / eps), 5000, 21, 22)
+    assert true_outage_capacity(*args) == mc_truth(*args)
 
 
 # ---------------------------------------------------------------- invariants

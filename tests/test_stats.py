@@ -13,16 +13,22 @@ from statmap.stats import (
     EmpiricalDistribution,
     capacity_from_power,
     dkw_band,
-    empirical_cdf,
     empirical_quantile,
     fit_rician_ml,
-    sample_rician,
     wasserstein1,
 )
 
 
 def dist(samples):
     return EmpiricalDistribution.from_samples(samples)
+
+
+def sample_rician(K, omega, n, rng):
+    """n Rician envelope samples with Rician factor K and mean power omega."""
+    nu = math.sqrt(K * omega / (1.0 + K))
+    sigma = math.sqrt(omega / (2.0 * (1.0 + K)))
+    return np.hypot(rng.normal(nu, sigma, size=n),
+                    rng.normal(0.0, sigma, size=n))
 
 
 # ---------------------------------------------------------------- capacity
@@ -125,13 +131,17 @@ def test_capacity_quantile_commutes_exactly():
 # ---------------------------------------------------------------- CDF
 
 def test_cdf_two_samples():
-    table = empirical_cdf(dist([2.0, 1.0]))
-    assert table.tolist() == [[1.0, 0.5], [2.0, 1.0]]
+    d = dist([2.0, 1.0])
+    assert d.sorted_samples.tolist() == [1.0, 2.0]
+    assert d.cdf([0.5, 1.0, 1.5, 2.0, 2.5]).tolist() == [0.0, 0.5, 0.5, 1.0,
+                                                         1.0]
 
 
 def test_cdf_max_is_one():
-    table = empirical_cdf(dist(np.random.default_rng(0).normal(size=57)))
-    assert table[-1, 1] == 1.0
+    d = dist(np.random.default_rng(0).normal(size=57))
+    assert float(d.cdf(d.sorted_samples[-1])) == 1.0
+    np.testing.assert_array_equal(d.cdf(d.sorted_samples),
+                                  np.arange(1, 58) / 57)
 
 
 def test_cdf_within_dkw_band_of_exponential():
