@@ -36,6 +36,7 @@ __all__ = [
 DEFAULT_HIDDEN = (256, 128, 64)
 MAX_SUBCARRIER_FEATURES = 24
 LATENT_DIM = 2
+MOMENTUM = 0.9          # SGD velocity decay per step
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def csi_features(csi, s_red: int = MAX_SUBCARRIER_FEATURES) -> np.ndarray:
     if not 1 <= s_red <= MAX_SUBCARRIER_FEATURES:
         raise ConfigurationError(
             f"s_red must lie in [1, {MAX_SUBCARRIER_FEATURES}], got {s_red}")
-    entries = np.asarray(getattr(csi, "entries", csi))
+    entries = np.asarray(csi)
     if entries.ndim != 2:
         raise ConfigurationError("CSI must be an antennas x subcarriers matrix")
     step = math.ceil(entries.shape[1] / s_red)
@@ -259,8 +260,8 @@ def _batch_loss_and_grads(model: ChartModel, feats: np.ndarray,
 
 def train(model: ChartModel, triplets, features, margin: float = 1.0,
           step_size: float = 0.01, epochs: int = 20, batch_size: int = 128,
-          momentum: float = 0.9, seed: int = 0) -> TrainResult:
-    """Mini-batch SGD with momentum on the mean triplet loss.
+          seed: int = 0) -> TrainResult:
+    """Mini-batch SGD with momentum MOMENTUM on the mean triplet loss.
 
     Deterministic for fixed inputs and seed; aborts with diagnostics on a
     non-finite loss.
@@ -291,8 +292,8 @@ def train(model: ChartModel, triplets, features, margin: float = 1.0,
             total += loss * len(chunk)
             count += len(chunk)
             for i in range(len(weights)):
-                vel_w[i] = momentum * vel_w[i] - step_size * gw[i]
-                vel_b[i] = momentum * vel_b[i] - step_size * gb[i]
+                vel_w[i] = MOMENTUM * vel_w[i] - step_size * gw[i]
+                vel_b[i] = MOMENTUM * vel_b[i] - step_size * gb[i]
                 weights[i] = weights[i] + vel_w[i]
                 biases[i] = biases[i] + vel_b[i]
         trace.append(total / count)

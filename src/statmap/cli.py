@@ -49,8 +49,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-FULL_SCALE = {"epsilon": 1e-3, "delta": 1e-3, "samples_per_user": 10_000,
-              "oracle_n": 100_000}
+# --full: the headline operating point, per mode, over the experiment section
+FULL_SCALE = {
+    "location": {"epsilon": 1e-3, "delta": 1e-3, "samples_per_user": 10_000,
+                 "oracle_n": 100_000},
+    "chart": {"epsilon": 1e-3, "delta": 1e-3, "samples_per_user": 10_000,
+              "oracle_n": 100_000, "n_train_users": 5000},
+}
 
 
 def _has_kind(value, hint) -> bool:
@@ -95,6 +100,15 @@ def _as_tuple(value, name: str) -> tuple:
     return tuple(value)
 
 
+def _section(doc: dict, name: str) -> dict:
+    """A copy of the doc's section; an absent section is empty."""
+    data = doc.get(name, {})
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"'{name}' section must be an object, "
+                                 f"got {data!r}")
+    return dict(data)
+
+
 def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -107,7 +121,7 @@ def _load_config(path) -> dict:
 
 
 def _scenario_config(doc: dict) -> ScenarioConfig:
-    data = dict(doc.get("scenario", {}))
+    data = _section(doc, "scenario")
     if "bs_location" in data:
         xyz = data["bs_location"]
         if not (isinstance(xyz, list) and len(xyz) == 3
@@ -118,28 +132,26 @@ def _scenario_config(doc: dict) -> ScenarioConfig:
     return _build(ScenarioConfig, data, "scenario")
 
 
-def _experiment_config(doc: dict, seed: int, full: bool) -> ExperimentConfig:
-    exp = dict(doc.get("experiment", {}))
+def _experiment_config(doc: dict, seed: int,
+                       full: bool) -> tuple[str, ExperimentConfig]:
+    """The doc's mode (location when absent) and its ExperimentConfig."""
+    mode = doc.get("mode", "location")
+    if mode not in ("location", "chart"):
+        raise ConfigurationError(f"unknown mode {mode!r} (location or chart)")
+    exp = _section(doc, "experiment")
     if "seed" in exp:
         raise ConfigurationError(
             "'experiment' section may not set 'seed': the root seed is the "
             "top-level 'seed' or --seed")
     if full:
-        exp.update(FULL_SCALE)
-        if doc.get("mode", "location") == "chart":
-            exp.setdefault("n_train_users", 5000)
-        else:
-            exp.setdefault("n_train_users", 500)
-        exp["oracle_n"] = max(exp.get("oracle_n", 0), 100_000)
-    chart_cfg = dict(doc.get("chart", {}))
+        exp.update(FULL_SCALE[mode])
+    chart_cfg = _section(doc, "chart")
     if "hidden" in chart_cfg:
         chart_cfg["hidden"] = _as_tuple(chart_cfg["hidden"], "chart.hidden")
-    return _build(ExperimentConfig, {
+    return mode, _build(ExperimentConfig, {
         "scenario": _scenario_config(doc),
         "pointprocess": _build(PointProcessConfig,
-                               dict(doc.get("pointprocess", {})),
-                               "pointprocess")
-        if doc.get("pointprocess") else ExperimentConfig().pointprocess,
+                               _section(doc, "pointprocess"), "pointprocess"),
         "chart": _build(ChartTrainingConfig, chart_cfg, "chart"),
         "seed": seed,
         **exp,
@@ -151,10 +163,9 @@ def _dataset_path(doc: dict, out_dir: str) -> str:
 
 
 def cmd_simulate(doc, seed, out_dir, full):
-    config = _experiment_config(doc, seed, full)
-    with_csi = bool(doc.get("simulate", {}).get("with_csi",
-                                                doc.get("mode") == "chart"))
-    dataset = simulate_dataset(config, seed, with_csi=with_csi)
+    mode, config = _experiment_config(doc, seed, full)
+    with_csi = mode == "chart"
+    dataset = simulate_dataset(config, with_csi=with_csi)
     path = os.path.join(out_dir, "dataset.jsonl")
     save_dataset(dataset, path)
     print(f"wrote {path} ({len(dataset)} users, with_csi={with_csi})")
@@ -162,9 +173,8 @@ def cmd_simulate(doc, seed, out_dir, full):
 
 
 def cmd_fit_map(doc, seed, out_dir, full):
-    config = _experiment_config(doc, seed, full)
-    fmap = fit_location_map(load_dataset(_dataset_path(doc, out_dir)), config,
-                            seed)
+    _, config = _experiment_config(doc, seed, full)
+    fmap = fit_location_map(load_dataset(_dataset_path(doc, out_dir)), config)
     path = os.path.join(out_dir, "map.json")
     save_map(fmap, path)
     d = fmap.diagnostics
@@ -174,8 +184,8 @@ def cmd_fit_map(doc, seed, out_dir, full):
 
 
 def cmd_train_chart(doc, seed, out_dir, full):
-    config = _experiment_config(doc, seed, full)
-    charted = fit_chart(load_dataset(_dataset_path(doc, out_dir)), config, seed)
+    _, config = _experiment_config(doc, seed, full)
+    charted = fit_chart(load_dataset(_dataset_path(doc, out_dir)), config)
     chart_path = os.path.join(out_dir, "chart.json")
     save_chart(charted.model, chart_path)
     trace_path = os.path.join(out_dir, "chart_trace.csv")
@@ -215,14 +225,9 @@ def cmd_select_rate(doc, seed, out_dir, full):
 
 
 def cmd_evaluate(doc, seed, out_dir, full):
-    config = _experiment_config(doc, seed, full)
-    mode = doc.get("mode", "location")
-    if mode == "location":
-        report = run_location_experiment(config)
-    elif mode == "chart":
-        report = run_chart_experiment(config)
-    else:
-        raise ConfigurationError(f"unknown mode {mode!r} (location or chart)")
+    mode, config = _experiment_config(doc, seed, full)
+    report = run_chart_experiment(config) if mode == "chart" \
+        else run_location_experiment(config)
     paths = write_report(report, out_dir)
     for policy in report.policies():
         frac, n, over_delta, rate_ratio = report.aggregates(policy)
@@ -233,7 +238,7 @@ def cmd_evaluate(doc, seed, out_dir, full):
 
 
 def cmd_mismatch_demo(doc, seed, out_dir, full):
-    data = dict(doc.get("demo", {}))
+    data = _section(doc, "demo")
     for key in ("path_amplitudes", "fit_sizes"):
         if key in data:
             data[key] = _as_tuple(data[key], f"demo.{key}")
@@ -266,7 +271,8 @@ def main(argv=None) -> int:
                         help="root seed (overrides the config's seed)")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--full", action="store_true",
-                        help="headline operating point (epsilon=delta=1e-3)")
+                        help="headline operating point (epsilon=delta=1e-3; "
+                        "5000 training users in chart mode)")
     args = parser.parse_args(argv)
 
     start = time.perf_counter()

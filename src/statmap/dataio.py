@@ -107,11 +107,14 @@ def load_dataset(path) -> Dataset:
             if "csi" in row:
                 csi = (np.asarray(row["csi"]["re"], dtype=float)
                        + 1j * np.asarray(row["csi"]["im"], dtype=float))
+                if not np.isfinite(csi).all():
+                    raise ValueError("CSI entries must be finite")
+            powers = np.asarray(row["power_samples"], dtype=float)
+            if not (np.isfinite(powers) & (powers >= 0.0)).all():
+                raise ValueError("power samples must be finite and nonnegative")
             records.append(UserRecord(
-                user_id=int(row["user_id"]),
-                location=loc,
-                power_samples=np.asarray(row["power_samples"], dtype=float),
-                csi=csi))
+                user_id=int(row["user_id"]), location=loc,
+                power_samples=powers, csi=csi))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad dataset record: {exc}", path=path,
                              line=lineno) from exc

@@ -41,6 +41,7 @@ LOG2PI = math.log(2.0 * math.pi)
 JITTER_REL = 1e-9  # relative jitter when a noise-free Cholesky fails
 PREDICT_CHUNK = 128  # queries per triangular solve; bounds memory to n * chunk
 FAILED_NEG_LML = 1e12  # search objective where the kernel does not factor
+FIT_MAX_EVALUATIONS = 400  # L-BFGS-B objective evaluations per start
 
 
 @dataclass(frozen=True)
@@ -262,28 +263,23 @@ def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray):
 
 
 def fit(train: TrainingSet, init: Hyperparams | None = None,
-        bounds: dict | None = None, restarts: int = 3, seed: int = 0,
-        max_iterations: int = 400) -> FittedMap:
+        restarts: int = 3, seed: int = 0) -> FittedMap:
     """Maximize the log marginal likelihood and freeze the posterior solves.
 
     L-BFGS-B runs on the analytic gradient in (log signal_var,
-    log length_scale, log noise_var) within the box bounds, with the prior
-    mean profiled out analytically at each evaluation. A point whose kernel
-    does not factor scores FAILED_NEG_LML with a zero gradient, so the line
-    search backs off from it. Multi-start jitters are seeded, so the whole
-    fit is deterministic; ``max_iterations`` caps the evaluations per start.
+    log length_scale, log noise_var) within ``default_bounds``, with the
+    prior mean profiled out analytically at each evaluation. A point whose
+    kernel does not factor scores FAILED_NEG_LML with a zero gradient, so the
+    line search backs off from it. Multi-start jitters are seeded, so the
+    whole fit is deterministic; FIT_MAX_EVALUATIONS caps the evaluations per
+    start.
     """
     if restarts < 1:
         raise ConfigurationError(f"restarts must be at least 1, got {restarts}")
     d2 = _sq_dists(train.coords, train.coords)
-    if bounds is None:
-        bounds = default_bounds(train)
-    lo = np.log([bounds["signal_var"][0], bounds["length_scale"][0],
-                 bounds["noise_var"][0]])
-    hi = np.log([bounds["signal_var"][1], bounds["length_scale"][1],
-                 bounds["noise_var"][1]])
-    if not np.all(lo < hi):
-        raise ConfigurationError("bounds must be positive with low < high")
+    bounds = default_bounds(train)
+    lo, hi = np.log([bounds["signal_var"], bounds["length_scale"],
+                     bounds["noise_var"]]).T
     if init is None:
         var = max(float(np.var(train.targets)), 1e-10)
         med = math.sqrt(float(np.median(d2[d2 > 0])))
@@ -315,7 +311,7 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
         before = best["neg_lml"]
         res = minimize(objective, start, jac=True, method="L-BFGS-B",
                        bounds=list(zip(lo, hi)),
-                       options={"maxfun": max_iterations, "ftol": 1e-12,
+                       options={"maxfun": FIT_MAX_EVALUATIONS, "ftol": 1e-12,
                                 "gtol": 1e-6})
         total_iter += int(res.nfev)
         if best["neg_lml"] < before:

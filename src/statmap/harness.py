@@ -62,9 +62,6 @@ __all__ = [
     "write_report",
 ]
 
-DEFAULT_POINT_PROCESS = PointProcessConfig(
-    parent_intensity=5e-4, mean_cluster_size=25.0, offspring_std=8.0)
-
 # Dominant-path profile for the mismatch demo: the reachable power set has a
 # hard lower edge, which no Rician CDF can reproduce in the deep tail.
 DEMO_AMPLITUDES = (1.0, 0.55, 0.08, 0.05, 0.04, 0.025, 0.015)
@@ -120,14 +117,13 @@ class ChartTrainingConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: ScenarioConfig = dc_field(default_factory=ScenarioConfig)
-    pointprocess: PointProcessConfig = DEFAULT_POINT_PROCESS
+    pointprocess: PointProcessConfig = dc_field(default_factory=PointProcessConfig)
     n_train_users: int = 500
     samples_per_user: int = 1000
     epsilon: float = 1e-2
     delta: float = 1e-2
     n_test_users: int = 2000
     oracle_n: int = 10_000
-    n_mc_outage: int = 0            # 0 means the default ceil(100/epsilon)
     gp_restarts: int = 2
     seed: int = 0
     chart: ChartTrainingConfig = dc_field(default_factory=ChartTrainingConfig)
@@ -147,14 +143,6 @@ class ExperimentConfig:
         if self.oracle_n < math.ceil(100.0 / self.epsilon):
             raise ConfigurationError(
                 f"oracle_n must be at least 100/epsilon = {100.0 / self.epsilon:g}")
-        if self.n_mc_outage < 0:
-            raise ConfigurationError(
-                f"n_mc_outage must be at least 0, got {self.n_mc_outage}")
-
-    @property
-    def outage_draws(self) -> int:
-        return self.n_mc_outage if self.n_mc_outage > 0 else int(
-            math.ceil(100.0 / self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -252,9 +240,10 @@ def _thomas_exact_count(pp: PointProcessConfig, scenario_cfg: ScenarioConfig,
     return locs[:n_users]
 
 
-def simulate_dataset(config: ExperimentConfig, seed: int,
+def simulate_dataset(config: ExperimentConfig,
                      with_csi: bool = False) -> Dataset:
     """Thomas-placed users with power samples and optionally one CSI snapshot."""
+    seed = config.seed
     scenario = generate_scenario(config.scenario, seed)
     csi_scenario = band_variant(scenario, **config.chart.band_overrides()) \
         if with_csi else None
@@ -265,14 +254,14 @@ def simulate_dataset(config: ExperimentConfig, seed: int,
         powers = draw_power_samples(scenario, loc, config.samples_per_user,
                                     derive_seed(seed, "train-power", i))
         csi = draw_csi(csi_scenario, loc, derive_seed(seed, "train-csi", i)
-                       ).entries if with_csi else None
+                       ) if with_csi else None
         records.append(UserRecord(user_id=i, location=loc,
                                   power_samples=powers, csi=csi))
     return Dataset(records=records)
 
 
-def _uniform_test_locations(config: ExperimentConfig, seed: int) -> list:
-    rng = np.random.default_rng(derive_seed(seed, "test-users"))
+def _uniform_test_locations(config: ExperimentConfig) -> list:
+    rng = np.random.default_rng(derive_seed(config.seed, "test-users"))
     half = config.scenario.cell_side / 2.0
     xy = rng.uniform(-half, half, size=(config.n_test_users, 2))
     return [Location(float(x), float(y), config.scenario.user_height)
@@ -305,28 +294,27 @@ def estimate_capacities(dataset: Dataset, epsilon: float,
     return _eps_quantiles(_capacity_rows(dataset, noise_power), epsilon)
 
 
-def _fit_gp(coords, targets, config: ExperimentConfig, seed: int) -> FittedMap:
-    return gp_fit(TrainingSet.new(coords, targets),
-                  restarts=config.gp_restarts, seed=derive_seed(seed, "gp-fit"))
+def _fit_gp(coords, targets, config: ExperimentConfig) -> FittedMap:
+    return gp_fit(TrainingSet.new(coords, targets), restarts=config.gp_restarts,
+                  seed=derive_seed(config.seed, "gp-fit"))
 
 
-def fit_location_map(dataset: Dataset, config: ExperimentConfig,
-                     seed: int) -> FittedMap:
+def fit_location_map(dataset: Dataset, config: ExperimentConfig) -> FittedMap:
     """Location stage: per-user eps-outage capacities, then a GP over (x, y)."""
     if any(r.location is None for r in dataset.records):
         raise ConfigurationError("fit-map needs a location for every user")
     targets = estimate_capacities(dataset, config.epsilon,
                                   config.scenario.noise_power)
     return _fit_gp([[r.location.x, r.location.y] for r in dataset.records],
-                   targets, config, seed)
+                   targets, config)
 
 
-def fit_chart(dataset: Dataset, config: ExperimentConfig, seed: int) -> ChartFit:
+def fit_chart(dataset: Dataset, config: ExperimentConfig) -> ChartFit:
     """Chart stage: capacity rows, their eps-quantiles, W1 triplets mined from
     the rows, CSI features, and the chart trained on those triplets."""
     if any(r.csi is None for r in dataset.records):
         raise ConfigurationError("train-chart needs a CSI snapshot per user")
-    cc = config.chart
+    cc, seed = config.chart, config.seed
     rows = _capacity_rows(dataset, config.scenario.noise_power)
     targets = _eps_quantiles(rows, config.epsilon)
     triplets, skipped = chart_mod.build_triplets(
@@ -366,21 +354,21 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
     try:
         scenario = generate_scenario(config.scenario, seed)
         stage = "simulate-training-users"
-        dataset = simulate_dataset(config, seed, with_csi=mode == "chart")
+        dataset = simulate_dataset(config, with_csi=mode == "chart")
         if mode == "location":
             stage = "fit-map"
-            fmap = fit_location_map(dataset, config, seed)
+            fmap = fit_location_map(dataset, config)
 
             def query_of(loc, user):
                 return np.array([loc.x, loc.y])
         else:
             stage = "train-chart"
-            charted = fit_chart(dataset, config, seed)
+            charted = fit_chart(dataset, config)
             echo["chart_epoch_losses"] = charted.epoch_losses
             echo["triplets_skipped"] = charted.skipped
             stage = "fit-map-in-latent-space"
             fmap = _fit_gp(chart_mod.forward(charted.model, charted.features),
-                           charted.targets, config, seed)
+                           charted.targets, config)
             csi_scenario = band_variant(scenario,
                                         **config.chart.band_overrides())
 
@@ -393,7 +381,7 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
                           "diagnostics": dataclasses.asdict(fmap.diagnostics)}
         stage = "evaluate-test-users"
         rows, echo["predictive_calibration"] = _evaluate_test_users(
-            scenario, config, seed, query_of, fmap)
+            scenario, config, query_of, fmap)
     except Exception as exc:
         exc.args = (f"[stage {stage}] {exc}",)
         raise
@@ -409,7 +397,7 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _evaluate_test_users(scenario, config, seed, query_of, fmap):
+def _evaluate_test_users(scenario, config, query_of, fmap):
     """Rates for the uniform test users, judged against the oracle.
 
     Queries are made in user order and predicted in one batch. The oracle
@@ -417,9 +405,10 @@ def _evaluate_test_users(scenario, config, seed, query_of, fmap):
     is judged from its own location and derived seeds, and the Bessel
     evaluations and draws release the interpreter lock. Results are
     collected in user order, so the report does not depend on the number of
-    threads.
+    threads. Where the oracle falls back to Monte Carlo it judges each rate
+    on ceil(100 / eps) outage draws.
     """
-    locs = _uniform_test_locations(config, seed)
+    locs = _uniform_test_locations(config)
     queries = [query_of(loc, user) for user, loc in enumerate(locs)]
     preds = predict_batch(fmap, queries)
     rates = [(select_rate_map(pred, config.delta).rate,
@@ -429,8 +418,9 @@ def _evaluate_test_users(scenario, config, seed, query_of, fmap):
     def judge(user):
         return true_outage_capacity(
             scenario, locs[user], config.epsilon, rates[user], config.oracle_n,
-            config.outage_draws, derive_seed(seed, "oracle", user),
-            derive_seed(seed, "outage", user))
+            math.ceil(100.0 / config.epsilon),
+            derive_seed(config.seed, "oracle", user),
+            derive_seed(config.seed, "outage", user))
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         judged = list(pool.map(judge, range(len(locs))))

@@ -31,7 +31,6 @@ __all__ = [
     "Location",
     "ScenarioConfig",
     "PointProcessConfig",
-    "CSISample",
     "CosineField",
     "Scenario",
     "generate_scenario",
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+CELL_EDGE_TOL = 1e-9    # meters a location may lie outside the cell
 # Path entries per BLAS call when power draws are combined over antennas.
 # OpenBLAS splits a matrix-vector product of 4096 entries or more over its
 # threads; for a product this thin the split costs more than it saves, and
@@ -153,8 +153,9 @@ class ScenarioConfig:
         h = self.cell_side / 2.0
         return (-h, h, -h, h)
 
-    def contains(self, loc: Location, tol: float = 1e-9) -> bool:
+    def contains(self, loc: Location) -> bool:
         xmin, xmax, ymin, ymax = self.cell_bounds()
+        tol = CELL_EDGE_TOL
         return (xmin - tol <= loc.x <= xmax + tol
                 and ymin - tol <= loc.y <= ymax + tol)
 
@@ -163,31 +164,15 @@ class ScenarioConfig:
 class PointProcessConfig:
     """Thomas cluster process: Poisson parents, Gaussian-scattered offspring."""
 
-    parent_intensity: float     # parents per m^2
-    mean_cluster_size: float    # expected offspring per parent
-    offspring_std: float        # isotropic Gaussian offset std, meters
+    parent_intensity: float = 5e-4      # parents per m^2
+    mean_cluster_size: float = 25.0     # expected offspring per parent
+    offspring_std: float = 8.0          # isotropic Gaussian offset std, meters
 
     def __post_init__(self):
         if self.parent_intensity <= 0 or self.mean_cluster_size <= 0:
             raise ConfigurationError("intensities must be positive")
         if self.offspring_std < 0:
             raise ConfigurationError("offspring_std must be >= 0")
-
-
-@dataclass(frozen=True)
-class CSISample:
-    """One complex channel snapshot, num_antennas x num_subcarriers."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = self.entries
-        if e.ndim != 2:
-            raise ValueError("CSI entries must be a 2-D matrix")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("CSI entries must be finite")
-        if not np.any(e != 0):
-            raise ValueError("CSI must have at least one nonzero entry")
 
 
 class CosineField:
@@ -394,16 +379,14 @@ def draw_power_samples(scenario: Scenario, loc: Location, n: int,
     return np.sum(np.abs(h) ** 2, axis=1)
 
 
-def draw_csi(scenario: Scenario, loc: Location, sample_seed: int) -> CSISample:
+def draw_csi(scenario: Scenario, loc: Location, sample_seed: int) -> np.ndarray:
     """One full antenna x subcarrier channel snapshot."""
     scenario._check_inside(loc)
     a, steering = scenario._geometry(loc)
     ramps = scenario.subcarrier_ramps()
     rng = scenario._phase_rng(loc, "csi", sample_seed)
-    phases = rng.uniform(0.0, TWO_PI, a.size)
-    paths = a * np.exp(1j * phases)
-    entries = np.einsum("p,pa,ps->as", paths, steering, ramps)
-    return CSISample(entries=entries)
+    paths = _path_phasors(a, rng.uniform(0.0, TWO_PI, a.size))
+    return np.einsum("p,pa,ps->as", paths, steering, ramps)
 
 
 def _kluyver_grid(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

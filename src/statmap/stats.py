@@ -31,6 +31,9 @@ __all__ = [
     "dkw_band",
 ]
 
+RICIAN_K_MAX = 1e4              # upper end of the K search
+RICIAN_MAX_ITERATIONS = 500
+
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
@@ -156,12 +159,11 @@ def _rician_logpdf(r: np.ndarray, K: float, omega: float) -> np.ndarray:
             - K - (1.0 + K) * r * r / omega + log_i0)
 
 
-def fit_rician_ml(samples, k_max: float = 1e4,
-                  max_iterations: int = 500) -> RicianFit:
+def fit_rician_ml(samples) -> RicianFit:
     """Maximum-likelihood Rician fit to envelope (amplitude) samples.
 
     omega is profiled out as the sample mean power, reducing the problem to
-    a bounded 1-D search over the Rician factor K.
+    a 1-D search over the Rician factor K in [0, RICIAN_K_MAX].
     """
     r = np.asarray(samples, dtype=float).ravel()
     if r.size < 100:
@@ -177,8 +179,9 @@ def fit_rician_ml(samples, k_max: float = 1e4,
     def negloglik(K):
         return -float(np.sum(_rician_logpdf(r, K, omega)))
 
-    res = minimize_scalar(negloglik, bounds=(0.0, k_max), method="bounded",
-                          options={"xatol": 1e-8, "maxiter": max_iterations})
+    res = minimize_scalar(negloglik, bounds=(0.0, RICIAN_K_MAX),
+                          method="bounded", options={
+                              "xatol": 1e-8, "maxiter": RICIAN_MAX_ITERATIONS})
     if not res.success:
         raise FitError(f"Rician ML search did not converge: {res.message} "
                        f"(iterations={res.nfev}, omega={omega:g})")

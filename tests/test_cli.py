@@ -6,13 +6,14 @@ import json
 import math
 import os
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from statmap.cli import main
+from statmap.cli import _experiment_config, main
 from statmap.dataio import save_chart, save_map
 from statmap.errors import FitError
 from statmap.gpmap import Hyperparams, TrainingSet, build_map
@@ -25,6 +26,7 @@ from statmap.harness import (
 )
 from statmap.propagation import Location, PointProcessConfig, ScenarioConfig
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCENARIO_SMALL = {"field_components": 64}
 
 BASE_CONFIG = {
@@ -103,8 +105,7 @@ def test_simulate_fit_select_pipeline(tmp_path):
     assert run("fit-map", cfg2, out) == 0
     # fit-map runs the location experiment's own stage
     config = experiment_config(BASE_CONFIG)
-    seed = BASE_CONFIG["seed"]
-    save_map(fit_location_map(simulate_dataset(config, seed), config, seed),
+    save_map(fit_location_map(simulate_dataset(config), config),
              tmp_path / "stage_map.json")
     assert (out / "map.json").read_bytes() == \
         (tmp_path / "stage_map.json").read_bytes()
@@ -129,9 +130,7 @@ def test_train_chart_pipeline(tmp_path):
     assert run("train-chart", cfg2, out) == 0
     # train-chart runs the chart experiment's own stage
     config = experiment_config(CHART_CONFIG)
-    seed = CHART_CONFIG["seed"]
-    charted = fit_chart(simulate_dataset(config, seed, with_csi=True), config,
-                        seed)
+    charted = fit_chart(simulate_dataset(config, with_csi=True), config)
     save_chart(charted.model, tmp_path / "stage_chart.json")
     assert (out / "chart.json").read_bytes() == \
         (tmp_path / "stage_chart.json").read_bytes()
@@ -204,11 +203,54 @@ def test_exit_2_bad_json(tmp_path):
     assert run("simulate", str(cfg), tmp_path) == 2
 
 
-def test_exit_2_unknown_key(tmp_path):
-    doc = dict(BASE_CONFIG)
-    doc["scenario"] = {"not_a_field": 1}
-    cfg = write_config(tmp_path, doc)
-    assert run("simulate", cfg, tmp_path) == 2
+def test_exit_2_unknown_key(tmp_path, capsys):
+    # experiment.n_mc_outage was a setting once; it is now unknown too
+    for section, key in (("scenario", "not_a_field"),
+                         ("experiment", "n_mc_outage")):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc[section][key] = 1
+        cfg = write_config(tmp_path, doc)
+        assert run("simulate", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "dataset.jsonl").exists()
+
+
+@pytest.mark.parametrize("command",
+                         ["simulate", "fit-map", "train-chart", "evaluate"])
+def test_exit_2_unknown_mode(tmp_path, capsys, command):
+    doc = dict(CHART_CONFIG, mode="chrat")
+    out = tmp_path / "out"
+    assert run(command, write_config(tmp_path, doc), out) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: unknown mode 'chrat' " \
+        "(location or chart)\n"
+    assert os.listdir(out) == []
+
+
+def test_partial_pointprocess_section_merges_with_defaults():
+    doc = dict(BASE_CONFIG, pointprocess={"offspring_std": 3.0})
+    _, config = _experiment_config(doc, 9, full=False)
+    assert config.pointprocess == PointProcessConfig(offspring_std=3.0)
+    assert config.pointprocess.parent_intensity == \
+        ExperimentConfig().pointprocess.parent_intensity
+
+
+@pytest.mark.parametrize("name", ["quick", "location", "chart"])
+def test_full_overrides_the_shipped_configs(name):
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    exp = doc["experiment"]
+    mode, config = _experiment_config(doc, doc["seed"], full=False)
+    assert mode == doc["mode"]
+    assert (config.epsilon, config.delta, config.samples_per_user,
+            config.oracle_n, config.n_train_users) == (
+        exp["epsilon"], exp["delta"], exp["samples_per_user"],
+        exp["oracle_n"], exp["n_train_users"])
+    _, full = _experiment_config(doc, doc["seed"], full=True)
+    users = 5000 if mode == "chart" else exp["n_train_users"]
+    assert (full.epsilon, full.delta, full.samples_per_user, full.oracle_n,
+            full.n_train_users) == (1e-3, 1e-3, 10_000, 100_000, users)
+    assert full.n_test_users == config.n_test_users
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -216,6 +258,9 @@ def test_exit_2_unknown_key(tmp_path):
     ("experiment", "n_train_users", "many"),
     ("chart", "hidden", 5),
     ("scenario", "bs_location", [1, 2]),
+    (None, "pointprocess", None),
+    (None, "scenario", 5),
+    (None, "chart", [1]),
 ])
 def test_exit_2_config_value_of_wrong_type(tmp_path, capsys, section, key,
                                            value):
@@ -334,7 +379,6 @@ OUT_OF_RANGE = {
         min_value=0.5, **FINITE),
     ("chart", "far_quantile"): st.floats(max_value=0.05, **FINITE)
     | st.floats(min_value=1.0, exclude_min=True, **FINITE),
-    ("experiment", "n_mc_outage"): st.integers(max_value=-1),
     ("experiment", "gp_restarts"): NOT_POSITIVE_INT,
     ("experiment", "n_train_users"): st.integers(max_value=2),
     ("experiment", "n_test_users"): NOT_POSITIVE_INT,
@@ -380,7 +424,6 @@ def test_fuzz_out_of_range_config_value_exits_2(tmp_path, data):
     ("chart", "hidden", [0]),
     ("chart", "epochs", 0),
     ("chart", "margin", -1.0),
-    ("experiment", "n_mc_outage", -5),
 ])
 def test_exit_2_out_of_range_before_any_work(tmp_path, capsys, monkeypatch,
                                              section, key, value):
@@ -406,6 +449,36 @@ def test_exit_2_invalid_epsilon(tmp_path):
     doc["experiment"]["epsilon"] = 0.05
     cfg = write_config(tmp_path, doc)
     assert run("evaluate", cfg, tmp_path) == 2
+
+
+@pytest.mark.parametrize("command,doc,where,value", [
+    ("fit-map", BASE_CONFIG, ("power_samples", 3), -1.0),
+    ("fit-map", BASE_CONFIG, ("power_samples", 3), math.nan),
+    ("train-chart", CHART_CONFIG, ("csi", "re", 0, 2), math.nan),
+], ids=["negative-power", "nan-power", "nan-csi"])
+def test_exit_2_malformed_dataset_record(tmp_path, capsys, command, doc, where,
+                                         value):
+    # json writes and reads NaN, so only the loader can refuse it
+    doc = json.loads(json.dumps(doc))
+    doc["experiment"]["n_train_users"] = 20
+    out = tmp_path / "out"
+    assert run("simulate", write_config(tmp_path, doc), out) == 0
+    dataset = out / "dataset.jsonl"
+    lines = dataset.read_text().splitlines()
+    row = json.loads(lines[1])
+    target = row
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    lines[1] = json.dumps(row)
+    dataset.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    cfg = write_config(tmp_path, dict(doc, dataset=str(dataset)), "cfg2.json")
+    assert run(command, cfg, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: bad dataset record:")
+    assert "line=2" in err and len(err.splitlines()) == 1
+    assert sorted(os.listdir(out)) == ["dataset.jsonl"]
 
 
 def test_exit_2_corrupt_map(tmp_path):

@@ -189,7 +189,7 @@ def test_single_path_siso_has_constant_magnitude():
     s = make_scenario(seed=6, num_paths=1)  # one antenna, one subcarrier
     a1 = s.path_amplitudes(LOC.as_array())[0, 0]
     for seed in range(5):
-        h = draw_csi(s, LOC, sample_seed=seed).entries[:, 0]
+        h = draw_csi(s, LOC, sample_seed=seed)[:, 0]
         assert h.shape == (1,)
         assert abs(abs(h[0]) - a1) < 1e-12 * a1
 
@@ -221,12 +221,24 @@ def complex_exp_draws(s, loc, n, sample_seed):
     return np.sum(np.abs(h) ** 2, axis=1)
 
 
+def complex_exp_csi(s, loc, sample_seed):
+    """draw_csi written with the complex exponential."""
+    a, steering = s._geometry(loc)
+    phases = s._phase_rng(loc, "csi", sample_seed).uniform(
+        0.0, 2.0 * math.pi, a.size)
+    return np.einsum("p,pa,ps->as", a * np.exp(1j * phases), steering,
+                     s.subcarrier_ramps())
+
+
 @pytest.mark.parametrize("antennas", [1, 2])
 def test_power_draws_equal_complex_exponential_bit_for_bit(antennas):
-    s = make_scenario(seed=11, num_antennas=antennas)
+    # power draws and CSI snapshots share one phasor kernel
+    s = make_scenario(seed=11, num_antennas=antennas, num_subcarriers=4)
     for i, loc in enumerate([LOC, Location(-60.0, 80.0), Location(99.0, 5.0)]):
         got = draw_power_samples(s, loc, 10_000, sample_seed=i)
         assert got.tobytes() == complex_exp_draws(s, loc, 10_000, i).tobytes()
+        assert draw_csi(s, loc, i).tobytes() == \
+            complex_exp_csi(s, loc, i).tobytes()
 
 
 def test_multipath_samples_equal_complex_exponential_bit_for_bit():
@@ -274,10 +286,10 @@ def test_csi_shape_and_determinism():
     s = make_scenario(seed=9, num_antennas=4, num_subcarriers=16)
     c1 = draw_csi(s, LOC, sample_seed=5)
     c2 = draw_csi(s, LOC, sample_seed=5)
-    assert c1.entries.shape == (4, 16)
-    np.testing.assert_array_equal(c1.entries, c2.entries)
+    assert c1.shape == (4, 16)
+    np.testing.assert_array_equal(c1, c2)
     c3 = draw_csi(s, LOC, sample_seed=6)
-    assert not np.array_equal(c1.entries, c3.entries)
+    assert not np.array_equal(c1, c3)
 
 
 def test_csi_frobenius_norm_distribution_stable_across_seeds():
@@ -285,7 +297,7 @@ def test_csi_frobenius_norm_distribution_stable_across_seeds():
     expect = 4 * 8 * path_power_sum(s)
     means = []
     for offset in (0, 10_000):
-        sq = [np.sum(np.abs(draw_csi(s, LOC, sample_seed=offset + i).entries) ** 2)
+        sq = [np.sum(np.abs(draw_csi(s, LOC, sample_seed=offset + i)) ** 2)
               for i in range(1000)]
         means.append(np.mean(sq))
     assert means[0] == pytest.approx(expect, rel=0.1)
@@ -296,7 +308,7 @@ def test_csi_frobenius_norm_distribution_stable_across_seeds():
 def test_csi_single_path_is_rank_one():
     s = make_scenario(seed=11, num_paths=1, num_antennas=6, num_subcarriers=12)
     c = draw_csi(s, LOC, sample_seed=1)
-    sv = np.linalg.svd(c.entries, compute_uv=False)
+    sv = np.linalg.svd(c, compute_uv=False)
     assert sv[1] < 1e-10 * sv[0]
 
 
@@ -511,8 +523,8 @@ def test_phase_independence_beyond_ten_wavelengths():
     for k in range(100):
         x, y = rng.uniform(-80, 80, 2)
         la, lb = Location(x, y, 1.5), Location(x + gap, y, 1.5)
-        h1 = np.array([draw_csi(s, la, i).entries[0, 0] for i in range(200)])
-        h2 = np.array([draw_csi(s, lb, i).entries[0, 0] for i in range(200)])
+        h1 = np.array([draw_csi(s, la, i)[0, 0] for i in range(200)])
+        h2 = np.array([draw_csi(s, lb, i)[0, 0] for i in range(200)])
         num = np.abs(np.mean(h1 * np.conj(h2)))
         den = math.sqrt(np.mean(np.abs(h1) ** 2) * np.mean(np.abs(h2) ** 2))
         corrs.append(num / den)
