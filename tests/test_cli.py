@@ -424,6 +424,8 @@ def test_fuzz_out_of_range_config_value_exits_2(tmp_path, data):
     ("chart", "hidden", [0]),
     ("chart", "epochs", 0),
     ("chart", "margin", -1.0),
+    # no longer a setting: refused as an unknown key, still before any work
+    ("experiment", "n_mc_outage", -5),
 ])
 def test_exit_2_out_of_range_before_any_work(tmp_path, capsys, monkeypatch,
                                              section, key, value):
