@@ -94,6 +94,7 @@ def load_dataset(path) -> Dataset:
         raise ParseError("empty dataset file", path=path)
     header = _parse_json_line(lines[0], path, 1)
     _check_header(header, "statmap-dataset", DATASET_VERSION, path)
+    csi_shape = None        # every CSI record must match the first one
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -105,10 +106,22 @@ def load_dataset(path) -> Dataset:
                                float(row["z"]))
             csi = None
             if "csi" in row:
-                csi = (np.asarray(row["csi"]["re"], dtype=float)
-                       + 1j * np.asarray(row["csi"]["im"], dtype=float))
+                re = np.asarray(row["csi"]["re"], dtype=float)
+                im = np.asarray(row["csi"]["im"], dtype=float)
+                if re.ndim != 2 or re.shape != im.shape:
+                    raise ValueError("CSI must be one antennas x subcarriers "
+                                     "matrix in both re and im")
+                csi = re + 1j * im
                 if not np.isfinite(csi).all():
                     raise ValueError("CSI entries must be finite")
+                if not csi.any():
+                    raise ValueError("all-zero CSI snapshot")
+                if csi_shape is None:
+                    csi_shape = csi.shape
+                elif csi.shape != csi_shape:
+                    raise ValueError(
+                        f"CSI shape {csi.shape} differs from the first CSI "
+                        f"record's {csi_shape}")
             powers = np.asarray(row["power_samples"], dtype=float)
             if not (np.isfinite(powers) & (powers >= 0.0)).all():
                 raise ValueError("power samples must be finite and nonnegative")

@@ -66,6 +66,9 @@ __all__ = [
 # hard lower edge, which no Rician CDF can reproduce in the deep tail.
 DEMO_AMPLITUDES = (1.0, 0.55, 0.08, 0.05, 0.04, 0.025, 0.015)
 DEMO_ORACLE_CHUNK = 2_000_000   # oracle draws held in memory at once
+# Largest path-entry buffer (draws x paths, complex) that samples_per_user or
+# oracle_n may ask draw_power_samples for.
+MAX_DRAW_BUFFER_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,14 @@ class ExperimentConfig:
         if self.oracle_n < math.ceil(100.0 / self.epsilon):
             raise ConfigurationError(
                 f"oracle_n must be at least 100/epsilon = {100.0 / self.epsilon:g}")
+        paths = self.scenario.num_paths
+        most = MAX_DRAW_BUFFER_BYTES // (paths * np.dtype(complex).itemsize)
+        for name in ("samples_per_user", "oracle_n"):
+            if getattr(self, name) > most:
+                raise ConfigurationError(
+                    f"{name} may be at most {most} with {paths} paths (a "
+                    f"{MAX_DRAW_BUFFER_BYTES >> 30} GiB draw buffer), got "
+                    f"{getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,8 @@ GEMV_BLOCK_ENTRIES = 3584
 # frequency at most 2, so a panel spans under 1.3 periods.
 KLUYVER_PANEL_NODES = 16
 KLUYVER_PANEL_WIDTH = 4.0
-KLUYVER_NODES = 4096            # the integral is cut at t = 1024
+KLUYVER_NODES = 4096            # the largest grid: cut at t = 1024
+KLUYVER_FIRST_NODES = 1024      # each CDF starts here and doubles as needed
 # Convergence test of the quadrature: cutting the integral at half the grid
 # may move the CDF at the eps-quantile by at most this fraction of eps.
 KLUYVER_CONVERGENCE_TOL = 1e-2
@@ -399,6 +400,7 @@ def _kluyver_grid(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _KLUYVER_GRID = _kluyver_grid(KLUYVER_NODES)
+_KLUYVER_FIRST_GRID = tuple(g[:KLUYVER_FIRST_NODES] for g in _KLUYVER_GRID)
 
 
 class _KluyverCDF:
@@ -408,16 +410,35 @@ class _KluyverCDF:
         P(|h| <= r) = r * int_0^inf J1(r t) prod_p J0(a_p t) dt
 
     (Kluyver 1906), with the amplitudes scaled to sum to 1. The weighted
-    product of J0 is built once; each CDF value is then one dot product.
+    product of J0 is built on ``grid``, by default the first
+    KLUYVER_FIRST_NODES nodes of the KLUYVER_NODES-node grid; each CDF value
+    is then one dot product. ``quantile`` doubles the grid, up to
+    KLUYVER_NODES, until its convergence test passes. Every ``_kluyver_grid``
+    is a prefix of the larger ones, so doubling computes J0 on the new nodes
+    only; a grid of KLUYVER_NODES or more never grows.
     """
 
-    def __init__(self, amplitudes, grid=_KLUYVER_GRID):
-        self.nodes, weighted = grid
+    def __init__(self, amplitudes, grid=_KLUYVER_FIRST_GRID):
         a = np.asarray(amplitudes, dtype=float)
-        weighted = weighted.copy()
-        for amp in a / a.sum():
-            weighted *= j0(amp * self.nodes)
-        self.weighted = weighted
+        self.scaled = a / a.sum()
+        self.nodes = self.weighted = np.empty(0)
+        self._extend(*grid)
+
+    def _extend(self, nodes, weights):
+        weighted = weights.copy()
+        for amp in self.scaled:
+            weighted *= j0(amp * nodes)
+        self.nodes = np.concatenate([self.nodes, nodes])
+        self.weighted = np.concatenate([self.weighted, weighted])
+
+    def _grow(self) -> bool:
+        """Double the grid within KLUYVER_NODES; False once it is full."""
+        n = self.nodes.size
+        if n >= KLUYVER_NODES:
+            return False
+        nodes, weights = _KLUYVER_GRID
+        self._extend(nodes[n:2 * n], weights[n:2 * n])
+        return True
 
     def truncated(self, r: float) -> tuple[float, float]:
         """The CDF at r with the integral cut at the end of the grid and at
@@ -436,10 +457,18 @@ class _KluyverCDF:
         return min(1.0, max(0.0, self.truncated(r)[0]))
 
     def quantile(self, level: float):
-        """The r in (0, 1) where the CDF crosses level, found by Illinois
-        regula falsi, or None when the quadrature has not converged there
-        or the search does not reach KLUYVER_ROOT_TOL.
+        """The r in (0, 1) where the CDF crosses level on the shortest grid
+        whose quadrature has converged there, or None when no grid up to
+        KLUYVER_NODES both converges and reaches KLUYVER_ROOT_TOL. The CDF
+        stays on that grid, so later values match the root.
         """
+        while True:
+            r = self._search(level)
+            if r is not None or not self._grow():
+                return r
+
+    def _search(self, level: float):
+        """Illinois regula falsi on the current grid."""
         lo, hi, g_lo, g_hi = 0.0, 1.0, -level, 1.0 - level
         side = 0
         for _ in range(KLUYVER_MAX_ITERATIONS):
@@ -495,10 +524,12 @@ def true_outage_capacity(scenario: Scenario, loc: Location, epsilon: float,
 
     With one antenna both come from the exact CDF of the received magnitude
     (``_KluyverCDF``): the capacity at the root of CDF = eps, the outage of
-    a rate as the CDF at its magnitude. The quadrature is trusted when
-    cutting its integral at half the grid moves the CDF at the root by at
-    most KLUYVER_CONVERGENCE_TOL * eps; one or two dominant paths fail that
-    test and fall back to Monte Carlo, as do several antennas (MRC).
+    a rate as the CDF at its magnitude, both on the same grid. The
+    quadrature is trusted when cutting its integral at half the grid moves
+    the CDF at the root by at most KLUYVER_CONVERGENCE_TOL * eps. Each user
+    starts on KLUYVER_FIRST_NODES nodes and doubles its grid up to
+    KLUYVER_NODES until that test passes; one or two dominant paths fail it
+    even there and fall back to Monte Carlo, as do several antennas (MRC).
 
     Monte Carlo: the capacity is the lower eps-quantile of oracle_n
     capacity draws taken with sample seed oracle_seed. The outage

@@ -18,6 +18,7 @@ from statmap.dataio import save_chart, save_map
 from statmap.errors import FitError
 from statmap.gpmap import Hyperparams, TrainingSet, build_map
 from statmap.harness import (
+    MAX_DRAW_BUFFER_BYTES,
     ChartTrainingConfig,
     ExperimentConfig,
     fit_chart,
@@ -363,7 +364,9 @@ FINITE = {"allow_nan": False, "allow_infinity": False}
 NOT_POSITIVE_INT = st.integers(max_value=0)
 NOT_POSITIVE_FLOAT = st.floats(max_value=0.0, **FINITE)
 # (section, key) -> values out of range for CHART_CONFIG (epsilon 0.05, so
-# at least 21 samples per user and 2000 oracle draws; quantiles 0.05 / 0.5)
+# at least 21 samples per user and 2000 oracle draws; quantiles 0.05 / 0.5;
+# 7 paths, so at most MOST_DRAWS of either within the draw buffer limit)
+MOST_DRAWS = MAX_DRAW_BUFFER_BYTES // (7 * 16)
 OUT_OF_RANGE = {
     ("chart", "hidden"): st.tuples(
         st.lists(st.integers(1, 64), max_size=2), NOT_POSITIVE_INT,
@@ -382,8 +385,10 @@ OUT_OF_RANGE = {
     ("experiment", "gp_restarts"): NOT_POSITIVE_INT,
     ("experiment", "n_train_users"): st.integers(max_value=2),
     ("experiment", "n_test_users"): NOT_POSITIVE_INT,
-    ("experiment", "samples_per_user"): st.integers(max_value=20),
-    ("experiment", "oracle_n"): st.integers(max_value=1999),
+    ("experiment", "samples_per_user"): st.integers(max_value=20)
+    | st.integers(min_value=MOST_DRAWS + 1),
+    ("experiment", "oracle_n"): st.integers(max_value=1999)
+    | st.integers(min_value=MOST_DRAWS + 1),
     ("experiment", "epsilon"): NOT_POSITIVE_FLOAT | st.floats(
         min_value=1.0, **FINITE),
     ("experiment", "delta"): NOT_POSITIVE_FLOAT | st.floats(
@@ -426,6 +431,9 @@ def test_fuzz_out_of_range_config_value_exits_2(tmp_path, data):
     ("chart", "margin", -1.0),
     # no longer a setting: refused as an unknown key, still before any work
     ("experiment", "n_mc_outage", -5),
+    # a draw buffer of 10^12 x 7 paths: refused without allocating it
+    ("experiment", "samples_per_user", 10 ** 12),
+    ("experiment", "oracle_n", 10 ** 12),
 ])
 def test_exit_2_out_of_range_before_any_work(tmp_path, capsys, monkeypatch,
                                              section, key, value):
@@ -453,13 +461,44 @@ def test_exit_2_invalid_epsilon(tmp_path):
     assert run("evaluate", cfg, tmp_path) == 2
 
 
-@pytest.mark.parametrize("command,doc,where,value", [
-    ("fit-map", BASE_CONFIG, ("power_samples", 3), -1.0),
-    ("fit-map", BASE_CONFIG, ("power_samples", 3), math.nan),
-    ("train-chart", CHART_CONFIG, ("csi", "re", 0, 2), math.nan),
-], ids=["negative-power", "nan-power", "nan-csi"])
-def test_exit_2_malformed_dataset_record(tmp_path, capsys, command, doc, where,
-                                         value):
+def set_value(where, value):
+    def edit(row):
+        target = row
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+    return edit
+
+
+def cut_to_three_antennas(row):
+    for part in ("re", "im"):
+        row["csi"][part] = row["csi"][part][:3]
+
+
+def zero_csi(row):
+    for part in ("re", "im"):
+        row["csi"][part] = [[0.0] * len(r) for r in row["csi"][part]]
+
+
+@pytest.mark.parametrize("command,doc,lineno,edit,message", [
+    ("fit-map", BASE_CONFIG, 2, set_value(("power_samples", 3), -1.0),
+     "power samples must be finite and nonnegative"),
+    ("fit-map", BASE_CONFIG, 2, set_value(("power_samples", 3), math.nan),
+     "power samples must be finite and nonnegative"),
+    ("train-chart", CHART_CONFIG, 2, set_value(("csi", "re", 0, 2), math.nan),
+     "CSI entries must be finite"),
+    # a format error, not a traceback from stacking the features (exit 1)
+    ("train-chart", CHART_CONFIG, 5, cut_to_three_antennas,
+     "CSI shape (3, 16) differs from the first CSI record's (4, 16)"),
+    # a format error, not a numerical failure from featurizing (exit 3)
+    ("train-chart", CHART_CONFIG, 2, zero_csi, "all-zero CSI snapshot"),
+    # not broadcast into a 4-antenna snapshot
+    ("train-chart", CHART_CONFIG, 2, set_value(("csi", "im"), [[0.5] * 16]),
+     "CSI must be one antennas x subcarriers matrix in both re and im"),
+], ids=["negative-power", "nan-power", "nan-csi", "csi-cut-to-3-of-4-antennas",
+        "all-zero-csi", "csi-im-of-1-antenna"])
+def test_exit_2_malformed_dataset_record(tmp_path, capsys, command, doc,
+                                         lineno, edit, message):
     # json writes and reads NaN, so only the loader can refuse it
     doc = json.loads(json.dumps(doc))
     doc["experiment"]["n_train_users"] = 20
@@ -467,19 +506,17 @@ def test_exit_2_malformed_dataset_record(tmp_path, capsys, command, doc, where,
     assert run("simulate", write_config(tmp_path, doc), out) == 0
     dataset = out / "dataset.jsonl"
     lines = dataset.read_text().splitlines()
-    row = json.loads(lines[1])
-    target = row
-    for key in where[:-1]:
-        target = target[key]
-    target[where[-1]] = value
-    lines[1] = json.dumps(row)
+    row = json.loads(lines[lineno - 1])
+    edit(row)
+    lines[lineno - 1] = json.dumps(row)
     dataset.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     cfg = write_config(tmp_path, dict(doc, dataset=str(dataset)), "cfg2.json")
     assert run(command, cfg, out) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: bad dataset record:")
-    assert "line=2" in err and len(err.splitlines()) == 1
+    assert err.startswith(f"configuration error: bad dataset record: "
+                          f"{message}; file=")
+    assert err.endswith(f"; line={lineno}\n") and len(err.splitlines()) == 1
     assert sorted(os.listdir(out)) == ["dataset.jsonl"]
 
 

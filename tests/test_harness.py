@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,24 @@ def test_experiment_config_validation():
         ExperimentConfig(epsilon=2.0)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(oracle_n=100, epsilon=0.01)
+
+
+@pytest.mark.parametrize("name", ["samples_per_user", "oracle_n"])
+def test_experiment_config_bounds_the_draw_buffer(name):
+    # n x num_paths complex path entries may fill at most
+    # MAX_DRAW_BUFFER_BYTES; a larger value is refused without allocating it
+    most = harness.MAX_DRAW_BUFFER_BYTES // (7 * 16)
+    ExperimentConfig(**{name: most})
+    with pytest.raises(ConfigurationError, match=f"{name} may be at most"):
+        ExperimentConfig(**{name: most + 1})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match=str(10 ** 12)):
+            ExperimentConfig(**{name: 10 ** 12})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_location_report_self_consistent():

@@ -11,6 +11,8 @@ from statmap.errors import ConfigurationError, InsufficientSamplesError
 from statmap.harness import DEMO_AMPLITUDES
 from statmap.propagation import (
     KLUYVER_CONVERGENCE_TOL,
+    KLUYVER_FIRST_NODES,
+    KLUYVER_NODES,
     KLUYVER_ROOT_TOL,
     CosineField,
     Location,
@@ -424,13 +426,55 @@ def test_exact_cdf_inside_dkw_band_of_monte_carlo(amplitudes, draw):
 
 @pytest.mark.parametrize("amplitudes, draw", amplitude_cases())
 def test_kluyver_quadrature_converges(amplitudes, draw):
-    # 4096 nodes (cut at t = 1024) against 16384 (cut at t = 4096): the
-    # quantile found on the first grid is the quantile on the second one to
-    # the tolerance of the oracle's own convergence test
+    # the grid the oracle settles on (1024 nodes, cut at t = 256, doubled up
+    # to 4096 as its convergence test needs) against 16384 (cut at t = 4096):
+    # the quantile found on the first grid is the quantile on the second one
+    # to the tolerance of the oracle's own convergence test
     fine = _KluyverCDF(amplitudes, _kluyver_grid(16384))
     for level in LEVELS:
         r = _KluyverCDF(amplitudes).quantile(level)
         assert abs(fine(r) - level) <= KLUYVER_CONVERGENCE_TOL * level
+
+
+@pytest.mark.parametrize("n", [KLUYVER_FIRST_NODES, 2 * KLUYVER_FIRST_NODES])
+def test_kluyver_grid_is_a_prefix_of_the_largest(n):
+    # so a growing CDF computes J0 on the new nodes only
+    small, largest = _kluyver_grid(n), _kluyver_grid(KLUYVER_NODES)
+    for part, whole in zip(small, largest):
+        assert np.array_equal(part, whole[:n])
+
+
+@pytest.mark.parametrize("amplitudes, level, nodes", [
+    ([1.0, 0.3, 0.2], 1e-2, 2048),
+    ([1.0, 0.5, 0.5], 1e-3, 4096),
+])
+def test_grown_grid_finds_the_root_of_a_grid_built_at_its_size(
+        amplitudes, level, nodes):
+    grown = _KluyverCDF(amplitudes)
+    r = grown.quantile(level)
+    assert grown.nodes.size == nodes     # no shorter grid converged
+    assert r == _KluyverCDF(amplitudes, _kluyver_grid(nodes)).quantile(level)
+    assert grown(r) == _KluyverCDF(amplitudes, _kluyver_grid(nodes))(r)
+
+
+def test_no_grid_up_to_the_largest_converges_for_a_dominant_path():
+    cdf = _KluyverCDF([1.0, 0.5, 0.3])
+    assert cdf.quantile(1e-3) is None
+    assert cdf.nodes.size == KLUYVER_NODES
+
+
+def test_first_grid_roots_hold_on_a_fine_grid():
+    # the roots of the default 7-path channels, almost all found on the
+    # first grid, are roots of the 16384-node CDF to 1e-3 of eps
+    s = make_scenario(seed=1)
+    xy = np.random.default_rng(33).uniform(-100.0, 100.0, (200, 2))
+    cases = [case.values[0] for case in amplitude_cases()]
+    cases += list(s.path_amplitudes(np.column_stack([xy, np.full(200, 1.5)])))
+    for amplitudes in cases:
+        fine = _KluyverCDF(amplitudes, _kluyver_grid(16384))
+        for level in LEVELS:
+            r = _KluyverCDF(amplitudes).quantile(level)
+            assert abs(fine(r) - level) <= 1e-3 * level
 
 
 def two_path_cdf(a1, a2, r):
