@@ -29,7 +29,6 @@ __all__ = [
     "csi_features",
     "build_triplets",
     "forward",
-    "triplet_loss",
     "train",
 ]
 
@@ -208,19 +207,6 @@ def forward(model: ChartModel, features) -> np.ndarray:
             f"feature dimension {x.shape[1]} != model input {model.input_dim}")
     out = _forward_cached(model, x)[-1]
     return out[0] if single else out
-
-
-def triplet_loss(model: ChartModel, features, triplet: Triplet,
-                 margin: float) -> float:
-    """max(0, ||za - zp|| - ||za - zn|| + margin) on the embedded points."""
-    if margin <= 0:
-        raise ConfigurationError("margin must be positive")
-    feats = np.asarray(features, dtype=float)
-    z = forward(model, feats[[triplet.anchor, triplet.positive,
-                              triplet.negative]])
-    dp = float(np.linalg.norm(z[0] - z[1]))
-    dn = float(np.linalg.norm(z[0] - z[2]))
-    return max(0.0, dp - dn + margin)
 
 
 def _batch_loss_and_grads(model: ChartModel, feats: np.ndarray,

@@ -51,10 +51,9 @@ EXIT_NUMERICAL = 3
 
 # --full: the headline operating point, per mode, over the experiment section
 FULL_SCALE = {
-    "location": {"epsilon": 1e-3, "delta": 1e-3, "samples_per_user": 10_000,
-                 "oracle_n": 100_000},
+    "location": {"epsilon": 1e-3, "delta": 1e-3, "samples_per_user": 10_000},
     "chart": {"epsilon": 1e-3, "delta": 1e-3, "samples_per_user": 10_000,
-              "oracle_n": 100_000, "n_train_users": 5000},
+              "n_train_users": 5000},
 }
 
 

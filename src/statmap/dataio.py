@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import ChartModel
-from .errors import ParseError
+from .errors import ConfigurationError, ParseError
 from .gpmap import (
     FitDiagnostics,
     FittedMap,
@@ -36,7 +36,6 @@ __all__ = [
     "save_map",
     "load_map",
     "save_chart",
-    "load_chart",
     "write_csv",
     "kernel_checksum",
 ]
@@ -123,12 +122,15 @@ def load_dataset(path) -> Dataset:
                         f"CSI shape {csi.shape} differs from the first CSI "
                         f"record's {csi_shape}")
             powers = np.asarray(row["power_samples"], dtype=float)
+            if powers.ndim != 1 or powers.size == 0:
+                raise ValueError("power_samples must be a non-empty list of "
+                                 "numbers")
             if not (np.isfinite(powers) & (powers >= 0.0)).all():
                 raise ValueError("power samples must be finite and nonnegative")
             records.append(UserRecord(
                 user_id=int(row["user_id"]), location=loc,
                 power_samples=powers, csi=csi))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise ParseError(f"bad dataset record: {exc}", path=path,
                              line=lineno) from exc
     return Dataset(records=records)
@@ -190,21 +192,6 @@ def save_chart(model: ChartModel, path) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dump(doc) + "\n")
-
-
-def load_chart(path) -> ChartModel:
-    doc = _load_json_doc(path, "statmap-chart", CHART_VERSION)
-    try:
-        dims = doc["layer_dims"]
-        weights = tuple(np.asarray(w, dtype=float) for w in doc["weights"])
-        biases = tuple(np.asarray(b, dtype=float) for b in doc["biases"])
-        model = ChartModel(weights=weights, biases=biases)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad chart document: {exc}", path=path) from exc
-    if model.layer_dims != list(dims):
-        raise ParseError("layer_dims do not match stored weights", path=path,
-                         field="layer_dims")
-    return model
 
 
 def write_csv(path, header: list, rows) -> None:

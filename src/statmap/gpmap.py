@@ -30,7 +30,6 @@ __all__ = [
     "PredictiveDistribution",
     "FitDiagnostics",
     "kernel_matrix",
-    "log_marginal_likelihood",
     "fit",
     "predict",
     "predict_batch",
@@ -156,10 +155,9 @@ def _covariance(d2: np.ndarray, hyper: Hyperparams,
     return k
 
 
-def kernel_matrix(coords: np.ndarray, hyper: Hyperparams,
-                  with_nugget: bool = True) -> np.ndarray:
+def kernel_matrix(coords: np.ndarray, hyper: Hyperparams) -> np.ndarray:
     """Dense training covariance; the nugget rides on the diagonal only."""
-    return _covariance(_sq_dists(coords, coords), hyper, with_nugget)
+    return _covariance(_sq_dists(coords, coords), hyper, with_nugget=True)
 
 
 def _cholesky_with_jitter(k: np.ndarray, hyper: Hyperparams):
@@ -193,11 +191,6 @@ def _lml_from_factor(low: np.ndarray, r: np.ndarray,
     alpha = C^-1 r."""
     logdet = 2.0 * np.sum(np.log(np.diag(low)))
     return float(-0.5 * r @ alpha - 0.5 * logdet - 0.5 * r.size * LOG2PI)
-
-
-def log_marginal_likelihood(hyper: Hyperparams, train: TrainingSet) -> float:
-    """-0.5 r^T C^-1 r - 0.5 ln det C - n/2 ln 2pi with C = K + noise_var*I."""
-    return build_map(train, hyper).diagnostics.log_marginal_likelihood
 
 
 def default_bounds(train: TrainingSet) -> dict:

@@ -38,6 +38,7 @@ from .propagation import (
 )
 from .rateselect import POLICY_BASELINE, POLICY_MAP, select_rate_baseline, select_rate_map
 from .stats import (
+    RICIAN_MIN_SAMPLES,
     EmpiricalDistribution,
     capacity_from_power,
     dkw_band,
@@ -67,7 +68,8 @@ __all__ = [
 DEMO_AMPLITUDES = (1.0, 0.55, 0.08, 0.05, 0.04, 0.025, 0.015)
 DEMO_ORACLE_CHUNK = 2_000_000   # oracle draws held in memory at once
 # Largest path-entry buffer (draws x paths, complex) that samples_per_user or
-# oracle_n may ask draw_power_samples for.
+# the oracle's ceil(100 / epsilon) Monte-Carlo draws may ask
+# draw_power_samples for.
 MAX_DRAW_BUFFER_BYTES = 1 << 30
 
 
@@ -126,7 +128,6 @@ class ExperimentConfig:
     epsilon: float = 1e-2
     delta: float = 1e-2
     n_test_users: int = 2000
-    oracle_n: int = 10_000
     gp_restarts: int = 2
     seed: int = 0
     chart: ChartTrainingConfig = dc_field(default_factory=ChartTrainingConfig)
@@ -134,6 +135,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0 or not 0.0 < self.delta < 1.0:
             raise ConfigurationError("epsilon and delta must lie in (0,1)")
+        paths = self.scenario.num_paths
+        most = MAX_DRAW_BUFFER_BYTES // (paths * np.dtype(complex).itemsize)
+        # ceil(100 / epsilon) > most exactly when 100 / epsilon > most
+        for name, draws in (("samples_per_user", self.samples_per_user),
+                            ("epsilon", 100.0 / self.epsilon)):
+            if draws > most:
+                raise ConfigurationError(
+                    f"{name}={getattr(self, name)} needs more draws than the "
+                    f"{most} that a {MAX_DRAW_BUFFER_BYTES >> 30} GiB draw "
+                    f"buffer holds with {paths} paths")
         if self.samples_per_user * self.epsilon <= 1.0:
             raise ConfigurationError(
                 f"samples_per_user={self.samples_per_user} is not enough for "
@@ -143,17 +154,6 @@ class ExperimentConfig:
         if self.gp_restarts < 1:
             raise ConfigurationError(
                 f"gp_restarts must be at least 1, got {self.gp_restarts}")
-        if self.oracle_n < math.ceil(100.0 / self.epsilon):
-            raise ConfigurationError(
-                f"oracle_n must be at least 100/epsilon = {100.0 / self.epsilon:g}")
-        paths = self.scenario.num_paths
-        most = MAX_DRAW_BUFFER_BYTES // (paths * np.dtype(complex).itemsize)
-        for name in ("samples_per_user", "oracle_n"):
-            if getattr(self, name) > most:
-                raise ConfigurationError(
-                    f"{name} may be at most {most} with {paths} paths (a "
-                    f"{MAX_DRAW_BUFFER_BYTES >> 30} GiB draw buffer), got "
-                    f"{getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,21 @@ class MismatchDemoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.path_amplitudes) < 1:
-            raise ConfigurationError("need at least one path amplitude")
+        a = self.path_amplitudes
+        if not (all(math.isfinite(v) and v >= 0.0 for v in a)
+                and any(v > 0.0 for v in a)):
+            raise ConfigurationError(
+                "path_amplitudes must be finite and nonnegative, at least one "
+                f"positive, got {list(a)}")
+        if not self.fit_sizes or min(self.fit_sizes) < RICIAN_MIN_SAMPLES:
+            raise ConfigurationError(
+                f"need fit_sizes of at least {RICIAN_MIN_SAMPLES} each, got "
+                f"{list(self.fit_sizes)}")
         if self.oracle_samples < max(self.fit_sizes):
             raise ConfigurationError("oracle must be at least the largest fit size")
+        if not 0.0 < self.confidence < 1.0:
+            raise ConfigurationError(
+                f"confidence must lie in (0, 1), got {self.confidence}")
 
 
 @dataclass(frozen=True)
@@ -428,8 +439,7 @@ def _evaluate_test_users(scenario, config, query_of, fmap):
 
     def judge(user):
         return true_outage_capacity(
-            scenario, locs[user], config.epsilon, rates[user], config.oracle_n,
-            math.ceil(100.0 / config.epsilon),
+            scenario, locs[user], config.epsilon, rates[user],
             derive_seed(config.seed, "oracle", user),
             derive_seed(config.seed, "outage", user))
 

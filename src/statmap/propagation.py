@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import j0, j1
 
-from .errors import ConfigurationError, InsufficientSamplesError
+from .errors import ConfigurationError
 from .stats import EmpiricalDistribution, capacity_from_power, empirical_quantile
 
 __all__ = [
@@ -517,7 +517,7 @@ def _exact_outage_capacity(scenario: Scenario, loc: Location, epsilon: float,
 
 
 def true_outage_capacity(scenario: Scenario, loc: Location, epsilon: float,
-                         rates, oracle_n: int, n_mc: int, oracle_seed: int,
+                         rates, oracle_seed: int,
                          outage_seed: int) -> tuple[float, list[float]]:
     """Truth at a location: the eps-outage capacity and the outage
     probability of each rate.
@@ -531,28 +531,25 @@ def true_outage_capacity(scenario: Scenario, loc: Location, epsilon: float,
     KLUYVER_NODES until that test passes; one or two dominant paths fail it
     even there and fall back to Monte Carlo, as do several antennas (MRC).
 
-    Monte Carlo: the capacity is the lower eps-quantile of oracle_n
-    capacity draws taken with sample seed oracle_seed. The outage
-    probability of a rate is the fraction of one shared set of n_mc draws,
-    taken with sample seed outage_seed, that lies strictly below it.
-    oracle_n must reach 100/eps on either path.
+    Monte Carlo takes n = ceil(100 / eps) draws twice: the capacity is the
+    lower eps-quantile of n capacity draws taken with sample seed
+    oracle_seed, and the outage probability of a rate is the fraction of
+    one shared set of n draws, taken with sample seed outage_seed, that
+    lies strictly below it.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
-    required = int(math.ceil(100.0 / epsilon))
-    if oracle_n < required:
-        raise InsufficientSamplesError(oracle_n, epsilon, required=required)
     if scenario.config.num_antennas == 1:
         scenario._check_inside(loc)
         exact = _exact_outage_capacity(scenario, loc, epsilon, rates)
         if exact is not None:
             return exact
-    noise = scenario.config.noise_power
+    noise, n = scenario.config.noise_power, math.ceil(100.0 / epsilon)
     oracle = capacity_from_power(
-        draw_power_samples(scenario, loc, oracle_n, oracle_seed), noise)
+        draw_power_samples(scenario, loc, n, oracle_seed), noise)
     true_c = empirical_quantile(EmpiricalDistribution.from_samples(oracle),
                                 epsilon)
     caps = capacity_from_power(
-        draw_power_samples(scenario, loc, n_mc, outage_seed), noise)
+        draw_power_samples(scenario, loc, n, outage_seed), noise)
     return true_c, [float(np.count_nonzero(caps < rate)) / caps.size
                     for rate in rates]

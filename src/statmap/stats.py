@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 RICIAN_K_MAX = 1e4              # upper end of the K search
+RICIAN_MIN_SAMPLES = 100        # fewest envelope samples a fit accepts
 RICIAN_MAX_ITERATIONS = 500
 
 
@@ -166,8 +167,9 @@ def fit_rician_ml(samples) -> RicianFit:
     a 1-D search over the Rician factor K in [0, RICIAN_K_MAX].
     """
     r = np.asarray(samples, dtype=float).ravel()
-    if r.size < 100:
-        raise ValueError(f"need at least 100 samples, got {r.size}")
+    if r.size < RICIAN_MIN_SAMPLES:
+        raise ValueError(
+            f"need at least {RICIAN_MIN_SAMPLES} samples, got {r.size}")
     if np.any(r <= 0) or not np.all(np.isfinite(r)):
         raise ValueError("envelope samples must be positive and finite")
     omega = float(np.mean(r * r))

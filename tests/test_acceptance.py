@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from statmap.chart import _batch_loss_and_grads, init_chart_model, triplet_loss, Triplet
+from statmap.chart import _batch_loss_and_grads, init_chart_model, Triplet
 from statmap.cli import main as cli_main
 from statmap.errors import InsufficientSamplesError
 from statmap.gpmap import (
@@ -25,7 +25,6 @@ from statmap.gpmap import (
     kernel_matrix,
     predict,
     predict_batch,
-    log_marginal_likelihood,
 )
 from statmap.harness import (
     ExperimentConfig,
@@ -164,7 +163,8 @@ def test_criterion_5_gp_unit_suite():
         sign, logdet = np.linalg.slogdet(k)
         oracle = -0.5 * r @ np.linalg.inv(k) @ r - 0.5 * logdet \
             - 1.5 * math.log(2 * math.pi)
-        lml_ok &= abs(log_marginal_likelihood(h, train) - oracle) < 1e-8
+        lml = build_map(train, h).diagnostics.log_marginal_likelihood
+        lml_ok &= abs(lml - oracle) < 1e-8
     # (b) noiseless interpolation residual < 1e-8
     coords = rng.uniform(-4, 4, size=(30, 2))
     y = np.sin(coords[:, 0]) + np.cos(coords[:, 1])
@@ -212,9 +212,9 @@ def test_criterion_6_gradient_check():
                 Triplet(1, 3, 6), Triplet(2, 5, 7)]
     model = init_chart_model(6, hidden=(10, 8), seed=1)
     margin = 5.0
-    _, gw, gb = _batch_loss_and_grads(
-        model, feats, [t.anchor for t in triplets],
-        [t.positive for t in triplets], [t.negative for t in triplets], margin)
+    idx = ([t.anchor for t in triplets], [t.positive for t in triplets],
+           [t.negative for t in triplets])
+    _, gw, gb = _batch_loss_and_grads(model, feats, *idx, margin)
     analytic = np.concatenate([g.ravel() for g in gw]
                               + [g.ravel() for g in gb])
 
@@ -239,10 +239,9 @@ def test_criterion_6_gradient_check():
     for i in range(theta.size):
         up = theta.copy(); up[i] += step
         dn = theta.copy(); dn[i] -= step
-        fd[i] = (np.mean([triplet_loss(rebuild(up), feats, t, margin)
-                          for t in triplets])
-                 - np.mean([triplet_loss(rebuild(dn), feats, t, margin)
-                            for t in triplets])) / (2 * step)
+        fd[i] = (_batch_loss_and_grads(rebuild(up), feats, *idx, margin)[0]
+                 - _batch_loss_and_grads(rebuild(dn), feats, *idx, margin)[0]
+                 ) / (2 * step)
     rel = np.abs(analytic - fd) / np.maximum(np.abs(analytic) + np.abs(fd),
                                              1e-8)
     max_rel = float(rel.max())
@@ -285,8 +284,7 @@ def test_criterion_8_cli_reproducibility(tmp_path):
     t0 = time.perf_counter()
     scenario = {"field_components": 64}
     exp = {"n_train_users": 70, "samples_per_user": 300, "epsilon": 0.05,
-           "delta": 0.05, "n_test_users": 50, "oracle_n": 2000,
-           "gp_restarts": 1}
+           "delta": 0.05, "n_test_users": 50, "gp_restarts": 1}
     chart = {"csi_antennas": 4, "csi_subcarriers": 16, "s_red": 8,
              "hidden": [16, 8], "n_triplets": 300, "epochs": 3,
              "batch_size": 64}

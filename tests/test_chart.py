@@ -16,7 +16,6 @@ from statmap.chart import (
     forward,
     init_chart_model,
     train,
-    triplet_loss,
 )
 from statmap.errors import ConfigurationError, DegenerateInputError, TrainingError
 from statmap.stats import EmpiricalDistribution, wasserstein1
@@ -199,13 +198,22 @@ def test_forward_dimension_mismatch():
 
 # ---------------------------------------------------------------- loss
 
+def triplet_loss(model, feats, triplets, margin):
+    """Mean of max(0, ||za - zp|| - ||za - zn|| + margin) over the triplets,
+    as training computes it."""
+    return _batch_loss_and_grads(
+        model, feats, [t.anchor for t in triplets],
+        [t.positive for t in triplets], [t.negative for t in triplets],
+        margin)[0]
+
+
 def test_triplet_loss_zero_when_separated():
     feats = np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 100.0]])
     m = init_chart_model(2, hidden=(8,), seed=2)
     t = Triplet(0, 1, 2)
     zs = forward(m, feats)
     gap = np.linalg.norm(zs[0] - zs[2])
-    assert triplet_loss(m, feats, t, margin=0.5 * gap) == 0.0
+    assert triplet_loss(m, feats, [t], margin=0.5 * gap) == 0.0
 
 
 def test_triplet_loss_equal_pos_neg_gives_margin():
@@ -213,7 +221,8 @@ def test_triplet_loss_equal_pos_neg_gives_margin():
     feats = rng.normal(size=(3, 4))
     feats[2] = feats[1]  # positive and negative embed identically
     m = init_chart_model(4, hidden=(6,), seed=3)
-    assert triplet_loss(m, feats, Triplet(0, 1, 2), 0.7) == pytest.approx(0.7)
+    assert triplet_loss(m, feats, [Triplet(0, 1, 2)], 0.7) == \
+        pytest.approx(0.7)
 
 
 def test_triplet_loss_scalar_recomputation():
@@ -225,7 +234,7 @@ def test_triplet_loss_scalar_recomputation():
     dp = math.sqrt(sum((z[0][k] - z[1][k]) ** 2 for k in range(2)))
     dn = math.sqrt(sum((z[0][k] - z[2][k]) ** 2 for k in range(2)))
     want = max(0.0, dp - dn + 0.4)
-    assert triplet_loss(m, feats, t, 0.4) == pytest.approx(want, abs=1e-12)
+    assert triplet_loss(m, feats, [t], 0.4) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------- training
@@ -263,7 +272,7 @@ def test_analytic_gradient_matches_finite_differences():
 
     def mean_loss(flat):
         m = model_from_flat(model, flat)
-        return np.mean([triplet_loss(m, feats, t, margin) for t in triplets])
+        return triplet_loss(m, feats, triplets, margin)
 
     theta = flatten_params(model)
     step = 1e-5

@@ -36,8 +36,7 @@ BASE_CONFIG = {
     "scenario": SCENARIO_SMALL,
     "experiment": {
         "n_train_users": 80, "samples_per_user": 300, "epsilon": 0.05,
-        "delta": 0.05, "n_test_users": 60, "oracle_n": 2000,
-        "gp_restarts": 1,
+        "delta": 0.05, "n_test_users": 60, "gp_restarts": 1,
     },
 }
 
@@ -47,8 +46,7 @@ CHART_CONFIG = {
     "scenario": SCENARIO_SMALL,
     "experiment": {
         "n_train_users": 50, "samples_per_user": 300, "epsilon": 0.05,
-        "delta": 0.05, "n_test_users": 40, "oracle_n": 2000,
-        "gp_restarts": 1,
+        "delta": 0.05, "n_test_users": 40, "gp_restarts": 1,
     },
     "chart": {"csi_antennas": 4, "csi_subcarriers": 16, "s_red": 8,
               "hidden": [16, 8], "n_triplets": 300, "epochs": 3,
@@ -205,9 +203,11 @@ def test_exit_2_bad_json(tmp_path):
 
 
 def test_exit_2_unknown_key(tmp_path, capsys):
-    # experiment.n_mc_outage was a setting once; it is now unknown too
+    # experiment.n_mc_outage and experiment.oracle_n were settings once;
+    # they are now unknown too
     for section, key in (("scenario", "not_a_field"),
-                         ("experiment", "n_mc_outage")):
+                         ("experiment", "n_mc_outage"),
+                         ("experiment", "oracle_n")):
         doc = json.loads(json.dumps(BASE_CONFIG))
         doc[section][key] = 1
         cfg = write_config(tmp_path, doc)
@@ -244,13 +244,13 @@ def test_full_overrides_the_shipped_configs(name):
     mode, config = _experiment_config(doc, doc["seed"], full=False)
     assert mode == doc["mode"]
     assert (config.epsilon, config.delta, config.samples_per_user,
-            config.oracle_n, config.n_train_users) == (
+            config.n_train_users) == (
         exp["epsilon"], exp["delta"], exp["samples_per_user"],
-        exp["oracle_n"], exp["n_train_users"])
+        exp["n_train_users"])
     _, full = _experiment_config(doc, doc["seed"], full=True)
     users = 5000 if mode == "chart" else exp["n_train_users"]
-    assert (full.epsilon, full.delta, full.samples_per_user, full.oracle_n,
-            full.n_train_users) == (1e-3, 1e-3, 10_000, 100_000, users)
+    assert (full.epsilon, full.delta, full.samples_per_user,
+            full.n_train_users) == (1e-3, 1e-3, 10_000, users)
     assert full.n_test_users == config.n_test_users
 
 
@@ -291,7 +291,7 @@ def test_exit_2_experiment_seed(tmp_path, capsys):
     (None, "seed", 2.5),
     ("experiment", "n_test_users", 2.5),
     ("experiment", "samples_per_user", True),
-    ("experiment", "oracle_n", 2000.0),
+    ("experiment", "gp_restarts", 1.0),
     ("scenario", "num_paths", 3.5),
     ("chart", "n_triplets", 300.5),
     ("chart", "hidden", [16, 8.5]),
@@ -364,8 +364,10 @@ FINITE = {"allow_nan": False, "allow_infinity": False}
 NOT_POSITIVE_INT = st.integers(max_value=0)
 NOT_POSITIVE_FLOAT = st.floats(max_value=0.0, **FINITE)
 # (section, key) -> values out of range for CHART_CONFIG (epsilon 0.05, so
-# at least 21 samples per user and 2000 oracle draws; quantiles 0.05 / 0.5;
-# 7 paths, so at most MOST_DRAWS of either within the draw buffer limit)
+# at least 21 samples per user; quantiles 0.05 / 0.5; 7 paths, so at most
+# MOST_DRAWS samples per user or ceil(100 / epsilon) Monte-Carlo oracle
+# draws within the draw buffer limit) or for DEMO_CONFIG (10^4 samples in
+# the largest fit, 4 x 10^5 in the oracle)
 MOST_DRAWS = MAX_DRAW_BUFFER_BYTES // (7 * 16)
 OUT_OF_RANGE = {
     ("chart", "hidden"): st.tuples(
@@ -387,10 +389,9 @@ OUT_OF_RANGE = {
     ("experiment", "n_test_users"): NOT_POSITIVE_INT,
     ("experiment", "samples_per_user"): st.integers(max_value=20)
     | st.integers(min_value=MOST_DRAWS + 1),
-    ("experiment", "oracle_n"): st.integers(max_value=1999)
-    | st.integers(min_value=MOST_DRAWS + 1),
     ("experiment", "epsilon"): NOT_POSITIVE_FLOAT | st.floats(
-        min_value=1.0, **FINITE),
+        min_value=1.0, **FINITE) | st.floats(
+        min_value=0.0, max_value=100 / (MOST_DRAWS + 0.5), exclude_min=True),
     ("experiment", "delta"): NOT_POSITIVE_FLOAT | st.floats(
         min_value=1.0, **FINITE),
     ("scenario", "num_paths"): NOT_POSITIVE_INT,
@@ -403,54 +404,87 @@ OUT_OF_RANGE = {
     ("pointprocess", "parent_intensity"): NOT_POSITIVE_FLOAT,
     ("pointprocess", "offspring_std"): st.floats(
         max_value=0.0, exclude_max=True, **FINITE),
+    ("demo", "fit_sizes"): st.just([]) | st.tuples(
+        st.lists(st.integers(100, 400_000), max_size=2),
+        st.integers(max_value=99)).map(lambda t: t[0] + [t[1]]),
+    ("demo", "oracle_samples"): st.integers(max_value=9_999),
+    ("demo", "confidence"): NOT_POSITIVE_FLOAT | st.floats(
+        min_value=1.0, **FINITE),
+    ("demo", "path_amplitudes"): st.lists(
+        st.just(0.0), max_size=7) | st.tuples(
+        st.lists(st.floats(0.0, 2.0), max_size=3),
+        st.floats(max_value=0.0, exclude_max=True, **FINITE)).map(
+        lambda t: t[0] + [t[1]]),
 }
+
+
+def no_draws(monkeypatch):
+    """Make every power draw of the pipelines and the demo fail the test."""
+    import statmap.harness as harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a power sample was drawn")
+
+    monkeypatch.setattr(harness, "draw_power_samples", refuse)
+    monkeypatch.setattr(harness, "multipath_power_samples", refuse)
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_fuzz_out_of_range_config_value_exits_2(tmp_path, data):
-    # refused with one line before any user is simulated
+def test_fuzz_out_of_range_config_value_exits_2(tmp_path, monkeypatch, data):
+    # refused with one line before any power sample is drawn
+    no_draws(monkeypatch)
     section, key = data.draw(st.sampled_from(sorted(OUT_OF_RANGE)))
-    doc = json.loads(json.dumps(CHART_CONFIG))
-    doc["pointprocess"] = {"parent_intensity": 5e-4,
-                           "mean_cluster_size": 25.0, "offspring_std": 8.0}
+    if section == "demo":
+        command, doc = "mismatch-demo", json.loads(json.dumps(DEMO_CONFIG))
+    else:
+        command, doc = "simulate", json.loads(json.dumps(CHART_CONFIG))
+        doc["pointprocess"] = {"parent_intensity": 5e-4,
+                               "mean_cluster_size": 25.0,
+                               "offspring_std": 8.0}
     doc[section][key] = data.draw(OUT_OF_RANGE[section, key])
     out = tmp_path / "out"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        assert run("simulate", write_config(tmp_path, doc), out) == 2
+        assert run(command, write_config(tmp_path, doc), out) == 2
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("configuration error:")
-    assert not (out / "dataset.jsonl").exists()
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("section, key, value", [
     ("chart", "hidden", [0]),
     ("chart", "epochs", 0),
     ("chart", "margin", -1.0),
-    # no longer a setting: refused as an unknown key, still before any work
+    # no longer settings: refused as unknown keys, still before any work
     ("experiment", "n_mc_outage", -5),
+    ("experiment", "oracle_n", 10 ** 12),
     # a draw buffer of 10^12 x 7 paths: refused without allocating it
     ("experiment", "samples_per_user", 10 ** 12),
-    ("experiment", "oracle_n", 10 ** 12),
+    # 10^8 Monte-Carlo oracle draws, over the buffer limit at 7 paths
+    ("experiment", "epsilon", 1e-6),
+    # each was a traceback, the confidence one only after the demo's oracle
+    ("demo", "fit_sizes", [50]),
+    ("demo", "fit_sizes", [0]),
+    ("demo", "fit_sizes", [-5]),
+    ("demo", "confidence", 1.5),
+    ("demo", "path_amplitudes", [0, 0]),
 ])
 def test_exit_2_out_of_range_before_any_work(tmp_path, capsys, monkeypatch,
                                              section, key, value):
-    import statmap.harness as harness
-
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("a user was simulated")
-
-    monkeypatch.setattr(harness, "draw_power_samples", no_simulation)
-    doc = json.loads(json.dumps(CHART_CONFIG))
+    no_draws(monkeypatch)
+    if section == "demo":
+        command, doc = "mismatch-demo", json.loads(json.dumps(DEMO_CONFIG))
+    else:
+        command, doc = "evaluate", json.loads(json.dumps(CHART_CONFIG))
     doc[section][key] = value
     out = tmp_path / "out"
-    assert run("evaluate", write_config(tmp_path, doc), out) == 2
+    assert run(command, write_config(tmp_path, doc), out) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and key in err
     assert len(err.splitlines()) == 1
-    assert not (out / "report_rows.csv").exists()
+    assert os.listdir(out) == []
 
 
 def test_exit_2_invalid_epsilon(tmp_path):
@@ -480,6 +514,15 @@ def zero_csi(row):
         row["csi"][part] = [[0.0] * len(r) for r in row["csi"][part]]
 
 
+def fold_power_samples(row):
+    half = len(row["power_samples"]) // 2
+    row["power_samples"] = [row["power_samples"][:half],
+                            row["power_samples"][half:2 * half]]
+
+
+NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
+
+
 @pytest.mark.parametrize("command,doc,lineno,edit,message", [
     ("fit-map", BASE_CONFIG, 2, set_value(("power_samples", 3), -1.0),
      "power samples must be finite and nonnegative"),
@@ -495,8 +538,24 @@ def zero_csi(row):
     # not broadcast into a 4-antenna snapshot
     ("train-chart", CHART_CONFIG, 2, set_value(("csi", "im"), [[0.5] * 16]),
      "CSI must be one antennas x subcarriers matrix in both re and im"),
+    # each was a traceback (exit 1) from fitting or stacking
+    ("fit-map", BASE_CONFIG, 3, set_value(("power_samples",), []),
+     NOT_A_SAMPLE_LIST),
+    ("train-chart", CHART_CONFIG, 3, set_value(("power_samples",), []),
+     NOT_A_SAMPLE_LIST),
+    ("train-chart", CHART_CONFIG, 4, fold_power_samples, NOT_A_SAMPLE_LIST),
+    # silently flattened into one user's samples
+    ("fit-map", BASE_CONFIG, 4, fold_power_samples, NOT_A_SAMPLE_LIST),
+    # a numerical failure (exit 3) from too few samples for epsilon
+    ("fit-map", BASE_CONFIG, 2, set_value(("power_samples",), 1.5),
+     NOT_A_SAMPLE_LIST),
+    # refused by Location, but without the file and line
+    ("fit-map", BASE_CONFIG, 2, set_value(("z",), -1.0),
+     "location height must be >= 0, got -1.0"),
 ], ids=["negative-power", "nan-power", "nan-csi", "csi-cut-to-3-of-4-antennas",
-        "all-zero-csi", "csi-im-of-1-antenna"])
+        "all-zero-csi", "csi-im-of-1-antenna", "empty-power-fit-map",
+        "empty-power-train-chart", "2d-power-train-chart", "2d-power-fit-map",
+        "scalar-power", "negative-z"])
 def test_exit_2_malformed_dataset_record(tmp_path, capsys, command, doc,
                                          lineno, edit, message):
     # json writes and reads NaN, so only the loader can refuse it
@@ -544,7 +603,6 @@ def test_exit_3_numerical_failure(tmp_path):
     doc["dataset"] = str(out / "dataset.jsonl")
     doc["experiment"]["epsilon"] = 0.002  # 300 samples cannot support this
     doc["experiment"]["samples_per_user"] = 10_000  # config itself is valid
-    doc["experiment"]["oracle_n"] = 50_000
     cfg2 = write_config(tmp_path, doc, "cfg2.json")
     assert run("fit-map", cfg2, out) == 3
 

@@ -2,6 +2,7 @@
 multivariate-normal oracle, hyperparameter fitting, posterior predictions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +19,17 @@ from statmap.gpmap import (
     default_bounds,
     fit,
     kernel_matrix,
-    log_marginal_likelihood,
     predict,
     predict_batch,
 )
 
 HYPER = Hyperparams(prior_mean=0.0, signal_var=1.0, length_scale=1.0,
                     noise_var=0.0)
+
+
+def map_lml(hyper, train):
+    """The LML that build_map reads off its own Cholesky factor."""
+    return build_map(train, hyper).diagnostics.log_marginal_likelihood
 
 
 def random_train(n, rng, noise=0.1):
@@ -37,8 +42,8 @@ def random_train(n, rng, noise=0.1):
 
 def pair_covariance(x, x_prime, hyper):
     """Covariance of two 2-D points, read off a noise-free kernel matrix."""
-    return kernel_matrix(np.array([x, x_prime], dtype=float), hyper,
-                         with_nugget=False)[0, 1]
+    return kernel_matrix(np.array([x, x_prime], dtype=float),
+                         replace(hyper, noise_var=0.0))[0, 1]
 
 
 def se_covariance(d2, hyper):
@@ -67,7 +72,7 @@ def test_kernel_matrix_nugget_on_diagonal_only():
     k = kernel_matrix(coords, h)
     assert k[0, 0] == pytest.approx(2.3)
     assert k[0, 1] == pytest.approx(se_covariance(1.0, h))
-    assert kernel_matrix(coords, h, with_nugget=False)[0, 0] == 2.0
+    assert kernel_matrix(coords, replace(h, noise_var=0.0))[0, 0] == 2.0
 
 
 @pytest.mark.parametrize("n", [3, 50, 1000])
@@ -80,7 +85,8 @@ def test_kernel_matrix_bytes_match_broadcast_formula(n):
     diff = coords[:, None, :] - coords[None, :, :]
     old = h.signal_var * np.exp(
         -np.sum(diff * diff, axis=-1) / (2.0 * h.length_scale ** 2))
-    assert kernel_matrix(coords, h, with_nugget=False).tobytes() == old.tobytes()
+    assert kernel_matrix(coords, replace(h, noise_var=0.0)).tobytes() == \
+        old.tobytes()
     old[np.diag_indices_from(old)] += h.noise_var
     assert kernel_matrix(coords, h).tobytes() == old.tobytes()
 
@@ -104,7 +110,7 @@ def test_lml_single_gaussian_closed_form():
     y = 1.3
     train = TrainingSet.new([[0.0, 0.0], [1e9, 1e9]], [y, 0.0])
     v = 0.9
-    got = log_marginal_likelihood(h, train)
+    got = map_lml(h, train)
     want = (-0.5 * (y * y / v + math.log(2 * math.pi * v))
             - 0.5 * math.log(2 * math.pi * v))  # second point has target 0
     assert got == pytest.approx(want, abs=1e-9)
@@ -116,8 +122,8 @@ def test_lml_shift_invariance():
     h1 = Hyperparams(0.3, 1.0, 2.0, 0.1)
     h2 = Hyperparams(0.3 + 5.0, 1.0, 2.0, 0.1)
     shifted = TrainingSet.new(train.coords, train.targets + 5.0)
-    assert log_marginal_likelihood(h1, train) == pytest.approx(
-        log_marginal_likelihood(h2, shifted), abs=1e-9)
+    assert map_lml(h1, train) == pytest.approx(
+        map_lml(h2, shifted), abs=1e-9)
 
 
 def dense_mvn_logpdf(hyper, train):
@@ -136,7 +142,7 @@ def test_lml_matches_dense_oracle_three_points():
         train, _ = random_train(3, rng)
         h = Hyperparams(float(rng.normal()), float(rng.uniform(0.5, 2.0)),
                         float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.01, 0.5)))
-        assert log_marginal_likelihood(h, train) == pytest.approx(
+        assert map_lml(h, train) == pytest.approx(
             dense_mvn_logpdf(h, train), abs=1e-8)
 
 
@@ -144,7 +150,7 @@ def test_lml_rejects_duplicates_without_nugget():
     train = TrainingSet.new([[0.0, 0.0], [0.0, 0.0]], [1.0, 2.0])
     h = Hyperparams(0.0, 1.0, 1.0, 0.0)
     with pytest.raises(ConfigurationError):
-        log_marginal_likelihood(h, train)
+        map_lml(h, train)
 
 
 def test_cholesky_failure_raises_ill_conditioned(monkeypatch):
@@ -154,7 +160,7 @@ def test_cholesky_failure_raises_ill_conditioned(monkeypatch):
     monkeypatch.setattr(gm, "cholesky", boom)
     train = TrainingSet.new([[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0])
     with pytest.raises(IllConditionedError) as exc:
-        log_marginal_likelihood(Hyperparams(0.0, 2.0, 1.0, 0.1), train)
+        map_lml(Hyperparams(0.0, 2.0, 1.0, 0.1), train)
     assert "2" in str(exc.value)  # names the offending hyperparameters
 
 
@@ -205,7 +211,7 @@ def test_fit_never_below_init():
                        noise_var=0.2)
     fmap = fit(train, init=init, restarts=2, seed=0)
     assert fmap.diagnostics.log_marginal_likelihood >= (
-        log_marginal_likelihood(init, train) - 1e-9)
+        map_lml(init, train) - 1e-9)
 
 
 def test_fit_deterministic():
@@ -243,7 +249,7 @@ def test_lml_gradient_matches_central_differences(n, where):
         theta[1] = math.log(20.0)
     lml, mean, grad = gm._profiled_lml(theta, d2, train.targets)
     signal_var, length_scale, noise_var = np.exp(theta)
-    assert lml == pytest.approx(log_marginal_likelihood(
+    assert lml == pytest.approx(map_lml(
         Hyperparams(mean, signal_var, length_scale, noise_var), train),
         abs=1e-9)
     step = 1e-6
@@ -266,7 +272,7 @@ def test_fit_reaches_nelder_mead_optimum(seed):
                                         "noise_var")]
 
     def neg_lml(x):
-        return -log_marginal_likelihood(
+        return -map_lml(
             Hyperparams(x[0], *np.exp(x[1:])), train)
 
     oracle = minimize(neg_lml, np.r_[init.prior_mean, log_theta(init)],
@@ -314,7 +320,7 @@ def test_fit_backs_off_from_failed_factorizations(monkeypatch):
     assert failures
     assert 0.9 * cap < fmap.hyper.length_scale <= cap
     assert fmap.diagnostics.log_marginal_likelihood > (
-        log_marginal_likelihood(init, train) + 1.0)
+        map_lml(init, train) + 1.0)
 
 
 # ---------------------------------------------------------------- predict

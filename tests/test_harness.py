@@ -2,6 +2,7 @@
 pipeline determinism, and the mismatch demo at reduced scale."""
 
 import dataclasses
+import json
 import math
 import os
 import sys
@@ -13,7 +14,6 @@ import pytest
 from statmap.dataio import (
     Dataset,
     UserRecord,
-    load_chart,
     load_dataset,
     load_map,
     save_chart,
@@ -21,7 +21,7 @@ from statmap.dataio import (
     save_map,
 )
 from statmap import harness
-from statmap.chart import forward, init_chart_model
+from statmap.chart import ChartModel, forward, init_chart_model
 from statmap.errors import ConfigurationError, FitError, ParseError
 from statmap.gpmap import TrainingSet, fit, predict
 from statmap.harness import (
@@ -51,11 +51,11 @@ from statmap.stats import (
 
 SMALL = ExperimentConfig(n_train_users=120, samples_per_user=300,
                          epsilon=0.05, delta=0.05, n_test_users=150,
-                         oracle_n=2000, gp_restarts=1, seed=5)
+                         gp_restarts=1, seed=5)
 
 TINY_CHART = ExperimentConfig(
     n_train_users=60, samples_per_user=300, epsilon=0.05, delta=0.05,
-    n_test_users=60, oracle_n=2000, gp_restarts=1, seed=5,
+    n_test_users=60, gp_restarts=1, seed=5,
     chart=ChartTrainingConfig(csi_antennas=4, csi_subcarriers=16, s_red=8,
                               hidden=(32, 16), n_triplets=500, epochs=4,
                               batch_size=64))
@@ -198,22 +198,22 @@ def test_map_unknown_version(tmp_path):
 
 
 def test_chart_roundtrip(tmp_path):
+    # chart.json is written for inspection; no command reads it back
     model = init_chart_model(9, hidden=(12, 6), seed=4)
     path = tmp_path / "chart.json"
     save_chart(model, path)
-    back = load_chart(path)
-    assert back.layer_dims == model.layer_dims
-    for w1, w2 in zip(model.weights, back.weights):
-        np.testing.assert_array_equal(w1, w2)
+    doc = json.loads(path.read_text())
+    assert (doc["kind"], doc["version"]) == ("statmap-chart", 1)
+    assert doc["layer_dims"] == model.layer_dims == [9, 12, 6, 2]
+    back = ChartModel(weights=tuple(np.array(w) for w in doc["weights"]),
+                      biases=tuple(np.array(b) for b in doc["biases"]))
+    for saved, stored in ((model.weights, back.weights),
+                          (model.biases, back.biases)):
+        assert len(saved) == len(stored)
+        for a, b in zip(saved, stored):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape
     x = np.random.default_rng(0).normal(size=9)
     np.testing.assert_array_equal(forward(model, x), forward(back, x))
-
-
-def test_chart_file_garbage(tmp_path):
-    path = tmp_path / "chart.json"
-    path.write_text("{not json")
-    with pytest.raises(ParseError):
-        load_chart(path)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -255,22 +255,28 @@ def test_experiment_config_validation():
         ExperimentConfig(samples_per_user=10, epsilon=0.05)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(epsilon=2.0)
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(oracle_n=100, epsilon=0.01)
 
 
-@pytest.mark.parametrize("name", ["samples_per_user", "oracle_n"])
-def test_experiment_config_bounds_the_draw_buffer(name):
+MOST_DRAWS = harness.MAX_DRAW_BUFFER_BYTES // (7 * 16)
+
+
+@pytest.mark.parametrize("name, fits, too_many, huge", [
+    ("samples_per_user", MOST_DRAWS, MOST_DRAWS + 1, 10 ** 12),
+    # the oracle's Monte-Carlo fallback draws ceil(100 / epsilon) samples
+    ("epsilon", 100 / (MOST_DRAWS - 0.5), 100 / (MOST_DRAWS + 0.5), 1e-12),
+], ids=["samples_per_user", "epsilon"])
+def test_experiment_config_bounds_the_draw_buffer(name, fits, too_many, huge):
     # n x num_paths complex path entries may fill at most
-    # MAX_DRAW_BUFFER_BYTES; a larger value is refused without allocating it
-    most = harness.MAX_DRAW_BUFFER_BYTES // (7 * 16)
-    ExperimentConfig(**{name: most})
-    with pytest.raises(ConfigurationError, match=f"{name} may be at most"):
-        ExperimentConfig(**{name: most + 1})
+    # MAX_DRAW_BUFFER_BYTES; a larger n is refused without allocating it
+    ExperimentConfig(**{"samples_per_user": MOST_DRAWS, name: fits})
+    with pytest.raises(ConfigurationError,
+                       match=f"^{name}=.* needs more draws than the "
+                       f"{MOST_DRAWS} "):
+        ExperimentConfig(**{name: too_many})
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigurationError, match=str(10 ** 12)):
-            ExperimentConfig(**{name: 10 ** 12})
+        with pytest.raises(ConfigurationError, match=f"^{name}={huge} needs"):
+            ExperimentConfig(**{name: huge})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -355,7 +361,6 @@ def test_threaded_oracle_matches_serial_loop():
         loc = Location(m.x, m.y, THREADED.scenario.user_height)
         true_c, outages = true_outage_capacity(
             scenario, loc, THREADED.epsilon, (m.rate, b.rate),
-            THREADED.oracle_n, math.ceil(100 / THREADED.epsilon),
             derive_seed(seed, "oracle", user),
             derive_seed(seed, "outage", user))
         assert m.true_ceps == b.true_ceps == true_c
@@ -365,12 +370,11 @@ def test_threaded_oracle_matches_serial_loop():
 def test_oracle_error_in_a_worker_names_the_stage(monkeypatch):
     failing_seed = derive_seed(THREADED.seed, "oracle", 7)
 
-    def oracle(scenario, loc, epsilon, rates, oracle_n, n_mc, oracle_seed,
-               outage_seed):
+    def oracle(scenario, loc, epsilon, rates, oracle_seed, outage_seed):
         if oracle_seed == failing_seed:
             raise FitError("oracle failed")
-        return true_outage_capacity(scenario, loc, epsilon, rates, oracle_n,
-                                    n_mc, oracle_seed, outage_seed)
+        return true_outage_capacity(scenario, loc, epsilon, rates,
+                                    oracle_seed, outage_seed)
 
     monkeypatch.setattr(harness, "true_outage_capacity", oracle)
     with pytest.raises(FitError,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from statmap.errors import ConfigurationError, InsufficientSamplesError
+from statmap.errors import ConfigurationError
 from statmap.harness import DEMO_AMPLITUDES
 from statmap.propagation import (
     KLUYVER_CONVERGENCE_TOL,
@@ -50,9 +50,22 @@ def path_power_sum(s):
     return float(np.sum(s.path_amplitudes(LOC.as_array()) ** 2))
 
 
-def oracle_capacity(s, eps, oracle_n, seed):
+def oracle_capacity(s, eps, seed):
     """The oracle's eps-outage capacity at LOC, with no rates to measure."""
-    return true_outage_capacity(s, LOC, eps, (), oracle_n, 1, seed, 0)[0]
+    return true_outage_capacity(s, LOC, eps, (), seed, 0)[0]
+
+
+def mc_truth(s, loc, eps, rates, oracle_n, n_mc, oracle_seed, outage_seed):
+    """The Monte-Carlo oracle written out: eps-quantile of oracle_n capacity
+    draws, outage as the fraction of n_mc draws below each rate."""
+    noise = s.config.noise_power
+    oracle = capacity_from_power(
+        draw_power_samples(s, loc, oracle_n, oracle_seed), noise)
+    true_c = empirical_quantile(EmpiricalDistribution.from_samples(oracle), eps)
+    caps = capacity_from_power(draw_power_samples(s, loc, n_mc, outage_seed),
+                               noise)
+    return true_c, [float(np.count_nonzero(caps < r)) / caps.size
+                    for r in rates]
 
 
 # ---------------------------------------------------------------- config
@@ -278,8 +291,7 @@ def test_location_outside_cell_rejected():
     with pytest.raises(ValueError):
         draw_power_samples(s, Location(500.0, 0.0, 1.5), 4, sample_seed=0)
     with pytest.raises(ValueError, match="outside the cell"):   # exact oracle
-        true_outage_capacity(s, Location(500.0, 0.0, 1.5), 0.01, (), 10_000,
-                             1, 0, 0)
+        true_outage_capacity(s, Location(500.0, 0.0, 1.5), 0.01, (), 0, 0)
 
 
 # ---------------------------------------------------------------- CSI
@@ -321,21 +333,22 @@ def test_true_outage_capacity_deterministic_channel():
     a1 = s.path_amplitudes(LOC.as_array())[0, 0]
     s_unit = band_variant(s, noise_power=float(a1 * a1))  # SNR exactly 1
     for eps in (0.001, 0.01, 0.2):
-        c = oracle_capacity(s_unit, eps, oracle_n=200_000, seed=0)
+        # one path fails the quadrature's convergence test: Monte Carlo
+        assert _exact_outage_capacity(s_unit, LOC, eps, ()) is None
+        c = oracle_capacity(s_unit, eps, seed=0)
+        assert c == pytest.approx(1.0, abs=1e-12)
+        c = mc_truth(s_unit, LOC, eps, (), 200_000, 1, 0, 0)[0]
         assert c == pytest.approx(1.0, abs=1e-12)
 
 
 def test_true_outage_capacity_monotone_in_epsilon():
     s = make_scenario(seed=13)
-    c1 = oracle_capacity(s, 0.01, oracle_n=100_000, seed=5)
-    c2 = oracle_capacity(s, 0.05, oracle_n=100_000, seed=5)
+    c1 = oracle_capacity(s, 0.01, seed=5)
+    c2 = oracle_capacity(s, 0.05, seed=5)
     assert c1 <= c2
-
-
-def test_true_outage_capacity_rejects_small_oracle():
-    s = make_scenario(seed=13)
-    with pytest.raises(InsufficientSamplesError):
-        oracle_capacity(s, 0.001, oracle_n=50_000, seed=0)
+    c1 = mc_truth(s, LOC, 0.01, (), 100_000, 1, 5, 0)[0]
+    c2 = mc_truth(s, LOC, 0.05, (), 100_000, 1, 5, 0)[0]
+    assert c1 <= c2
 
 
 def test_rayleigh_limit_many_equal_paths():
@@ -346,7 +359,9 @@ def test_rayleigh_limit_many_equal_paths():
     snr_mean = path_power_sum(s) / s.config.noise_power
     eps = 1e-2
     want = math.log2(1.0 + snr_mean * (-math.log1p(-eps)))
-    got = oracle_capacity(s, eps, oracle_n=200_000, seed=3)
+    got = oracle_capacity(s, eps, seed=3)
+    assert got == pytest.approx(want, rel=0.05)
+    got = mc_truth(s, LOC, eps, (), 200_000, 1, 3, 0)[0]
     assert got == pytest.approx(want, rel=0.05)
 
 
@@ -354,19 +369,22 @@ def test_true_outage_capacity_outage_edges():
     s = make_scenario(seed=15)
     a = s.path_amplitudes(LOC.as_array())[0]
     max_rate = math.log2(1.0 + float(np.sum(a)) ** 2 / s.config.noise_power)
-    _, outages = true_outage_capacity(s, LOC, 0.1, (0.0, max_rate + 1.0),
-                                      1000, 1000, 0, 0)
-    assert outages == [0.0, 1.0]
+    rates = (0.0, max_rate + 1.0)
+    assert true_outage_capacity(s, LOC, 0.1, rates, 0, 0)[1] == [0.0, 1.0]
+    assert mc_truth(s, LOC, 0.1, rates, 1000, 1000, 0, 0)[1] == [0.0, 1.0]
 
 
 def test_true_outage_capacity_outage_at_capacity():
     s = make_scenario(seed=16)
     eps = 1e-2
-    c = oracle_capacity(s, eps, oracle_n=1_000_000, seed=21)
-    again, (out,) = true_outage_capacity(s, LOC, eps, (c,), 1_000_000,
-                                         1_000_000, 21, 22)
-    assert again == c
     ci = 2.576 * math.sqrt(eps * (1 - eps) / 1_000_000)
+    c = oracle_capacity(s, eps, seed=21)
+    again, (out,) = true_outage_capacity(s, LOC, eps, (c,), 21, 22)
+    assert again == c
+    assert abs(out - eps) < ci
+    c = mc_truth(s, LOC, eps, (), 1_000_000, 1, 21, 0)[0]
+    again, (out,) = mc_truth(s, LOC, eps, (c,), 1_000_000, 1_000_000, 21, 22)
+    assert again == c
     assert abs(out - eps) < ci
 
 
@@ -390,19 +408,6 @@ def amplitude_cases():
     cases.append(pytest.param(demo, lambda n: np.sqrt(multipath_power_samples(
         demo, n, np.random.default_rng(32))), id="demo"))
     return cases
-
-
-def mc_truth(s, loc, eps, rates, oracle_n, n_mc, oracle_seed, outage_seed):
-    """The Monte-Carlo oracle written out: eps-quantile of oracle_n capacity
-    draws, outage as the fraction of n_mc draws below each rate."""
-    noise = s.config.noise_power
-    oracle = capacity_from_power(
-        draw_power_samples(s, loc, oracle_n, oracle_seed), noise)
-    true_c = empirical_quantile(EmpiricalDistribution.from_samples(oracle), eps)
-    caps = capacity_from_power(draw_power_samples(s, loc, n_mc, outage_seed),
-                               noise)
-    return true_c, [float(np.count_nonzero(caps < r)) / caps.size
-                    for r in rates]
 
 
 @pytest.mark.parametrize("amplitudes, draw", amplitude_cases())
@@ -501,10 +506,9 @@ def test_convergence_test_admits_only_accurate_two_path_quantiles(ratio):
 def test_exact_outage_at_exact_capacity_is_epsilon(loc):
     s = make_scenario(seed=1)
     for eps in LEVELS:
-        c, _ = true_outage_capacity(s, loc, eps, (), 100_000, 1, 0, 0)
+        c, _ = true_outage_capacity(s, loc, eps, (), 0, 0)
         assert (c, []) == _exact_outage_capacity(s, loc, eps, ())
-        again, (out,) = true_outage_capacity(s, loc, eps, (c,), 100_000, 1,
-                                             0, 0)
+        again, (out,) = true_outage_capacity(s, loc, eps, (c,), 0, 0)
         assert again == c
         assert abs(out - eps) <= 2.0 * KLUYVER_ROOT_TOL * eps
 
@@ -518,8 +522,9 @@ def test_two_path_and_mrc_fall_back_to_monte_carlo_bit_for_bit(overrides, eps):
     s = make_scenario(seed=16, **overrides)
     if s.config.num_antennas == 1:
         assert _exact_outage_capacity(s, LOC, eps, ()) is None
-    args = (s, LOC, eps, (1.0, 3.0, 6.0), int(200 / eps), 5000, 21, 22)
-    assert true_outage_capacity(*args) == mc_truth(*args)
+    rates, n = (1.0, 3.0, 6.0), math.ceil(100 / eps)
+    assert true_outage_capacity(s, LOC, eps, rates, 21, 22) == mc_truth(
+        s, LOC, eps, rates, n, n, 21, 22)
 
 
 # ---------------------------------------------------------------- invariants
