@@ -23,6 +23,7 @@ import numpy as np
 from .dataio import (
     load_dataset,
     load_map,
+    read_text,
     save_chart,
     save_dataset,
     save_map,
@@ -110,8 +111,7 @@ def _section(doc: dict, name: str) -> dict:
 
 def _load_config(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(read_text(path))
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -158,7 +158,12 @@ def _experiment_config(doc: dict, seed: int,
 
 
 def _dataset_path(doc: dict, out_dir: str) -> str:
-    return doc.get("dataset", os.path.join(out_dir, "dataset.jsonl"))
+    # an integer would reach open() as a file descriptor (0 is stdin)
+    path = doc.get("dataset", os.path.join(out_dir, "dataset.jsonl"))
+    if not isinstance(path, str):
+        raise ConfigurationError(
+            f"dataset must be a path string, got {path!r}")
+    return path
 
 
 def cmd_simulate(doc, seed, out_dir, full):

@@ -2,16 +2,20 @@
 maps and chart models, and CSV report tables.
 
 All writers are deterministic (sorted keys, compact separators, repr-exact
-floats), so identical inputs produce byte-identical files. Loaders raise
-ParseError with file/line/field context on malformed input, and refuse
-unknown schema versions explicitly.
+floats), so identical inputs produce byte-identical files, and all of them
+go through write_text. Loaders raise ParseError with file/line/field context
+on malformed input, bytes that are not UTF-8 included, and refuse unknown
+schema versions explicitly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +41,9 @@ __all__ = [
     "load_map",
     "save_chart",
     "write_csv",
+    "write_json",
+    "write_text",
+    "read_text",
     "kernel_checksum",
 ]
 
@@ -67,27 +74,65 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def write_text(path, chunks) -> None:
+    """Writes the str chunks to path as UTF-8, rewriting the file in place.
+
+    The file is opened like open(path, "w") but without O_TRUNC, and cut at
+    the final position afterwards, also when a chunk raises: it then holds
+    the new prefix alone, never new bytes followed by an old tail. On ext4,
+    truncating on open makes the rewrite wait for the writeback of the old
+    contents (tens of ms); cutting at the end does not. Symlinks and hard
+    links are written through, nothing is fsynced, and a device or pipe,
+    which has no tail, is not cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        try:
+            fh.writelines(chunks)
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
+def write_json(path, doc) -> None:
+    """One deterministic JSON document on one line."""
+    write_text(path, [_dump(doc) + "\n"])
+
+
+def read_text(path) -> str:
+    """The whole file as text; bytes that are not UTF-8 are a ParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8 ({exc.reason})", path=path,
+                         line=data.count(b"\n", 0, exc.start) + 1) from exc
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """One JSON object per user: {user_id, x, y, z, power_samples, csi?}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump({"kind": "statmap-dataset",
-                        "version": DATASET_VERSION}) + "\n")
-        for rec in dataset.records:
-            row = {"user_id": rec.user_id,
-                   "power_samples": [float(p) for p in rec.power_samples]}
-            if rec.location is not None:
-                row["x"] = rec.location.x
-                row["y"] = rec.location.y
-                row["z"] = rec.location.z
-            if rec.csi is not None:
-                row["csi"] = {"re": rec.csi.real.tolist(),
-                              "im": rec.csi.imag.tolist()}
-            fh.write(_dump(row) + "\n")
+    header = {"kind": "statmap-dataset", "version": DATASET_VERSION}
+    rows = itertools.chain([header], map(_dataset_row, dataset.records))
+    write_text(path, (_dump(row) + "\n" for row in rows))
+
+
+def _dataset_row(rec: UserRecord) -> dict:
+    row = {"user_id": rec.user_id,
+           "power_samples": rec.power_samples.tolist()}
+    if rec.location is not None:
+        row["x"] = rec.location.x
+        row["y"] = rec.location.y
+        row["z"] = rec.location.z
+    if rec.csi is not None:
+        row["csi"] = {"re": rec.csi.real.tolist(),
+                      "im": rec.csi.imag.tolist()}
+    return row
 
 
 def load_dataset(path) -> Dataset:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError("empty dataset file", path=path)
@@ -155,8 +200,7 @@ def save_map(fmap: FittedMap, path) -> None:
         "diagnostics": dataclasses.asdict(fmap.diagnostics),
         "kernel_checksum": kernel_checksum(fmap.train, fmap.hyper),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(doc) + "\n")
+    write_json(path, doc)
 
 
 def load_map(path) -> FittedMap:
@@ -190,16 +234,14 @@ def save_chart(model: ChartModel, path) -> None:
         "weights": [w.tolist() for w in model.weights],  # row-major per layer
         "biases": [b.tolist() for b in model.biases],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(doc) + "\n")
+    write_json(path, doc)
 
 
 def write_csv(path, header: list, rows) -> None:
     """Plain CSV with repr-exact floats (lossless, deterministic)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_text(path, itertools.chain(
+        [",".join(header) + "\n"],
+        (",".join(_fmt(v) for v in row) + "\n" for row in rows)))
 
 
 def _fmt(v) -> str:
@@ -212,9 +254,14 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _parse_json_line(line: str, path, lineno: int):
+def _parse_json_line(line: bytes, path, lineno: int):
     try:
-        return json.loads(line)
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"bad dataset record: invalid UTF-8 ({exc.reason})",
+                         path=path, line=lineno) from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path,
                          line=lineno) from exc
@@ -230,8 +277,7 @@ def _check_header(header, kind: str, version: int, path):
 
 
 def _load_json_doc(path, kind: str, version: int):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

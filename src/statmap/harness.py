@@ -10,7 +10,6 @@ reported on stdout only, never inside output files.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import chart as chart_mod
 from .chart import ChartModel
-from .dataio import Dataset, UserRecord, write_csv
+from .dataio import Dataset, UserRecord, write_csv, write_json
 from .errors import ConfigurationError
 from .gpmap import FittedMap, TrainingSet, fit as gp_fit, predict_batch
 from .propagation import (
@@ -488,12 +487,10 @@ def write_report(report: ExperimentReport, out_dir) -> list:
                         for v, c in report.outage_cdf_table(policy))
     write_csv(cdf_path, ["policy", "outage_prob", "cdf"], cdf_rows)
     meta_path = os.path.join(out_dir, "report_meta.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(
-            {"mode": report.mode, "epsilon": report.epsilon,
-             "delta": report.delta, "seed": report.seed,
-             "n_rows": len(report.rows), "config": report.config_echo},
-            sort_keys=True, separators=(",", ":")) + "\n")
+    write_json(meta_path,
+               {"mode": report.mode, "epsilon": report.epsilon,
+                "delta": report.delta, "seed": report.seed,
+                "n_rows": len(report.rows), "config": report.config_echo})
     return [rows_path, agg_path, cdf_path, meta_path]
 
 

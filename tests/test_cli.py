@@ -196,10 +196,17 @@ def test_exit_2_missing_config(tmp_path):
     assert run("simulate", str(tmp_path / "nope.json"), tmp_path) == 2
 
 
-def test_exit_2_bad_json(tmp_path):
+def test_exit_2_bad_json(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{broken")
     assert run("simulate", str(cfg), tmp_path) == 2
+    # a byte that is not UTF-8 was a UnicodeDecodeError traceback (exit 1)
+    cfg.write_bytes(b'{"seed": 1,\n "mode": "\xff"}')
+    capsys.readouterr()
+    assert run("simulate", str(cfg), tmp_path) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: invalid UTF-8 (invalid start byte); "
+        f"file={cfg}; line=2\n")
 
 
 def test_exit_2_unknown_key(tmp_path, capsys):
@@ -552,10 +559,16 @@ NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
     # refused by Location, but without the file and line
     ("fit-map", BASE_CONFIG, 2, set_value(("z",), -1.0),
      "location height must be >= 0, got -1.0"),
+    # a 0xff byte (written through surrogateescape) was a UnicodeDecodeError
+    # traceback (exit 1)
+    ("fit-map", BASE_CONFIG, 3, set_value(("note",), "\udcff"),
+     "invalid UTF-8 (invalid start byte)"),
+    ("train-chart", CHART_CONFIG, 1, set_value(("kind",), "\udcff"),
+     "invalid UTF-8 (invalid start byte)"),
 ], ids=["negative-power", "nan-power", "nan-csi", "csi-cut-to-3-of-4-antennas",
         "all-zero-csi", "csi-im-of-1-antenna", "empty-power-fit-map",
         "empty-power-train-chart", "2d-power-train-chart", "2d-power-fit-map",
-        "scalar-power", "negative-z"])
+        "scalar-power", "negative-z", "non-utf8-record", "non-utf8-header"])
 def test_exit_2_malformed_dataset_record(tmp_path, capsys, command, doc,
                                          lineno, edit, message):
     # json writes and reads NaN, so only the loader can refuse it
@@ -567,8 +580,9 @@ def test_exit_2_malformed_dataset_record(tmp_path, capsys, command, doc,
     lines = dataset.read_text().splitlines()
     row = json.loads(lines[lineno - 1])
     edit(row)
-    lines[lineno - 1] = json.dumps(row)
-    dataset.write_text("\n".join(lines) + "\n")
+    lines[lineno - 1] = json.dumps(row, ensure_ascii=False)
+    dataset.write_bytes(
+        ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     cfg = write_config(tmp_path, dict(doc, dataset=str(dataset)), "cfg2.json")
     assert run(command, cfg, out) == 2
@@ -579,7 +593,7 @@ def test_exit_2_malformed_dataset_record(tmp_path, capsys, command, doc,
     assert sorted(os.listdir(out)) == ["dataset.jsonl"]
 
 
-def test_exit_2_corrupt_map(tmp_path):
+def test_exit_2_corrupt_map(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"
     assert run("simulate", cfg, out) == 0
@@ -592,6 +606,14 @@ def test_exit_2_corrupt_map(tmp_path):
                                   "delta": 0.05, "queries": [[0.0, 0.0]]})
     cfg3 = write_config(tmp_path, doc3, "cfg3.json")
     assert run("select-rate", cfg3, out) == 2
+    # a byte that is not UTF-8 was a UnicodeDecodeError traceback (exit 1)
+    (out / "map.json").write_bytes(text.encode().replace(b'"', b"\xff", 1))
+    capsys.readouterr()
+    assert run("select-rate", cfg3, out) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: invalid UTF-8 (invalid start byte); "
+        f"file={out / 'map.json'}; line=1\n")
+    assert not (out / "rates.csv").exists()
 
 
 def test_exit_3_numerical_failure(tmp_path):
@@ -714,6 +736,28 @@ def test_exit_2_map_not_a_path(tmp_path, capsys, monkeypatch, map_value):
     assert not (out / "rates.csv").exists()
     err = capsys.readouterr().err
     assert "select_rate.map" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("dataset", [0, 5.5, None, True, ["d.jsonl"]])
+@pytest.mark.parametrize("command", ["fit-map", "train-chart"])
+def test_exit_2_dataset_not_a_path(tmp_path, capsys, monkeypatch, command,
+                                   dataset):
+    # 0 read the dataset from stdin and closed it, 5.5 was a TypeError
+    # traceback (exit 1)
+    import statmap.cli as cli
+
+    def no_load(path):
+        raise AssertionError("a bad dataset must be refused before loading")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    doc = CHART_CONFIG if command == "train-chart" else BASE_CONFIG
+    cfg = write_config(tmp_path, dict(doc, dataset=dataset))
+    out = tmp_path / "out"
+    assert run(command, cfg, out) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: dataset must be a path string, "
+        f"got {dataset!r}\n")
+    assert os.listdir(out) == []
 
 
 def test_exit_2_non_finite_map_hyperparameter(tmp_path, capsys):
