@@ -78,10 +78,7 @@ def _build(cls, data: dict, context: str):
     """Strict dataclass construction: unknown keys and values of the wrong
     kind are config errors."""
     hints = typing.get_type_hints(cls)
-    unknown = set(data) - set(hints)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) {sorted(unknown)} in '{context}' section")
+    _refuse_unknown_keys(data, hints, context)
     for key, value in data.items():
         if not _has_kind(value, hints[key]):
             kind = getattr(hints[key], "__name__", hints[key])
@@ -92,6 +89,19 @@ def _build(cls, data: dict, context: str):
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad value in '{context}' section: {exc}")
+
+
+def _refuse_unknown_keys(data: dict, known, context: str) -> None:
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key(s) {sorted(unknown)} in '{context}' section")
+
+
+def _is_point(value, dims: int) -> bool:
+    """Whether a config value is a list of dims finite numbers."""
+    return (isinstance(value, list) and len(value) == dims
+            and all(_has_kind(v, float) for v in value))
 
 
 def _as_tuple(value, name: str) -> tuple:
@@ -123,8 +133,7 @@ def _scenario_config(doc: dict) -> ScenarioConfig:
     data = _section(doc, "scenario")
     if "bs_location" in data:
         xyz = data["bs_location"]
-        if not (isinstance(xyz, list) and len(xyz) == 3
-                and all(_has_kind(v, float) for v in xyz)):
+        if not _is_point(xyz, 3):
             raise ConfigurationError(
                 f"scenario.bs_location must be [x, y, z], got {xyz!r}")
         data["bs_location"] = Location(*xyz)
@@ -201,23 +210,27 @@ def cmd_train_chart(doc, seed, out_dir, full):
 
 
 def cmd_select_rate(doc, seed, out_dir, full):
-    section = doc.get("select_rate")
-    if not section:
+    if not doc.get("select_rate"):
         raise ConfigurationError("config needs a 'select_rate' section")
-    try:
-        map_path = section["map"]
-        delta = float(section["delta"])
-        queries = np.asarray(section["queries"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad select_rate section: {exc}")
+    section = _section(doc, "select_rate")
+    keys = ("map", "delta", "queries")
+    _refuse_unknown_keys(section, keys, "select_rate")
+    map_path, delta, queries = (section.get(key) for key in keys)
     if not isinstance(map_path, str):
         raise ConfigurationError(
             f"select_rate.map must be a path string, got {map_path!r}")
-    if not 0.0 < delta < 1.0:
+    if not (_has_kind(delta, float) and 0.0 < delta < 1.0):
         raise ConfigurationError(
-            f"select_rate.delta must lie in (0, 1), got {delta}")
-    if queries.ndim != 2 or queries.shape[1] != 2:
-        raise ConfigurationError("queries must be a list of [x, y] pairs")
+            f"select_rate.delta must be a number in (0, 1), got {delta!r}")
+    if not (isinstance(queries, list) and queries):
+        raise ConfigurationError(
+            f"select_rate.queries must be a non-empty list, got {queries!r}")
+    for query in queries:
+        if not _is_point(query, 2):
+            raise ConfigurationError(
+                "select_rate.queries must hold [x, y] pairs of finite "
+                f"numbers, got {query!r}")
+    queries = np.asarray(queries, dtype=float)
     fmap = load_map(map_path)
     rows = [(float(q[0]), float(q[1]), select_rate_map(pred, delta).rate,
              POLICY_MAP)

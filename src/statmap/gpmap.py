@@ -329,7 +329,8 @@ def build_map(train: TrainingSet, hyper: Hyperparams,
 
     ``k`` is ``kernel_matrix(train.coords, hyper)``, when the caller already
     holds it; the kernel is factored once and the log marginal likelihood
-    comes from that factor.
+    comes from that factor. The factor and the weight vector are read-only,
+    like the training arrays, so one map can be shared by many callers.
     """
     _validate_duplicates(train, hyper)
     if k is None:
@@ -337,6 +338,8 @@ def build_map(train: TrainingSet, hyper: Hyperparams,
     low, jit = _cholesky_with_jitter(k, hyper)
     r = train.targets - hyper.prior_mean
     alpha = cho_solve((low, True), r)
+    low.flags.writeable = False
+    alpha.flags.writeable = False
     return FittedMap(hyper=hyper, train=train, chol=low, alpha=alpha,
                      diagnostics=FitDiagnostics(_lml_from_factor(low, r, alpha),
                                                 0, 0, True, jit))

@@ -720,6 +720,62 @@ def test_exit_2_delta_outside_unit_interval(tmp_path, capsys, monkeypatch,
     assert "delta" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("key,value", [
+    ("bogus", 1),
+    ("delta", "0.01"),
+    ("queries", [[True, False]]),    # was served as (1, 0)
+    ("queries", [["1", "2"]]),
+])
+def test_exit_2_malformed_select_rate_value(tmp_path, capsys, monkeypatch,
+                                            key, value):
+    # each of these exited 0
+    import statmap.cli as cli
+
+    def no_load(path):
+        raise AssertionError("a bad request must be refused before load_map")
+
+    monkeypatch.setattr(cli, "load_map", no_load)
+    section = {"map": str(tmp_path / "map.json"), "delta": 0.05,
+               "queries": [[0.0, 0.0]], key: value}
+    cfg = write_config(tmp_path, {"select_rate": section})
+    out = tmp_path / "out"
+    assert run("select-rate", cfg, out) == 2
+    assert not (out / "rates.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key in err
+    assert len(err.splitlines()) == 1
+
+
+def test_select_rate_warm_request_matches_cold(tmp_path, capsys,
+                                               monkeypatch):
+    import statmap.dataio as dio
+
+    map_path = small_map(tmp_path)
+    cfg = select_rate_config(tmp_path, map_path,
+                             queries=[[0.0, 0.0], [4.0, -3.0], [25.0, 9.0]])
+    out = tmp_path / "out"
+    dio._map_from_bytes.cache_clear()
+    assert run("select-rate", cfg, out) == 0
+    cold = (out / "rates.csv").read_bytes()
+
+    def no_build(*args):
+        raise AssertionError("a warm request must not build the map again")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dio, "build_map", no_build)
+        assert run("select-rate", cfg, out) == 0
+    assert (out / "rates.csv").read_bytes() == cold
+    # a tampered coordinate after the warm request is still caught
+    doc = json.loads(map_path.read_text())
+    doc["coords"][0][0] += 1.0
+    map_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("select-rate", cfg, out) == 2
+    err = capsys.readouterr().err
+    assert "checksum mismatch" in err and len(err.splitlines()) == 1
+    assert (out / "rates.csv").read_bytes() == cold
+
+
 @pytest.mark.parametrize("map_value", [0, None, ["map.json"]])
 def test_exit_2_map_not_a_path(tmp_path, capsys, monkeypatch, map_value):
     # an integer would reach open() as a file descriptor (0 is stdin)

@@ -223,6 +223,17 @@ def test_fit_deterministic():
     np.testing.assert_array_equal(a.alpha, b.alpha)
 
 
+def test_fitted_map_arrays_are_read_only():
+    # load_map hands one map to every request for the same file bytes
+    rng = np.random.default_rng(7)
+    train, noise = random_train(20, rng)
+    for fmap in (build_map(train, replace(HYPER, noise_var=noise)),
+                 fit(train, restarts=1, seed=0)):
+        for array in (fmap.chol, fmap.alpha):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
 def log_theta(hyper):
     return np.log([hyper.signal_var, hyper.length_scale, hyper.noise_var])
 

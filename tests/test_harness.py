@@ -22,7 +22,12 @@ from statmap.dataio import (
 )
 from statmap import harness
 from statmap.chart import ChartModel, forward, init_chart_model
-from statmap.errors import ConfigurationError, FitError, ParseError
+from statmap.errors import (
+    ConfigurationError,
+    FitError,
+    IllConditionedError,
+    ParseError,
+)
 from statmap.gpmap import TrainingSet, fit, predict
 from statmap.harness import (
     ChartTrainingConfig,
@@ -137,6 +142,7 @@ def test_map_checksum_detects_tampering(tmp_path):
     fmap = fitted_map()
     path = tmp_path / "map.json"
     save_map(fmap, path)
+    load_map(path)  # the next load compares against these bytes
     doc = path.read_text()
     # perturb one target: kernel checksum still matches (it hashes K only),
     # so corrupt a coordinate instead, which changes K
@@ -172,7 +178,7 @@ def test_load_map_builds_and_factors_the_kernel_once(tmp_path, monkeypatch):
     fmap = fitted_map()
     path = tmp_path / "map.json"
     save_map(fmap, path)
-    calls = {"cholesky": 0, "kernel_matrix": 0}
+    calls = {"cholesky": 0, "kernel_matrix": 0, "sha256": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -184,10 +190,42 @@ def test_load_map_builds_and_factors_the_kernel_once(tmp_path, monkeypatch):
     counted_kernel = counted("kernel_matrix", gm.kernel_matrix)
     for module in (gm, dio):
         monkeypatch.setattr(module, "kernel_matrix", counted_kernel)
+    monkeypatch.setattr(dio, "_sha256", counted("sha256", dio._sha256))
+    dio._map_from_bytes.cache_clear()  # forget the last map loaded
     back = load_map(path)
-    assert calls == {"cholesky": 1, "kernel_matrix": 1}
+    assert calls == {"cholesky": 1, "kernel_matrix": 1, "sha256": 1}
     np.testing.assert_array_equal(back.chol, fmap.chol)
     np.testing.assert_array_equal(back.alpha, fmap.alpha)
+    # the same bytes again: the map that passed those checks, no new work
+    assert load_map(path) is back
+    assert calls == {"cholesky": 1, "kernel_matrix": 1, "sha256": 1}
+
+
+def test_failed_map_load_is_not_remembered(tmp_path, monkeypatch):
+    import statmap.dataio as dio
+    import statmap.gpmap as gm
+
+    fmap = fitted_map()
+    path = tmp_path / "map.json"
+    save_map(fmap, path)
+
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    dio._map_from_bytes.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(gm, "cholesky", boom)
+        with pytest.raises(IllConditionedError):
+            load_map(path)
+    # the same bytes load once the factorisation works
+    np.testing.assert_array_equal(load_map(path).chol, fmap.chol)
+    # a broken file, then the fixed one
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    with pytest.raises(ParseError):
+        load_map(path)
+    path.write_text(text)
+    assert load_map(path).hyper == fmap.hyper
 
 
 def test_map_unknown_version(tmp_path):

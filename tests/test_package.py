@@ -14,7 +14,7 @@ MODULES = ["statmap"] + [f"statmap.{name}" for name in (
     "stats")]
 SRC = Path(statmap.__file__).resolve().parent
 # Public names that may lack a caller in the package: perfbench/spans.py
-# TRACED still wraps gpmap.predict (ROADMAP open item 6).
+# TRACED still wraps gpmap.predict (ROADMAP open item 5).
 NO_CALLER_ALLOWED = {"gpmap.predict"}
 
 
