@@ -210,9 +210,9 @@ def cmd_train_chart(doc, seed, out_dir, full):
 
 
 def cmd_select_rate(doc, seed, out_dir, full):
-    if not doc.get("select_rate"):
-        raise ConfigurationError("config needs a 'select_rate' section")
     section = _section(doc, "select_rate")
+    if not section:
+        raise ConfigurationError("config needs a 'select_rate' section")
     keys = ("map", "delta", "queries")
     _refuse_unknown_keys(section, keys, "select_rate")
     map_path, delta, queries = (section.get(key) for key in keys)

@@ -720,6 +720,16 @@ def test_exit_2_delta_outside_unit_interval(tmp_path, capsys, monkeypatch,
     assert "delta" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("doc", [{}, {"select_rate": {}},
+                                 {"select_rate": None},
+                                 {"select_rate": [["map.json"]]}])
+def test_exit_2_select_rate_section_missing(tmp_path, capsys, doc):
+    assert run("select-rate", write_config(tmp_path, doc),
+               tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "'select_rate' section" in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("key,value", [
     ("bogus", 1),
     ("delta", "0.01"),
@@ -754,7 +764,7 @@ def test_select_rate_warm_request_matches_cold(tmp_path, capsys,
     cfg = select_rate_config(tmp_path, map_path,
                              queries=[[0.0, 0.0], [4.0, -3.0], [25.0, 9.0]])
     out = tmp_path / "out"
-    dio._map_from_bytes.cache_clear()
+    dio._last_map.clear()
     assert run("select-rate", cfg, out) == 0
     cold = (out / "rates.csv").read_bytes()
 

@@ -191,7 +191,7 @@ def test_load_map_builds_and_factors_the_kernel_once(tmp_path, monkeypatch):
     for module in (gm, dio):
         monkeypatch.setattr(module, "kernel_matrix", counted_kernel)
     monkeypatch.setattr(dio, "_sha256", counted("sha256", dio._sha256))
-    dio._map_from_bytes.cache_clear()  # forget the last map loaded
+    dio._last_map.clear()  # forget the last map loaded
     back = load_map(path)
     assert calls == {"cholesky": 1, "kernel_matrix": 1, "sha256": 1}
     np.testing.assert_array_equal(back.chol, fmap.chol)
@@ -212,7 +212,7 @@ def test_failed_map_load_is_not_remembered(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("forced")
 
-    dio._map_from_bytes.cache_clear()
+    dio._last_map.clear()
     with monkeypatch.context() as patch:
         patch.setattr(gm, "cholesky", boom)
         with pytest.raises(IllConditionedError):
@@ -226,6 +226,30 @@ def test_failed_map_load_is_not_remembered(tmp_path, monkeypatch):
         load_map(path)
     path.write_text(text)
     assert load_map(path).hyper == fmap.hyper
+
+
+def test_map_load_drops_the_last_map_before_building_another(tmp_path,
+                                                             monkeypatch):
+    # a process that switches maps holds one factor at a time
+    import weakref
+
+    import statmap.dataio as dio
+
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_map(fitted_map(), first)
+    save_map(fitted_map(), second)
+    dio._last_map.clear()
+    last = weakref.ref(load_map(first).chol)
+    alive_at_build = []
+    real_build = dio.build_map
+
+    def build(*args):
+        alive_at_build.append(last() is not None)
+        return real_build(*args)
+
+    monkeypatch.setattr(dio, "build_map", build)
+    load_map(second)
+    assert alive_at_build == [False]
 
 
 def test_map_unknown_version(tmp_path):
