@@ -256,9 +256,8 @@ def cmd_evaluate(doc, seed, out_dir, full):
 
 def cmd_mismatch_demo(doc, seed, out_dir, full):
     data = _section(doc, "demo")
-    for key in ("path_amplitudes", "fit_sizes"):
-        if key in data:
-            data[key] = _as_tuple(data[key], f"demo.{key}")
+    if "fit_sizes" in data:
+        data["fit_sizes"] = _as_tuple(data["fit_sizes"], "demo.fit_sizes")
     data["seed"] = seed
     demo = _build(MismatchDemoConfig, data, "demo")
     summary = run_mismatch_demo(demo, out_dir)

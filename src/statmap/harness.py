@@ -10,7 +10,6 @@ reported on stdout only, never inside output files.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -31,6 +30,7 @@ from .propagation import (
     draw_csi,
     draw_power_samples,
     generate_scenario,
+    multipath_power_cdf,
     multipath_power_samples,
     sample_locations_thomas,
     true_outage_capacity,
@@ -65,11 +65,20 @@ __all__ = [
 # Dominant-path profile for the mismatch demo: the reachable power set has a
 # hard lower edge, which no Rician CDF can reproduce in the deep tail.
 DEMO_AMPLITUDES = (1.0, 0.55, 0.08, 0.05, 0.04, 0.025, 0.015)
-DEMO_ORACLE_CHUNK = 2_000_000   # oracle draws held in memory at once
-# Largest path-entry buffer (draws x paths, complex) that samples_per_user or
-# the oracle's ceil(100 / epsilon) Monte-Carlo draws may ask
-# draw_power_samples for.
+# Largest path-entry buffer (draws x paths, complex) that samples_per_user,
+# the oracle's ceil(100 / epsilon) Monte-Carlo draws or a demo fit size may
+# ask one power draw for.
 MAX_DRAW_BUFFER_BYTES = 1 << 30
+
+
+def _check_draw_buffer(setting: str, draws, paths: int) -> None:
+    """Refuse draws x paths complex path entries beyond the buffer limit."""
+    most = MAX_DRAW_BUFFER_BYTES // (paths * np.dtype(complex).itemsize)
+    if draws > most:
+        raise ConfigurationError(
+            f"{setting} needs more draws than the {most} that a "
+            f"{MAX_DRAW_BUFFER_BYTES >> 30} GiB draw buffer holds with "
+            f"{paths} paths")
 
 
 @dataclass(frozen=True)
@@ -135,15 +144,10 @@ class ExperimentConfig:
         if not 0.0 < self.epsilon < 1.0 or not 0.0 < self.delta < 1.0:
             raise ConfigurationError("epsilon and delta must lie in (0,1)")
         paths = self.scenario.num_paths
-        most = MAX_DRAW_BUFFER_BYTES // (paths * np.dtype(complex).itemsize)
-        # ceil(100 / epsilon) > most exactly when 100 / epsilon > most
-        for name, draws in (("samples_per_user", self.samples_per_user),
-                            ("epsilon", 100.0 / self.epsilon)):
-            if draws > most:
-                raise ConfigurationError(
-                    f"{name}={getattr(self, name)} needs more draws than the "
-                    f"{most} that a {MAX_DRAW_BUFFER_BYTES >> 30} GiB draw "
-                    f"buffer holds with {paths} paths")
+        _check_draw_buffer(f"samples_per_user={self.samples_per_user}",
+                           self.samples_per_user, paths)
+        # ceil(100 / epsilon) exceeds a count exactly when 100 / epsilon does
+        _check_draw_buffer(f"epsilon={self.epsilon}", 100.0 / self.epsilon, paths)
         if self.samples_per_user * self.epsilon <= 1.0:
             raise ConfigurationError(
                 f"samples_per_user={self.samples_per_user} is not enough for "
@@ -157,25 +161,19 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MismatchDemoConfig:
-    path_amplitudes: tuple[float, ...] = DEMO_AMPLITUDES
-    oracle_samples: int = 100_000_000
+    """Mismatch demo settings; the multipath profile is DEMO_AMPLITUDES."""
+
     fit_sizes: tuple[int, ...] = (1_000, 10_000, 1_000_000)
     confidence: float = 0.99
     seed: int = 0
 
     def __post_init__(self):
-        a = self.path_amplitudes
-        if not (all(math.isfinite(v) and v >= 0.0 for v in a)
-                and any(v > 0.0 for v in a)):
-            raise ConfigurationError(
-                "path_amplitudes must be finite and nonnegative, at least one "
-                f"positive, got {list(a)}")
         if not self.fit_sizes or min(self.fit_sizes) < RICIAN_MIN_SAMPLES:
             raise ConfigurationError(
                 f"need fit_sizes of at least {RICIAN_MIN_SAMPLES} each, got "
                 f"{list(self.fit_sizes)}")
-        if self.oracle_samples < max(self.fit_sizes):
-            raise ConfigurationError("oracle must be at least the largest fit size")
+        _check_draw_buffer(f"fit_sizes={list(self.fit_sizes)}",
+                           max(self.fit_sizes), len(DEMO_AMPLITUDES))
         if not 0.0 < self.confidence < 1.0:
             raise ConfigurationError(
                 f"confidence must lie in (0, 1), got {self.confidence}")
@@ -497,22 +495,21 @@ def write_report(report: ExperimentReport, out_dir) -> list:
 # ------------------------------------------------------------ mismatch demo
 
 def run_mismatch_demo(config: MismatchDemoConfig, out_dir) -> dict:
-    """Tail mismatch of a Rician ML fit versus the non-parametric estimator.
+    """Tail mismatch of a Rician ML fit versus the non-parametric estimator
+    on the profile DEMO_AMPLITUDES, with powers normalised to unit mean.
 
     Emits CDF tables (linear and log10 probability, identical breakpoints)
     for the oracle, the empirical CDFs, and the fitted Rician CDFs at each
-    sample size, plus the fitted parameters.
+    sample size, plus the fitted parameters. The oracle is the exact CDF at
+    every breakpoint (``multipath_power_cdf``).
     """
     os.makedirs(out_dir, exist_ok=True)
-    a = np.asarray(config.path_amplitudes, dtype=float)
+    a = np.asarray(DEMO_AMPLITUDES)
     mean_power = float(np.sum(a ** 2))
 
-    def normalized_powers(n, rng):
-        return multipath_power_samples(a, n, rng) / mean_power
-
     def fit_sample(n, label):
-        return normalized_powers(n, np.random.default_rng(
-            derive_seed(config.seed, "demo-fit", label)))
+        return multipath_power_samples(a, n, np.random.default_rng(
+            derive_seed(config.seed, "demo-fit", label))) / mean_power
 
     # breakpoints: pilot-sample quantiles on a fixed probability grid, dense
     # toward the deep tail
@@ -522,16 +519,7 @@ def run_mismatch_demo(config: MismatchDemoConfig, out_dir) -> dict:
         np.linspace(0.02, 0.999, 80),
     ]))
     breakpoints = np.quantile(pilot, probs)
-
-    oracle_rng = np.random.default_rng(
-        derive_seed(config.seed, "demo-oracle"))
-    oracle_counts = np.zeros(breakpoints.size, dtype=np.int64)
-    for start in range(0, config.oracle_samples, DEMO_ORACLE_CHUNK):
-        block = normalized_powers(
-            min(DEMO_ORACLE_CHUNK, config.oracle_samples - start), oracle_rng)
-        block.sort()
-        oracle_counts += np.searchsorted(block, breakpoints, side="right")
-    oracle_cdf = oracle_counts / config.oracle_samples
+    oracle_cdf = multipath_power_cdf(a, breakpoints * mean_power)
 
     columns = {"value": breakpoints, "oracle_cdf": oracle_cdf}
     fits = {}
@@ -539,16 +527,14 @@ def run_mismatch_demo(config: MismatchDemoConfig, out_dir) -> dict:
         sample = fit_sample(n, n)
         columns[f"empirical_cdf_n{n}"] = EmpiricalDistribution.from_samples(
             sample).cdf(breakpoints)
-        fit = fit_rician_ml(np.sqrt(sample))
-        fits[n] = fit
-        columns[f"rician_cdf_n{n}"] = fit.power_cdf(breakpoints)
+        fits[n] = fit_rician_ml(np.sqrt(sample))
+        columns[f"rician_cdf_n{n}"] = fits[n].power_cdf(breakpoints)
 
     oracle_path = os.path.join(out_dir, "oracle_cdf.csv")
     write_csv(oracle_path, ["value", "cdf"], zip(breakpoints, oracle_cdf))
     header = list(columns)
     linear_path = os.path.join(out_dir, "mismatch_cdf_linear.csv")
-    write_csv(linear_path, header,
-              zip(*(columns[h] for h in header)))
+    write_csv(linear_path, header, zip(*columns.values()))
     log_path = os.path.join(out_dir, "mismatch_cdf_log.csv")
     with np.errstate(divide="ignore"):
         log_rows = zip(*(columns["value"] if h == "value"
@@ -559,17 +545,14 @@ def run_mismatch_demo(config: MismatchDemoConfig, out_dir) -> dict:
               [(f"K_n{n}", fits[n].K) for n in config.fit_sizes]
               + [(f"omega_n{n}", fits[n].omega) for n in config.fit_sizes])
 
-    band = dkw_band(max(config.fit_sizes), config.confidence)
     n_big = max(config.fit_sizes)
     emp_dev = np.max(np.abs(columns[f"empirical_cdf_n{n_big}"] - oracle_cdf))
-    tail = oracle_cdf <= 1e-3
-    rician_tail_dev = float(np.max(np.abs(
-        columns[f"rician_cdf_n{n_big}"][tail] - oracle_cdf[tail]))) \
-        if np.any(tail) else 0.0
+    tail = oracle_cdf <= 1e-3   # never empty: the breakpoints reach 1e-5
+    rician_tail_dev = np.max(np.abs(
+        columns[f"rician_cdf_n{n_big}"][tail] - oracle_cdf[tail]))
     return {
         "paths": [linear_path, log_path, params_path, oracle_path],
-        "dkw_band": band,
+        "dkw_band": dkw_band(n_big, config.confidence),
         "empirical_max_dev": float(emp_dev),
-        "rician_tail_max_dev": rician_tail_dev,
-        "fits": fits,
+        "rician_tail_max_dev": float(rician_tail_dev),
     }

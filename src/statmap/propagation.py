@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import j0, j1
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .stats import EmpiricalDistribution, capacity_from_power, empirical_quantile
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "draw_csi",
     "true_outage_capacity",
     "multipath_power_samples",
+    "multipath_power_cdf",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -361,6 +362,22 @@ def multipath_power_samples(amplitudes, n: int,
     a = np.asarray(amplitudes, dtype=float)
     h = _path_phasors(a, rng.uniform(0.0, TWO_PI, (n, a.size))).sum(axis=1)
     return np.abs(h) ** 2
+
+
+def multipath_power_cdf(amplitudes, powers) -> np.ndarray:
+    """P(|sum_p a_p e^{j phi_p}|^2 <= power) at each power, from the exact
+    Kluyver CDF on the KLUYVER_NODES-node grid; NumericalError where a value
+    fails the half-grid convergence test (see ``true_outage_capacity``)."""
+    a = np.asarray(amplitudes, dtype=float)
+    cdf = _KluyverCDF(a, grid=_KLUYVER_GRID)
+    values = []
+    for power in powers:
+        value, head = cdf.truncated(math.sqrt(power) / a.sum())
+        if not abs(value - head) <= KLUYVER_CONVERGENCE_TOL * value:
+            raise NumericalError(f"Kluyver CDF of amplitudes {a.tolist()} has "
+                                 f"not converged at power {power:.6g}")
+        values.append(value)
+    return np.array(values)
 
 
 def draw_power_samples(scenario: Scenario, loc: Location, n: int,

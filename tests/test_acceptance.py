@@ -291,8 +291,7 @@ def test_criterion_8_cli_reproducibility(tmp_path):
     loc_doc = {"scenario": scenario, "experiment": exp, "mode": "location"}
     chart_doc = {"scenario": scenario, "experiment": exp, "chart": chart,
                  "mode": "chart"}
-    demo_doc = {"demo": {"oracle_samples": 300_000,
-                         "fit_sizes": [1000, 10_000]}}
+    demo_doc = {"demo": {"fit_sizes": [1000, 10_000]}}
 
     def write_cfg(doc, name):
         path = tmp_path / name

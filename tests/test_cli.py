@@ -53,9 +53,7 @@ CHART_CONFIG = {
               "batch_size": 64},
 }
 
-DEMO_CONFIG = {
-    "demo": {"oracle_samples": 400_000, "fit_sizes": [1000, 10_000]},
-}
+DEMO_CONFIG = {"demo": {"fit_sizes": [1000, 10_000]}}
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -188,6 +186,23 @@ def test_mismatch_demo_cli(tmp_path):
     for name in ("mismatch_cdf_linear.csv", "mismatch_cdf_log.csv",
                  "rician_params.csv"):
         assert (out / name).exists()
+
+
+def test_mismatch_demo_exits_3_where_the_exact_oracle_fails(
+        tmp_path, capsys, monkeypatch):
+    # two paths put the pilot's tail breakpoints on the hard edge of the
+    # power's support, where the quadrature cannot converge
+    import statmap.harness as harness
+
+    monkeypatch.setattr(harness, "DEMO_AMPLITUDES", (1.0, 0.5))
+    cfg = write_config(tmp_path, DEMO_CONFIG)
+    out = tmp_path / "out"
+    assert run("mismatch-demo", cfg, out, seed=1) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Kluyver CDF of amplitudes "
+                          "[1.0, 0.5] has not converged at power ")
+    assert len(err.splitlines()) == 1
+    assert os.listdir(out) == []
 
 
 # ---------------------------------------------------------------- exit codes
@@ -373,8 +388,8 @@ NOT_POSITIVE_FLOAT = st.floats(max_value=0.0, **FINITE)
 # (section, key) -> values out of range for CHART_CONFIG (epsilon 0.05, so
 # at least 21 samples per user; quantiles 0.05 / 0.5; 7 paths, so at most
 # MOST_DRAWS samples per user or ceil(100 / epsilon) Monte-Carlo oracle
-# draws within the draw buffer limit) or for DEMO_CONFIG (10^4 samples in
-# the largest fit, 4 x 10^5 in the oracle)
+# draws within the draw buffer limit) or for DEMO_CONFIG (at least 100 and
+# at most MOST_DRAWS samples in each fit, 7 paths)
 MOST_DRAWS = MAX_DRAW_BUFFER_BYTES // (7 * 16)
 OUT_OF_RANGE = {
     ("chart", "hidden"): st.tuples(
@@ -413,15 +428,10 @@ OUT_OF_RANGE = {
         max_value=0.0, exclude_max=True, **FINITE),
     ("demo", "fit_sizes"): st.just([]) | st.tuples(
         st.lists(st.integers(100, 400_000), max_size=2),
-        st.integers(max_value=99)).map(lambda t: t[0] + [t[1]]),
-    ("demo", "oracle_samples"): st.integers(max_value=9_999),
+        st.integers(max_value=99) | st.integers(min_value=MOST_DRAWS + 1)).map(
+        lambda t: t[0] + [t[1]]),
     ("demo", "confidence"): NOT_POSITIVE_FLOAT | st.floats(
         min_value=1.0, **FINITE),
-    ("demo", "path_amplitudes"): st.lists(
-        st.just(0.0), max_size=7) | st.tuples(
-        st.lists(st.floats(0.0, 2.0), max_size=3),
-        st.floats(max_value=0.0, exclude_max=True, **FINITE)).map(
-        lambda t: t[0] + [t[1]]),
 }
 
 
@@ -464,19 +474,21 @@ def test_fuzz_out_of_range_config_value_exits_2(tmp_path, monkeypatch, data):
     ("chart", "hidden", [0]),
     ("chart", "epochs", 0),
     ("chart", "margin", -1.0),
-    # no longer settings: refused as unknown keys, still before any work
-    ("experiment", "n_mc_outage", -5),
-    ("experiment", "oracle_n", 10 ** 12),
     # a draw buffer of 10^12 x 7 paths: refused without allocating it
     ("experiment", "samples_per_user", 10 ** 12),
+    ("demo", "fit_sizes", [1000, 10 ** 12]),
     # 10^8 Monte-Carlo oracle draws, over the buffer limit at 7 paths
     ("experiment", "epsilon", 1e-6),
-    # each was a traceback, the confidence one only after the demo's oracle
+    # each was a traceback once
+    ("demo", "confidence", 1.5),
     ("demo", "fit_sizes", [50]),
     ("demo", "fit_sizes", [0]),
     ("demo", "fit_sizes", [-5]),
-    ("demo", "confidence", 1.5),
+    # no longer settings: refused as unknown keys, still before any work
+    ("experiment", "n_mc_outage", -5),
     ("demo", "path_amplitudes", [0, 0]),
+    ("experiment", "oracle_n", 10 ** 12),
+    ("demo", "oracle_samples", 10 ** 8),
 ])
 def test_exit_2_out_of_range_before_any_work(tmp_path, capsys, monkeypatch,
                                              section, key, value):

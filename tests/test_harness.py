@@ -41,10 +41,14 @@ from statmap.harness import (
     write_report,
 )
 from statmap.propagation import (
+    KLUYVER_CONVERGENCE_TOL,
+    KLUYVER_NODES,
     Location,
     derive_seed,
     generate_scenario,
     true_outage_capacity,
+    _KluyverCDF,
+    _kluyver_grid,
 )
 from statmap.rateselect import POLICY_BASELINE, POLICY_MAP
 from statmap.stats import (
@@ -489,8 +493,7 @@ def test_worker_count_without_cpu_affinity(monkeypatch):
 # ---------------------------------------------------------------- demo
 
 def test_mismatch_demo_small_scale(tmp_path):
-    cfg = MismatchDemoConfig(oracle_samples=2_000_000,
-                             fit_sizes=(1000, 100_000), seed=1)
+    cfg = MismatchDemoConfig(fit_sizes=(1000, 100_000), seed=1)
     summary = run_mismatch_demo(cfg, tmp_path)
     for p in summary["paths"]:
         assert os.path.exists(p)
@@ -509,9 +512,51 @@ def test_mismatch_demo_small_scale(tmp_path):
 
 
 def test_mismatch_demo_deterministic(tmp_path):
-    cfg = MismatchDemoConfig(oracle_samples=500_000, fit_sizes=(1000, 10_000),
-                             seed=3)
+    cfg = MismatchDemoConfig(fit_sizes=(1000, 10_000), seed=3)
     s1 = run_mismatch_demo(cfg, tmp_path / "x")
     s2 = run_mismatch_demo(cfg, tmp_path / "y")
     for a, b in zip(s1["paths"], s2["paths"]):
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mismatch_demo_oracle_is_the_converged_exact_cdf(tmp_path, seed):
+    # the breakpoints come from the pilot draw alone, so one small fit will do
+    summary = run_mismatch_demo(
+        MismatchDemoConfig(fit_sizes=(1000,), seed=seed), tmp_path)
+    table = np.loadtxt(summary["paths"][3], delimiter=",", skiprows=1)
+    a = np.asarray(harness.DEMO_AMPLITUDES)
+    radii = np.sqrt(table[:, 0] * np.sum(a ** 2)) / a.sum()
+    full = _KluyverCDF(a, _kluyver_grid(KLUYVER_NODES))
+    fine = _KluyverCDF(a, _kluyver_grid(65536))
+    assert table[0, 1] < 2e-5      # the table reaches into the deep tail
+    for r, oracle in zip(radii, table[:, 1]):
+        value, head = full.truncated(r)
+        assert oracle == pytest.approx(value, rel=1e-12)
+        assert abs(value - head) <= KLUYVER_CONVERGENCE_TOL * value
+        assert abs(oracle - fine(r)) < 1e-7
+
+
+def test_mismatch_demo_draws_only_the_pilot_and_the_fits(tmp_path,
+                                                         monkeypatch):
+    # the pilot and one draw per fit; the exact oracle draws nothing
+    sizes, draw = [], harness.multipath_power_samples
+
+    def counted(amplitudes, n, rng):
+        sizes.append(n)
+        return draw(amplitudes, n, rng)
+
+    monkeypatch.setattr(harness, "multipath_power_samples", counted)
+    run_mismatch_demo(MismatchDemoConfig(fit_sizes=(1000, 10_000), seed=2),
+                      tmp_path)
+    assert sizes == [1_000_000, 1000, 10_000]
+
+
+def test_demo_config_bounds_the_draw_buffer():
+    # a fit size may fill at most MAX_DRAW_BUFFER_BYTES with the demo's
+    # 7 paths, the same bound as samples_per_user
+    MismatchDemoConfig(fit_sizes=(1000, MOST_DRAWS))
+    with pytest.raises(ConfigurationError,
+                       match=rf"^fit_sizes=\[1000, {MOST_DRAWS + 1}\] needs "
+                       f"more draws than the {MOST_DRAWS} "):
+        MismatchDemoConfig(fit_sizes=(1000, MOST_DRAWS + 1))

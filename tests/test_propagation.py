@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from statmap.errors import ConfigurationError
+from statmap.errors import ConfigurationError, NumericalError
 from statmap.harness import DEMO_AMPLITUDES
 from statmap.propagation import (
     KLUYVER_CONVERGENCE_TOL,
@@ -23,6 +23,7 @@ from statmap.propagation import (
     draw_csi,
     draw_power_samples,
     generate_scenario,
+    multipath_power_cdf,
     multipath_power_samples,
     sample_locations_thomas,
     true_outage_capacity,
@@ -460,6 +461,18 @@ def test_grown_grid_finds_the_root_of_a_grid_built_at_its_size(
     assert grown.nodes.size == nodes     # no shorter grid converged
     assert r == _KluyverCDF(amplitudes, _kluyver_grid(nodes)).quantile(level)
     assert grown(r) == _KluyverCDF(amplitudes, _kluyver_grid(nodes))(r)
+
+
+def test_power_cdf_refuses_a_profile_whose_quadrature_fails():
+    # two paths: the power's support starts at (1 - 0.5)^2 with a hard edge,
+    # and next to it the quadrature does not converge even on the full grid
+    a = (1.0, 0.5)
+    inside = multipath_power_cdf(a, [0.3, 1.25, 2.2])
+    assert np.all(np.diff(inside) > 0) and 0.0 < inside[0] < inside[-1] < 1.0
+    for edge in (0.25, 0.2505):
+        with pytest.raises(NumericalError, match=rf"^Kluyver CDF of amplitudes "
+                           rf"\[1.0, 0.5\] has not converged at power {edge}$"):
+            multipath_power_cdf(a, [0.3, edge, 1.25])
 
 
 def test_no_grid_up_to_the_largest_converges_for_a_dominant_path():
