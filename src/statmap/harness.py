@@ -33,7 +33,7 @@ from .propagation import (
     multipath_power_cdf,
     multipath_power_samples,
     sample_locations_thomas,
-    true_outage_capacity,
+    true_outage_capacities,
 )
 from .rateselect import POLICY_BASELINE, POLICY_MAP, select_rate_baseline, select_rate_map
 from .stats import (
@@ -65,6 +65,10 @@ __all__ = [
 # Dominant-path profile for the mismatch demo: the reachable power set has a
 # hard lower edge, which no Rician CDF can reproduce in the deep tail.
 DEMO_AMPLITUDES = (1.0, 0.55, 0.08, 0.05, 0.04, 0.025, 0.015)
+# Test users judged per oracle call. A block of this many at the default
+# scenario allocates at most 1 MiB at its peak (tests/test_harness.py), on
+# each worker thread at once; larger blocks save little time and cost memory.
+ORACLE_BLOCK = 32
 # Largest path-entry buffer (draws x paths, complex) that samples_per_user,
 # the oracle's ceil(100 / epsilon) Monte-Carlo draws or a demo fit size may
 # ask one power draw for.
@@ -419,13 +423,14 @@ def _worker_count() -> int:
 def _evaluate_test_users(scenario, config, query_of, fmap):
     """Rates for the uniform test users, judged against the oracle.
 
-    Queries are made in user order and predicted in one batch. The oracle
-    calls, the bulk of the work, run on one thread per usable CPU: each user
-    is judged from its own location and derived seeds, and the Bessel
+    Queries are made in user order and predicted in one batch. The oracle,
+    the bulk of the work, judges blocks of ORACLE_BLOCK users on one thread
+    per usable CPU: each user is judged from its own location and derived
+    seeds, its truth does not depend on the block it is in, and the Bessel
     evaluations and draws release the interpreter lock. Results are
     collected in user order, so the report does not depend on the number of
-    threads. Where the oracle falls back to Monte Carlo it judges each rate
-    on ceil(100 / eps) outage draws.
+    threads or the block size. Where the oracle falls back to Monte Carlo
+    it judges each rate on ceil(100 / eps) outage draws.
     """
     locs = _uniform_test_locations(config)
     queries = [query_of(loc, user) for user, loc in enumerate(locs)]
@@ -434,14 +439,17 @@ def _evaluate_test_users(scenario, config, query_of, fmap):
               select_rate_baseline(fmap.train, query).rate)
              for pred, query in zip(preds, queries)]
 
-    def judge(user):
-        return true_outage_capacity(
-            scenario, locs[user], config.epsilon, rates[user],
-            derive_seed(config.seed, "oracle", user),
-            derive_seed(config.seed, "outage", user))
+    def judge(users):
+        return true_outage_capacities(
+            scenario, [locs[user] for user in users], config.epsilon,
+            [rates[user] for user in users],
+            [derive_seed(config.seed, "oracle", user) for user in users],
+            [derive_seed(config.seed, "outage", user) for user in users])
 
+    users = range(len(locs))
+    blocks = [users[i:i + ORACLE_BLOCK] for i in users[::ORACLE_BLOCK]]
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        judged = list(pool.map(judge, range(len(locs))))
+        judged = [truth for block in pool.map(judge, blocks) for truth in block]
     rows = []
     for user, (query, user_rates, (true_c, outages)) in enumerate(
             zip(queries, rates, judged)):

@@ -39,7 +39,7 @@ __all__ = [
     "sample_locations_thomas",
     "draw_power_samples",
     "draw_csi",
-    "true_outage_capacity",
+    "true_outage_capacities",
     "multipath_power_samples",
     "multipath_power_cdf",
 ]
@@ -199,10 +199,17 @@ class CosineField:
         self.amplitude = std * math.sqrt(2.0 / n_components)
 
     def evaluate(self, xy: np.ndarray) -> np.ndarray:
-        """Field values at (N, 2) planar coordinates."""
+        """Field values at (N, 2) planar coordinates.
+
+        The phase x*kx + y*ky + phase is formed elementwise, not as a matrix
+        product, whose rounding depends on N: a point's value is then the
+        same however many points are evaluated with it.
+        """
         xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        args = xy @ self.wavevectors.T + self.phases
-        return self.amplitude * np.cos(args).sum(axis=1)
+        args = xy[:, :1] * self.wavevectors[:, 0]
+        args += xy[:, 1:2] * self.wavevectors[:, 1]
+        args += self.phases
+        return self.amplitude * np.cos(args, out=args).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -364,22 +371,6 @@ def multipath_power_samples(amplitudes, n: int,
     return np.abs(h) ** 2
 
 
-def multipath_power_cdf(amplitudes, powers) -> np.ndarray:
-    """P(|sum_p a_p e^{j phi_p}|^2 <= power) at each power, from the exact
-    Kluyver CDF on the KLUYVER_NODES-node grid; NumericalError where a value
-    fails the half-grid convergence test (see ``true_outage_capacity``)."""
-    a = np.asarray(amplitudes, dtype=float)
-    cdf = _KluyverCDF(a, grid=_KLUYVER_GRID)
-    values = []
-    for power in powers:
-        value, head = cdf.truncated(math.sqrt(power) / a.sum())
-        if not abs(value - head) <= KLUYVER_CONVERGENCE_TOL * value:
-            raise NumericalError(f"Kluyver CDF of amplitudes {a.tolist()} has "
-                                 f"not converged at power {power:.6g}")
-        values.append(value)
-    return np.array(values)
-
-
 def draw_power_samples(scenario: Scenario, loc: Location, n: int,
                        sample_seed: int) -> np.ndarray:
     """n effective received power samples (MRC over antennas), noiseless."""
@@ -417,136 +408,183 @@ def _kluyver_grid(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _KLUYVER_GRID = _kluyver_grid(KLUYVER_NODES)
-_KLUYVER_FIRST_GRID = tuple(g[:KLUYVER_FIRST_NODES] for g in _KLUYVER_GRID)
+
+# The exact CDF of |sum_p a_p e^{j phi_p}| / sum_p a_p under i.i.d. uniform
+# phases, on [0, 1]:
+#
+#     P(|h| <= r) = r * int_0^inf J1(r t) prod_p J0(a_p t) dt
+#
+# (Kluyver 1906), with the amplitudes scaled to sum to 1. The helpers below
+# work on blocks of channels, one row each. A row goes through the same
+# elementwise operations and per-row sums in any block, so its results do
+# not depend on the other rows, and a block of one gives them too.
 
 
-class _KluyverCDF:
-    """Exact CDF of |sum_p a_p e^{j phi_p}| / sum_p a_p under i.i.d. uniform
-    phases, on [0, 1]:
+def _j0_products(scaled, nodes, weights) -> np.ndarray:
+    """Quadrature weights times prod_p J0(a_p t) at the nodes t, one row per
+    row of scaled amplitudes."""
+    out = np.empty((len(scaled), nodes.size))
+    out[:] = weights
+    arg = np.empty_like(out)
+    for amp in np.transpose(scaled):
+        out *= j0(np.multiply(amp[:, None], nodes, out=arg), out=arg)
+    return out
 
-        P(|h| <= r) = r * int_0^inf J1(r t) prod_p J0(a_p t) dt
 
-    (Kluyver 1906), with the amplitudes scaled to sum to 1. The weighted
-    product of J0 is built on ``grid``, by default the first
-    KLUYVER_FIRST_NODES nodes of the KLUYVER_NODES-node grid; each CDF value
-    is then one dot product. ``quantile`` doubles the grid, up to
-    KLUYVER_NODES, until its convergence test passes. Every ``_kluyver_grid``
-    is a prefix of the larger ones, so doubling computes J0 on the new nodes
-    only; a grid of KLUYVER_NODES or more never grows.
+def _kluyver_cdf(r, nodes, weighted, terms=None):
+    """The CDF at each r[i, k] on row i of weighted, with the integral cut
+    at the end of the grid and at its midpoint: (values, heads), shaped like
+    r. How far the two differ shows whether it converged."""
+    terms = np.multiply(r[..., None], nodes, out=terms)
+    j1(terms, out=terms)
+    terms *= weighted[:, None]
+    mid = nodes.size // 2
+    heads = r * terms[..., :mid].sum(axis=-1)
+    return heads + r * terms[..., mid:].sum(axis=-1), heads
+
+
+def _illinois(nodes, weighted, level) -> np.ndarray:
+    """Illinois regula falsi for CDF = level on each row of weighted.
+
+    Returns the roots in (0, 1), NaN where a search leaves its bracket,
+    stops (within KLUYVER_ROOT_TOL * level) where the half-grid test fails,
+    or runs out of iterations. The rows still searching share one J1
+    evaluation per iteration.
     """
-
-    def __init__(self, amplitudes, grid=_KLUYVER_FIRST_GRID):
-        a = np.asarray(amplitudes, dtype=float)
-        self.scaled = a / a.sum()
-        self.nodes = self.weighted = np.empty(0)
-        self._extend(*grid)
-
-    def _extend(self, nodes, weights):
-        weighted = weights.copy()
-        for amp in self.scaled:
-            weighted *= j0(amp * nodes)
-        self.nodes = np.concatenate([self.nodes, nodes])
-        self.weighted = np.concatenate([self.weighted, weighted])
-
-    def _grow(self) -> bool:
-        """Double the grid within KLUYVER_NODES; False once it is full."""
-        n = self.nodes.size
-        if n >= KLUYVER_NODES:
-            return False
-        nodes, weights = _KLUYVER_GRID
-        self._extend(nodes[n:2 * n], weights[n:2 * n])
-        return True
-
-    def truncated(self, r: float) -> tuple[float, float]:
-        """The CDF at r with the integral cut at the end of the grid and at
-        its midpoint; how far the two differ shows whether it converged."""
-        terms = j1(r * self.nodes)
-        terms *= self.weighted
-        mid = terms.size // 2
-        head = r * float(terms[:mid].sum())
-        return head + r * float(terms[mid:].sum()), head
-
-    def __call__(self, r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        if r >= 1.0:
-            return 1.0
-        return min(1.0, max(0.0, self.truncated(r)[0]))
-
-    def quantile(self, level: float):
-        """The r in (0, 1) where the CDF crosses level on the shortest grid
-        whose quadrature has converged there, or None when no grid up to
-        KLUYVER_NODES both converges and reaches KLUYVER_ROOT_TOL. The CDF
-        stays on that grid, so later values match the root.
-        """
-        while True:
-            r = self._search(level)
-            if r is not None or not self._grow():
-                return r
-
-    def _search(self, level: float):
-        """Illinois regula falsi on the current grid."""
-        lo, hi, g_lo, g_hi = 0.0, 1.0, -level, 1.0 - level
-        side = 0
-        for _ in range(KLUYVER_MAX_ITERATIONS):
-            r = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-            if not lo < r < hi:
-                return None
-            value, head = self.truncated(r)
-            g = value - level
-            if abs(g) <= KLUYVER_ROOT_TOL * level:
-                if abs(value - head) > KLUYVER_CONVERGENCE_TOL * level:
-                    return None
-                return r
-            if g < 0.0:
-                lo, g_lo = r, g
-                if side < 0:
-                    g_hi /= 2.0
-                side = -1
-            else:
-                hi, g_hi = r, g
-                if side > 0:
-                    g_lo /= 2.0
-                side = 1
-        return None
+    roots = np.full(len(weighted), np.nan)
+    rows = np.arange(len(weighted))
+    # per row: lo, hi, the CDF minus level at each, and the last side moved
+    state = np.repeat([[0.0], [1.0], [-level], [1.0 - level], [0.0]],
+                      len(weighted), axis=1)
+    terms = np.empty((len(weighted), 1, nodes.size))
+    for _ in range(KLUYVER_MAX_ITERATIONS):
+        lo, hi, g_lo, g_hi, side = state
+        r = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        value, head = map(np.ravel, _kluyver_cdf(
+            r[:, None], nodes, weighted, terms[:rows.size]))
+        g = value - level
+        left = ~((lo < r) & (r < hi))
+        done = np.abs(g) <= KLUYVER_ROOT_TOL * level
+        found = done & ~left & ~(np.abs(value - head)
+                                 > KLUYVER_CONVERGENCE_TOL * level)
+        roots[rows[found]] = r[found]
+        below = g < 0.0
+        above = ~below
+        g_hi[below & (side < 0.0)] /= 2.0
+        g_lo[above & (side > 0.0)] /= 2.0
+        np.copyto(lo, r, where=below)
+        np.copyto(g_lo, g, where=below)
+        np.copyto(hi, r, where=above)
+        np.copyto(g_hi, g, where=above)
+        side[:] = np.where(below, -1.0, 1.0)
+        searching = ~(left | done)
+        if not searching.all():
+            rows, state = rows[searching], state[:, searching]
+            weighted = weighted[searching]
+            if not rows.size:
+                break
+    return roots
 
 
-def _exact_outage_capacity(scenario: Scenario, loc: Location, epsilon: float,
-                           rates):
-    """The single-antenna truth from the Kluyver CDF, or None where its
-    quadrature does not converge."""
-    a = scenario.path_amplitudes(loc.as_array())[0]
-    cdf = _KluyverCDF(a)
-    r = cdf.quantile(epsilon)
-    if r is None:
-        return None
-    peak, noise = float(a.sum()), scenario.config.noise_power
-    max_rate = math.log2(1.0 + peak ** 2 / noise)
+def _kluyver_quantiles(scaled, level):
+    """Where each row's CDF crosses level, on the shortest grid whose
+    quadrature has converged there.
 
-    def outage(rate):
-        if rate >= max_rate:    # out of reach; 2^rate may also overflow
-            return 1.0
-        return cdf(math.sqrt(max(0.0, math.expm1(rate * math.log(2.0)))
-                             * noise) / peak)
+    All rows start on the first KLUYVER_FIRST_NODES nodes of the
+    KLUYVER_NODES-node grid; the rows whose search fails run again on the
+    doubled grid, up to KLUYVER_NODES. Every grid is a prefix of the larger
+    ones, so doubling computes J0 on the new nodes only. Returns the roots,
+    NaN where no grid converges, and each row's grid as (row indices, their
+    J0 products) pairs, one per grid size: the shortest that converged, or
+    the largest.
+    """
+    all_nodes, all_weights = _KLUYVER_GRID
+    n = KLUYVER_FIRST_NODES
+    rows = np.arange(len(scaled))
+    weighted = _j0_products(scaled, all_nodes[:n], all_weights[:n])
+    roots, grids = np.full(len(scaled), np.nan), []
+    while True:
+        found = _illinois(all_nodes[:n], weighted, level)
+        ok = ~np.isnan(found)
+        roots[rows[ok]] = found[ok]
+        if ok.all() or n >= KLUYVER_NODES:
+            grids.append((rows, weighted))
+            return roots, grids
+        if ok.any():
+            grids.append((rows[ok], weighted[ok]))
+        rows = rows[~ok]
+        weighted = np.hstack([weighted[~ok], _j0_products(
+            scaled[rows], all_nodes[n:2 * n], all_weights[n:2 * n])])
+        n *= 2
 
-    return (math.log2(1.0 + (peak * r) ** 2 / noise),
-            [outage(rate) for rate in rates])
+
+def multipath_power_cdf(amplitudes, powers) -> np.ndarray:
+    """P(|sum_p a_p e^{j phi_p}|^2 <= power) at each power, from the exact
+    Kluyver CDF on the KLUYVER_NODES-node grid; NumericalError at the first
+    value that fails the half-grid convergence test (see
+    ``true_outage_capacities``)."""
+    a = np.asarray(amplitudes, dtype=float)
+    powers = np.asarray(powers, dtype=float)
+    nodes, weights = _KLUYVER_GRID
+    values, heads = map(np.ravel, _kluyver_cdf(
+        np.sqrt(powers)[None] / a.sum(), nodes,
+        _j0_products((a / a.sum())[None], nodes, weights)))
+    failed = np.flatnonzero(
+        ~(np.abs(values - heads) <= KLUYVER_CONVERGENCE_TOL * values))
+    if failed.size:
+        raise NumericalError(f"Kluyver CDF of amplitudes {a.tolist()} has "
+                             f"not converged at power {powers[failed[0]]:.6g}")
+    return values
 
 
-def true_outage_capacity(scenario: Scenario, loc: Location, epsilon: float,
-                         rates, oracle_seed: int,
-                         outage_seed: int) -> tuple[float, list[float]]:
-    """Truth at a location: the eps-outage capacity and the outage
-    probability of each rate.
+def _exact_truths(scenario: Scenario, locs, epsilon: float, rates) -> list:
+    """The single-antenna truth at each location from the Kluyver CDF, or
+    None where its quadrature does not converge."""
+    noise = scenario.config.noise_power
+    a = scenario.path_amplitudes([loc.as_array() for loc in locs])
+    peaks = a.sum(axis=1)
+    roots, grids = _kluyver_quantiles(a / peaks[:, None], epsilon)
+    peaks, roots = peaks.tolist(), roots.tolist()
+    truths = [None] * len(locs)
+    for rows, weighted in grids:
+        # the radius of each rate's magnitude; a rate out of reach (where
+        # 2^rate may also overflow) is out at radius 1
+        radii = []
+        for user in rows.tolist():
+            max_rate = math.log2(1.0 + peaks[user] ** 2 / noise)
+            radii.append([1.0 if rate >= max_rate else math.sqrt(max(
+                0.0, math.expm1(rate * math.log(2.0))) * noise) / peaks[user]
+                for rate in rates[user]])
+        values = _kluyver_cdf(np.array(radii),
+                              _KLUYVER_GRID[0][:weighted.shape[1]],
+                              weighted)[0].tolist()
+        for user, user_radii, user_values in zip(rows.tolist(), radii, values):
+            if math.isnan(roots[user]):
+                continue
+            truths[user] = (
+                math.log2(1.0 + (peaks[user] * roots[user]) ** 2 / noise),
+                [0.0 if r <= 0.0 else 1.0 if r >= 1.0 else min(1.0, max(0.0, v))
+                 for r, v in zip(user_radii, user_values)])
+    return truths
+
+
+def true_outage_capacities(scenario: Scenario, locs, epsilon: float, rates,
+                           oracle_seeds, outage_seeds) -> list:
+    """Truth at each location: its eps-outage capacity and the outage
+    probability of each of its rates, as (capacity, [outage per rate]) in
+    location order. rates, oracle_seeds and outage_seeds have one entry per
+    location, and every location has the same number of rates.
 
     With one antenna both come from the exact CDF of the received magnitude
-    (``_KluyverCDF``): the capacity at the root of CDF = eps, the outage of
-    a rate as the CDF at its magnitude, both on the same grid. The
-    quadrature is trusted when cutting its integral at half the grid moves
-    the CDF at the root by at most KLUYVER_CONVERGENCE_TOL * eps. Each user
-    starts on KLUYVER_FIRST_NODES nodes and doubles its grid up to
-    KLUYVER_NODES until that test passes; one or two dominant paths fail it
-    even there and fall back to Monte Carlo, as do several antennas (MRC).
+    (Kluyver): the capacity at the root of CDF = eps, the outage of a rate
+    as the CDF at its magnitude, both on the same grid. The quadrature is
+    trusted when cutting its integral at half the grid moves the CDF at the
+    root by at most KLUYVER_CONVERGENCE_TOL * eps. Each location starts on
+    KLUYVER_FIRST_NODES nodes and doubles its grid up to KLUYVER_NODES until
+    that test passes; one or two dominant paths fail it even there and fall
+    back to Monte Carlo, as do several antennas (MRC). The locations are
+    searched together, and each one's truth is the same in any block of
+    locations, a block of one included.
 
     Monte Carlo takes n = ceil(100 / eps) draws twice: the capacity is the
     lower eps-quantile of n capacity draws taken with sample seed
@@ -556,17 +594,20 @@ def true_outage_capacity(scenario: Scenario, loc: Location, epsilon: float,
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
-    if scenario.config.num_antennas == 1:
+    for loc in locs:
         scenario._check_inside(loc)
-        exact = _exact_outage_capacity(scenario, loc, epsilon, rates)
-        if exact is not None:
-            return exact
+    truths = _exact_truths(scenario, locs, epsilon, rates) \
+        if scenario.config.num_antennas == 1 else [None] * len(locs)
     noise, n = scenario.config.noise_power, math.ceil(100.0 / epsilon)
-    oracle = capacity_from_power(
-        draw_power_samples(scenario, loc, n, oracle_seed), noise)
-    true_c = empirical_quantile(EmpiricalDistribution.from_samples(oracle),
-                                epsilon)
-    caps = capacity_from_power(
-        draw_power_samples(scenario, loc, n, outage_seed), noise)
-    return true_c, [float(np.count_nonzero(caps < rate)) / caps.size
-                    for rate in rates]
+    for user, truth in enumerate(truths):
+        if truth is not None:
+            continue
+        oracle = capacity_from_power(draw_power_samples(
+            scenario, locs[user], n, oracle_seeds[user]), noise)
+        true_c = empirical_quantile(
+            EmpiricalDistribution.from_samples(oracle), epsilon)
+        caps = capacity_from_power(draw_power_samples(
+            scenario, locs[user], n, outage_seeds[user]), noise)
+        truths[user] = (true_c, [float(np.count_nonzero(caps < rate))
+                                 / caps.size for rate in rates[user]])
+    return truths

@@ -683,7 +683,7 @@ def test_exit_3_oracle_failure_in_a_worker(tmp_path, capsys, monkeypatch):
     def oracle(*args):
         raise FitError("oracle failed")
 
-    monkeypatch.setattr(harness, "true_outage_capacity", oracle)
+    monkeypatch.setattr(harness, "true_outage_capacities", oracle)
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert run("evaluate", cfg, tmp_path / "out") == 3
     err = capsys.readouterr().err

@@ -46,8 +46,9 @@ from statmap.propagation import (
     Location,
     derive_seed,
     generate_scenario,
-    true_outage_capacity,
-    _KluyverCDF,
+    true_outage_capacities,
+    _j0_products,
+    _kluyver_cdf,
     _kluyver_grid,
 )
 from statmap.rateselect import POLICY_BASELINE, POLICY_MAP
@@ -409,7 +410,7 @@ def test_stage_name_in_errors():
 
 
 # ---------------------------------------------------------------- test users
-# The oracle calls of the test users run on a thread pool.
+# The oracle judges blocks of test users on a thread pool.
 
 THREADED = dataclasses.replace(SMALL, n_test_users=40)
 
@@ -425,10 +426,10 @@ def test_threaded_oracle_matches_serial_loop():
     for user in range(THREADED.n_test_users):
         m, b = by_user[user][POLICY_MAP], by_user[user][POLICY_BASELINE]
         loc = Location(m.x, m.y, THREADED.scenario.user_height)
-        true_c, outages = true_outage_capacity(
-            scenario, loc, THREADED.epsilon, (m.rate, b.rate),
-            derive_seed(seed, "oracle", user),
-            derive_seed(seed, "outage", user))
+        ((true_c, outages),) = true_outage_capacities(
+            scenario, [loc], THREADED.epsilon, [(m.rate, b.rate)],
+            [derive_seed(seed, "oracle", user)],
+            [derive_seed(seed, "outage", user)])
         assert m.true_ceps == b.true_ceps == true_c
         assert [m.outage_prob, b.outage_prob] == outages
 
@@ -436,34 +437,56 @@ def test_threaded_oracle_matches_serial_loop():
 def test_oracle_error_in_a_worker_names_the_stage(monkeypatch):
     failing_seed = derive_seed(THREADED.seed, "oracle", 7)
 
-    def oracle(scenario, loc, epsilon, rates, oracle_seed, outage_seed):
-        if oracle_seed == failing_seed:
+    def oracle(scenario, locs, epsilon, rates, oracle_seeds, outage_seeds):
+        if failing_seed in oracle_seeds:
             raise FitError("oracle failed")
-        return true_outage_capacity(scenario, loc, epsilon, rates,
-                                    oracle_seed, outage_seed)
+        return true_outage_capacities(scenario, locs, epsilon, rates,
+                                      oracle_seeds, outage_seeds)
 
-    monkeypatch.setattr(harness, "true_outage_capacity", oracle)
+    monkeypatch.setattr(harness, "true_outage_capacities", oracle)
     with pytest.raises(FitError,
                        match=r"^\[stage evaluate-test-users\] oracle failed$"):
         run_location_experiment(THREADED)
 
 
 def test_report_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
+    # nor on the oracle's block size: 40 users in blocks of 1, 7 (a short
+    # last block) and the default
     blobs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)     # switch threads often
     try:
         for cpus in (1, 2, 4):
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid, n=cpus: set(range(n)),
-                                raising=False)
-            assert harness._worker_count() == cpus
-            paths = write_report(run_location_experiment(THREADED),
-                                 tmp_path / str(cpus))
-            blobs.append([open(p, "rb").read() for p in paths])
+            for block in (1, 7, harness.ORACLE_BLOCK):
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, n=cpus: set(range(n)),
+                                    raising=False)
+                monkeypatch.setattr(harness, "ORACLE_BLOCK", block)
+                assert harness._worker_count() == cpus
+                paths = write_report(run_location_experiment(THREADED),
+                                     tmp_path / f"{cpus}-{block}")
+                blobs.append([open(p, "rb").read() for p in paths])
     finally:
         sys.setswitchinterval(interval)
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert len(blobs) == 9 and all(blob == blobs[0] for blob in blobs)
+
+
+def test_one_oracle_block_stays_within_its_memory_bound():
+    # the bound stated beside ORACLE_BLOCK: a block of the default
+    # experiment's test users allocates at most 1 MiB at its peak, so a
+    # larger block shows here before it shows in peak RSS
+    config = ExperimentConfig(seed=1)
+    scenario = generate_scenario(config.scenario, config.seed)
+    locs = harness._uniform_test_locations(config)[:harness.ORACLE_BLOCK]
+    users = range(len(locs))
+    tracemalloc.start()
+    try:
+        true_outage_capacities(scenario, locs, config.epsilon,
+                               [(3.0, 5.0)] * len(locs), users, users)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_aggregates_report_what_the_rate_costs(tmp_path):
@@ -527,14 +550,17 @@ def test_mismatch_demo_oracle_is_the_converged_exact_cdf(tmp_path, seed):
     table = np.loadtxt(summary["paths"][3], delimiter=",", skiprows=1)
     a = np.asarray(harness.DEMO_AMPLITUDES)
     radii = np.sqrt(table[:, 0] * np.sum(a ** 2)) / a.sum()
-    full = _KluyverCDF(a, _kluyver_grid(KLUYVER_NODES))
-    fine = _KluyverCDF(a, _kluyver_grid(65536))
+    full_grid, fine_grid = _kluyver_grid(KLUYVER_NODES), _kluyver_grid(65536)
+    full = _j0_products((a / a.sum())[None], *full_grid)
+    fine = _j0_products((a / a.sum())[None], *fine_grid)
     assert table[0, 1] < 2e-5      # the table reaches into the deep tail
     for r, oracle in zip(radii, table[:, 1]):
-        value, head = full.truncated(r)
+        value, head = (v.item() for v in _kluyver_cdf(
+            np.array([[r]]), full_grid[0], full))
         assert oracle == pytest.approx(value, rel=1e-12)
         assert abs(value - head) <= KLUYVER_CONVERGENCE_TOL * value
-        assert abs(oracle - fine(r)) < 1e-7
+        assert abs(oracle - _kluyver_cdf(
+            np.array([[r]]), fine_grid[0], fine)[0].item()) < 1e-7
 
 
 def test_mismatch_demo_draws_only_the_pilot_and_the_fits(tmp_path,

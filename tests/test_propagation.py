@@ -26,10 +26,12 @@ from statmap.propagation import (
     multipath_power_cdf,
     multipath_power_samples,
     sample_locations_thomas,
-    true_outage_capacity,
-    _exact_outage_capacity,
+    true_outage_capacities,
+    _illinois,
+    _j0_products,
+    _kluyver_cdf,
     _kluyver_grid,
-    _KluyverCDF,
+    _kluyver_quantiles,
 )
 from statmap.stats import (
     EmpiricalDistribution,
@@ -51,9 +53,42 @@ def path_power_sum(s):
     return float(np.sum(s.path_amplitudes(LOC.as_array()) ** 2))
 
 
+def oracle_truth(s, loc, eps, rates, oracle_seed, outage_seed):
+    """The oracle's truth at one location: a block of one."""
+    (truth,) = true_outage_capacities(s, [loc], eps, [rates], [oracle_seed],
+                                      [outage_seed])
+    return truth
+
+
 def oracle_capacity(s, eps, seed):
     """The oracle's eps-outage capacity at LOC, with no rates to measure."""
-    return true_outage_capacity(s, LOC, eps, (), seed, 0)[0]
+    return oracle_truth(s, LOC, eps, (), seed, 0)[0]
+
+
+def exact_quantile(amplitudes, level):
+    """The exact oracle's search for one amplitude row: its root (NaN where
+    no grid converges) and its J0 products on the grid it settled on."""
+    a = np.asarray(amplitudes, dtype=float)
+    roots, ((_, weighted),) = _kluyver_quantiles((a / a.sum())[None], level)
+    return roots[0], weighted
+
+
+def exact_root(s, loc, eps):
+    return exact_quantile(s.path_amplitudes(loc.as_array())[0], eps)[0]
+
+
+def j0_row(amplitudes, n_nodes):
+    """One amplitude row's J0 products on the n_nodes grid."""
+    a = np.asarray(amplitudes, dtype=float)
+    return _j0_products((a / a.sum())[None], *_kluyver_grid(n_nodes))
+
+
+def cdf_at(weighted, radii):
+    """(values, heads) of one row's Kluyver CDF at radii, from its J0
+    products on a grid of weighted.shape[1] nodes."""
+    values, heads = _kluyver_cdf(np.atleast_1d(radii)[None],
+                                 _kluyver_grid(weighted.shape[1])[0], weighted)
+    return values[0], heads[0]
 
 
 def mc_truth(s, loc, eps, rates, oracle_n, n_mc, oracle_seed, outage_seed):
@@ -140,6 +175,19 @@ def test_field_zero_mean_and_variance():
                      for _ in range(20_000)])
     assert abs(np.mean(vals)) < 0.05
     assert np.var(vals) == pytest.approx(4.0, rel=0.05)
+
+
+def test_field_values_do_not_depend_on_how_many_points_share_the_call():
+    # so a location's amplitudes, and the oracle's truth there, are the same
+    # in any block of locations
+    s = make_scenario(seed=1)
+    xy = np.random.default_rng(12).uniform(-100.0, 100.0, (300, 2))
+    for f in (s.shadow_field,) + s.path_amp_fields + s.angle_fields:
+        assert np.array_equal(f.evaluate(xy),
+                              [f.evaluate(point)[0] for point in xy])
+    locs = np.column_stack([xy, np.full(len(xy), 1.5)])
+    assert np.array_equal(s.path_amplitudes(locs),
+                          [s.path_amplitudes(loc)[0] for loc in locs])
 
 
 # ---------------------------------------------------------------- thomas
@@ -292,7 +340,7 @@ def test_location_outside_cell_rejected():
     with pytest.raises(ValueError):
         draw_power_samples(s, Location(500.0, 0.0, 1.5), 4, sample_seed=0)
     with pytest.raises(ValueError, match="outside the cell"):   # exact oracle
-        true_outage_capacity(s, Location(500.0, 0.0, 1.5), 0.01, (), 0, 0)
+        oracle_truth(s, Location(500.0, 0.0, 1.5), 0.01, (), 0, 0)
 
 
 # ---------------------------------------------------------------- CSI
@@ -335,7 +383,7 @@ def test_true_outage_capacity_deterministic_channel():
     s_unit = band_variant(s, noise_power=float(a1 * a1))  # SNR exactly 1
     for eps in (0.001, 0.01, 0.2):
         # one path fails the quadrature's convergence test: Monte Carlo
-        assert _exact_outage_capacity(s_unit, LOC, eps, ()) is None
+        assert np.isnan(exact_root(s_unit, LOC, eps))
         c = oracle_capacity(s_unit, eps, seed=0)
         assert c == pytest.approx(1.0, abs=1e-12)
         c = mc_truth(s_unit, LOC, eps, (), 200_000, 1, 0, 0)[0]
@@ -371,7 +419,7 @@ def test_true_outage_capacity_outage_edges():
     a = s.path_amplitudes(LOC.as_array())[0]
     max_rate = math.log2(1.0 + float(np.sum(a)) ** 2 / s.config.noise_power)
     rates = (0.0, max_rate + 1.0)
-    assert true_outage_capacity(s, LOC, 0.1, rates, 0, 0)[1] == [0.0, 1.0]
+    assert oracle_truth(s, LOC, 0.1, rates, 0, 0)[1] == [0.0, 1.0]
     assert mc_truth(s, LOC, 0.1, rates, 1000, 1000, 0, 0)[1] == [0.0, 1.0]
 
 
@@ -380,7 +428,7 @@ def test_true_outage_capacity_outage_at_capacity():
     eps = 1e-2
     ci = 2.576 * math.sqrt(eps * (1 - eps) / 1_000_000)
     c = oracle_capacity(s, eps, seed=21)
-    again, (out,) = true_outage_capacity(s, LOC, eps, (c,), 21, 22)
+    again, (out,) = oracle_truth(s, LOC, eps, (c,), 21, 22)
     assert again == c
     assert abs(out - eps) < ci
     c = mc_truth(s, LOC, eps, (), 1_000_000, 1, 21, 0)[0]
@@ -415,18 +463,21 @@ def amplitude_cases():
 def test_exact_cdf_inside_dkw_band_of_monte_carlo(amplitudes, draw):
     n = 1_000_000
     mc = EmpiricalDistribution.from_samples(draw(n) / np.sum(amplitudes))
-    cdf = _KluyverCDF(amplitudes)
     band = dkw_band(n, 0.99)
+    grids = []
     for level in LEVELS:
-        r = cdf.quantile(level)
-        assert r is not None
+        r, weighted = exact_quantile(amplitudes, level)
+        assert not np.isnan(r)
+        grids.append(weighted)
         emp = float(mc.cdf(r))
         assert abs(emp - level) < band
         # pointwise, the binomial spread is far tighter than the band
         assert abs(emp - level) < 4.0 * math.sqrt(level * (1 - level) / n)
-    # and across the whole support, at the sample's own deciles
+    # and across the whole support, at the sample's own deciles, on the
+    # largest grid the searches needed
     deciles = np.quantile(mc.sorted_samples, np.linspace(0.1, 0.9, 9))
-    assert np.max(np.abs([cdf(r) for r in deciles]
+    widest = max(grids, key=lambda weighted: weighted.shape[1])
+    assert np.max(np.abs(cdf_at(widest, deciles)[0]
                          - mc.cdf(deciles))) < band
 
 
@@ -436,10 +487,11 @@ def test_kluyver_quadrature_converges(amplitudes, draw):
     # to 4096 as its convergence test needs) against 16384 (cut at t = 4096):
     # the quantile found on the first grid is the quantile on the second one
     # to the tolerance of the oracle's own convergence test
-    fine = _KluyverCDF(amplitudes, _kluyver_grid(16384))
+    fine = j0_row(amplitudes, 16384)
     for level in LEVELS:
-        r = _KluyverCDF(amplitudes).quantile(level)
-        assert abs(fine(r) - level) <= KLUYVER_CONVERGENCE_TOL * level
+        r = exact_quantile(amplitudes, level)[0]
+        assert abs(cdf_at(fine, r)[0][0] - level) <= \
+            KLUYVER_CONVERGENCE_TOL * level
 
 
 @pytest.mark.parametrize("n", [KLUYVER_FIRST_NODES, 2 * KLUYVER_FIRST_NODES])
@@ -456,11 +508,11 @@ def test_kluyver_grid_is_a_prefix_of_the_largest(n):
 ])
 def test_grown_grid_finds_the_root_of_a_grid_built_at_its_size(
         amplitudes, level, nodes):
-    grown = _KluyverCDF(amplitudes)
-    r = grown.quantile(level)
-    assert grown.nodes.size == nodes     # no shorter grid converged
-    assert r == _KluyverCDF(amplitudes, _kluyver_grid(nodes)).quantile(level)
-    assert grown(r) == _KluyverCDF(amplitudes, _kluyver_grid(nodes))(r)
+    r, grown = exact_quantile(amplitudes, level)
+    assert grown.shape[1] == nodes     # no shorter grid converged
+    built = j0_row(amplitudes, nodes)
+    assert r == _illinois(_kluyver_grid(nodes)[0], built, level)[0]
+    assert np.array_equal(cdf_at(grown, r), cdf_at(built, r))
 
 
 def test_power_cdf_refuses_a_profile_whose_quadrature_fails():
@@ -476,9 +528,9 @@ def test_power_cdf_refuses_a_profile_whose_quadrature_fails():
 
 
 def test_no_grid_up_to_the_largest_converges_for_a_dominant_path():
-    cdf = _KluyverCDF([1.0, 0.5, 0.3])
-    assert cdf.quantile(1e-3) is None
-    assert cdf.nodes.size == KLUYVER_NODES
+    r, weighted = exact_quantile([1.0, 0.5, 0.3], 1e-3)
+    assert np.isnan(r)
+    assert weighted.shape[1] == KLUYVER_NODES
 
 
 def test_first_grid_roots_hold_on_a_fine_grid():
@@ -489,10 +541,10 @@ def test_first_grid_roots_hold_on_a_fine_grid():
     cases = [case.values[0] for case in amplitude_cases()]
     cases += list(s.path_amplitudes(np.column_stack([xy, np.full(200, 1.5)])))
     for amplitudes in cases:
-        fine = _KluyverCDF(amplitudes, _kluyver_grid(16384))
+        fine = j0_row(amplitudes, 16384)
         for level in LEVELS:
-            r = _KluyverCDF(amplitudes).quantile(level)
-            assert abs(fine(r) - level) <= 1e-3 * level
+            r = exact_quantile(amplitudes, level)[0]
+            assert abs(cdf_at(fine, r)[0][0] - level) <= 1e-3 * level
 
 
 def two_path_cdf(a1, a2, r):
@@ -506,22 +558,23 @@ def test_convergence_test_admits_only_accurate_two_path_quantiles(ratio):
     # two paths are the hardest case (a square-root edge in the CDF); where
     # the quadrature passes its own convergence test it must be right
     a = np.array([1.0, ratio]) / (1.0 + ratio)
-    cdf = _KluyverCDF(a)
     for level in LEVELS:
-        r = cdf.quantile(level)
-        if r is not None:
+        r = exact_quantile(a, level)[0]
+        if not np.isnan(r):
             assert abs(two_path_cdf(*a, r) - level) <= \
                 KLUYVER_CONVERGENCE_TOL * level
-    assert cdf.quantile(1e-3) is None
+    assert np.isnan(exact_quantile(a, 1e-3)[0])
 
 
 @pytest.mark.parametrize("loc", EXACT_LOCATIONS, ids=range(4))
 def test_exact_outage_at_exact_capacity_is_epsilon(loc):
     s = make_scenario(seed=1)
     for eps in LEVELS:
-        c, _ = true_outage_capacity(s, loc, eps, (), 0, 0)
-        assert (c, []) == _exact_outage_capacity(s, loc, eps, ())
-        again, (out,) = true_outage_capacity(s, loc, eps, (c,), 0, 0)
+        c, _ = oracle_truth(s, loc, eps, (), 0, 0)
+        peak = float(np.sum(s.path_amplitudes(loc.as_array())))
+        assert c == math.log2(1.0 + (peak * exact_root(s, loc, eps)) ** 2
+                              / s.config.noise_power)
+        again, (out,) = oracle_truth(s, loc, eps, (c,), 0, 0)
         assert again == c
         assert abs(out - eps) <= 2.0 * KLUYVER_ROOT_TOL * eps
 
@@ -534,10 +587,85 @@ def test_exact_outage_at_exact_capacity_is_epsilon(loc):
 def test_two_path_and_mrc_fall_back_to_monte_carlo_bit_for_bit(overrides, eps):
     s = make_scenario(seed=16, **overrides)
     if s.config.num_antennas == 1:
-        assert _exact_outage_capacity(s, LOC, eps, ()) is None
+        assert np.isnan(exact_root(s, LOC, eps))
     rates, n = (1.0, 3.0, 6.0), math.ceil(100 / eps)
-    assert true_outage_capacity(s, LOC, eps, rates, 21, 22) == mc_truth(
+    assert oracle_truth(s, LOC, eps, rates, 21, 22) == mc_truth(
         s, LOC, eps, rates, n, n, 21, 22)
+
+
+# Profiles swapped into the block below, scaled to the location's amplitude
+# sum: four that need a doubled grid at eps = 1e-2 or 1e-3 (the first two are
+# the grown-grid test's), and three whose dominant paths fail the
+# quadrature's test and fall back to Monte Carlo.
+GROWN_PROFILES = ((1.0, 0.3, 0.2), (1.0, 0.5, 0.5), (1.0, 0.5, 0.4),
+                  (1.0, 0.6, 0.5))
+DOMINANT_PROFILES = ((1.0,), (1.0, 0.5), (1.0, 0.5, 0.3))
+BLOCK_RATES = (0.0, 2.0, 7.0, 1e3)   # certain, likely, rare and out of reach
+
+
+def swap_in_profiles(monkeypatch, swapped):
+    """Make Scenario.path_amplitudes return the profile given for a
+    location's (x, y) in swapped, padded with zero paths."""
+    original = Scenario.path_amplitudes
+
+    def patched(self, locs):
+        a = original(self, locs)
+        for row, loc in zip(a, np.atleast_2d(np.asarray(locs, dtype=float))):
+            profile = swapped.get((loc[0], loc[1]))
+            if profile is not None:
+                row[:] = np.pad(profile, (0, row.size - len(profile))) \
+                    * row.sum()
+        return a
+
+    monkeypatch.setattr(Scenario, "path_amplitudes", patched)
+
+
+def judged_in_blocks(s, locs, eps, block):
+    rates = [BLOCK_RATES] * len(locs)
+    seeds = list(range(len(locs)))
+    return [truth for i in range(0, len(locs), block)
+            for truth in true_outage_capacities(
+                s, locs[i:i + block], eps, rates[i:i + block],
+                seeds[i:i + block], [seed + 1000 for seed in seeds[i:i + block]])]
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_block_oracle_equals_blocks_of_one(monkeypatch, eps):
+    s = make_scenario(seed=1)
+    xy = np.random.default_rng(34).uniform(-100.0, 100.0, (200, 2))
+    locs = [Location(float(x), float(y), 1.5) for x, y in xy]
+    profiles = GROWN_PROFILES + DOMINANT_PROFILES
+    swap_in_profiles(monkeypatch, {
+        (locs[17 * k].x, locs[17 * k].y): profile
+        for k, profile in enumerate(profiles, start=1)})
+    # the block covers every path: roots found on grids of 1024, 2048 and
+    # 4096 nodes, and Monte Carlo
+    a = s.path_amplitudes([loc.as_array() for loc in locs])
+    roots, grids = _kluyver_quantiles(a / a.sum(axis=1)[:, None], eps)
+    assert {weighted.shape[1] for rows, weighted in grids
+            if np.isfinite(roots[rows]).any()} == \
+        {KLUYVER_FIRST_NODES, 2 * KLUYVER_FIRST_NODES, KLUYVER_NODES}
+    assert np.isnan(roots).sum() >= 2
+    block = judged_in_blocks(s, locs, eps, len(locs))
+    assert judged_in_blocks(s, locs, eps, 1) == block
+    assert judged_in_blocks(s, locs, eps, 7) == block
+
+
+def test_block_oracle_equals_blocks_of_one_with_mrc():
+    s = make_scenario(seed=16, num_antennas=2)
+    xy = np.random.default_rng(35).uniform(-100.0, 100.0, (12, 2))
+    locs = [Location(float(x), float(y), 1.5) for x, y in xy]
+    block = judged_in_blocks(s, locs, 1e-2, len(locs))
+    assert judged_in_blocks(s, locs, 1e-2, 1) == block
+    assert block[0] == mc_truth(s, locs[0], 1e-2, BLOCK_RATES, 10_000,
+                                10_000, 0, 1000)
+
+
+def test_block_oracle_refuses_a_location_outside_the_cell():
+    s = make_scenario(seed=1)
+    locs = [LOC, Location(500.0, 0.0, 1.5), Location(-60.0, 70.0, 1.5)]
+    with pytest.raises(ValueError, match="outside the cell"):
+        judged_in_blocks(s, locs, 1e-2, len(locs))
 
 
 # ---------------------------------------------------------------- invariants
