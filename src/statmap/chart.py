@@ -36,6 +36,9 @@ DEFAULT_HIDDEN = (256, 128, 64)
 MAX_SUBCARRIER_FEATURES = 24
 LATENT_DIM = 2
 MOMENTUM = 0.9          # SGD velocity decay per step
+# W1 entries per quantile call in triplet mining: 8 MiB of rows, so a chunk
+# and its copies stay within a few tens of MB at any user count
+QUANTILE_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -157,19 +160,28 @@ def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
 
     rng = np.random.default_rng(seed)
     anchors = rng.integers(0, n_users, size=n_triplets)
-    # per anchor: its W1 row and its positive and negative pools
+    # per anchor: its W1 row and its positive and negative pools; the cuts
+    # come from one quantile call per chunk of anchors, whose rows give the
+    # same order statistics and interpolation as one call per anchor
     pools = {}
-    for anchor in np.unique(anchors).tolist():
+    distinct = np.unique(anchors)
+    chunk = max(1, QUANTILE_CHUNK_ENTRIES // n_users)
+    for start in range(0, distinct.size, chunk):
+        block = distinct[start:start + chunk]
         if condensed is not None:
-            row = _condensed_row(condensed, n_users, anchor)
+            rows = np.array([_condensed_row(condensed, n_users, anchor)
+                             for anchor in block])
         else:
-            row = np.array([wasserstein1(dists[anchor], d) for d in dists])
-        others = np.arange(n_users) != anchor
-        w_others = row[others]
-        close_cut = np.quantile(w_others, close_quantile)
-        far_cut = np.quantile(w_others, far_quantile)
-        pools[anchor] = (row, np.flatnonzero(others & (row < close_cut)),
-                         np.flatnonzero(others & (row > far_cut)))
+            rows = np.array([[wasserstein1(dists[anchor], d) for d in dists]
+                             for anchor in block])
+        others = np.arange(n_users) != block[:, None]
+        close_cuts, far_cuts = np.quantile(
+            rows[others].reshape(block.size, n_users - 1),
+            [close_quantile, far_quantile], axis=1)
+        for anchor, row, mask, close_cut, far_cut in zip(
+                block.tolist(), rows, others, close_cuts, far_cuts):
+            pools[anchor] = (row, np.flatnonzero(mask & (row < close_cut)),
+                             np.flatnonzero(mask & (row > far_cut)))
     triplets, skipped = [], 0
     for anchor in anchors.tolist():
         row, pos_pool, neg_pool = pools[anchor]
@@ -211,6 +223,13 @@ def forward(model: ChartModel, features) -> np.ndarray:
 
 def _batch_loss_and_grads(model: ChartModel, feats: np.ndarray,
                           anchors, positives, negatives, margin: float):
+    """Mean triplet loss of the batch and its weight and bias gradients.
+
+    The gradients are None when the loss is finite and no hinge term is
+    positive: they are exactly zero then, and the backward pass is skipped.
+    A NaN hinge is not positive either, but it leaves the loss NaN, so such
+    a batch still takes the full pass and train() rejects its loss.
+    """
     # overflow here surfaces as a non-finite loss, which train() rejects
     b = len(anchors)
     stacked = feats[np.concatenate([anchors, positives, negatives])]
@@ -223,7 +242,11 @@ def _batch_loss_and_grads(model: ChartModel, feats: np.ndarray,
         dp = np.linalg.norm(diff_p, axis=1)
         dn = np.linalg.norm(diff_n, axis=1)
         losses = np.maximum(0.0, dp - dn + margin)
-        active = (losses > 0.0).astype(float)[:, None]
+        loss = float(np.mean(losses))
+        hinge = losses > 0.0
+        if not hinge.any() and math.isfinite(loss):
+            return loss, None, None
+        active = hinge.astype(float)[:, None]
         up = diff_p / np.maximum(dp, 1e-12)[:, None]
         un = diff_n / np.maximum(dn, 1e-12)[:, None]
         g_out = np.vstack([
@@ -231,17 +254,22 @@ def _batch_loss_and_grads(model: ChartModel, feats: np.ndarray,
             -active * up,
             active * un,
         ]) / b
-        # backward pass through the rectifier stack
-        grads_w = [None] * len(model.weights)
-        grads_b = [None] * len(model.biases)
-        g = g_out
-        for i in range(len(model.weights) - 1, -1, -1):
-            a_prev = acts[i]
-            grads_w[i] = a_prev.T @ g
-            grads_b[i] = g.sum(axis=0)
-            if i > 0:
-                g = (g @ model.weights[i].T) * (acts[i] > 0.0)
-    return float(np.mean(losses)), grads_w, grads_b
+        return (loss, *_backward(model, acts, g_out))
+
+
+def _backward(model: ChartModel, acts, g_out: np.ndarray):
+    """Weight and bias gradients from the output gradient g_out, passed back
+    through the rectifier stack whose activations acts the forward pass
+    kept."""
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    g = g_out
+    for i in range(len(model.weights) - 1, -1, -1):
+        grads_w[i] = acts[i].T @ g
+        grads_b[i] = g.sum(axis=0)
+        if i > 0:
+            g = (g @ model.weights[i].T) * (acts[i] > 0.0)
+    return grads_w, grads_b
 
 
 def train(model: ChartModel, triplets, features, margin: float = 1.0,
@@ -277,9 +305,13 @@ def train(model: ChartModel, triplets, features, margin: float = 1.0,
                     f"non-finite loss at epoch {epoch}, batch {start // batch_size}")
             total += loss * len(chunk)
             count += len(chunk)
+            # a batch without gradients still takes its momentum step
             for i in range(len(weights)):
-                vel_w[i] = MOMENTUM * vel_w[i] - step_size * gw[i]
-                vel_b[i] = MOMENTUM * vel_b[i] - step_size * gb[i]
+                vel_w[i] = MOMENTUM * vel_w[i]
+                vel_b[i] = MOMENTUM * vel_b[i]
+                if gw is not None:
+                    vel_w[i] -= step_size * gw[i]
+                    vel_b[i] -= step_size * gb[i]
                 weights[i] = weights[i] + vel_w[i]
                 biases[i] = biases[i] + vel_b[i]
         trace.append(total / count)

@@ -272,12 +272,13 @@ def simulate_dataset(config: ExperimentConfig,
         if with_csi else None
     locs = _thomas_exact_count(config.pointprocess, config.scenario,
                                config.n_train_users, seed)
+    # both bands share the fields, so one evaluation serves their draws
     records = []
-    for i, loc in enumerate(locs):
+    for i, (loc, rays) in enumerate(zip(locs, scenario.path_rays(locs))):
         powers = draw_power_samples(scenario, loc, config.samples_per_user,
-                                    derive_seed(seed, "train-power", i))
-        csi = draw_csi(csi_scenario, loc, derive_seed(seed, "train-csi", i)
-                       ) if with_csi else None
+                                    derive_seed(seed, "train-power", i), rays)
+        csi = draw_csi(csi_scenario, loc, derive_seed(seed, "train-csi", i),
+                       rays) if with_csi else None
         records.append(UserRecord(user_id=i, location=loc,
                                   power_samples=powers, csi=csi))
     return Dataset(records=records)
@@ -382,8 +383,8 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
             stage = "fit-map"
             fmap = fit_location_map(dataset, config)
 
-            def query_of(loc, user):
-                return np.array([loc.x, loc.y])
+            def queries_of(locs):
+                return [np.array([loc.x, loc.y]) for loc in locs]
         else:
             stage = "train-chart"
             charted = fit_chart(dataset, config)
@@ -395,16 +396,21 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
             csi_scenario = band_variant(scenario,
                                         **config.chart.band_overrides())
 
-            def query_of(loc, user):
-                csi = draw_csi(csi_scenario, loc,
-                               derive_seed(seed, "test-csi", user))
-                return chart_mod.forward(charted.model, chart_mod.csi_features(
-                    csi, config.chart.s_red))
+            def queries_of(locs):
+                queries = []
+                for user, (loc, rays) in enumerate(
+                        zip(locs, csi_scenario.path_rays(locs))):
+                    csi = draw_csi(csi_scenario, loc,
+                                   derive_seed(seed, "test-csi", user), rays)
+                    queries.append(chart_mod.forward(
+                        charted.model,
+                        chart_mod.csi_features(csi, config.chart.s_red)))
+                return queries
         echo["gp_fit"] = {"hyper": dataclasses.asdict(fmap.hyper),
                           "diagnostics": dataclasses.asdict(fmap.diagnostics)}
         stage = "evaluate-test-users"
         rows, echo["predictive_calibration"] = _evaluate_test_users(
-            scenario, config, query_of, fmap)
+            scenario, config, queries_of, fmap)
     except Exception as exc:
         exc.args = (f"[stage {stage}] {exc}",)
         raise
@@ -420,10 +426,11 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _evaluate_test_users(scenario, config, query_of, fmap):
+def _evaluate_test_users(scenario, config, queries_of, fmap):
     """Rates for the uniform test users, judged against the oracle.
 
-    Queries are made in user order and predicted in one batch. The oracle,
+    queries_of maps the test locations to one map query each, in user
+    order; the queries are predicted in one batch. The oracle,
     the bulk of the work, judges blocks of ORACLE_BLOCK users on one thread
     per usable CPU: each user is judged from its own location and derived
     seeds, its truth does not depend on the block it is in, and the Bessel
@@ -433,7 +440,7 @@ def _evaluate_test_users(scenario, config, query_of, fmap):
     it judges each rate on ceil(100 / eps) outage draws.
     """
     locs = _uniform_test_locations(config)
-    queries = [query_of(loc, user) for user, loc in enumerate(locs)]
+    queries = queries_of(locs)
     preds = predict_batch(fmap, queries)
     rates = [(select_rate_map(pred, config.delta).rate,
               select_rate_baseline(fmap.train, query).rate)

@@ -256,11 +256,23 @@ class Scenario:
         wobble = np.stack([f.evaluate(xy) for f in self.angle_fields], axis=1)
         return self.base_angles + self.config.angle_spread_rad * wobble
 
+    def path_rays(self, locs) -> list:
+        """(amplitudes, angles) per location, from one path_amplitudes and
+        one path_angles call over all of them. A field value does not depend
+        on how many points share its evaluation (CosineField.evaluate), so
+        each pair equals the per-location values bit for bit."""
+        xyz = [loc.as_array() for loc in locs]
+        return list(zip(self.path_amplitudes(xyz), self.path_angles(xyz)))
+
     # -------------------------------------------------- sampling helpers
 
-    def _geometry(self, loc: Location):
-        a = self.path_amplitudes(loc.as_array())[0]
-        theta = self.path_angles(loc.as_array())[0]
+    def _geometry(self, loc: Location, rays=None):
+        """Per-path amplitudes at loc and its (paths, antennas) steering
+        matrix; rays is loc's pair from path_rays, or None to evaluate the
+        fields at loc alone."""
+        if rays is None:
+            (rays,) = self.path_rays([loc])
+        a, theta = rays
         ant = np.arange(self.config.num_antennas)
         steering = np.exp(-1j * math.pi * np.outer(np.sin(theta), ant))
         return a, steering
@@ -372,12 +384,14 @@ def multipath_power_samples(amplitudes, n: int,
 
 
 def draw_power_samples(scenario: Scenario, loc: Location, n: int,
-                       sample_seed: int) -> np.ndarray:
-    """n effective received power samples (MRC over antennas), noiseless."""
+                       sample_seed: int, rays=None) -> np.ndarray:
+    """n effective received power samples (MRC over antennas), noiseless.
+    rays is loc's (amplitudes, angles) from Scenario.path_rays, if the
+    caller evaluated the fields for many locations at once."""
     if n < 1:
         raise ValueError("need n >= 1 power samples")
     scenario._check_inside(loc)
-    a, steering = scenario._geometry(loc)
+    a, steering = scenario._geometry(loc, rays)
     rng = scenario._phase_rng(loc, "power", sample_seed)
     paths = _path_phasors(a, rng.uniform(0.0, TWO_PI, (n, a.size)))
     h = np.empty((n, steering.shape[1]), dtype=complex)
@@ -388,10 +402,12 @@ def draw_power_samples(scenario: Scenario, loc: Location, n: int,
     return np.sum(np.abs(h) ** 2, axis=1)
 
 
-def draw_csi(scenario: Scenario, loc: Location, sample_seed: int) -> np.ndarray:
-    """One full antenna x subcarrier channel snapshot."""
+def draw_csi(scenario: Scenario, loc: Location, sample_seed: int,
+             rays=None) -> np.ndarray:
+    """One full antenna x subcarrier channel snapshot; rays as for
+    draw_power_samples."""
     scenario._check_inside(loc)
-    a, steering = scenario._geometry(loc)
+    a, steering = scenario._geometry(loc, rays)
     ramps = scenario.subcarrier_ramps()
     rng = scenario._phase_rng(loc, "csi", sample_seed)
     paths = _path_phasors(a, rng.uniform(0.0, TWO_PI, a.size))

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from statmap import chart
 from statmap.chart import (
+    MOMENTUM,
     ChartModel,
     Triplet,
+    _backward,
     _batch_loss_and_grads,
+    _forward_cached,
     build_triplets,
     csi_features,
     forward,
@@ -140,6 +144,20 @@ def test_triplets_match_per_triplet_reference(sizes):
     want = per_triplet_mining(rows, 300, 0.05, 0.5, seed=10)
     assert got == want
     assert want[1] > 0
+
+
+@pytest.mark.parametrize("sizes", ["equal", "unequal"])
+def test_triplets_do_not_depend_on_the_quantile_chunk(monkeypatch, sizes):
+    # an anchor's cuts are the same whether its W1 row shares a quantile
+    # call with other anchors' rows or has one to itself
+    rng = np.random.default_rng(23)
+    rows = [rng.normal(loc=rng.uniform(0, 5), size=40 if sizes == "equal"
+                       else 30 + i % 5) for i in range(30)]
+    whole = build_triplets(rows, 300, 0.05, 0.5, seed=24)
+    for anchors_per_call in (1, 7):
+        monkeypatch.setattr(chart, "QUANTILE_CHUNK_ENTRIES",
+                            anchors_per_call * len(rows))
+        assert build_triplets(rows, 300, 0.05, 0.5, seed=24) == whole
 
 
 def test_fast_w1_row_matches_generic():
@@ -316,6 +334,113 @@ def test_train_aborts_on_nonfinite():
     m = init_chart_model(4, hidden=(5,), seed=8)
     with pytest.raises(TrainingError):
         train(m, triplets, feats, step_size=0.5, epochs=5, seed=0)
+
+
+# ---------------------------------------------------------------- backward skip
+# A batch whose hinge terms are all zero has an exactly zero gradient, so
+# train() skips its backward pass and takes the momentum step alone.
+
+def separable_chart_problem():
+    """Features that scale with each user's rate level: the triplet loss
+    reaches exactly 0 within two epochs at step size 0.05."""
+    rng = np.random.default_rng(32)
+    gain = rng.uniform(0, 5, 40)
+    rows = [rng.normal(loc=g, scale=0.3, size=80) for g in gain]
+    feats = gain[:, None] * rng.normal(size=(1, 12)) \
+        + 0.1 * rng.normal(size=(40, 12))
+    triplets, _ = build_triplets(rows, 200, seed=1)
+    return init_chart_model(12, hidden=(16, 8), seed=2), triplets, feats
+
+
+def full_backward_train(model, triplets, feats, margin, step_size, epochs,
+                        batch_size, seed):
+    """train() with the backward pass run on every batch, an all-zero
+    output gradient included."""
+    idx = np.array([[t.anchor, t.positive, t.negative] for t in triplets])
+    rng = np.random.default_rng(seed)
+    weights, biases = list(model.weights), list(model.biases)
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+    trace = []
+    for _ in range(epochs):
+        order = rng.permutation(len(triplets))
+        total = 0.0
+        for start in range(0, len(order), batch_size):
+            chunk = idx[order[start:start + batch_size]]
+            b = len(chunk)
+            current = ChartModel(weights=tuple(weights), biases=tuple(biases))
+            acts = _forward_cached(current, feats[chunk.T.ravel()])
+            za, zp, zn = acts[-1][:b], acts[-1][b:2 * b], acts[-1][2 * b:]
+            dp = np.linalg.norm(za - zp, axis=1)
+            dn = np.linalg.norm(za - zn, axis=1)
+            losses = np.maximum(0.0, dp - dn + margin)
+            active = (losses > 0.0).astype(float)[:, None]
+            up = (za - zp) / np.maximum(dp, 1e-12)[:, None]
+            un = (za - zn) / np.maximum(dn, 1e-12)[:, None]
+            gw, gb = _backward(current, acts, np.vstack(
+                [active * (up - un), -active * up, active * un]) / b)
+            total += float(np.mean(losses)) * b
+            for i in range(len(weights)):
+                vel_w[i] = MOMENTUM * vel_w[i] - step_size * gw[i]
+                vel_b[i] = MOMENTUM * vel_b[i] - step_size * gb[i]
+                weights[i] = weights[i] + vel_w[i]
+                biases[i] = biases[i] + vel_b[i]
+        trace.append(total / len(triplets))
+    return weights, biases, trace
+
+
+@pytest.mark.parametrize("step_size", [0.05, 1e-4])
+def test_skipped_backward_passes_leave_training_bit_identical(step_size):
+    model, triplets, feats = separable_chart_problem()
+    args = dict(margin=1.0, step_size=step_size, epochs=8, batch_size=32,
+                seed=3)
+    got = train(model, triplets, feats, **args)
+    weights, biases, trace = full_backward_train(model, triplets, feats,
+                                                 **args)
+    if step_size == 0.05:
+        assert got.epoch_losses[0] > 0.0 and got.epoch_losses[-1] == 0.0
+    else:
+        assert min(got.epoch_losses) > 0.0
+    assert np.array(got.epoch_losses).tobytes() == np.array(trace).tobytes()
+    for have, want in zip(got.model.weights + got.model.biases,
+                          weights + biases):
+        assert have.tobytes() == want.tobytes()
+
+
+def test_backward_pass_runs_once_per_batch_with_a_positive_hinge(monkeypatch):
+    model, triplets, feats = separable_chart_problem()
+    positive, backward_at = [], []
+
+    def batch(model, feats, anchors, positives, negatives, margin):
+        # the hinge terms, from the very rows the batch embeds
+        b = len(anchors)
+        z = forward(model, feats[np.concatenate([anchors, positives,
+                                                 negatives])])
+        hinge = np.linalg.norm(z[:b] - z[b:2 * b], axis=1) \
+            - np.linalg.norm(z[:b] - z[2 * b:], axis=1) + margin
+        positive.append(bool(np.any(hinge > 0.0)))
+        return _batch_loss_and_grads(model, feats, anchors, positives,
+                                     negatives, margin)
+
+    def backward(*args):
+        backward_at.append(len(positive) - 1)
+        return _backward(*args)
+
+    monkeypatch.setattr(chart, "_batch_loss_and_grads", batch)
+    monkeypatch.setattr(chart, "_backward", backward)
+    train(model, triplets, feats, margin=1.0, step_size=0.05, epochs=8,
+          batch_size=32, seed=3)
+    assert backward_at == [i for i, p in enumerate(positive) if p]
+    assert 0 < len(backward_at) < len(positive)
+
+
+def test_nan_hinge_is_not_taken_for_an_inactive_batch():
+    feats = np.random.default_rng(25).normal(size=(3, 4))
+    feats[2, 0] = np.nan
+    model = init_chart_model(4, hidden=(5,), seed=4)
+    loss, gw, gb = _batch_loss_and_grads(model, feats, [0], [1], [2], 1.0)
+    assert math.isnan(loss)
+    assert gw is not None and gb is not None
 
 
 def synthetic_chart_problem(n_users=120, seed=16):

@@ -44,7 +44,12 @@ from statmap.propagation import (
     KLUYVER_CONVERGENCE_TOL,
     KLUYVER_NODES,
     Location,
+    Scenario,
+    ScenarioConfig,
+    band_variant,
     derive_seed,
+    draw_csi,
+    draw_power_samples,
     generate_scenario,
     true_outage_capacities,
     _j0_products,
@@ -294,6 +299,64 @@ def test_simulate_dataset_deterministic():
     c = simulate_dataset(dataclasses.replace(SMALL, seed=6))
     assert not np.array_equal(a.records[0].power_samples,
                               c.records[0].power_samples)
+
+
+@pytest.mark.parametrize("with_csi", [False, True])
+@pytest.mark.parametrize("antennas", [1, 2])
+def test_simulated_records_equal_per_user_draws(monkeypatch, with_csi,
+                                                antennas):
+    # the training users' fields are evaluated once, in one batch, and give
+    # each user the draws a call of its own would
+    config = dataclasses.replace(
+        TINY_CHART, n_train_users=40,
+        scenario=ScenarioConfig(num_antennas=antennas))
+    evaluations = []
+
+    def counted(name):
+        original = getattr(Scenario, name)
+
+        def method(self, locs):
+            evaluations.append(name)
+            return original(self, locs)
+        return method
+
+    for name in ("path_amplitudes", "path_angles"):
+        monkeypatch.setattr(Scenario, name, counted(name))
+    ds = simulate_dataset(config, with_csi=with_csi)
+    monkeypatch.undo()
+    assert sorted(evaluations) == ["path_amplitudes", "path_angles"]
+    seed = config.seed
+    scenario = generate_scenario(config.scenario, seed)
+    csi_scenario = band_variant(scenario, **config.chart.band_overrides())
+    for i, record in enumerate(ds.records):
+        assert record.power_samples.tobytes() == draw_power_samples(
+            scenario, record.location, config.samples_per_user,
+            derive_seed(seed, "train-power", i)).tobytes()
+        if with_csi:
+            assert record.csi.tobytes() == draw_csi(
+                csi_scenario, record.location,
+                derive_seed(seed, "train-csi", i)).tobytes()
+        else:
+            assert record.csi is None
+
+
+def test_chart_test_queries_equal_per_user_csi_draws(monkeypatch):
+    drawn = {}
+
+    def recorded(scenario, loc, sample_seed, rays=None):
+        csi = draw_csi(scenario, loc, sample_seed, rays)
+        drawn[sample_seed] = (scenario, loc, rays, csi)
+        return csi
+
+    monkeypatch.setattr(harness, "draw_csi", recorded)
+    run_chart_experiment(TINY_CHART)
+    locs = harness._uniform_test_locations(TINY_CHART)
+    for user, loc in enumerate(locs):
+        sample_seed = derive_seed(TINY_CHART.seed, "test-csi", user)
+        scenario, drawn_at, rays, csi = drawn[sample_seed]
+        assert drawn_at == loc and rays is not None
+        assert scenario.config.num_antennas == TINY_CHART.chart.csi_antennas
+        assert csi.tobytes() == draw_csi(scenario, loc, sample_seed).tobytes()
 
 
 def test_estimate_capacities_matches_manual():

@@ -190,6 +190,32 @@ def test_field_values_do_not_depend_on_how_many_points_share_the_call():
                           [s.path_amplitudes(loc)[0] for loc in locs])
 
 
+@pytest.mark.parametrize("antennas", [1, 2])
+def test_draws_from_batched_rays_equal_per_location_draws(antennas):
+    s = make_scenario(seed=13, num_antennas=antennas, num_subcarriers=4)
+    xy = np.random.default_rng(36).uniform(-100.0, 100.0, (60, 2))
+    locs = [Location(float(x), float(y), 1.5) for x, y in xy]
+    rays = s.path_rays(locs)
+    assert len(rays) == len(locs)
+    for i, (loc, (a, theta)) in enumerate(zip(locs, rays)):
+        assert a.tobytes() == s.path_amplitudes(loc.as_array())[0].tobytes()
+        assert theta.tobytes() == s.path_angles(loc.as_array())[0].tobytes()
+        assert draw_power_samples(s, loc, 200, i, (a, theta)).tobytes() == \
+            draw_power_samples(s, loc, 200, i).tobytes()
+        assert draw_csi(s, loc, i, (a, theta)).tobytes() == \
+            draw_csi(s, loc, i).tobytes()
+
+
+def test_draws_from_batched_rays_still_refuse_a_location_outside_the_cell():
+    s = make_scenario(seed=1)
+    outside = Location(500.0, 0.0, 1.5)
+    (rays,) = s.path_rays([outside])
+    with pytest.raises(ValueError, match="outside the cell"):
+        draw_power_samples(s, outside, 4, 0, rays)
+    with pytest.raises(ValueError, match="outside the cell"):
+        draw_csi(s, outside, 0, rays)
+
+
 # ---------------------------------------------------------------- thomas
 
 def test_thomas_zero_spread_offspring_on_parents():
