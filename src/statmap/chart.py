@@ -160,9 +160,10 @@ def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
 
     rng = np.random.default_rng(seed)
     anchors = rng.integers(0, n_users, size=n_triplets)
-    # per anchor: its W1 row and its positive and negative pools; the cuts
-    # come from one quantile call per chunk of anchors, whose rows give the
-    # same order statistics and interpolation as one call per anchor
+    # per anchor: its positive and negative pools; the cuts come from one
+    # quantile call per chunk of anchors, whose rows give the same order
+    # statistics and interpolation as one call per anchor. A negative lies
+    # above both cuts, so it is always farther than the positive.
     pools = {}
     distinct = np.unique(anchors)
     chunk = max(1, QUANTILE_CHUNK_ENTRIES // n_users)
@@ -180,29 +181,27 @@ def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
             [close_quantile, far_quantile], axis=1)
         for anchor, row, mask, close_cut, far_cut in zip(
                 block.tolist(), rows, others, close_cuts, far_cuts):
-            pools[anchor] = (row, np.flatnonzero(mask & (row < close_cut)),
-                             np.flatnonzero(mask & (row > far_cut)))
+            pools[anchor] = (
+                np.flatnonzero(mask & (row < close_cut)),
+                np.flatnonzero(mask & (row > max(close_cut, far_cut))))
     triplets, skipped = [], 0
     for anchor in anchors.tolist():
-        row, pos_pool, neg_pool = pools[anchor]
+        pos_pool, neg_pool = pools[anchor]
         if pos_pool.size == 0 or neg_pool.size == 0:
             skipped += 1
             continue
         pos = int(rng.choice(pos_pool))
         neg = int(rng.choice(neg_pool))
-        if row[pos] < row[neg]:
-            triplets.append(Triplet(anchor, pos, neg))
-        else:
-            skipped += 1
+        triplets.append(Triplet(anchor, pos, neg))
     return triplets, skipped
 
 
-def _forward_cached(model: ChartModel, x: np.ndarray):
+def _forward_cached(weights, biases, x: np.ndarray):
     """Forward pass keeping post-activation values for backprop."""
     activations = [x]
     a = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
         z = a @ w + b
         a = z if i == last else np.maximum(z, 0.0)
         activations.append(a)
@@ -217,11 +216,11 @@ def forward(model: ChartModel, features) -> np.ndarray:
     if x.shape[1] != model.input_dim:
         raise ConfigurationError(
             f"feature dimension {x.shape[1]} != model input {model.input_dim}")
-    out = _forward_cached(model, x)[-1]
+    out = _forward_cached(model.weights, model.biases, x)[-1]
     return out[0] if single else out
 
 
-def _batch_loss_and_grads(model: ChartModel, feats: np.ndarray,
+def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
                           anchors, positives, negatives, margin: float):
     """Mean triplet loss of the batch and its weight and bias gradients.
 
@@ -234,7 +233,7 @@ def _batch_loss_and_grads(model: ChartModel, feats: np.ndarray,
     b = len(anchors)
     stacked = feats[np.concatenate([anchors, positives, negatives])]
     with np.errstate(invalid="ignore", over="ignore"):
-        acts = _forward_cached(model, stacked)
+        acts = _forward_cached(weights, biases, stacked)
         z = acts[-1]
         za, zp, zn = z[:b], z[b:2 * b], z[2 * b:]
         diff_p = za - zp
@@ -254,21 +253,21 @@ def _batch_loss_and_grads(model: ChartModel, feats: np.ndarray,
             -active * up,
             active * un,
         ]) / b
-        return (loss, *_backward(model, acts, g_out))
+        return (loss, *_backward(weights, acts, g_out))
 
 
-def _backward(model: ChartModel, acts, g_out: np.ndarray):
+def _backward(weights, acts, g_out: np.ndarray):
     """Weight and bias gradients from the output gradient g_out, passed back
     through the rectifier stack whose activations acts the forward pass
     kept."""
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
     g = g_out
-    for i in range(len(model.weights) - 1, -1, -1):
+    for i in range(len(weights) - 1, -1, -1):
         grads_w[i] = acts[i].T @ g
         grads_b[i] = g.sum(axis=0)
         if i > 0:
-            g = (g @ model.weights[i].T) * (acts[i] > 0.0)
+            g = (g @ weights[i].T) * (acts[i] > 0.0)
     return grads_w, grads_b
 
 
@@ -297,9 +296,9 @@ def train(model: ChartModel, triplets, features, margin: float = 1.0,
         total, count = 0.0, 0
         for start in range(0, len(order), batch_size):
             chunk = idx[order[start:start + batch_size]]
-            current = ChartModel(weights=tuple(weights), biases=tuple(biases))
             loss, gw, gb = _batch_loss_and_grads(
-                current, feats, chunk[:, 0], chunk[:, 1], chunk[:, 2], margin)
+                weights, biases, feats, chunk[:, 0], chunk[:, 1], chunk[:, 2],
+                margin)
             if not math.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // batch_size}")

@@ -231,13 +231,12 @@ def cmd_select_rate(doc, seed, out_dir, full):
                 "select_rate.queries must hold [x, y] pairs of finite "
                 f"numbers, got {query!r}")
     queries = np.asarray(queries, dtype=float)
-    fmap = load_map(map_path)
-    rows = [(float(q[0]), float(q[1]), select_rate_map(pred, delta).rate,
-             POLICY_MAP)
-            for q, pred in zip(queries, predict_batch(fmap, queries))]
+    rates = select_rate_map(predict_batch(load_map(map_path), queries), delta)
     path = os.path.join(out_dir, "rates.csv")
-    write_csv(path, ["x", "y", "rate", "policy"], rows)
-    print(f"wrote {path} ({len(rows)} queries, delta={delta:g})")
+    write_csv(path, ["x", "y", "rate", "policy"],
+              zip(queries[:, 0], queries[:, 1], rates,
+                  [POLICY_MAP] * len(queries)))
+    print(f"wrote {path} ({len(queries)} queries, delta={delta:g})")
     return [path]
 
 

@@ -100,10 +100,11 @@ class TrainingSet:
 
 @dataclass(frozen=True)
 class PredictiveDistribution:
-    """Gaussian posterior of the outage capacity at a query point."""
+    """Gaussian posterior of the outage capacity: arrays in query order from
+    :func:`predict_batch`, floats from :func:`predict`."""
 
-    mean: float
-    variance: float
+    mean: np.ndarray | float
+    variance: np.ndarray | float
 
 
 @dataclass(frozen=True)
@@ -345,8 +346,9 @@ def build_map(train: TrainingSet, hyper: Hyperparams,
                                                 0, 0, True, jit))
 
 
-def predict_batch(fmap: FittedMap, queries) -> list[PredictiveDistribution]:
-    """Posterior at each query point.
+def predict_batch(fmap: FittedMap, queries) -> PredictiveDistribution:
+    """Posterior at each query point, as arrays of means and variances in
+    query order.
 
     Queries are evaluated in chunks of up to ``PREDICT_CHUNK``: per chunk,
     the (n, chunk) cross-kernel, its product with the weight vector, and one
@@ -364,20 +366,20 @@ def predict_batch(fmap: FittedMap, queries) -> list[PredictiveDistribution]:
     if not np.isfinite(q).all():
         raise ConfigurationError("queries must be finite")
     hyper = fmap.hyper
-    out = []
+    means, variances = np.empty(len(q)), np.empty(len(q))
     for start in range(0, len(q), PREDICT_CHUNK):
-        kx = _covariance(_sq_dists(fmap.train.coords,
-                                   q[start:start + PREDICT_CHUNK]),
-                         hyper, with_nugget=False)
-        means = hyper.prior_mean + fmap.alpha @ kx
+        chunk = slice(start, start + PREDICT_CHUNK)
+        kx = _covariance(_sq_dists(fmap.train.coords, q[chunk]), hyper,
+                         with_nugget=False)
+        means[chunk] = hyper.prior_mean + fmap.alpha @ kx
         v = solve_triangular(fmap.chol, kx, lower=True, check_finite=False)
-        variances = hyper.signal_var - np.einsum("ij,ij->j", v, v)
-        out.extend(PredictiveDistribution(mean=float(m),
-                                          variance=max(float(s), 0.0))
-                   for m, s in zip(means, variances))
-    return out
+        variances[chunk] = hyper.signal_var - np.einsum("ij,ij->j", v, v)
+    return PredictiveDistribution(mean=means,
+                                  variance=np.maximum(variances, 0.0))
 
 
 def predict(fmap: FittedMap, query) -> PredictiveDistribution:
-    """Posterior at one query point: a batch of one."""
-    return predict_batch(fmap, np.asarray(query, dtype=float).reshape(1, 2))[0]
+    """Posterior at one query point, as floats: a batch of one."""
+    pred = predict_batch(fmap, np.asarray(query, dtype=float).reshape(1, 2))
+    return PredictiveDistribution(mean=float(pred.mean[0]),
+                                  variance=float(pred.variance[0]))

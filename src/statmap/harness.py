@@ -384,7 +384,7 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
             fmap = fit_location_map(dataset, config)
 
             def queries_of(locs):
-                return [np.array([loc.x, loc.y]) for loc in locs]
+                return np.array([[loc.x, loc.y] for loc in locs])
         else:
             stage = "train-chart"
             charted = fit_chart(dataset, config)
@@ -405,7 +405,7 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
                     queries.append(chart_mod.forward(
                         charted.model,
                         chart_mod.csi_features(csi, config.chart.s_red)))
-                return queries
+                return np.array(queries)
         echo["gp_fit"] = {"hyper": dataclasses.asdict(fmap.hyper),
                           "diagnostics": dataclasses.asdict(fmap.diagnostics)}
         stage = "evaluate-test-users"
@@ -429,8 +429,9 @@ def _worker_count() -> int:
 def _evaluate_test_users(scenario, config, queries_of, fmap):
     """Rates for the uniform test users, judged against the oracle.
 
-    queries_of maps the test locations to one map query each, in user
-    order; the queries are predicted in one batch. The oracle,
+    queries_of maps the test locations to an array of map queries, one row
+    per user in user order; the queries are predicted in one batch and each
+    policy rates them all in one call. The oracle,
     the bulk of the work, judges blocks of ORACLE_BLOCK users on one thread
     per usable CPU: each user is judged from its own location and derived
     seeds, its truth does not depend on the block it is in, and the Bessel
@@ -442,9 +443,10 @@ def _evaluate_test_users(scenario, config, queries_of, fmap):
     locs = _uniform_test_locations(config)
     queries = queries_of(locs)
     preds = predict_batch(fmap, queries)
-    rates = [(select_rate_map(pred, config.delta).rate,
-              select_rate_baseline(fmap.train, query).rate)
-             for pred, query in zip(preds, queries)]
+    # plain floats, (map rate, baseline rate) per user, for the oracle
+    rates = np.column_stack([select_rate_map(preds, config.delta),
+                             select_rate_baseline(fmap.train, queries)
+                             ]).tolist()
 
     def judge(users):
         return true_outage_capacities(
@@ -467,11 +469,9 @@ def _evaluate_test_users(scenario, config, queries_of, fmap):
                 true_ceps=true_c, rate=rate, outage_prob=outage,
                 policy=policy))
     rows.sort(key=lambda r: (r.user_id, r.policy))
-    residuals = np.asarray([true_c for true_c, _ in judged]) \
-        - np.asarray([pred.mean for pred in preds])
+    residuals = np.asarray([true_c for true_c, _ in judged]) - preds.mean
     calibration = {
-        "mean_predictive_std": float(np.mean(np.sqrt(
-            [pred.variance for pred in preds]))),
+        "mean_predictive_std": float(np.mean(np.sqrt(preds.variance))),
         "residual_std": float(np.std(residuals)),
         "residual_mean": float(np.mean(residuals)),
     }

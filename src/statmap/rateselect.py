@@ -4,20 +4,18 @@ The map policy picks the delta-quantile of the Gaussian predictive
 distribution of the outage capacity, so delta is the meta-probability that
 the selected rate exceeds the true outage capacity. The baseline policy
 copies the estimate of the nearest training point, without interpolation.
+Both policies take a batch of queries and return one rate per query,
+clamped at 0 ("do not transmit").
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ndtri
 
-from .gpmap import PredictiveDistribution, TrainingSet
+from .gpmap import PREDICT_CHUNK, PredictiveDistribution, TrainingSet, _sq_dists
 
 __all__ = [
-    "RateDecision",
     "POLICY_MAP",
     "POLICY_BASELINE",
     "gaussian_quantile",
@@ -29,20 +27,6 @@ POLICY_MAP = "map_quantile"
 POLICY_BASELINE = "nearest_neighbor"
 
 
-@dataclass(frozen=True)
-class RateDecision:
-    rate: float                 # bits/s/Hz, clamped at 0 ("do not transmit")
-    policy: str
-    delta: float | None = None  # meta-probability, map policy only
-
-    def __post_init__(self):
-        if self.rate < 0.0:
-            raise ValueError("rate must be clamped at 0")
-        if self.policy == POLICY_MAP and not (
-                self.delta is not None and 0.0 < self.delta < 1.0):
-            raise ValueError("map policy needs delta in (0,1)")
-
-
 def gaussian_quantile(delta: float) -> float:
     """Standard normal inverse CDF, accurate to well below 1e-9."""
     if not 0.0 < delta < 1.0:
@@ -50,21 +34,26 @@ def gaussian_quantile(delta: float) -> float:
     return float(ndtri(delta))
 
 
-def select_rate_map(pred: PredictiveDistribution, delta: float) -> RateDecision:
-    """Conservative delta-quantile of the predicted outage capacity."""
-    if pred.variance < 0.0:
+def select_rate_map(pred: PredictiveDistribution, delta: float) -> np.ndarray:
+    """Conservative delta-quantile of the predicted outage capacity at each
+    query of ``pred``."""
+    if np.any(pred.variance < 0.0):
         raise ValueError("predictive variance must be >= 0")
-    rate = pred.mean + math.sqrt(pred.variance) * gaussian_quantile(delta)
-    return RateDecision(rate=max(rate, 0.0), policy=POLICY_MAP, delta=delta)
+    return np.maximum(
+        pred.mean + np.sqrt(pred.variance) * gaussian_quantile(delta), 0.0)
 
 
-def select_rate_baseline(train: TrainingSet, query) -> RateDecision:
-    """Outage-capacity estimate of the Euclidean-nearest training point.
+def select_rate_baseline(train: TrainingSet, queries) -> np.ndarray:
+    """Outage-capacity estimate of the Euclidean-nearest training point to
+    each query.
 
     Ties resolve to the lowest training index, so the choice is deterministic.
+    Distances are taken PREDICT_CHUNK queries at a time, so memory stays
+    O(n * chunk) whatever the batch size.
     """
-    q = np.asarray(query, dtype=float).reshape(2)
-    d2 = np.sum((train.coords - q) ** 2, axis=1)
-    idx = int(np.argmin(d2))  # argmin returns the first minimum
-    return RateDecision(rate=max(float(train.targets[idx]), 0.0),
-                        policy=POLICY_BASELINE)
+    q = np.asarray(queries, dtype=float).reshape(-1, 2)
+    nearest = np.concatenate([
+        np.argmin(_sq_dists(q[start:start + PREDICT_CHUNK], train.coords),
+                  axis=1)  # argmin returns the first minimum
+        for start in range(0, len(q), PREDICT_CHUNK)])
+    return np.maximum(train.targets[nearest], 0.0)

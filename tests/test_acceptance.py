@@ -80,12 +80,12 @@ def test_criterion_1_meta_probability_calibration():
     # true outage capacities at held-out points: exact conditional marginals
     true_preds = predict_batch(build_map(train, truth), test_xy)
     g = rng.normal(size=n_test)
-    truths = np.array([p.mean + math.sqrt(p.variance) * gg
-                       for p, gg in zip(true_preds, g)])
+    truths = np.array([m + math.sqrt(v) * gg
+                       for m, v, gg in zip(true_preds.mean,
+                                           true_preds.variance, g)])
     # rates from a map whose hyperparameters are re-fitted from the data
     fmap = fit(train, restarts=2, seed=0)
-    rates = np.array([select_rate_map(p, delta).rate
-                      for p in predict_batch(fmap, test_xy)])
+    rates = select_rate_map(predict_batch(fmap, test_xy), delta)
     violations = float(np.mean(rates > truths))
     elapsed = time.perf_counter() - t0
     ok = 0.037 <= violations <= 0.065 and elapsed < 60.0
@@ -179,8 +179,8 @@ def test_criterion_5_gp_unit_suite():
     grid = np.stack(np.meshgrid(np.linspace(-8, 8, 100),
                                 np.linspace(-8, 8, 100)),
                     axis=-1).reshape(-1, 2)
-    var_ok = all(p.variance <= h.signal_var + 1e-12
-                 for p in predict_batch(fmap2, grid))
+    var_ok = all(v <= h.signal_var + 1e-12
+                 for v in predict_batch(fmap2, grid).variance)
     # (d) Cholesky posterior equals dense-inverse posterior, N <= 50
     dense_ok = True
     for n in (10, 50):
@@ -214,7 +214,8 @@ def test_criterion_6_gradient_check():
     margin = 5.0
     idx = ([t.anchor for t in triplets], [t.positive for t in triplets],
            [t.negative for t in triplets])
-    _, gw, gb = _batch_loss_and_grads(model, feats, *idx, margin)
+    _, gw, gb = _batch_loss_and_grads(model.weights, model.biases, feats,
+                                      *idx, margin)
     analytic = np.concatenate([g.ravel() for g in gw]
                               + [g.ravel() for g in gb])
 
@@ -239,8 +240,11 @@ def test_criterion_6_gradient_check():
     for i in range(theta.size):
         up = theta.copy(); up[i] += step
         dn = theta.copy(); dn[i] -= step
-        fd[i] = (_batch_loss_and_grads(rebuild(up), feats, *idx, margin)[0]
-                 - _batch_loss_and_grads(rebuild(dn), feats, *idx, margin)[0]
+        m_up, m_dn = rebuild(up), rebuild(dn)
+        fd[i] = (_batch_loss_and_grads(m_up.weights, m_up.biases, feats,
+                                       *idx, margin)[0]
+                 - _batch_loss_and_grads(m_dn.weights, m_dn.biases, feats,
+                                         *idx, margin)[0]
                  ) / (2 * step)
     rel = np.abs(analytic - fd) / np.maximum(np.abs(analytic) + np.abs(fd),
                                              1e-8)

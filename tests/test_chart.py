@@ -220,7 +220,7 @@ def triplet_loss(model, feats, triplets, margin):
     """Mean of max(0, ||za - zp|| - ||za - zn|| + margin) over the triplets,
     as training computes it."""
     return _batch_loss_and_grads(
-        model, feats, [t.anchor for t in triplets],
+        model.weights, model.biases, feats, [t.anchor for t in triplets],
         [t.positive for t in triplets], [t.negative for t in triplets],
         margin)[0]
 
@@ -283,8 +283,8 @@ def test_analytic_gradient_matches_finite_differences():
     anchors = [t.anchor for t in triplets]
     positives = [t.positive for t in triplets]
     negatives = [t.negative for t in triplets]
-    _, gw, gb = _batch_loss_and_grads(model, feats, anchors, positives,
-                                      negatives, margin)
+    _, gw, gb = _batch_loss_and_grads(model.weights, model.biases, feats,
+                                      anchors, positives, negatives, margin)
     analytic = np.concatenate([g.ravel() for g in gw]
                               + [g.ravel() for g in gb])
 
@@ -368,8 +368,7 @@ def full_backward_train(model, triplets, feats, margin, step_size, epochs,
         for start in range(0, len(order), batch_size):
             chunk = idx[order[start:start + batch_size]]
             b = len(chunk)
-            current = ChartModel(weights=tuple(weights), biases=tuple(biases))
-            acts = _forward_cached(current, feats[chunk.T.ravel()])
+            acts = _forward_cached(weights, biases, feats[chunk.T.ravel()])
             za, zp, zn = acts[-1][:b], acts[-1][b:2 * b], acts[-1][2 * b:]
             dp = np.linalg.norm(za - zp, axis=1)
             dn = np.linalg.norm(za - zn, axis=1)
@@ -377,7 +376,7 @@ def full_backward_train(model, triplets, feats, margin, step_size, epochs,
             active = (losses > 0.0).astype(float)[:, None]
             up = (za - zp) / np.maximum(dp, 1e-12)[:, None]
             un = (za - zn) / np.maximum(dn, 1e-12)[:, None]
-            gw, gb = _backward(current, acts, np.vstack(
+            gw, gb = _backward(weights, acts, np.vstack(
                 [active * (up - un), -active * up, active * un]) / b)
             total += float(np.mean(losses)) * b
             for i in range(len(weights)):
@@ -411,16 +410,16 @@ def test_backward_pass_runs_once_per_batch_with_a_positive_hinge(monkeypatch):
     model, triplets, feats = separable_chart_problem()
     positive, backward_at = [], []
 
-    def batch(model, feats, anchors, positives, negatives, margin):
+    def batch(weights, biases, feats, anchors, positives, negatives, margin):
         # the hinge terms, from the very rows the batch embeds
         b = len(anchors)
-        z = forward(model, feats[np.concatenate([anchors, positives,
-                                                 negatives])])
+        z = _forward_cached(weights, biases, feats[np.concatenate(
+            [anchors, positives, negatives])])[-1]
         hinge = np.linalg.norm(z[:b] - z[b:2 * b], axis=1) \
             - np.linalg.norm(z[:b] - z[2 * b:], axis=1) + margin
         positive.append(bool(np.any(hinge > 0.0)))
-        return _batch_loss_and_grads(model, feats, anchors, positives,
-                                     negatives, margin)
+        return _batch_loss_and_grads(weights, biases, feats, anchors,
+                                     positives, negatives, margin)
 
     def backward(*args):
         backward_at.append(len(positive) - 1)
@@ -438,7 +437,8 @@ def test_nan_hinge_is_not_taken_for_an_inactive_batch():
     feats = np.random.default_rng(25).normal(size=(3, 4))
     feats[2, 0] = np.nan
     model = init_chart_model(4, hidden=(5,), seed=4)
-    loss, gw, gb = _batch_loss_and_grads(model, feats, [0], [1], [2], 1.0)
+    loss, gw, gb = _batch_loss_and_grads(model.weights, model.biases, feats,
+                                         [0], [1], [2], 1.0)
     assert math.isnan(loss)
     assert gw is not None and gb is not None
 

@@ -376,18 +376,22 @@ def test_predict_batch_equals_single_calls():
     fmap = build_map(train, Hyperparams(0.1, 1.2, 1.5, 0.05))
     queries = rng.uniform(-6, 6, size=(10_000, 2))
     batch = predict_batch(fmap, queries)
+    assert batch.mean.shape == batch.variance.shape == (10_000,)
     for i in range(0, 10_000, 997):
         single = predict(fmap, queries[i])
-        assert predict_batch(fmap, [queries[i]])[0] == single
-        assert batch[i].mean == pytest.approx(single.mean, abs=1e-12)
-        assert batch[i].variance == pytest.approx(single.variance, abs=1e-12)
+        assert type(single.mean) is float and type(single.variance) is float
+        one = predict_batch(fmap, [queries[i]])
+        assert (one.mean.tolist(), one.variance.tolist()) == \
+            ([single.mean], [single.variance])
+        assert batch.mean[i] == pytest.approx(single.mean, abs=1e-12)
+        assert batch.variance[i] == pytest.approx(single.variance, abs=1e-12)
     # permuting queries permutes outputs
     perm = rng.permutation(200)
     permuted = predict_batch(fmap, queries[perm])
-    for j, i in enumerate(perm):
-        assert permuted[j].mean == pytest.approx(batch[i].mean, abs=1e-12)
-        assert permuted[j].variance == pytest.approx(batch[i].variance,
-                                                     abs=1e-12)
+    np.testing.assert_allclose(permuted.mean, batch.mean[perm], rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(permuted.variance, batch.variance[perm],
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [[[np.nan, 0.0]], [[0.0, np.inf]],
@@ -408,9 +412,10 @@ def test_posterior_variance_bounded_by_prior():
     fmap = build_map(train, h)
     grid = np.stack(np.meshgrid(np.linspace(-8, 8, 100),
                                 np.linspace(-8, 8, 100)), axis=-1).reshape(-1, 2)
-    for p in predict_batch(fmap, grid):
-        assert p.variance <= h.signal_var + 1e-12
-        assert p.variance >= 0.0
+    variances = predict_batch(fmap, grid).variance
+    assert variances.shape == (len(grid),)
+    assert np.all(variances <= h.signal_var + 1e-12)
+    assert np.all(variances >= 0.0)
 
 
 def dense_posterior(hyper, train, query):
@@ -432,10 +437,12 @@ def test_predict_batch_matches_dense_inverse(batch_size):
     h = Hyperparams(0.4, 1.3, 1.1, 0.08)
     fmap = build_map(train, h)
     queries = rng.uniform(-6, 6, size=(batch_size, 2))
-    for q, got in zip(queries, predict_batch(fmap, queries)):
+    got = predict_batch(fmap, queries)
+    assert got.mean.shape == got.variance.shape == (batch_size,)
+    for q, got_mean, got_var in zip(queries, got.mean, got.variance):
         mean, var = dense_posterior(h, train, q)
-        assert got.mean == pytest.approx(mean, abs=1e-8)
-        assert got.variance == pytest.approx(var, abs=1e-8)
+        assert got_mean == pytest.approx(mean, abs=1e-8)
+        assert got_var == pytest.approx(var, abs=1e-8)
 
 
 def test_cholesky_posterior_matches_dense_inverse():

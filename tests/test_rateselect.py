@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from statmap.gpmap import (
+    PREDICT_CHUNK,
     Hyperparams,
     PredictiveDistribution,
     TrainingSet,
@@ -16,9 +17,6 @@ from statmap.gpmap import (
     predict_batch,
 )
 from statmap.rateselect import (
-    POLICY_BASELINE,
-    POLICY_MAP,
-    RateDecision,
     gaussian_quantile,
     select_rate_baseline,
     select_rate_map,
@@ -67,46 +65,74 @@ def test_gaussian_quantile_domain():
 
 # ------------------------------------------------------ map rule
 
+def scalar_rate(mean, variance, delta):
+    """The quantile rule on one query, in plain floats."""
+    return max(mean + math.sqrt(variance) * gaussian_quantile(delta), 0.0)
+
+
 def test_select_rate_zero_variance():
     for delta in (1e-4, 0.3, 0.9):
-        d = select_rate_map(PredictiveDistribution(2.0, 0.0), delta)
-        assert d.rate == 2.0
-        assert d.policy == POLICY_MAP
+        rates = select_rate_map(PredictiveDistribution(
+            np.array([2.0, 0.5]), np.zeros(2)), delta)
+        assert rates.tolist() == [2.0, 0.5]
 
 
 def test_select_rate_median_is_mean():
-    d = select_rate_map(PredictiveDistribution(3.0, 0.25), 0.5)
-    assert d.rate == 3.0
+    assert select_rate_map(PredictiveDistribution(3.0, 0.25), 0.5) == 3.0
 
 
 def test_select_rate_milli_delta():
-    d = select_rate_map(PredictiveDistribution(3.0, 0.25), 1e-3)
-    assert d.rate == pytest.approx(3.0 - 0.5 * 3.090232306, abs=1e-5)
+    rate = select_rate_map(PredictiveDistribution(3.0, 0.25), 1e-3)
+    assert rate == pytest.approx(3.0 - 0.5 * 3.090232306, abs=1e-5)
 
 
 def test_select_rate_clamps_at_zero():
-    d = select_rate_map(PredictiveDistribution(0.5, 4.0), 1e-4)
-    assert d.rate == 0.0
+    assert select_rate_map(PredictiveDistribution(0.5, 4.0), 1e-4) == 0.0
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-2, 0.3, 0.5, 0.9])
+def test_select_rate_array_matches_scalar_formula(delta):
+    # random moments, zero variances and clamped rows, bit for bit
+    rng = np.random.default_rng(41)
+    mean = np.concatenate([rng.uniform(-2.0, 6.0, 200), [2.5, 0.7, -1.0],
+                           [0.1, 0.3]])
+    variance = np.concatenate([rng.uniform(0.0, 3.0, 200), np.zeros(3),
+                               [50.0, 80.0]])
+    rates = select_rate_map(PredictiveDistribution(mean, variance), delta)
+    want = [scalar_rate(m, v, delta) for m, v in zip(mean, variance)]
+    assert np.array(want).tobytes() == rates.tobytes()
+    assert rates.min() >= 0.0
+    if delta < 0.5:
+        assert np.count_nonzero(rates == 0.0) >= 2
 
 
 def test_rate_monotone_in_delta():
     pred = PredictiveDistribution(1.7, 0.6)
     deltas = np.linspace(0.01, 0.99, 25)
-    rates = [select_rate_map(pred, d).rate for d in deltas]
+    rates = [select_rate_map(pred, d) for d in deltas]
     assert all(a <= b for a, b in zip(rates, rates[1:]))
 
 
 def test_rate_conservative_below_half():
     pred = PredictiveDistribution(1.7, 0.6)
     for delta in (0.001, 0.1, 0.49):
-        assert select_rate_map(pred, delta).rate <= pred.mean
+        assert select_rate_map(pred, delta) <= pred.mean
 
 
-def test_rate_decision_validation():
+def test_select_rate_map_validation():
+    # rates are never negative, whatever the moments
+    rng = np.random.default_rng(42)
+    pred = PredictiveDistribution(rng.normal(0.0, 3.0, 500),
+                                  rng.uniform(0.0, 10.0, 500))
+    for delta in (1e-6, 0.5, 1.0 - 1e-6):
+        assert select_rate_map(pred, delta).min() >= 0.0
+    # the map policy needs delta in (0, 1)
+    for bad in (0.0, 1.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            select_rate_map(pred, bad)
     with pytest.raises(ValueError):
-        RateDecision(rate=-1.0, policy=POLICY_BASELINE)
-    with pytest.raises(ValueError):
-        RateDecision(rate=1.0, policy=POLICY_MAP, delta=None)
+        select_rate_map(PredictiveDistribution(np.ones(2),
+                                               np.array([0.1, -1e-3])), 0.1)
 
 
 # ------------------------------------------------------ baseline
@@ -114,33 +140,44 @@ def test_rate_decision_validation():
 def test_baseline_exact_match():
     train = TrainingSet.new([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]],
                             [1.0, 2.0, 3.0])
-    d = select_rate_baseline(train, [1.0, 1.0])
-    assert d.rate == 2.0
-    assert d.policy == POLICY_BASELINE
+    assert select_rate_baseline(train, [1.0, 1.0]).tolist() == [2.0]
 
 
 def test_baseline_single_point():
     train = TrainingSet.new([[5.0, -3.0], [5.0, -3.0]], [1.5, 1.5])
-    for q in ([0, 0], [100, 100], [-7, 2]):
-        assert select_rate_baseline(train, q).rate == 1.5
+    assert select_rate_baseline(train, [[0, 0], [100, 100], [-7, 2]]
+                                ).tolist() == [1.5, 1.5, 1.5]
 
 
 def test_baseline_tie_breaks_to_lowest_index():
     train = TrainingSet.new([[1.0, 0.0], [-1.0, 0.0]], [7.0, 9.0])
-    assert select_rate_baseline(train, [0.0, 0.0]).rate == 7.0
+    assert select_rate_baseline(train, [0.0, 0.0]).tolist() == [7.0]
+
+
+def test_baseline_clamps_at_zero():
+    train = TrainingSet.new([[0.0, 0.0], [10.0, 0.0]], [-0.5, 2.0])
+    assert select_rate_baseline(train, [[1.0, 0.0], [9.0, 0.0]]
+                                ).tolist() == [0.0, 2.0]
 
 
 def test_baseline_matches_exhaustive_scan():
     rng = np.random.default_rng(31)
     coords = rng.uniform(-10, 10, size=(100, 2))
     targets = rng.uniform(0, 5, size=100)
+    # a query equidistant from two training points; its copies straddle
+    # the boundary between the first two chunks of queries
+    coords[7], coords[3] = [0.0625, 1.0], [-0.0625, 1.0]
+    queries = rng.uniform(-10, 10, size=(2 * PREDICT_CHUNK + 50, 2))
+    queries[PREDICT_CHUNK - 1:PREDICT_CHUNK + 1] = [0.0, 1.0]
     train = TrainingSet.new(coords, targets)
-    for _ in range(50):
-        q = rng.uniform(-10, 10, 2)
+    rates = select_rate_baseline(train, queries)
+    assert rates.shape == (len(queries),)
+    for q, rate in zip(queries, rates):
         best = min(range(100),
                    key=lambda i: ((coords[i, 0] - q[0]) ** 2
                                   + (coords[i, 1] - q[1]) ** 2))
-        assert select_rate_baseline(train, q).rate == max(targets[best], 0.0)
+        assert rate == max(targets[best], 0.0)
+    assert rates[PREDICT_CHUNK - 1] == rates[PREDICT_CHUNK] == targets[3]
 
 
 # ------------------------------------------------------ calibration
@@ -171,10 +208,10 @@ def test_meta_probability_calibration():
     # conditional draw of the true value at each held-out point: under the
     # prior, f_q | y is Gaussian with exactly the predictive moments
     truths = np.array([
-        p.mean + math.sqrt(p.variance) * g
-        for p, g in zip(preds, rng.normal(size=n_test))
+        m + math.sqrt(v) * g
+        for m, v, g in zip(preds.mean, preds.variance, rng.normal(size=n_test))
     ])
-    rates = np.array([select_rate_map(p, delta).rate for p in preds])
+    rates = select_rate_map(preds, delta)
     violations = np.mean(rates > truths)
     half = 2.576 * math.sqrt(delta * (1 - delta) / n_test)
     assert abs(violations - delta) < half
