@@ -21,7 +21,6 @@ from .stats import EmpiricalDistribution, wasserstein1
 
 __all__ = [
     "ChartModel",
-    "Triplet",
     "TrainResult",
     "DEFAULT_HIDDEN",
     "MAX_SUBCARRIER_FEATURES",
@@ -64,17 +63,6 @@ class ChartModel:
     @property
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
-
-
-@dataclass(frozen=True)
-class Triplet:
-    anchor: int
-    positive: int
-    negative: int
-
-    def __post_init__(self):
-        if len({self.anchor, self.positive, self.negative}) != 3:
-            raise ConfigurationError("triplet indices must be distinct")
 
 
 @dataclass(frozen=True)
@@ -140,23 +128,26 @@ def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
     For each uniformly drawn anchor, the positive comes from users whose W1
     to the anchor is below the anchor's close_quantile, the negative from
     above its far_quantile. Anchors without eligible candidates are skipped
-    and counted.
+    and counted. Returns the triplets as a (k, 3) int array of (anchor,
+    positive, negative) rows, and the skip count.
     """
     if not 0.0 < close_quantile < far_quantile <= 1.0:
         raise ConfigurationError("need 0 < close_quantile < far_quantile <= 1")
     if n_triplets < 1:
         raise ConfigurationError("n_triplets must be >= 1")
-    sorted_rows = [np.sort(np.asarray(r, dtype=float)) for r in rate_samples]
-    n_users = len(sorted_rows)
+    n_users = len(rate_samples)
     if n_users < 3:
         raise ConfigurationError("triplet mining needs at least 3 users")
-    sizes = {row.size for row in sorted_rows}
-    if len(sizes) == 1:
-        # equal sizes: W1 is the mean absolute difference of sorted samples
-        condensed = pdist(np.vstack(sorted_rows), "cityblock") / sizes.pop()
+    if len({np.size(r) for r in rate_samples}) == 1:
+        # equal sizes: W1 is the mean absolute difference of sorted samples;
+        # the rows are stacked and sorted in one copy
+        stacked = np.array(rate_samples, dtype=float)
+        stacked.sort(axis=1)
+        condensed = pdist(stacked, "cityblock") / stacked.shape[1]
+        del stacked
     else:
         condensed = None
-        dists = [EmpiricalDistribution.from_samples(r) for r in sorted_rows]
+        dists = [EmpiricalDistribution.from_samples(r) for r in rate_samples]
 
     rng = np.random.default_rng(seed)
     anchors = rng.integers(0, n_users, size=n_triplets)
@@ -184,16 +175,13 @@ def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
             pools[anchor] = (
                 np.flatnonzero(mask & (row < close_cut)),
                 np.flatnonzero(mask & (row > max(close_cut, far_cut))))
-    triplets, skipped = [], 0
+    triplets, kept = np.empty((n_triplets, 3), dtype=int), 0
     for anchor in anchors.tolist():
         pos_pool, neg_pool = pools[anchor]
-        if pos_pool.size == 0 or neg_pool.size == 0:
-            skipped += 1
-            continue
-        pos = int(rng.choice(pos_pool))
-        neg = int(rng.choice(neg_pool))
-        triplets.append(Triplet(anchor, pos, neg))
-    return triplets, skipped
+        if pos_pool.size and neg_pool.size:
+            triplets[kept] = anchor, rng.choice(pos_pool), rng.choice(neg_pool)
+            kept += 1
+    return triplets[:kept], n_triplets - kept
 
 
 def _forward_cached(weights, biases, x: np.ndarray):
@@ -274,17 +262,24 @@ def _backward(weights, acts, g_out: np.ndarray):
 def train(model: ChartModel, triplets, features, margin: float = 1.0,
           step_size: float = 0.01, epochs: int = 20, batch_size: int = 128,
           seed: int = 0) -> TrainResult:
-    """Mini-batch SGD with momentum MOMENTUM on the mean triplet loss.
+    """Mini-batch SGD with momentum MOMENTUM on the mean triplet loss over
+    triplets, a (k, 3) int array of (anchor, positive, negative) rows.
 
     Deterministic for fixed inputs and seed; aborts with diagnostics on a
     non-finite loss.
     """
-    if not triplets:
+    idx = np.asarray(triplets)
+    if idx.size == 0:
         raise ConfigurationError("no triplets to train on")
+    if idx.ndim != 2 or idx.shape[1] != 3:
+        raise ConfigurationError(
+            f"triplets must be a k x 3 index array, got shape {idx.shape}")
+    a, p, n = idx.T
+    if np.any((a == p) | (a == n) | (p == n)):
+        raise ConfigurationError("triplet indices must be distinct")
     if margin <= 0 or epochs < 1 or batch_size < 1 or step_size < 0:
         raise ConfigurationError("hyperparameters must be positive")
     feats = np.asarray(features, dtype=float)
-    idx = np.array([[t.anchor, t.positive, t.negative] for t in triplets])
     rng = np.random.default_rng(seed)
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
@@ -292,7 +287,7 @@ def train(model: ChartModel, triplets, features, margin: float = 1.0,
     vel_b = [np.zeros_like(b) for b in biases]
     trace = []
     for epoch in range(epochs):
-        order = rng.permutation(len(triplets))
+        order = rng.permutation(len(idx))
         total, count = 0.0, 0
         for start in range(0, len(order), batch_size):
             chunk = idx[order[start:start + batch_size]]

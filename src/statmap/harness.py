@@ -49,7 +49,6 @@ __all__ = [
     "ChartTrainingConfig",
     "ExperimentConfig",
     "MismatchDemoConfig",
-    "ReportRow",
     "ExperimentReport",
     "ChartFit",
     "simulate_dataset",
@@ -184,52 +183,44 @@ class MismatchDemoConfig:
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    user_id: int
-    x: float
-    y: float
-    true_ceps: float
-    rate: float
-    outage_prob: float
-    policy: str
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
+    """Per-user columns in user order: the map query (x, y), the true
+    eps-outage capacity, and per policy name a rate and an outage column."""
+
     mode: str
-    rows: list
+    x: np.ndarray
+    y: np.ndarray
+    true_ceps: np.ndarray
+    rate: dict
+    outage_prob: dict
     epsilon: float
     delta: float
     seed: int
     config_echo: dict
 
     def policies(self) -> list:
-        seen = []
-        for r in self.rows:
-            if r.policy not in seen:
-                seen.append(r.policy)
-        return sorted(seen)
+        return sorted(self.rate)
 
     def violation_fraction(self, policy: str) -> tuple:
-        rows = [r for r in self.rows if r.policy == policy]
-        if not rows:
+        if policy not in self.outage_prob:
             raise ConfigurationError(f"no rows for policy {policy}")
-        frac = sum(1 for r in rows if r.outage_prob > self.epsilon) / len(rows)
-        return frac, len(rows)
+        outages = self.outage_prob[policy]
+        return (int(np.count_nonzero(outages > self.epsilon)) / outages.size,
+                outages.size)
 
     def aggregates(self, policy: str) -> tuple:
         """(violation fraction, n, violation fraction / delta, mean rate /
         mean true eps-outage capacity): how often the policy overshoots and
         how much rate it gives up."""
         frac, n = self.violation_fraction(policy)
-        rows = [r for r in self.rows if r.policy == policy]
+        # summed left to right in user order: a pairwise np.sum would move
+        # the last digits of the written ratio
         return (frac, n, frac / self.delta,
-                sum(r.rate for r in rows) / sum(r.true_ceps for r in rows))
+                sum(self.rate[policy].tolist()) / sum(self.true_ceps.tolist()))
 
     def outage_cdf_table(self, policy: str) -> list:
-        probs = sorted(r.outage_prob for r in self.rows if r.policy == policy)
-        n = len(probs)
-        return [(p, (i + 1) / n) for i, p in enumerate(probs)]
+        probs = np.sort(self.outage_prob[policy]).tolist()
+        return [(p, (i + 1) / len(probs)) for i, p in enumerate(probs)]
 
 
 @dataclass(frozen=True)
@@ -409,12 +400,12 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
         echo["gp_fit"] = {"hyper": dataclasses.asdict(fmap.hyper),
                           "diagnostics": dataclasses.asdict(fmap.diagnostics)}
         stage = "evaluate-test-users"
-        rows, echo["predictive_calibration"] = _evaluate_test_users(
+        columns, echo["predictive_calibration"] = _evaluate_test_users(
             scenario, config, queries_of, fmap)
     except Exception as exc:
         exc.args = (f"[stage {stage}] {exc}",)
         raise
-    return ExperimentReport(mode=mode, rows=rows, epsilon=config.epsilon,
+    return ExperimentReport(mode=mode, **columns, epsilon=config.epsilon,
                             delta=config.delta, seed=seed, config_echo=echo)
 
 
@@ -443,15 +434,14 @@ def _evaluate_test_users(scenario, config, queries_of, fmap):
     locs = _uniform_test_locations(config)
     queries = queries_of(locs)
     preds = predict_batch(fmap, queries)
-    # plain floats, (map rate, baseline rate) per user, for the oracle
+    # (map rate, baseline rate) per user; the oracle gets plain floats
     rates = np.column_stack([select_rate_map(preds, config.delta),
-                             select_rate_baseline(fmap.train, queries)
-                             ]).tolist()
+                             select_rate_baseline(fmap.train, queries)])
 
     def judge(users):
         return true_outage_capacities(
             scenario, [locs[user] for user in users], config.epsilon,
-            [rates[user] for user in users],
+            rates[users].tolist(),
             [derive_seed(config.seed, "oracle", user) for user in users],
             [derive_seed(config.seed, "outage", user) for user in users])
 
@@ -459,23 +449,19 @@ def _evaluate_test_users(scenario, config, queries_of, fmap):
     blocks = [users[i:i + ORACLE_BLOCK] for i in users[::ORACLE_BLOCK]]
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         judged = [truth for block in pool.map(judge, blocks) for truth in block]
-    rows = []
-    for user, (query, user_rates, (true_c, outages)) in enumerate(
-            zip(queries, rates, judged)):
-        for policy, rate, outage in zip((POLICY_MAP, POLICY_BASELINE),
-                                        user_rates, outages):
-            rows.append(ReportRow(
-                user_id=user, x=float(query[0]), y=float(query[1]),
-                true_ceps=true_c, rate=rate, outage_prob=outage,
-                policy=policy))
-    rows.sort(key=lambda r: (r.user_id, r.policy))
-    residuals = np.asarray([true_c for true_c, _ in judged]) - preds.mean
+    true_ceps, outages = (np.array(column) for column in zip(*judged))
+    residuals = true_ceps - preds.mean
     calibration = {
         "mean_predictive_std": float(np.mean(np.sqrt(preds.variance))),
         "residual_std": float(np.std(residuals)),
         "residual_mean": float(np.mean(residuals)),
     }
-    return rows, calibration
+    columns = dict(
+        x=queries[:, 0], y=queries[:, 1], true_ceps=true_ceps,
+        rate={POLICY_MAP: rates[:, 0], POLICY_BASELINE: rates[:, 1]},
+        outage_prob={POLICY_MAP: outages[:, 0],
+                     POLICY_BASELINE: outages[:, 1]})
+    return columns, calibration
 
 
 # ------------------------------------------------------------ reports
@@ -484,11 +470,16 @@ def write_report(report: ExperimentReport, out_dir) -> list:
     """CSV rows + aggregates + outage CDF tables; returns written paths."""
     os.makedirs(out_dir, exist_ok=True)
     rows_path = os.path.join(out_dir, "report_rows.csv")
+    per_policy = [(p, report.rate[p].tolist(), report.outage_prob[p].tolist())
+                  for p in report.policies()]
     write_csv(rows_path,
               ["user_id", "x", "y", "true_ceps", "rate", "outage_prob",
                "policy"],
-              [(r.user_id, r.x, r.y, r.true_ceps, r.rate, r.outage_prob,
-                r.policy) for r in report.rows])
+              [(user, x, y, true_c, rates[user], outages[user], policy)
+               for user, (x, y, true_c) in enumerate(zip(
+                   report.x.tolist(), report.y.tolist(),
+                   report.true_ceps.tolist()))
+               for policy, rates, outages in per_policy])
     agg_path = os.path.join(out_dir, "report_aggregates.csv")
     write_csv(agg_path, ["policy", "violation_fraction", "n",
                          "violation_over_delta", "rate_over_true_ceps"],
@@ -503,7 +494,8 @@ def write_report(report: ExperimentReport, out_dir) -> list:
     write_json(meta_path,
                {"mode": report.mode, "epsilon": report.epsilon,
                 "delta": report.delta, "seed": report.seed,
-                "n_rows": len(report.rows), "config": report.config_echo})
+                "n_rows": report.true_ceps.size * len(per_policy),
+                "config": report.config_echo})
     return [rows_path, agg_path, cdf_path, meta_path]
 
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from statmap.chart import _batch_loss_and_grads, init_chart_model, Triplet
+from statmap.chart import _batch_loss_and_grads, init_chart_model
 from statmap.cli import main as cli_main
 from statmap.errors import InsufficientSamplesError
 from statmap.gpmap import (
@@ -208,12 +208,11 @@ def test_criterion_6_gradient_check():
     t0 = time.perf_counter()
     rng = np.random.default_rng(60)
     feats = rng.normal(size=(9, 6))
-    triplets = [Triplet(0, 1, 2), Triplet(3, 4, 5), Triplet(6, 7, 8),
-                Triplet(1, 3, 6), Triplet(2, 5, 7)]
+    triplets = np.array([(0, 1, 2), (3, 4, 5), (6, 7, 8), (1, 3, 6),
+                         (2, 5, 7)])
     model = init_chart_model(6, hidden=(10, 8), seed=1)
     margin = 5.0
-    idx = ([t.anchor for t in triplets], [t.positive for t in triplets],
-           [t.negative for t in triplets])
+    idx = triplets.T
     _, gw, gb = _batch_loss_and_grads(model.weights, model.biases, feats,
                                       *idx, margin)
     analytic = np.concatenate([g.ravel() for g in gw]

@@ -2,6 +2,7 @@
 analytic gradients against central finite differences, and training behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from statmap import chart
 from statmap.chart import (
     MOMENTUM,
     ChartModel,
-    Triplet,
     _backward,
     _batch_loss_and_grads,
     _forward_cached,
@@ -81,10 +81,10 @@ def test_triplets_satisfy_w1_ordering():
     rows = [rng.normal(loc=rng.uniform(0, 5), size=200) for _ in range(30)]
     triplets, _ = build_triplets(rows, 200, seed=5)
     dists = [EmpiricalDistribution.from_samples(r) for r in rows]
-    assert triplets
-    for t in triplets:
-        w_pos = wasserstein1(dists[t.anchor], dists[t.positive])
-        w_neg = wasserstein1(dists[t.anchor], dists[t.negative])
+    assert len(triplets)
+    for anchor, pos, neg in triplets:
+        w_pos = wasserstein1(dists[anchor], dists[pos])
+        w_neg = wasserstein1(dists[anchor], dists[neg])
         assert w_pos < w_neg
 
 
@@ -93,10 +93,10 @@ def test_triplets_three_user_case():
     rows = shifted_samples(base, [0.0, 0.1, 5.0])
     triplets, skipped = build_triplets(rows, 60, seed=6)
     assert skipped == 0
-    anchored = [t for t in triplets if t.anchor == 0]
-    assert anchored
-    for t in anchored:
-        assert t.positive == 1 and t.negative == 2
+    anchored = triplets[triplets[:, 0] == 0]
+    assert len(anchored)
+    for _, pos, neg in anchored:
+        assert pos == 1 and neg == 2
 
 
 def test_triplets_deterministic():
@@ -104,9 +104,17 @@ def test_triplets_deterministic():
     rows = [rng.normal(size=100) for _ in range(20)]
     a, _ = build_triplets(rows, 100, seed=42)
     b, _ = build_triplets(rows, 100, seed=42)
-    assert a == b
+    assert np.array_equal(a, b)
     c, _ = build_triplets(rows, 100, seed=43)
-    assert a != c
+    assert not np.array_equal(a, c)
+
+
+def test_triplets_are_one_k_by_3_int_array():
+    rng = np.random.default_rng(26)
+    rows = [rng.normal(loc=i % 3, size=30) for i in range(10)]
+    triplets, skipped = build_triplets(rows, 50, seed=27)
+    assert triplets.dtype.kind == "i"
+    assert triplets.shape == (50 - skipped, 3)
 
 
 def per_triplet_mining(rows, n_triplets, close_q, far_q, seed):
@@ -128,10 +136,15 @@ def per_triplet_mining(rows, n_triplets, close_q, far_q, seed):
             continue
         pos, neg = int(rng.choice(pos_pool)), int(rng.choice(neg_pool))
         if row[pos] < row[neg]:
-            triplets.append(Triplet(anchor, pos, neg))
+            triplets.append((anchor, pos, neg))
         else:
             skipped += 1
-    return triplets, skipped
+    return np.array(triplets, dtype=int).reshape(-1, 3), skipped
+
+
+def same_mining(got, want):
+    """Equal (triplets, skipped) results of build_triplets."""
+    return np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 @pytest.mark.parametrize("sizes", ["equal", "unequal"])
@@ -142,7 +155,7 @@ def test_triplets_match_per_triplet_reference(sizes):
     rows += [rows[0].copy() for _ in range(3)]   # ties leave an empty pool
     got = build_triplets(rows, 300, 0.05, 0.5, seed=10)
     want = per_triplet_mining(rows, 300, 0.05, 0.5, seed=10)
-    assert got == want
+    assert same_mining(got, want)
     assert want[1] > 0
 
 
@@ -157,7 +170,8 @@ def test_triplets_do_not_depend_on_the_quantile_chunk(monkeypatch, sizes):
     for anchors_per_call in (1, 7):
         monkeypatch.setattr(chart, "QUANTILE_CHUNK_ENTRIES",
                             anchors_per_call * len(rows))
-        assert build_triplets(rows, 300, 0.05, 0.5, seed=24) == whole
+        assert same_mining(build_triplets(rows, 300, 0.05, 0.5, seed=24),
+                           whole)
 
 
 def test_fast_w1_row_matches_generic():
@@ -174,6 +188,22 @@ def test_fast_w1_row_matches_generic():
         want = [wasserstein1(dists[anchor], d) for d in dists]
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert got[anchor] == 0.0
+
+
+def test_triplet_mining_keeps_one_copy_of_the_rows():
+    # equal-size rows are stacked and sorted once: the call's own
+    # allocations stay below 1.5x the rows (two copies would be ~2x)
+    rng = np.random.default_rng(28)
+    rows = [rng.normal(loc=i % 7, size=4000) for i in range(300)]
+    row_bytes = sum(r.nbytes for r in rows)
+    tracemalloc.start()
+    try:
+        triplets, _ = build_triplets(rows, 200, seed=29)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(triplets)
+    assert peak < 1.5 * row_bytes
 
 
 # ---------------------------------------------------------------- forward
@@ -219,16 +249,14 @@ def test_forward_dimension_mismatch():
 def triplet_loss(model, feats, triplets, margin):
     """Mean of max(0, ||za - zp|| - ||za - zn|| + margin) over the triplets,
     as training computes it."""
-    return _batch_loss_and_grads(
-        model.weights, model.biases, feats, [t.anchor for t in triplets],
-        [t.positive for t in triplets], [t.negative for t in triplets],
-        margin)[0]
+    return _batch_loss_and_grads(model.weights, model.biases, feats,
+                                 *np.asarray(triplets).T, margin)[0]
 
 
 def test_triplet_loss_zero_when_separated():
     feats = np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 100.0]])
     m = init_chart_model(2, hidden=(8,), seed=2)
-    t = Triplet(0, 1, 2)
+    t = (0, 1, 2)
     zs = forward(m, feats)
     gap = np.linalg.norm(zs[0] - zs[2])
     assert triplet_loss(m, feats, [t], margin=0.5 * gap) == 0.0
@@ -239,7 +267,7 @@ def test_triplet_loss_equal_pos_neg_gives_margin():
     feats = rng.normal(size=(3, 4))
     feats[2] = feats[1]  # positive and negative embed identically
     m = init_chart_model(4, hidden=(6,), seed=3)
-    assert triplet_loss(m, feats, [Triplet(0, 1, 2)], 0.7) == \
+    assert triplet_loss(m, feats, [(0, 1, 2)], 0.7) == \
         pytest.approx(0.7)
 
 
@@ -247,7 +275,7 @@ def test_triplet_loss_scalar_recomputation():
     rng = np.random.default_rng(11)
     feats = rng.normal(size=(3, 5))
     m = init_chart_model(5, hidden=(7,), seed=4)
-    t = Triplet(0, 1, 2)
+    t = (0, 1, 2)
     z = [forward(m, feats[i]) for i in range(3)]
     dp = math.sqrt(sum((z[0][k] - z[1][k]) ** 2 for k in range(2)))
     dn = math.sqrt(sum((z[0][k] - z[2][k]) ** 2 for k in range(2)))
@@ -275,14 +303,11 @@ def model_from_flat(template, flat):
 def test_analytic_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     feats = rng.normal(size=(9, 6))
-    triplets = [Triplet(int(a), int(p), int(n))
-                for a, p, n in [(0, 1, 2), (3, 4, 5), (6, 7, 8),
-                                (1, 3, 6), (2, 5, 7)]]
+    triplets = np.array([(0, 1, 2), (3, 4, 5), (6, 7, 8), (1, 3, 6),
+                         (2, 5, 7)])
     model = init_chart_model(6, hidden=(10, 8), seed=5)
     margin = 5.0  # large margin keeps every hinge active and off the kink
-    anchors = [t.anchor for t in triplets]
-    positives = [t.positive for t in triplets]
-    negatives = [t.negative for t in triplets]
+    anchors, positives, negatives = triplets.T
     _, gw, gb = _batch_loss_and_grads(model.weights, model.biases, feats,
                                       anchors, positives, negatives, margin)
     analytic = np.concatenate([g.ravel() for g in gw]
@@ -330,10 +355,25 @@ def test_train_deterministic():
 def test_train_aborts_on_nonfinite():
     rng = np.random.default_rng(15)
     feats = rng.normal(size=(6, 4)) * 1e150  # forces overflow in the norms
-    triplets = [Triplet(0, 1, 2), Triplet(3, 4, 5)]
+    triplets = np.array([(0, 1, 2), (3, 4, 5)])
     m = init_chart_model(4, hidden=(5,), seed=8)
     with pytest.raises(TrainingError):
         train(m, triplets, feats, step_size=0.5, epochs=5, seed=0)
+
+
+@pytest.mark.parametrize("triplets, match", [
+    (np.array([(0, 1, 2), (3, 4, 3)]), "distinct"),
+    (np.array([(0, 1, 2), (1, 1, 5)]), "distinct"),
+    (np.array([(0, 1, 2), (4, 2, 2)]), "distinct"),
+    (np.array([0, 1, 2]), "k x 3"),
+    (np.array([(0, 1, 2, 3), (4, 5, 6, 7)]), "k x 3"),
+    (np.empty((0, 3), dtype=int), "no triplets"),
+])
+def test_train_refuses_malformed_triplets(triplets, match):
+    feats = np.random.default_rng(30).normal(size=(8, 4))
+    m = init_chart_model(4, hidden=(5,), seed=8)
+    with pytest.raises(ConfigurationError, match=match):
+        train(m, triplets, feats, epochs=1, seed=0)
 
 
 # ---------------------------------------------------------------- backward skip
@@ -356,7 +396,7 @@ def full_backward_train(model, triplets, feats, margin, step_size, epochs,
                         batch_size, seed):
     """train() with the backward pass run on every batch, an all-zero
     output gradient included."""
-    idx = np.array([[t.anchor, t.positive, t.negative] for t in triplets])
+    idx = np.asarray(triplets)
     rng = np.random.default_rng(seed)
     weights, biases = list(model.weights), list(model.biases)
     vel_w = [np.zeros_like(w) for w in weights]

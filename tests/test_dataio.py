@@ -16,7 +16,7 @@ from statmap.dataio import (
     write_csv,
 )
 from statmap.gpmap import Hyperparams, TrainingSet, build_map
-from statmap.harness import ExperimentReport, ReportRow, write_report
+from statmap.harness import ExperimentReport, write_report
 from statmap.propagation import Location
 
 SHORT, LONG = 2, 12     # the size parameter of a short and a long file
@@ -36,10 +36,11 @@ def fitted_map(n):
 
 
 def report(n):
-    rows = [ReportRow(user_id=i, x=float(i), y=0.0, true_ceps=1.0, rate=0.5,
-                      outage_prob=0.01, policy="map_quantile")
-            for i in range(n)]
-    return ExperimentReport(mode="location", rows=rows, epsilon=0.05,
+    return ExperimentReport(mode="location", x=np.arange(n, dtype=float),
+                            y=np.zeros(n), true_ceps=np.ones(n),
+                            rate={"map_quantile": np.full(n, 0.5)},
+                            outage_prob={"map_quantile": np.full(n, 0.01)},
+                            epsilon=0.05,
                             delta=0.05, seed=1,
                             config_echo={"users": list(range(n))})
 

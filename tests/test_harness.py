@@ -418,25 +418,30 @@ def test_location_report_self_consistent():
     assert report.mode == "location"
     policies = report.policies()
     assert policies == ["map_quantile", "nearest_neighbor"]
+    assert sorted(report.rate) == sorted(report.outage_prob) == policies
     for policy in policies:
         frac, n = report.violation_fraction(policy)
-        rows = [r for r in report.rows if r.policy == policy]
-        assert n == len(rows) == SMALL.n_test_users
-        manual = sum(1 for r in rows if r.outage_prob > SMALL.epsilon) / n
+        outages = report.outage_prob[policy]
+        assert n == outages.size == report.rate[policy].size \
+            == SMALL.n_test_users
+        manual = sum(1 for p in outages if p > SMALL.epsilon) / n
         assert frac == manual
         table = report.outage_cdf_table(policy)
         assert table[-1][1] == 1.0
         assert all(a[0] <= b[0] for a, b in zip(table, table[1:]))
-    ids = [r.user_id for r in report.rows]
-    assert ids == sorted(ids)
+    # the columns are in user order: user i's query is test location i
+    locs = harness._uniform_test_locations(SMALL)
+    assert report.x.tolist() == [loc.x for loc in locs]
+    assert report.y.tolist() == [loc.y for loc in locs]
+    assert report.true_ceps.size == SMALL.n_test_users
 
 
 def test_location_monotone_conservatism():
     lo = run_location_experiment(dataclasses.replace(SMALL, delta=0.01))
     hi = run_location_experiment(dataclasses.replace(SMALL, delta=0.2))
-    lo_rates = {r.user_id: r.rate for r in lo.rows if r.policy == "map_quantile"}
-    hi_rates = {r.user_id: r.rate for r in hi.rows if r.policy == "map_quantile"}
-    assert all(lo_rates[u] <= hi_rates[u] for u in lo_rates)
+    lo_rates, hi_rates = lo.rate["map_quantile"], hi.rate["map_quantile"]
+    assert lo_rates.size == hi_rates.size == SMALL.n_test_users
+    assert np.all(lo_rates <= hi_rates)
 
 
 def test_location_experiment_deterministic_files(tmp_path):
@@ -453,14 +458,17 @@ def test_chart_experiment_smoke_and_determinism(tmp_path):
     r1 = run_chart_experiment(TINY_CHART)
     r2 = run_chart_experiment(TINY_CHART)
     assert r1.mode == "chart"
-    assert {row.policy for row in r1.rows} == {"map_quantile",
-                                               "nearest_neighbor"}
+    assert set(r1.rate) == set(r1.outage_prob) == {"map_quantile",
+                                                   "nearest_neighbor"}
     p1 = write_report(r1, tmp_path / "a")
     p2 = write_report(r2, tmp_path / "b")
     for a, b in zip(p1, p2):
         assert open(a, "rb").read() == open(b, "rb").read()
     assert "chart_epoch_losses" in r1.config_echo
-    assert len(r1.rows) == 2 * TINY_CHART.n_test_users
+    with open(tmp_path / "a" / "report_meta.json") as f:
+        assert json.load(f)["n_rows"] == 2 * TINY_CHART.n_test_users
+    with open(tmp_path / "a" / "report_rows.csv") as f:
+        assert len(f.read().splitlines()) == 1 + 2 * TINY_CHART.n_test_users
 
 
 def test_stage_name_in_errors():
@@ -482,19 +490,20 @@ def test_threaded_oracle_matches_serial_loop():
     report = run_location_experiment(THREADED)
     scenario = generate_scenario(THREADED.scenario, THREADED.seed)
     seed = THREADED.seed
-    by_user = {}
-    for row in report.rows:
-        by_user.setdefault(row.user_id, {})[row.policy] = row
-    assert sorted(by_user) == list(range(THREADED.n_test_users))
+    columns = [report.x, report.y, report.true_ceps]
+    for policy in (POLICY_MAP, POLICY_BASELINE):
+        columns += [report.rate[policy], report.outage_prob[policy]]
+    assert all(col.size == THREADED.n_test_users for col in columns)
+    x, y, true_ceps, m_rate, m_outage, b_rate, b_outage = (
+        col.tolist() for col in columns)
     for user in range(THREADED.n_test_users):
-        m, b = by_user[user][POLICY_MAP], by_user[user][POLICY_BASELINE]
-        loc = Location(m.x, m.y, THREADED.scenario.user_height)
+        loc = Location(x[user], y[user], THREADED.scenario.user_height)
         ((true_c, outages),) = true_outage_capacities(
-            scenario, [loc], THREADED.epsilon, [(m.rate, b.rate)],
+            scenario, [loc], THREADED.epsilon, [(m_rate[user], b_rate[user])],
             [derive_seed(seed, "oracle", user)],
             [derive_seed(seed, "outage", user)])
-        assert m.true_ceps == b.true_ceps == true_c
-        assert [m.outage_prob, b.outage_prob] == outages
+        assert true_ceps[user] == true_c
+        assert [m_outage[user], b_outage[user]] == outages
 
 
 def test_oracle_error_in_a_worker_names_the_stage(monkeypatch):
@@ -559,6 +568,7 @@ def test_aggregates_report_what_the_rate_costs(tmp_path):
     assert lines[0] == ("policy,violation_fraction,n,violation_over_delta,"
                         "rate_over_true_ceps")
     rows = [line.split(",") for line in open(paths[0]).read().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == sorted(int(r[0]) for r in rows)
     for line in lines[1:]:
         policy, frac, n, over_delta, rate_ratio = line.split(",")
         mine = [r for r in rows if r[6] == policy]
@@ -566,9 +576,10 @@ def test_aggregates_report_what_the_rate_costs(tmp_path):
         assert int(n) == len(mine) == THREADED.n_test_users
         assert float(over_delta) == pytest.approx(
             float(frac) / THREADED.delta, rel=1e-15)
-        assert float(rate_ratio) == pytest.approx(
-            sum(float(r[4]) for r in mine) / sum(float(r[3]) for r in mine),
-            rel=1e-12)
+        # exact: the sums run left to right in user order, as recomputed
+        # here; a pairwise np.sum would move the last digits
+        assert float(rate_ratio) == (
+            sum(float(r[4]) for r in mine) / sum(float(r[3]) for r in mine))
 
 
 def test_worker_count_without_cpu_affinity(monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from statmap.errors import ConfigurationError
 from statmap.gpmap import (
     PREDICT_CHUNK,
     Hyperparams,
@@ -158,6 +159,15 @@ def test_baseline_clamps_at_zero():
     train = TrainingSet.new([[0.0, 0.0], [10.0, 0.0]], [-0.5, 2.0])
     assert select_rate_baseline(train, [[1.0, 0.0], [9.0, 0.0]]
                                 ).tolist() == [0.0, 2.0]
+
+
+@pytest.mark.parametrize("queries", [[[math.nan, 4.0], [5.0, 5.0]],
+                                     [[math.inf, 4.0]]])
+def test_baseline_refuses_non_finite_queries(queries):
+    # as predict_batch does; a non-finite query has no nearest point
+    train = TrainingSet.new([[0.0, 0.0], [5.0, 5.0]], [1.0, 2.0])
+    with pytest.raises(ConfigurationError, match="finite"):
+        select_rate_baseline(train, queries)
 
 
 def test_baseline_matches_exhaustive_scan():
