@@ -66,8 +66,8 @@ __all__ = [
 DEMO_AMPLITUDES = (1.0, 0.55, 0.08, 0.05, 0.04, 0.025, 0.015)
 # Test users judged per oracle call. A block of this many at the default
 # scenario allocates at most 1 MiB at its peak (tests/test_harness.py), on
-# each worker thread at once; larger blocks save little time and cost memory.
-ORACLE_BLOCK = 32
+# each worker thread at once; smaller blocks lose time to per-call overhead.
+ORACLE_BLOCK = 128
 # Largest path-entry buffer (draws x paths, complex) that samples_per_user,
 # the oracle's ceil(100 / epsilon) Monte-Carlo draws or a demo fit size may
 # ask one power draw for.

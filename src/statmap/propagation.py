@@ -10,8 +10,8 @@ approximately Gaussian for a large number of spectral components.
 Fast fading comes from i.i.d. uniform path phases drawn per sample (block
 fading), so received power at a fixed location is the squared magnitude of a
 sum of fixed-amplitude random-phase paths. With one antenna that magnitude
-has an exact CDF (Kluyver 1906), which the outage oracle evaluates by
-quadrature. Everything is reproducible through seed sub-streams derived by
+has an exact CDF (Kluyver 1906), which the outage oracle sums as a Bessel
+series. Everything is reproducible through seed sub-streams derived by
 hashing (purpose label, location, sample seed).
 """
 
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import j0, j1
+from scipy.special import j0, j1, jn_zeros
 
 from .errors import ConfigurationError, NumericalError
 from .stats import EmpiricalDistribution, capacity_from_power, empirical_quantile
@@ -52,16 +52,16 @@ CELL_EDGE_TOL = 1e-9    # meters a location may lie outside the cell
 # its spinning helper threads take the cores from the oracle's worker
 # threads. Rows are independent, so the blocking changes no value.
 GEMV_BLOCK_ENTRIES = 3584
-# Gauss-Legendre grid of the Kluyver integral: 16-point panels of width 4.
-# With the amplitudes scaled to sum to 1 the integrand oscillates at angular
-# frequency at most 2, so a panel spans under 1.3 periods.
-KLUYVER_PANEL_NODES = 16
-KLUYVER_PANEL_WIDTH = 4.0
-KLUYVER_NODES = 4096            # the largest grid: cut at t = 1024
-KLUYVER_FIRST_NODES = 1024      # each CDF starts here and doubles as needed
-# Convergence test of the quadrature: cutting the integral at half the grid
-# may move the CDF at the eps-quantile by at most this fraction of eps.
-KLUYVER_CONVERGENCE_TOL = 1e-2
+KLUYVER_TERMS = 1024            # the longest Kluyver series: z_k up to 3216
+KLUYVER_FIRST_TERMS = 128       # each CDF starts here and doubles as needed
+# Convergence test: the error bound may be at most this fraction of the CDF
+# level. The partial sums oscillate next to a hard edge of the support, so
+# the bound spans all of them over the second half of the terms.
+KLUYVER_CONVERGENCE_TOL = 5e-3
+# Two or more paths give terms falling at least as k^-1.5. Where they do not
+# oscillate (next to a singularity of the density), the rest of the series
+# after N terms is 1 + sqrt(2) times the spread of those partial sums.
+KLUYVER_TAIL_FACTOR = 1.0 + math.sqrt(2.0)
 # The root search stops when the CDF is within this fraction of eps of eps.
 KLUYVER_ROOT_TOL = 1e-10
 KLUYVER_MAX_ITERATIONS = 100
@@ -414,30 +414,28 @@ def draw_csi(scenario: Scenario, loc: Location, sample_seed: int,
     return np.einsum("p,pa,ps->as", paths, steering, ramps)
 
 
-def _kluyver_grid(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, n_nodes / 4] in panels."""
-    x, w = np.polynomial.legendre.leggauss(KLUYVER_PANEL_NODES)
-    half = KLUYVER_PANEL_WIDTH / 2.0
-    left = KLUYVER_PANEL_WIDTH * np.arange(n_nodes // KLUYVER_PANEL_NODES)
-    return ((left[:, None] + half * (x + 1.0)).ravel(),
-            np.tile(half * w, left.size))
+def _kluyver_grid(n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first n_terms zeros z of J0 and the weights 2 / (z J1(z)^2)."""
+    zeros = jn_zeros(0, n_terms)
+    return zeros, 2.0 / (zeros * j1(zeros) ** 2)
 
 
-_KLUYVER_GRID = _kluyver_grid(KLUYVER_NODES)
+_KLUYVER_GRID = _kluyver_grid(KLUYVER_TERMS)
 
 # The exact CDF of |sum_p a_p e^{j phi_p}| / sum_p a_p under i.i.d. uniform
-# phases, on [0, 1]:
+# phases, with the amplitudes scaled to sum to 1, is 1 beyond r = 1 and
 #
-#     P(|h| <= r) = r * int_0^inf J1(r t) prod_p J0(a_p t) dt
+#     P(|h| <= r) = r * sum_k w_k J1(z_k r) prod_p J0(a_p z_k)
 #
-# (Kluyver 1906), with the amplitudes scaled to sum to 1. The helpers below
-# work on blocks of channels, one row each. A row goes through the same
-# elementwise operations and per-row sums in any block, so its results do
-# not depend on the other rows, and a block of one gives them too.
+# on [0, 1] (Kluyver's integral as a Fourier-Bessel series on the unit disk:
+# Watson, ch. 18; Abdi et al., IEEE Trans. Commun. 48(1), 2000). The helpers
+# below work on blocks of channels, one row each. A row goes through the
+# same elementwise operations and per-row sums in any block, so its results
+# do not depend on the other rows, and a block of one gives them too.
 
 
 def _j0_products(scaled, nodes, weights) -> np.ndarray:
-    """Quadrature weights times prod_p J0(a_p t) at the nodes t, one row per
+    """Series weights times prod_p J0(a_p z) at the zeros z, one row per
     row of scaled amplitudes."""
     out = np.empty((len(scaled), nodes.size))
     out[:] = weights
@@ -448,24 +446,26 @@ def _j0_products(scaled, nodes, weights) -> np.ndarray:
 
 
 def _kluyver_cdf(r, nodes, weighted, terms=None):
-    """The CDF at each r[i, k] on row i of weighted, with the integral cut
-    at the end of the grid and at its midpoint: (values, heads), shaped like
-    r. How far the two differ shows whether it converged."""
+    """The CDF at each r[i, k] in [0, 1] on row i of weighted, and its
+    error bound (KLUYVER_TAIL_FACTOR times the largest distance from it of a
+    partial sum over the second half of the terms): (values, spreads)."""
     terms = np.multiply(r[..., None], nodes, out=terms)
     j1(terms, out=terms)
     terms *= weighted[:, None]
-    mid = nodes.size // 2
-    heads = r * terms[..., :mid].sum(axis=-1)
-    return heads + r * terms[..., mid:].sum(axis=-1), heads
+    np.cumsum(terms, axis=-1, out=terms)
+    full = terms[..., -1].copy()
+    tail = terms[..., nodes.size // 2 - 1:]
+    tail -= full[..., None]
+    return r * full, KLUYVER_TAIL_FACTOR * r * np.abs(tail, out=tail).max(-1)
 
 
 def _illinois(nodes, weighted, level) -> np.ndarray:
     """Illinois regula falsi for CDF = level on each row of weighted.
 
     Returns the roots in (0, 1), NaN where a search leaves its bracket,
-    stops (within KLUYVER_ROOT_TOL * level) where the half-grid test fails,
-    or runs out of iterations. The rows still searching share one J1
-    evaluation per iteration.
+    stops (within KLUYVER_ROOT_TOL * level) where the series fails its
+    convergence test, or runs out of iterations. The rows still searching
+    share one J1 evaluation per iteration.
     """
     roots = np.full(len(weighted), np.nan)
     rows = np.arange(len(weighted))
@@ -476,13 +476,12 @@ def _illinois(nodes, weighted, level) -> np.ndarray:
     for _ in range(KLUYVER_MAX_ITERATIONS):
         lo, hi, g_lo, g_hi, side = state
         r = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-        value, head = map(np.ravel, _kluyver_cdf(
+        value, spread = map(np.ravel, _kluyver_cdf(
             r[:, None], nodes, weighted, terms[:rows.size]))
         g = value - level
         left = ~((lo < r) & (r < hi))
         done = np.abs(g) <= KLUYVER_ROOT_TOL * level
-        found = done & ~left & ~(np.abs(value - head)
-                                 > KLUYVER_CONVERGENCE_TOL * level)
+        found = done & ~left & (spread <= KLUYVER_CONVERGENCE_TOL * level)
         roots[rows[found]] = r[found]
         below = g < 0.0
         above = ~below
@@ -503,19 +502,19 @@ def _illinois(nodes, weighted, level) -> np.ndarray:
 
 
 def _kluyver_quantiles(scaled, level):
-    """Where each row's CDF crosses level, on the shortest grid whose
-    quadrature has converged there.
+    """Where each row's CDF crosses level, on the shortest series that
+    has converged there.
 
-    All rows start on the first KLUYVER_FIRST_NODES nodes of the
-    KLUYVER_NODES-node grid; the rows whose search fails run again on the
-    doubled grid, up to KLUYVER_NODES. Every grid is a prefix of the larger
-    ones, so doubling computes J0 on the new nodes only. Returns the roots,
-    NaN where no grid converges, and each row's grid as (row indices, their
-    J0 products) pairs, one per grid size: the shortest that converged, or
-    the largest.
+    All rows start on the first KLUYVER_FIRST_TERMS terms of the
+    KLUYVER_TERMS-term series; the rows whose search fails run again on
+    twice the terms, up to KLUYVER_TERMS. Every series is a prefix of the
+    longer ones, so doubling computes J0 at the new zeros only. Returns the
+    roots, NaN where no series converges, and each row's series as (row
+    indices, their J0 products) pairs, one per length: the shortest that
+    converged, or the longest.
     """
     all_nodes, all_weights = _KLUYVER_GRID
-    n = KLUYVER_FIRST_NODES
+    n = KLUYVER_FIRST_TERMS
     rows = np.arange(len(scaled))
     weighted = _j0_products(scaled, all_nodes[:n], all_weights[:n])
     roots, grids = np.full(len(scaled), np.nan), []
@@ -523,7 +522,7 @@ def _kluyver_quantiles(scaled, level):
         found = _illinois(all_nodes[:n], weighted, level)
         ok = ~np.isnan(found)
         roots[rows[ok]] = found[ok]
-        if ok.all() or n >= KLUYVER_NODES:
+        if ok.all() or n >= KLUYVER_TERMS:
             grids.append((rows, weighted))
             return roots, grids
         if ok.any():
@@ -536,26 +535,27 @@ def _kluyver_quantiles(scaled, level):
 
 def multipath_power_cdf(amplitudes, powers) -> np.ndarray:
     """P(|sum_p a_p e^{j phi_p}|^2 <= power) at each power, from the exact
-    Kluyver CDF on the KLUYVER_NODES-node grid; NumericalError at the first
-    value that fails the half-grid convergence test (see
-    ``true_outage_capacities``)."""
+    Kluyver CDF on the KLUYVER_TERMS-term series, and 1 from the peak power
+    (sum_p a_p)^2 up; NumericalError at the first value below the peak that
+    fails the series' convergence test (see ``true_outage_capacities``)."""
     a = np.asarray(amplitudes, dtype=float)
     powers = np.asarray(powers, dtype=float)
     nodes, weights = _KLUYVER_GRID
-    values, heads = map(np.ravel, _kluyver_cdf(
-        np.sqrt(powers)[None] / a.sum(), nodes,
-        _j0_products((a / a.sum())[None], nodes, weights)))
+    radii = np.sqrt(powers) / a.sum()
+    values, spreads = map(np.ravel, _kluyver_cdf(
+        radii[None], nodes, _j0_products((a / a.sum())[None], nodes, weights)))
+    beyond = radii >= 1.0
     failed = np.flatnonzero(
-        ~(np.abs(values - heads) <= KLUYVER_CONVERGENCE_TOL * values))
+        ~beyond & ~(spreads <= KLUYVER_CONVERGENCE_TOL * values))
     if failed.size:
         raise NumericalError(f"Kluyver CDF of amplitudes {a.tolist()} has "
                              f"not converged at power {powers[failed[0]]:.6g}")
-    return values
+    return np.where(beyond, 1.0, values)
 
 
 def _exact_truths(scenario: Scenario, locs, epsilon: float, rates) -> list:
     """The single-antenna truth at each location from the Kluyver CDF, or
-    None where its quadrature does not converge."""
+    None where its series does not converge."""
     noise = scenario.config.noise_power
     a = scenario.path_amplitudes([loc.as_array() for loc in locs])
     peaks = a.sum(axis=1)
@@ -593,10 +593,10 @@ def true_outage_capacities(scenario: Scenario, locs, epsilon: float, rates,
 
     With one antenna both come from the exact CDF of the received magnitude
     (Kluyver): the capacity at the root of CDF = eps, the outage of a rate
-    as the CDF at its magnitude, both on the same grid. The quadrature is
-    trusted when cutting its integral at half the grid moves the CDF at the
-    root by at most KLUYVER_CONVERGENCE_TOL * eps. Each location starts on
-    KLUYVER_FIRST_NODES nodes and doubles its grid up to KLUYVER_NODES until
+    as the CDF at its magnitude, both on the same Fourier-Bessel series.
+    The series is trusted where its error bound (see _kluyver_cdf) at the
+    root is at most KLUYVER_CONVERGENCE_TOL * eps. Each location starts on
+    KLUYVER_FIRST_TERMS terms and doubles them up to KLUYVER_TERMS until
     that test passes; one or two dominant paths fail it even there and fall
     back to Monte Carlo, as do several antennas (MRC). The locations are
     searched together, and each one's truth is the same in any block of

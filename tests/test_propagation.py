@@ -1,6 +1,7 @@
 """Tests for the synthetic propagation environment: random-field statistics,
 Thomas sampling, power/CSI draws, and the capacity oracle."""
 
+import functools
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from statmap.errors import ConfigurationError, NumericalError
 from statmap.harness import DEMO_AMPLITUDES
 from statmap.propagation import (
     KLUYVER_CONVERGENCE_TOL,
-    KLUYVER_FIRST_NODES,
-    KLUYVER_NODES,
+    KLUYVER_FIRST_TERMS,
+    KLUYVER_TERMS,
     KLUYVER_ROOT_TOL,
     CosineField,
     Location,
@@ -67,7 +68,7 @@ def oracle_capacity(s, eps, seed):
 
 def exact_quantile(amplitudes, level):
     """The exact oracle's search for one amplitude row: its root (NaN where
-    no grid converges) and its J0 products on the grid it settled on."""
+    no series converges) and its J0 products on the series it settled on."""
     a = np.asarray(amplitudes, dtype=float)
     roots, ((_, weighted),) = _kluyver_quantiles((a / a.sum())[None], level)
     return roots[0], weighted
@@ -77,18 +78,24 @@ def exact_root(s, loc, eps):
     return exact_quantile(s.path_amplitudes(loc.as_array())[0], eps)[0]
 
 
-def j0_row(amplitudes, n_nodes):
-    """One amplitude row's J0 products on the n_nodes grid."""
+@functools.lru_cache(maxsize=None)
+def series(n_terms):
+    """The n_terms series, whose zeros of J0 take ~20 ms at 16384 terms."""
+    return _kluyver_grid(n_terms)
+
+
+def j0_row(amplitudes, n_terms):
+    """One amplitude row's J0 products on the n_terms series."""
     a = np.asarray(amplitudes, dtype=float)
-    return _j0_products((a / a.sum())[None], *_kluyver_grid(n_nodes))
+    return _j0_products((a / a.sum())[None], *series(n_terms))
 
 
 def cdf_at(weighted, radii):
-    """(values, heads) of one row's Kluyver CDF at radii, from its J0
-    products on a grid of weighted.shape[1] nodes."""
-    values, heads = _kluyver_cdf(np.atleast_1d(radii)[None],
-                                 _kluyver_grid(weighted.shape[1])[0], weighted)
-    return values[0], heads[0]
+    """(values, spreads) of one row's Kluyver CDF at radii, from its J0
+    products on a series of weighted.shape[1] terms."""
+    values, spreads = _kluyver_cdf(np.atleast_1d(radii)[None],
+                                   series(weighted.shape[1])[0], weighted)
+    return values[0], spreads[0]
 
 
 def mc_truth(s, loc, eps, rates, oracle_n, n_mc, oracle_seed, outage_seed):
@@ -408,7 +415,7 @@ def test_true_outage_capacity_deterministic_channel():
     a1 = s.path_amplitudes(LOC.as_array())[0, 0]
     s_unit = band_variant(s, noise_power=float(a1 * a1))  # SNR exactly 1
     for eps in (0.001, 0.01, 0.2):
-        # one path fails the quadrature's convergence test: Monte Carlo
+        # one path fails the series' convergence test: Monte Carlo
         assert np.isnan(exact_root(s_unit, LOC, eps))
         c = oracle_capacity(s_unit, eps, seed=0)
         assert c == pytest.approx(1.0, abs=1e-12)
@@ -509,10 +516,10 @@ def test_exact_cdf_inside_dkw_band_of_monte_carlo(amplitudes, draw):
 
 @pytest.mark.parametrize("amplitudes, draw", amplitude_cases())
 def test_kluyver_quadrature_converges(amplitudes, draw):
-    # the grid the oracle settles on (1024 nodes, cut at t = 256, doubled up
-    # to 4096 as its convergence test needs) against 16384 (cut at t = 4096):
-    # the quantile found on the first grid is the quantile on the second one
-    # to the tolerance of the oracle's own convergence test
+    # the series the oracle settles on (128 terms, doubled up to 1024 as its
+    # convergence test needs) against 16384 terms: the quantile found on the
+    # first series is the quantile on the second one to the tolerance of
+    # the oracle's own convergence test
     fine = j0_row(amplitudes, 16384)
     for level in LEVELS:
         r = exact_quantile(amplitudes, level)[0]
@@ -520,30 +527,30 @@ def test_kluyver_quadrature_converges(amplitudes, draw):
             KLUYVER_CONVERGENCE_TOL * level
 
 
-@pytest.mark.parametrize("n", [KLUYVER_FIRST_NODES, 2 * KLUYVER_FIRST_NODES])
+@pytest.mark.parametrize("n", [KLUYVER_FIRST_TERMS, 2 * KLUYVER_FIRST_TERMS])
 def test_kluyver_grid_is_a_prefix_of_the_largest(n):
-    # so a growing CDF computes J0 on the new nodes only
-    small, largest = _kluyver_grid(n), _kluyver_grid(KLUYVER_NODES)
+    # so a growing CDF computes J0 at the new zeros only
+    small, largest = _kluyver_grid(n), _kluyver_grid(KLUYVER_TERMS)
     for part, whole in zip(small, largest):
         assert np.array_equal(part, whole[:n])
 
 
-@pytest.mark.parametrize("amplitudes, level, nodes", [
-    ([1.0, 0.3, 0.2], 1e-2, 2048),
-    ([1.0, 0.5, 0.5], 1e-3, 4096),
+@pytest.mark.parametrize("amplitudes, level, terms", [
+    ([1.0, 0.7, 0.6], 1e-2, 2 * KLUYVER_FIRST_TERMS),
+    ([1.0, 0.55, 0.5], 1e-3, KLUYVER_TERMS),
 ])
 def test_grown_grid_finds_the_root_of_a_grid_built_at_its_size(
-        amplitudes, level, nodes):
+        amplitudes, level, terms):
     r, grown = exact_quantile(amplitudes, level)
-    assert grown.shape[1] == nodes     # no shorter grid converged
-    built = j0_row(amplitudes, nodes)
-    assert r == _illinois(_kluyver_grid(nodes)[0], built, level)[0]
+    assert grown.shape[1] == terms     # no shorter series converged
+    built = j0_row(amplitudes, terms)
+    assert r == _illinois(_kluyver_grid(terms)[0], built, level)[0]
     assert np.array_equal(cdf_at(grown, r), cdf_at(built, r))
 
 
 def test_power_cdf_refuses_a_profile_whose_quadrature_fails():
     # two paths: the power's support starts at (1 - 0.5)^2 with a hard edge,
-    # and next to it the quadrature does not converge even on the full grid
+    # and next to it the series does not converge even on all its terms
     a = (1.0, 0.5)
     inside = multipath_power_cdf(a, [0.3, 1.25, 2.2])
     assert np.all(np.diff(inside) > 0) and 0.0 < inside[0] < inside[-1] < 1.0
@@ -553,15 +560,24 @@ def test_power_cdf_refuses_a_profile_whose_quadrature_fails():
             multipath_power_cdf(a, [0.3, edge, 1.25])
 
 
+def test_power_cdf_is_exactly_0_at_0_and_1_from_the_peak_power_up():
+    # the series holds on the support only; beyond it the CDF is 1
+    a = np.asarray(DEMO_AMPLITUDES)
+    peak = a.sum() ** 2
+    assert multipath_power_cdf(
+        a, [0.0, peak, 1.01 * peak, 2.0 * peak, 100.0 * peak]).tolist() == \
+        [0.0, 1.0, 1.0, 1.0, 1.0]
+
+
 def test_no_grid_up_to_the_largest_converges_for_a_dominant_path():
     r, weighted = exact_quantile([1.0, 0.5, 0.3], 1e-3)
     assert np.isnan(r)
-    assert weighted.shape[1] == KLUYVER_NODES
+    assert weighted.shape[1] == KLUYVER_TERMS
 
 
 def test_first_grid_roots_hold_on_a_fine_grid():
     # the roots of the default 7-path channels, almost all found on the
-    # first grid, are roots of the 16384-node CDF to 1e-3 of eps
+    # first series, are roots of the 16384-term CDF to 1e-3 of eps
     s = make_scenario(seed=1)
     xy = np.random.default_rng(33).uniform(-100.0, 100.0, (200, 2))
     cases = [case.values[0] for case in amplitude_cases()]
@@ -582,7 +598,7 @@ def two_path_cdf(a1, a2, r):
 @pytest.mark.parametrize("ratio", [0.2, 0.5, 0.8, 0.95])
 def test_convergence_test_admits_only_accurate_two_path_quantiles(ratio):
     # two paths are the hardest case (a square-root edge in the CDF); where
-    # the quadrature passes its own convergence test it must be right
+    # the series passes its own convergence test it must be right
     a = np.array([1.0, ratio]) / (1.0 + ratio)
     for level in LEVELS:
         r = exact_quantile(a, level)[0]
@@ -590,6 +606,50 @@ def test_convergence_test_admits_only_accurate_two_path_quantiles(ratio):
             assert abs(two_path_cdf(*a, r) - level) <= \
                 KLUYVER_CONVERGENCE_TOL * level
     assert np.isnan(exact_quantile(a, 1e-3)[0])
+
+
+@pytest.mark.parametrize("ratio", [0.2, 0.5, 0.8, 0.95])
+def test_power_cdf_matches_the_two_path_closed_form_next_to_its_edges(ratio):
+    # a truncated series oscillates next to the hard edges of the support;
+    # every value that passes the convergence test must still be right
+    a1, a2 = 1.0, ratio
+    low, high = (a1 - a2) ** 2, (a1 + a2) ** 2
+    offsets = (high - low) * np.geomspace(1e-7, 0.3, 60)
+    returned = 0
+    for power in np.concatenate([low + offsets, high - offsets]):
+        try:
+            (value,) = multipath_power_cdf((a1, a2), [power])
+        except NumericalError:
+            continue
+        returned += 1
+        want = two_path_cdf(a1, a2, math.sqrt(power))
+        assert abs(value - want) <= KLUYVER_CONVERGENCE_TOL * want
+    assert returned >= 20
+
+
+def test_admitted_roots_of_random_profiles_hold_on_a_long_series():
+    # 2 to 7 paths, every second profile with a first path within 20% of
+    # the sum of the others (a hard edge or a singularity of the density
+    # next to the quantiles): each root the oracle admits is a root of the
+    # 16384-term CDF to the tolerance of its own convergence test
+    rng = np.random.default_rng(41)
+    profiles = np.zeros((400, 7))
+    for i, row in enumerate(profiles):
+        paths = rng.integers(2, 8)
+        row[:paths] = rng.uniform(0.05, 1.0, paths)
+        if i % 2:
+            row[0] = row[1:].sum() * rng.uniform(0.8, 1.2)
+    levels = (1e-2, 1e-3)
+    roots = np.column_stack([_kluyver_quantiles(
+        profiles / profiles.sum(axis=1)[:, None], level)[0]
+        for level in levels])
+    admitted = np.isfinite(roots)
+    assert admitted.sum() >= 600
+    for row, found, ok in zip(profiles, roots, admitted):
+        if ok.any():
+            fine = cdf_at(j0_row(row[row > 0.0], 16384), found[ok])[0]
+            for value, level in zip(fine, np.array(levels)[ok]):
+                assert abs(value - level) <= KLUYVER_CONVERGENCE_TOL * level
 
 
 @pytest.mark.parametrize("loc", EXACT_LOCATIONS, ids=range(4))
@@ -620,11 +680,12 @@ def test_two_path_and_mrc_fall_back_to_monte_carlo_bit_for_bit(overrides, eps):
 
 
 # Profiles swapped into the block below, scaled to the location's amplitude
-# sum: four that need a doubled grid at eps = 1e-2 or 1e-3 (the first two are
-# the grown-grid test's), and three whose dominant paths fail the
-# quadrature's test and fall back to Monte Carlo.
-GROWN_PROFILES = ((1.0, 0.3, 0.2), (1.0, 0.5, 0.5), (1.0, 0.5, 0.4),
-                  (1.0, 0.6, 0.5))
+# sum: five that need a longer series (256, 512 and 1024 terms at eps = 1e-2
+# for the first three, and at eps = 1e-3 for the fourth, the first and the
+# last; the grown-grid test takes the first and the last), and three whose
+# dominant paths fail the series' test and fall back to Monte Carlo.
+GROWN_PROFILES = ((1.0, 0.7, 0.6), (1.0, 0.3, 0.25), (1.0, 0.2, 0.1),
+                  (1.0, 0.95, 0.9), (1.0, 0.55, 0.5))
 DOMINANT_PROFILES = ((1.0,), (1.0, 0.5), (1.0, 0.5, 0.3))
 BLOCK_RATES = (0.0, 2.0, 7.0, 1e3)   # certain, likely, rare and out of reach
 
@@ -664,13 +725,14 @@ def test_block_oracle_equals_blocks_of_one(monkeypatch, eps):
     swap_in_profiles(monkeypatch, {
         (locs[17 * k].x, locs[17 * k].y): profile
         for k, profile in enumerate(profiles, start=1)})
-    # the block covers every path: roots found on grids of 1024, 2048 and
-    # 4096 nodes, and Monte Carlo
+    # the block covers every path: roots found on series of 128, 256, 512
+    # and 1024 terms, and Monte Carlo
     a = s.path_amplitudes([loc.as_array() for loc in locs])
     roots, grids = _kluyver_quantiles(a / a.sum(axis=1)[:, None], eps)
     assert {weighted.shape[1] for rows, weighted in grids
             if np.isfinite(roots[rows]).any()} == \
-        {KLUYVER_FIRST_NODES, 2 * KLUYVER_FIRST_NODES, KLUYVER_NODES}
+        {KLUYVER_FIRST_TERMS, 2 * KLUYVER_FIRST_TERMS,
+         4 * KLUYVER_FIRST_TERMS, KLUYVER_TERMS}
     assert np.isnan(roots).sum() >= 2
     block = judged_in_blocks(s, locs, eps, len(locs))
     assert judged_in_blocks(s, locs, eps, 1) == block
