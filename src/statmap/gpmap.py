@@ -5,11 +5,12 @@ with a squared-exponential kernel plus nugget. Hyperparameters maximize the
 log marginal likelihood by multi-start L-BFGS-B in log space within box
 bounds, on the analytic gradient that each evaluation reads off its own
 Cholesky factor; the prior mean is profiled out in closed form at every
-evaluation, and the pairwise training distances are computed once per fit.
-A fitted map is immutable: it freezes the Cholesky factor of K + nugget*I
-and the solved weight vector, and prediction is pure linear algebra: a
-batch of queries costs one cross-kernel product and one triangular solve
-with a right-hand side per query.
+evaluation, and the pairwise training distances and a two-array workspace
+for the kernel and its factor are allocated once per fit, so an evaluation
+allocates nothing n x n. A fitted map is immutable: it freezes the Cholesky
+factor of K + nugget*I and the solved weight vector, and prediction is pure
+linear algebra: a batch of queries costs one cross-kernel product and one
+triangular solve with a right-hand side per query.
 """
 
 from __future__ import annotations
@@ -141,14 +142,14 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _covariance(d2: np.ndarray, hyper: Hyperparams,
-                with_nugget: bool) -> np.ndarray:
-    """signal_var * exp(-d2 / (2 l^2)) in a single new array.
+def _covariance(d2: np.ndarray, hyper: Hyperparams, with_nugget: bool,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """signal_var * exp(-d2 / (2 l^2)) in ``out``, or in a single new array.
 
     Dividing by the negated denominator equals negating the numerator bit for
     bit, as IEEE rounding is symmetric in sign.
     """
-    k = d2 / (-2.0 * hyper.length_scale ** 2)
+    k = np.divide(d2, -2.0 * hyper.length_scale ** 2, out=out)
     np.exp(k, out=k)
     k *= hyper.signal_var
     if with_nugget:
@@ -161,14 +162,24 @@ def kernel_matrix(coords: np.ndarray, hyper: Hyperparams) -> np.ndarray:
     return _covariance(_sq_dists(coords, coords), hyper, with_nugget=True)
 
 
-def _cholesky_with_jitter(k: np.ndarray, hyper: Hyperparams):
-    """Lower Cholesky factor; retries once with a tiny jitter when noise-free."""
+def _cholesky_with_jitter(k, hyper: Hyperparams):
+    """Lower Cholesky factor; retries once with a tiny jitter when noise-free.
+
+    ``k`` is the kernel, or a pair (kernel, buffer): the kernel is then copied
+    into the buffer and factored there in place, via its F-ordered transpose
+    (the same matrix, as the kernel is symmetric).
+    """
+    kernel, buf = (k, None) if isinstance(k, np.ndarray) else k
     try:
-        return cholesky(k, lower=True), False
+        if buf is None:
+            return cholesky(kernel, lower=True), False
+        np.copyto(buf, kernel)
+        return cholesky(buf.T, lower=True, overwrite_a=True,
+                        check_finite=False), False
     except np.linalg.LinAlgError:
         pass
     if hyper.noise_var == 0.0:
-        bumped = k.copy()
+        bumped = kernel.copy()
         bumped[np.diag_indices_from(bumped)] += JITTER_REL * hyper.signal_var
         try:
             return cholesky(bumped, lower=True), True
@@ -213,12 +224,13 @@ def default_bounds(train: TrainingSet) -> dict:
 def _profiled_mean(low: np.ndarray, targets: np.ndarray) -> float:
     """GLS-optimal prior mean given the Cholesky factor of C."""
     ones = np.ones_like(targets)
-    ci_y = cho_solve((low, True), targets)
-    ci_1 = cho_solve((low, True), ones)
+    ci_y = cho_solve((low, True), targets, check_finite=False)
+    ci_1 = cho_solve((low, True), ones, check_finite=False)
     return float(ones @ ci_y) / float(ones @ ci_1)
 
 
-def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray):
+def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray,
+                  work=None):
     """LML with the prior mean profiled out, at theta = (log signal_var,
     log length_scale, log noise_var), and its gradient in theta.
 
@@ -226,16 +238,23 @@ def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray):
     0.5 * (alpha^T dC alpha - tr(C^-1 dC)) (GPML eq. 5.9) with
     alpha = C^-1 (y - mean); the profiled mean maximizes the LML, so its own
     derivative drops out. Raises IllConditionedError when C does not factor.
+
+    ``work`` (allocated when not given) is a pair of (n, n) arrays: C, then
+    K and K * d2, are formed in the first, and the second takes the factor
+    of C and then C^-1 in place; the arithmetic is that of fresh arrays.
     """
     signal_var, length_scale, noise_var = (float(v) for v in np.exp(theta))
     hyper = Hyperparams(0.0, signal_var, length_scale, noise_var)
-    k = _covariance(d2, hyper, with_nugget=True)
-    low, _ = _cholesky_with_jitter(k, hyper)
+    if work is None:
+        work = (np.empty_like(d2), np.empty_like(d2))
+    k = _covariance(d2, hyper, with_nugget=True, out=work[0])
+    low, _ = _cholesky_with_jitter(work, hyper)
     mean = _profiled_mean(low, targets)
     r = targets - mean
-    alpha = cho_solve((low, True), r)
+    alpha = cho_solve((low, True), r, check_finite=False)
     lml = _lml_from_factor(low, r, alpha)
-    cinv, info = lapack.dpotri(low, lower=1)  # lower triangle of C^-1
+    # the lower triangle of C^-1, in place of the factor
+    cinv, info = lapack.dpotri(low, lower=1, overwrite_c=1)
     if info != 0:
         raise IllConditionedError(f"inverting the kernel failed (info={info})")
     # cinv is Fortran-ordered; its transpose is C-ordered, as the kernels
@@ -249,9 +268,9 @@ def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray):
         trace = 2.0 * np.vdot(upper, dc) - inv_diag @ np.diag(dc)
         return alpha @ (dc @ alpha) - trace
 
-    grad = 0.5 * np.array([
+    grad = 0.5 * np.array([     # K, then K * d2 in place of it
         quad_minus_trace(k),
-        quad_minus_trace(k * d2) / length_scale ** 2,
+        quad_minus_trace(np.multiply(k, d2, out=k)) / length_scale ** 2,
         noise_var * (alpha @ alpha - inv_diag.sum())])
     return lml, mean, grad
 
@@ -266,11 +285,13 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
     kernel does not factor scores FAILED_NEG_LML with a zero gradient, so the
     line search backs off from it. Multi-start jitters are seeded, so the
     whole fit is deterministic; FIT_MAX_EVALUATIONS caps the evaluations per
-    start.
+    start. Every evaluation reuses one workspace (``_profiled_lml``); the
+    map's factor is a new array.
     """
     if restarts < 1:
         raise ConfigurationError(f"restarts must be at least 1, got {restarts}")
     d2 = _sq_dists(train.coords, train.coords)
+    work = (np.empty_like(d2), np.empty_like(d2))
     bounds = default_bounds(train)
     lo, hi = np.log([bounds["signal_var"], bounds["length_scale"],
                      bounds["noise_var"]]).T
@@ -287,7 +308,7 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
 
     def objective(theta):
         try:
-            lml, mean, grad = _profiled_lml(theta, d2, train.targets)
+            lml, mean, grad = _profiled_lml(theta, d2, train.targets, work)
         except IllConditionedError:
             return FAILED_NEG_LML, np.zeros(3)
         if -lml < best["neg_lml"]:
@@ -318,7 +339,8 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
                         signal_var=float(signal_var),
                         length_scale=float(length_scale),
                         noise_var=float(noise_var))
-    fmap = build_map(train, hyper, _covariance(d2, hyper, with_nugget=True))
+    fmap = build_map(train, hyper,
+                     _covariance(d2, hyper, with_nugget=True, out=work[0]))
     return replace(fmap, diagnostics=replace(
         fmap.diagnostics, iterations=total_iter, restarts=len(starts),
         converged=converged))

@@ -68,6 +68,9 @@ DEMO_AMPLITUDES = (1.0, 0.55, 0.08, 0.05, 0.04, 0.025, 0.015)
 # scenario allocates at most 1 MiB at its peak (tests/test_harness.py), on
 # each worker thread at once; smaller blocks lose time to per-call overhead.
 ORACLE_BLOCK = 128
+# Training users drawn per pool task: one user a task spends ~17% more time
+# on task overhead (500 users on 2 workers); 128 gains nothing over 32.
+DRAW_BLOCK = 32
 # Largest path-entry buffer (draws x paths, complex) that samples_per_user,
 # the oracle's ceil(100 / epsilon) Monte-Carlo draws or a demo fit size may
 # ask one power draw for.
@@ -256,7 +259,8 @@ def _thomas_exact_count(pp: PointProcessConfig, scenario_cfg: ScenarioConfig,
 
 def simulate_dataset(config: ExperimentConfig,
                      with_csi: bool = False) -> Dataset:
-    """Thomas-placed users with power samples and optionally one CSI snapshot."""
+    """Thomas-placed users with power samples and optionally one CSI snapshot,
+    drawn in blocks on the worker pool, each from its own derived seeds."""
     seed = config.seed
     scenario = generate_scenario(config.scenario, seed)
     csi_scenario = band_variant(scenario, **config.chart.band_overrides()) \
@@ -264,15 +268,19 @@ def simulate_dataset(config: ExperimentConfig,
     locs = _thomas_exact_count(config.pointprocess, config.scenario,
                                config.n_train_users, seed)
     # both bands share the fields, so one evaluation serves their draws
-    records = []
-    for i, (loc, rays) in enumerate(zip(locs, scenario.path_rays(locs))):
-        powers = draw_power_samples(scenario, loc, config.samples_per_user,
-                                    derive_seed(seed, "train-power", i), rays)
-        csi = draw_csi(csi_scenario, loc, derive_seed(seed, "train-csi", i),
-                       rays) if with_csi else None
-        records.append(UserRecord(user_id=i, location=loc,
-                                  power_samples=powers, csi=csi))
-    return Dataset(records=records)
+    rays = scenario.path_rays(locs)
+
+    def draw(i):
+        powers = draw_power_samples(scenario, locs[i], config.samples_per_user,
+                                    derive_seed(seed, "train-power", i),
+                                    rays[i])
+        csi = draw_csi(csi_scenario, locs[i], derive_seed(seed, "train-csi", i),
+                       rays[i]) if with_csi else None
+        return UserRecord(user_id=i, location=locs[i], power_samples=powers,
+                          csi=csi)
+
+    return Dataset(records=_pool_map(
+        lambda users: [draw(i) for i in users], len(locs), DRAW_BLOCK))
 
 
 def _uniform_test_locations(config: ExperimentConfig) -> list:
@@ -417,6 +425,15 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _pool_map(work, count: int, block: int) -> list:
+    """work(indices) over blocks of range(count) on one thread per usable
+    CPU; the blocks' result lists joined in index order."""
+    indices = range(count)
+    blocks = [indices[i:i + block] for i in indices[::block]]
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        return [item for result in pool.map(work, blocks) for item in result]
+
+
 def _evaluate_test_users(scenario, config, queries_of, fmap):
     """Rates for the uniform test users, judged against the oracle.
 
@@ -445,10 +462,7 @@ def _evaluate_test_users(scenario, config, queries_of, fmap):
             [derive_seed(config.seed, "oracle", user) for user in users],
             [derive_seed(config.seed, "outage", user) for user in users])
 
-    users = range(len(locs))
-    blocks = [users[i:i + ORACLE_BLOCK] for i in users[::ORACLE_BLOCK]]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        judged = [truth for block in pool.map(judge, blocks) for truth in block]
+    judged = _pool_map(judge, len(locs), ORACLE_BLOCK)
     true_ceps, outages = (np.array(column) for column in zip(*judged))
     residuals = true_ceps - preds.mean
     calibration = {

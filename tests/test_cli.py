@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from statmap.cli import _experiment_config, main
 from statmap.dataio import save_chart, save_map
-from statmap.errors import FitError
+from statmap.errors import FitError, NumericalError
 from statmap.gpmap import Hyperparams, TrainingSet, build_map
 from statmap.harness import (
     MAX_DRAW_BUFFER_BYTES,
@@ -25,7 +25,13 @@ from statmap.harness import (
     fit_location_map,
     simulate_dataset,
 )
-from statmap.propagation import Location, PointProcessConfig, ScenarioConfig
+from statmap.propagation import (
+    Location,
+    PointProcessConfig,
+    ScenarioConfig,
+    derive_seed,
+    draw_power_samples,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCENARIO_SMALL = {"field_components": 64}
@@ -689,6 +695,29 @@ def test_exit_3_oracle_failure_in_a_worker(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == ("numerical failure: [stage evaluate-test-users] "
                    "oracle failed\n")
+
+
+def test_exit_3_draw_failure_in_a_worker(tmp_path, capsys, monkeypatch):
+    # users 5 and 40 fail in different blocks of training draws; the first
+    # error is reported once, with its stage
+    import statmap.harness as harness
+
+    failing = {derive_seed(BASE_CONFIG["seed"], "train-power", user)
+               for user in (5, 40)}
+
+    def draws(scenario, loc, n, sample_seed, rays=None):
+        if sample_seed in failing:
+            raise NumericalError("draw failed")
+        return draw_power_samples(scenario, loc, n, sample_seed, rays)
+
+    monkeypatch.setattr(harness, "draw_power_samples", draws)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    assert run("evaluate", cfg, tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: [stage simulate-training-users] "
+                   "draw failed\n")
 
 
 def small_map(tmp_path):

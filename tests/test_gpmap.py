@@ -2,10 +2,12 @@
 multivariate-normal oracle, hyperparameter fitting, posterior predictions."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky, lapack
 from scipy.optimize import minimize
 
 import statmap.gpmap as gm
@@ -269,6 +271,116 @@ def test_lml_gradient_matches_central_differences(n, where):
          - gm._profiled_lml(theta - e, d2, train.targets)[0]) / (2 * step)
         for e in step * np.eye(3)])
     assert np.linalg.norm(grad - central) < 1e-4 * np.linalg.norm(central)
+
+
+def allocating_profiled_lml(theta, d2, targets):
+    """The LML evaluation with fresh arrays for the kernel, its factor, its
+    inverse and K * d2, step for step as _profiled_lml computes it."""
+    signal_var, length_scale, noise_var = (float(v) for v in np.exp(theta))
+    k = d2 / (-2.0 * length_scale ** 2)
+    np.exp(k, out=k)
+    k *= signal_var
+    k[np.diag_indices_from(k)] += noise_var
+    try:
+        low = cholesky(k, lower=True)
+    except np.linalg.LinAlgError:
+        raise IllConditionedError("not positive definite") from None
+    ones = np.ones_like(targets)
+    mean = (float(ones @ cho_solve((low, True), targets))
+            / float(ones @ cho_solve((low, True), ones)))
+    r = targets - mean
+    alpha = cho_solve((low, True), r)
+    logdet = 2.0 * np.sum(np.log(np.diag(low)))
+    lml = float(-0.5 * r @ alpha - 0.5 * logdet - 0.5 * r.size * gm.LOG2PI)
+    cinv, info = lapack.dpotri(low, lower=1)
+    assert info == 0
+    upper, inv_diag = cinv.T, np.diag(cinv)
+    k[np.diag_indices_from(k)] = signal_var
+
+    def quad_minus_trace(dc):
+        trace = 2.0 * np.vdot(upper, dc) - inv_diag @ np.diag(dc)
+        return alpha @ (dc @ alpha) - trace
+
+    grad = 0.5 * np.array([
+        quad_minus_trace(k),
+        quad_minus_trace(k * d2) / length_scale ** 2,
+        noise_var * (alpha @ alpha - inv_diag.sum())])
+    return lml, mean, grad
+
+
+def lml_bytes(lml, mean, grad):
+    return np.array([lml, mean, *grad]).tobytes()
+
+
+def near_duplicate_train(seed, n):
+    # pairs of points 1e-7 apart, where the kernel is worst conditioned
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-5, 5, size=(n // 2, 2))
+    coords = np.vstack([centres, centres + 1e-7])
+    return TrainingSet.new(coords, rng.normal(size=len(coords)))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "prior", "near-duplicates"])
+def test_workspace_lml_equals_allocating_evaluation_bit_for_bit(kind):
+    train = {"uniform": lambda: random_train(61, np.random.default_rng(8))[0],
+             "prior": lambda: prior_train(42, 120, TRUTH),
+             "near-duplicates": lambda: near_duplicate_train(43, 80)}[kind]()
+    d2 = gm._sq_dists(train.coords, train.coords)
+    bounds = default_bounds(train)
+    lo, hi = np.log([bounds[key] for key in ("signal_var", "length_scale",
+                                             "noise_var")]).T
+    thetas = lo + np.random.default_rng(44).uniform(size=(16, 3)) * (hi - lo)
+    # one workspace for every evaluation, as in a fit, starting from garbage
+    work = (np.full_like(d2, np.nan), np.full_like(d2, np.nan))
+    for theta in thetas:
+        want = lml_bytes(*allocating_profiled_lml(theta, d2, train.targets))
+        assert lml_bytes(*gm._profiled_lml(theta, d2, train.targets,
+                                           work)) == want
+        assert lml_bytes(*gm._profiled_lml(theta, d2, train.targets)) == want
+
+
+def test_workspace_lml_raises_where_the_kernel_does_not_factor():
+    # a long length scale with a negligible nugget: rounding leaves the
+    # kernel indefinite, and the workspace serves again after the failure
+    train, _ = random_train(40, np.random.default_rng(3))
+    d2 = gm._sq_dists(train.coords, train.coords)
+    work = (np.empty_like(d2), np.empty_like(d2))
+    with pytest.raises(IllConditionedError):
+        allocating_profiled_lml(np.array([0.0, math.log(50.0), -70.0]), d2,
+                                train.targets)
+    with pytest.raises(IllConditionedError):
+        gm._profiled_lml(np.array([0.0, math.log(50.0), -70.0]), d2,
+                         train.targets, work)
+    theta = log_theta(TRUTH)
+    assert lml_bytes(*gm._profiled_lml(theta, d2, train.targets, work)) == (
+        lml_bytes(*allocating_profiled_lml(theta, d2, train.targets)))
+
+
+def test_fit_evaluations_allocate_nothing_n_by_n(monkeypatch):
+    # the workspace is allocated once per fit: after the first evaluation
+    # none may allocate even one n x n array (the allocating evaluation
+    # makes four)
+    n = 300
+    train = prior_train(45, n, TRUTH)
+    real = gm._profiled_lml
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            return real(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(gm, "_profiled_lml", traced)
+    tracemalloc.start()
+    try:
+        fit(train, restarts=2, seed=0)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) > 10
+    assert max(peaks[1:]) < n * n * 8
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])

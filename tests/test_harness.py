@@ -340,6 +340,30 @@ def test_simulated_records_equal_per_user_draws(monkeypatch, with_csi,
             assert record.csi is None
 
 
+@pytest.mark.parametrize("with_csi", [False, True])
+def test_simulated_records_do_not_depend_on_cpu_count(monkeypatch, with_csi):
+    # three full blocks of training users and a short last one
+    config = dataclasses.replace(TINY_CHART,
+                                 n_train_users=3 * harness.DRAW_BLOCK + 5)
+    blobs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # switch threads often
+    try:
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            assert harness._worker_count() == cpus
+            ds = simulate_dataset(config, with_csi=with_csi)
+            blobs.append([(r.user_id, r.location, r.power_samples.tobytes(),
+                           r.csi if r.csi is None else r.csi.tobytes())
+                          for r in ds.records])
+    finally:
+        sys.setswitchinterval(interval)
+    assert [blob[0] for blob in blobs[0]] == list(range(config.n_train_users))
+    assert all(blob == blobs[0] for blob in blobs)
+
+
 def test_chart_test_queries_equal_per_user_csi_draws(monkeypatch):
     drawn = {}
 
