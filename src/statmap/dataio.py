@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import stat
 from dataclasses import dataclass
@@ -152,8 +153,10 @@ def load_dataset(path) -> Dataset:
         try:
             loc = None
             if "x" in row:
-                loc = Location(float(row["x"]), float(row["y"]),
-                               float(row["z"]))
+                xyz = [float(row[key]) for key in ("x", "y", "z")]
+                if not all(map(math.isfinite, xyz)):
+                    raise ValueError("location coordinates must be finite")
+                loc = Location(*xyz)
             csi = None
             if "csi" in row:
                 re = np.asarray(row["csi"]["re"], dtype=float)

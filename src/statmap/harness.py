@@ -25,7 +25,6 @@ from .propagation import (
     Location,
     PointProcessConfig,
     ScenarioConfig,
-    band_variant,
     derive_seed,
     draw_csi,
     draw_power_samples,
@@ -89,11 +88,13 @@ def _check_draw_buffer(setting: str, draws, paths: int) -> None:
 
 @dataclass(frozen=True)
 class ChartTrainingConfig:
-    """High-band CSI interface plus chart training hyperparameters."""
+    """The CSI grid that the chart is learned from, plus chart training
+    hyperparameters. The CSI is drawn on the scenario's own fields with
+    csi_antennas antennas and csi_subcarriers subcarriers across
+    csi_bandwidth_hz; the rates stay in the scenario's band."""
 
     csi_antennas: int = 16
     csi_subcarriers: int = 32
-    csi_wavelength: float = 0.0857      # 3.5 GHz
     csi_bandwidth_hz: float = 5e6
     s_red: int = 8
     hidden: tuple[int, ...] = chart_mod.DEFAULT_HIDDEN
@@ -109,7 +110,8 @@ class ChartTrainingConfig:
         if any(width < 1 for width in self.hidden):
             raise ConfigurationError(
                 f"hidden widths must be at least 1, got {list(self.hidden)}")
-        for name in ("epochs", "batch_size", "n_triplets"):
+        for name in ("csi_antennas", "csi_subcarriers", "epochs",
+                     "batch_size", "n_triplets"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
@@ -117,7 +119,7 @@ class ChartTrainingConfig:
             raise ConfigurationError(
                 f"s_red must lie in [1, {chart_mod.MAX_SUBCARRIER_FEATURES}], "
                 f"got {self.s_red}")
-        for name in ("step_size", "margin"):
+        for name in ("csi_bandwidth_hz", "step_size", "margin"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)}")
@@ -125,12 +127,6 @@ class ChartTrainingConfig:
             raise ConfigurationError(
                 "need 0 < close_quantile < far_quantile <= 1, got "
                 f"{self.close_quantile} and {self.far_quantile}")
-
-    def band_overrides(self) -> dict:
-        return {"num_antennas": self.csi_antennas,
-                "num_subcarriers": self.csi_subcarriers,
-                "carrier_wavelength": self.csi_wavelength,
-                "bandwidth_hz": self.csi_bandwidth_hz}
 
 
 @dataclass(frozen=True)
@@ -261,21 +257,20 @@ def simulate_dataset(config: ExperimentConfig,
                      with_csi: bool = False) -> Dataset:
     """Thomas-placed users with power samples and optionally one CSI snapshot,
     drawn in blocks on the worker pool, each from its own derived seeds."""
-    seed = config.seed
+    seed, cc = config.seed, config.chart
     scenario = generate_scenario(config.scenario, seed)
-    csi_scenario = band_variant(scenario, **config.chart.band_overrides()) \
-        if with_csi else None
     locs = _thomas_exact_count(config.pointprocess, config.scenario,
                                config.n_train_users, seed)
-    # both bands share the fields, so one evaluation serves their draws
+    # one evaluation of the fields serves the power and the CSI draws
     rays = scenario.path_rays(locs)
 
     def draw(i):
         powers = draw_power_samples(scenario, locs[i], config.samples_per_user,
                                     derive_seed(seed, "train-power", i),
                                     rays[i])
-        csi = draw_csi(csi_scenario, locs[i], derive_seed(seed, "train-csi", i),
-                       rays[i]) if with_csi else None
+        csi = draw_csi(scenario, locs[i], derive_seed(seed, "train-csi", i),
+                       cc.csi_antennas, cc.csi_subcarriers,
+                       cc.csi_bandwidth_hz, rays[i]) if with_csi else None
         return UserRecord(user_id=i, location=locs[i], power_samples=powers,
                           csi=csi)
 
@@ -289,13 +284,6 @@ def _uniform_test_locations(config: ExperimentConfig) -> list:
     xy = rng.uniform(-half, half, size=(config.n_test_users, 2))
     return [Location(float(x), float(y), config.scenario.user_height)
             for x, y in xy]
-
-
-def _echo(config: ExperimentConfig) -> dict:
-    echo = dataclasses.asdict(config)
-    echo["scenario"]["bs_location"] = dataclasses.asdict(
-        config.scenario.bs_location)
-    return echo
 
 
 # ------------------------------------------------------------ stages
@@ -364,7 +352,9 @@ def run_location_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_chart_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Chart-based map: CSI from the high band, rates in the scenario band."""
+    """Chart-based map: the chart and its queries come from CSI on
+    config.chart's grid, the rates and their judgement from the scenario's
+    band, both on the one scenario."""
     return _run_experiment(config, "chart")
 
 
@@ -372,7 +362,7 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
     """Fit a map on simulated users, then select rates for uniform test users
     and judge them against the oracle. Errors name the stage they came from."""
     seed = config.seed
-    echo = _echo(config)
+    echo = dataclasses.asdict(config)
     stage = "generate-scenario"
     try:
         scenario = generate_scenario(config.scenario, seed)
@@ -392,18 +382,18 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
             stage = "fit-map-in-latent-space"
             fmap = _fit_gp(chart_mod.forward(charted.model, charted.features),
                            charted.targets, config)
-            csi_scenario = band_variant(scenario,
-                                        **config.chart.band_overrides())
+            cc = config.chart
 
             def queries_of(locs):
                 queries = []
                 for user, (loc, rays) in enumerate(
-                        zip(locs, csi_scenario.path_rays(locs))):
-                    csi = draw_csi(csi_scenario, loc,
-                                   derive_seed(seed, "test-csi", user), rays)
+                        zip(locs, scenario.path_rays(locs))):
+                    csi = draw_csi(scenario, loc,
+                                   derive_seed(seed, "test-csi", user),
+                                   cc.csi_antennas, cc.csi_subcarriers,
+                                   cc.csi_bandwidth_hz, rays)
                     queries.append(chart_mod.forward(
-                        charted.model,
-                        chart_mod.csi_features(csi, config.chart.s_red)))
+                        charted.model, chart_mod.csi_features(csi, cc.s_red)))
                 return np.array(queries)
         echo["gp_fit"] = {"hyper": dataclasses.asdict(fmap.hyper),
                           "diagnostics": dataclasses.asdict(fmap.diagnostics)}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import j0, j1, jn_zeros
@@ -34,7 +34,6 @@ __all__ = [
     "CosineField",
     "Scenario",
     "generate_scenario",
-    "band_variant",
     "derive_seed",
     "sample_locations_thomas",
     "draw_power_samples",
@@ -126,10 +125,7 @@ class ScenarioConfig:
     path_amp_decorrelation_m: float = 50.0
     noise_power: float = 1e-13          # linear watts
     num_antennas: int = 1
-    num_subcarriers: int = 1
-    carrier_wavelength: float = 0.375   # meters (800 MHz)
     field_components: int = 128         # spectral components per random field
-    bandwidth_hz: float = 5e6           # spanned by the subcarriers
     delay_spread_s: float = 5e-7        # per-path delays drawn from [0, this)
     angle_spread_rad: float = 0.6       # std of the per-path angle field
     path_weight_decay: float = 0.45
@@ -139,11 +135,10 @@ class ScenarioConfig:
             raise ConfigurationError("num_paths must be >= 1")
         if self.field_components < 1:
             raise ConfigurationError("field_components must be >= 1")
-        if self.num_antennas < 1 or self.num_subcarriers < 1:
-            raise ConfigurationError("antenna/subcarrier counts must be >= 1")
+        if self.num_antennas < 1:
+            raise ConfigurationError("num_antennas must be >= 1")
         for name in ("cell_side", "shadowing_decorrelation_m",
-                     "path_amp_decorrelation_m", "noise_power",
-                     "carrier_wavelength", "bandwidth_hz"):
+                     "path_amp_decorrelation_m", "noise_power"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
         if self.delay_spread_s < 0 or self.angle_spread_rad < 0:
@@ -266,14 +261,14 @@ class Scenario:
 
     # -------------------------------------------------- sampling helpers
 
-    def _geometry(self, loc: Location, rays=None):
+    def _geometry(self, loc: Location, antennas: int, rays=None):
         """Per-path amplitudes at loc and its (paths, antennas) steering
         matrix; rays is loc's pair from path_rays, or None to evaluate the
         fields at loc alone."""
         if rays is None:
             (rays,) = self.path_rays([loc])
         a, theta = rays
-        ant = np.arange(self.config.num_antennas)
+        ant = np.arange(antennas)
         steering = np.exp(-1j * math.pi * np.outer(np.sin(theta), ant))
         return a, steering
 
@@ -281,19 +276,13 @@ class Scenario:
         return _substream(self.seed, purpose,
                           _entropy(loc.as_array().tobytes()), sample_seed)
 
-    def subcarrier_ramps(self) -> np.ndarray:
-        """(P, S) phase ramps from per-path delay across the subcarrier grid."""
-        spacing = self.config.bandwidth_hz / self.config.num_subcarriers
-        freqs = spacing * np.arange(self.config.num_subcarriers)
-        return np.exp(-1j * TWO_PI * np.outer(self.delays, freqs))
-
 
 def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     """Realize all random fields and per-path geometry for (config, seed).
 
     Field sub-streams depend only on the seed and a purpose label, so two
-    configs differing only in array/noise parameters (e.g. two radio bands)
-    share identical large-scale fields.
+    configs differing only in num_antennas or noise_power share identical
+    large-scale fields.
     """
     if not isinstance(config, ScenarioConfig):
         raise ConfigurationError("config must be a ScenarioConfig")
@@ -319,22 +308,6 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
                     path_amp_fields=amp_fields, angle_fields=angle_fields,
                     base_angles=base_angles, delays=delays,
                     path_weights=weights)
-
-
-def band_variant(scenario: Scenario, **overrides) -> Scenario:
-    """Same environment on a different radio interface.
-
-    Only array/noise parameters may change (antennas, subcarriers,
-    wavelength, bandwidth, noise power); the random fields are reused as-is
-    so channel statistics stay spatially consistent across bands.
-    """
-    allowed = {"num_antennas", "num_subcarriers", "carrier_wavelength",
-               "bandwidth_hz", "noise_power"}
-    bad = set(overrides) - allowed
-    if bad:
-        raise ConfigurationError(
-            f"band variant may only override {sorted(allowed)}, got {sorted(bad)}")
-    return replace(scenario, config=replace(scenario.config, **overrides))
 
 
 def sample_locations_thomas(pp: PointProcessConfig,
@@ -391,7 +364,7 @@ def draw_power_samples(scenario: Scenario, loc: Location, n: int,
     if n < 1:
         raise ValueError("need n >= 1 power samples")
     scenario._check_inside(loc)
-    a, steering = scenario._geometry(loc, rays)
+    a, steering = scenario._geometry(loc, scenario.config.num_antennas, rays)
     rng = scenario._phase_rng(loc, "power", sample_seed)
     paths = _path_phasors(a, rng.uniform(0.0, TWO_PI, (n, a.size)))
     h = np.empty((n, steering.shape[1]), dtype=complex)
@@ -403,12 +376,16 @@ def draw_power_samples(scenario: Scenario, loc: Location, n: int,
 
 
 def draw_csi(scenario: Scenario, loc: Location, sample_seed: int,
+             antennas: int, subcarriers: int, bandwidth_hz: float,
              rays=None) -> np.ndarray:
-    """One full antenna x subcarrier channel snapshot; rays as for
-    draw_power_samples."""
+    """One (antennas, subcarriers) channel snapshot on a grid of subcarriers
+    spaced bandwidth_hz / subcarriers apart from 0 Hz; rays as for
+    draw_power_samples. The scenario's own num_antennas sets the rate band
+    of the power draws and plays no part here."""
     scenario._check_inside(loc)
-    a, steering = scenario._geometry(loc, rays)
-    ramps = scenario.subcarrier_ramps()
+    a, steering = scenario._geometry(loc, antennas, rays)
+    freqs = bandwidth_hz / subcarriers * np.arange(subcarriers)
+    ramps = np.exp(-1j * TWO_PI * np.outer(scenario.delays, freqs))
     rng = scenario._phase_rng(loc, "csi", sample_seed)
     paths = _path_phasors(a, rng.uniform(0.0, TWO_PI, a.size))
     return np.einsum("p,pa,ps->as", paths, steering, ramps)

@@ -231,17 +231,22 @@ def test_exit_2_bad_json(tmp_path, capsys):
 
 
 def test_exit_2_unknown_key(tmp_path, capsys):
-    # experiment.n_mc_outage and experiment.oracle_n were settings once;
-    # they are now unknown too
+    # the other keys were settings once, read by no run; they are now
+    # unknown too
     for section, key in (("scenario", "not_a_field"),
                          ("experiment", "n_mc_outage"),
-                         ("experiment", "oracle_n")):
+                         ("experiment", "oracle_n"),
+                         ("scenario", "carrier_wavelength"),
+                         ("scenario", "num_subcarriers"),
+                         ("scenario", "bandwidth_hz"),
+                         ("chart", "csi_wavelength")):
         doc = json.loads(json.dumps(BASE_CONFIG))
-        doc[section][key] = 1
+        doc.setdefault(section, {})[key] = 1
         cfg = write_config(tmp_path, doc)
         assert run("simulate", cfg, tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert key in err and len(err.splitlines()) == 1
+        assert "unknown key(s)" in err
     assert not (tmp_path / "out" / "dataset.jsonl").exists()
 
 
@@ -408,6 +413,9 @@ OUT_OF_RANGE = {
     ("chart", "s_red"): NOT_POSITIVE_INT | st.integers(min_value=25),
     ("chart", "step_size"): NOT_POSITIVE_FLOAT,
     ("chart", "margin"): NOT_POSITIVE_FLOAT,
+    ("chart", "csi_antennas"): NOT_POSITIVE_INT,
+    ("chart", "csi_subcarriers"): NOT_POSITIVE_INT,
+    ("chart", "csi_bandwidth_hz"): NOT_POSITIVE_FLOAT,
     ("chart", "close_quantile"): NOT_POSITIVE_FLOAT | st.floats(
         min_value=0.5, **FINITE),
     ("chart", "far_quantile"): st.floats(max_value=0.05, **FINITE)
@@ -495,21 +503,30 @@ def test_fuzz_out_of_range_config_value_exits_2(tmp_path, monkeypatch, data):
     ("demo", "path_amplitudes", [0, 0]),
     ("experiment", "oracle_n", 10 ** 12),
     ("demo", "oracle_samples", 10 ** 8),
+    # the CSI grid, refused in either mode
+    ("chart", "csi_antennas", 0),
+    ("chart", "csi_subcarriers", 0),
+    ("chart", "csi_bandwidth_hz", 0),
 ])
 def test_exit_2_out_of_range_before_any_work(tmp_path, capsys, monkeypatch,
                                              section, key, value):
     no_draws(monkeypatch)
     if section == "demo":
         command, doc = "mismatch-demo", json.loads(json.dumps(DEMO_CONFIG))
+        modes = [None]
     else:
         command, doc = "evaluate", json.loads(json.dumps(CHART_CONFIG))
+        modes = ["location", "chart"]
     doc[section][key] = value
-    out = tmp_path / "out"
-    assert run(command, write_config(tmp_path, doc), out) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and key in err
-    assert len(err.splitlines()) == 1
-    assert os.listdir(out) == []
+    for mode in modes:
+        if mode is not None:
+            doc["mode"] = mode
+        out = tmp_path / f"out-{mode}"
+        assert run(command, write_config(tmp_path, doc), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err
+        assert len(err.splitlines()) == 1
+        assert os.listdir(out) == []
 
 
 def test_exit_2_invalid_epsilon(tmp_path):
@@ -577,6 +594,12 @@ NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
     # refused by Location, but without the file and line
     ("fit-map", BASE_CONFIG, 2, set_value(("z",), -1.0),
      "location height must be >= 0, got -1.0"),
+    # a NaN height passed the z >= 0 check; a NaN x failed in the GP
+    # training set, without the file and line
+    ("fit-map", BASE_CONFIG, 3, set_value(("z",), math.nan),
+     "location coordinates must be finite"),
+    ("fit-map", BASE_CONFIG, 3, set_value(("x",), math.nan),
+     "location coordinates must be finite"),
     # a 0xff byte (written through surrogateescape) was a UnicodeDecodeError
     # traceback (exit 1)
     ("fit-map", BASE_CONFIG, 3, set_value(("note",), "\udcff"),
@@ -586,7 +609,8 @@ NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
 ], ids=["negative-power", "nan-power", "nan-csi", "csi-cut-to-3-of-4-antennas",
         "all-zero-csi", "csi-im-of-1-antenna", "empty-power-fit-map",
         "empty-power-train-chart", "2d-power-train-chart", "2d-power-fit-map",
-        "scalar-power", "negative-z", "non-utf8-record", "non-utf8-header"])
+        "scalar-power", "negative-z", "nan-z", "nan-x", "non-utf8-record",
+        "non-utf8-header"])
 def test_exit_2_malformed_dataset_record(tmp_path, capsys, command, doc,
                                          lineno, edit, message):
     # json writes and reads NaN, so only the loader can refuse it

@@ -46,7 +46,6 @@ from statmap.propagation import (
     Location,
     Scenario,
     ScenarioConfig,
-    band_variant,
     derive_seed,
     draw_csi,
     draw_power_samples,
@@ -327,15 +326,16 @@ def test_simulated_records_equal_per_user_draws(monkeypatch, with_csi,
     assert sorted(evaluations) == ["path_amplitudes", "path_angles"]
     seed = config.seed
     scenario = generate_scenario(config.scenario, seed)
-    csi_scenario = band_variant(scenario, **config.chart.band_overrides())
+    cc = config.chart
     for i, record in enumerate(ds.records):
         assert record.power_samples.tobytes() == draw_power_samples(
             scenario, record.location, config.samples_per_user,
             derive_seed(seed, "train-power", i)).tobytes()
         if with_csi:
             assert record.csi.tobytes() == draw_csi(
-                csi_scenario, record.location,
-                derive_seed(seed, "train-csi", i)).tobytes()
+                scenario, record.location, derive_seed(seed, "train-csi", i),
+                cc.csi_antennas, cc.csi_subcarriers,
+                cc.csi_bandwidth_hz).tobytes()
         else:
             assert record.csi is None
 
@@ -367,9 +367,9 @@ def test_simulated_records_do_not_depend_on_cpu_count(monkeypatch, with_csi):
 def test_chart_test_queries_equal_per_user_csi_draws(monkeypatch):
     drawn = {}
 
-    def recorded(scenario, loc, sample_seed, rays=None):
-        csi = draw_csi(scenario, loc, sample_seed, rays)
-        drawn[sample_seed] = (scenario, loc, rays, csi)
+    def recorded(scenario, loc, sample_seed, *grid_and_rays):
+        csi = draw_csi(scenario, loc, sample_seed, *grid_and_rays)
+        drawn[sample_seed] = (scenario, loc, grid_and_rays, csi)
         return csi
 
     monkeypatch.setattr(harness, "draw_csi", recorded)
@@ -377,10 +377,14 @@ def test_chart_test_queries_equal_per_user_csi_draws(monkeypatch):
     locs = harness._uniform_test_locations(TINY_CHART)
     for user, loc in enumerate(locs):
         sample_seed = derive_seed(TINY_CHART.seed, "test-csi", user)
-        scenario, drawn_at, rays, csi = drawn[sample_seed]
+        scenario, drawn_at, (*grid, rays), csi = drawn[sample_seed]
         assert drawn_at == loc and rays is not None
-        assert scenario.config.num_antennas == TINY_CHART.chart.csi_antennas
-        assert csi.tobytes() == draw_csi(scenario, loc, sample_seed).tobytes()
+        cc = TINY_CHART.chart
+        assert grid == [cc.csi_antennas, cc.csi_subcarriers,
+                        cc.csi_bandwidth_hz]
+        assert scenario.config == TINY_CHART.scenario
+        assert csi.tobytes() == draw_csi(scenario, loc, sample_seed,
+                                         *grid).tobytes()
 
 
 def test_estimate_capacities_matches_manual():

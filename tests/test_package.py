@@ -1,13 +1,21 @@
-"""Package surface: every exported name resolves, and every public name of a
-submodule has a caller inside the package."""
+"""Package surface: every exported name resolves, every public name of a
+submodule has a caller inside the package, and every config field is read
+by the package."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 import statmap
+from statmap.harness import (
+    ChartTrainingConfig,
+    ExperimentConfig,
+    MismatchDemoConfig,
+)
+from statmap.propagation import PointProcessConfig, ScenarioConfig
 
 MODULES = ["statmap"] + [f"statmap.{name}" for name in (
     "chart", "dataio", "gpmap", "harness", "propagation", "rateselect",
@@ -24,20 +32,22 @@ def test_all_exports_resolve(module_name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def references():
+# the identifier each kind of reference carries
+IDENTIFIER = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def references(kinds=tuple(IDENTIFIER)):
     """(module, name, top-level definition it sits in, or None) for every
-    Name, Attribute and imported name in the package's source."""
+    reference of the given kinds (by default Name, Attribute and imported
+    name) in the package's source."""
     refs = set()
     for path in SRC.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = getattr(top, "name", None)
             for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    refs.add((path.stem, node.id, owner))
-                elif isinstance(node, ast.Attribute):
-                    refs.add((path.stem, node.attr, owner))
-                elif isinstance(node, ast.alias):
-                    refs.add((path.stem, node.name, owner))
+                if isinstance(node, kinds):
+                    refs.add((path.stem,
+                              getattr(node, IDENTIFIER[type(node)]), owner))
     return refs
 
 
@@ -53,3 +63,18 @@ def test_every_public_name_has_a_caller_in_the_package():
                        for m, n, owner in refs):
                 orphans.add(f"{short}.{name}")
     assert orphans == NO_CALLER_ALLOWED
+
+
+def test_every_config_field_is_read_outside_its_class():
+    # a field whose only reads are its own class's checks changes no output:
+    # an inert knob, deleted instead
+    reads = references(ast.Attribute)
+    inert = set()
+    for cls in (ScenarioConfig, PointProcessConfig, ExperimentConfig,
+                ChartTrainingConfig, MismatchDemoConfig):
+        home = (cls.__module__.rsplit(".", 1)[1], cls.__name__)
+        for f in dataclasses.fields(cls):
+            if not any(n == f.name and (m, owner) != home
+                       for m, n, owner in reads):
+                inert.add(f"{cls.__name__}.{f.name}")
+    assert inert == set()

@@ -20,7 +20,6 @@ from statmap.propagation import (
     PointProcessConfig,
     Scenario,
     ScenarioConfig,
-    band_variant,
     draw_csi,
     draw_power_samples,
     generate_scenario,
@@ -43,6 +42,7 @@ from statmap.stats import (
 )
 
 LOC = Location(20.0, -35.0, 1.5)
+BANDWIDTH = 5e6     # the CSI grid's bandwidth, Hz
 
 
 def make_scenario(seed=1, **overrides):
@@ -124,17 +124,6 @@ def test_config_validation():
         Location(0.0, 0.0, -2.0)
 
 
-def test_band_variant_shares_fields():
-    s = make_scenario(seed=3)
-    other = band_variant(s, num_antennas=4, carrier_wavelength=0.0857,
-                         noise_power=1e-12)
-    locs = np.array([[10.0, 5.0, 1.5], [-40.0, 60.0, 1.5]])
-    np.testing.assert_array_equal(s.path_amplitudes(locs),
-                                  other.path_amplitudes(locs))
-    with pytest.raises(ConfigurationError):
-        band_variant(s, shadowing_std_db=9.0)
-
-
 # ---------------------------------------------------------------- fields
 
 def test_scenario_deterministic_bit_exact():
@@ -199,7 +188,7 @@ def test_field_values_do_not_depend_on_how_many_points_share_the_call():
 
 @pytest.mark.parametrize("antennas", [1, 2])
 def test_draws_from_batched_rays_equal_per_location_draws(antennas):
-    s = make_scenario(seed=13, num_antennas=antennas, num_subcarriers=4)
+    s = make_scenario(seed=13, num_antennas=antennas)
     xy = np.random.default_rng(36).uniform(-100.0, 100.0, (60, 2))
     locs = [Location(float(x), float(y), 1.5) for x, y in xy]
     rays = s.path_rays(locs)
@@ -209,8 +198,9 @@ def test_draws_from_batched_rays_equal_per_location_draws(antennas):
         assert theta.tobytes() == s.path_angles(loc.as_array())[0].tobytes()
         assert draw_power_samples(s, loc, 200, i, (a, theta)).tobytes() == \
             draw_power_samples(s, loc, 200, i).tobytes()
-        assert draw_csi(s, loc, i, (a, theta)).tobytes() == \
-            draw_csi(s, loc, i).tobytes()
+        assert draw_csi(s, loc, i, antennas, 4, BANDWIDTH,
+                        (a, theta)).tobytes() == \
+            draw_csi(s, loc, i, antennas, 4, BANDWIDTH).tobytes()
 
 
 def test_draws_from_batched_rays_still_refuse_a_location_outside_the_cell():
@@ -220,7 +210,7 @@ def test_draws_from_batched_rays_still_refuse_a_location_outside_the_cell():
     with pytest.raises(ValueError, match="outside the cell"):
         draw_power_samples(s, outside, 4, 0, rays)
     with pytest.raises(ValueError, match="outside the cell"):
-        draw_csi(s, outside, 0, rays)
+        draw_csi(s, outside, 0, 1, 1, BANDWIDTH, rays)
 
 
 # ---------------------------------------------------------------- thomas
@@ -283,10 +273,10 @@ def test_thomas_empty_result_is_allowed():
 # ---------------------------------------------------------------- channel
 
 def test_single_path_siso_has_constant_magnitude():
-    s = make_scenario(seed=6, num_paths=1)  # one antenna, one subcarrier
+    s = make_scenario(seed=6, num_paths=1)
     a1 = s.path_amplitudes(LOC.as_array())[0, 0]
-    for seed in range(5):
-        h = draw_csi(s, LOC, sample_seed=seed)[:, 0]
+    for seed in range(5):    # one antenna, one subcarrier
+        h = draw_csi(s, LOC, seed, 1, 1, BANDWIDTH)[:, 0]
         assert h.shape == (1,)
         assert abs(abs(h[0]) - a1) < 1e-12 * a1
 
@@ -318,24 +308,25 @@ def complex_exp_draws(s, loc, n, sample_seed):
     return np.sum(np.abs(h) ** 2, axis=1)
 
 
-def complex_exp_csi(s, loc, sample_seed):
+def complex_exp_csi(s, loc, sample_seed, antennas, subcarriers):
     """draw_csi written with the complex exponential."""
-    a, steering = s._geometry(loc)
+    a, steering = s._geometry(loc, antennas)
     phases = s._phase_rng(loc, "csi", sample_seed).uniform(
         0.0, 2.0 * math.pi, a.size)
-    return np.einsum("p,pa,ps->as", a * np.exp(1j * phases), steering,
-                     s.subcarrier_ramps())
+    freqs = BANDWIDTH / subcarriers * np.arange(subcarriers)
+    ramps = np.exp(-1j * 2.0 * math.pi * np.outer(s.delays, freqs))
+    return np.einsum("p,pa,ps->as", a * np.exp(1j * phases), steering, ramps)
 
 
 @pytest.mark.parametrize("antennas", [1, 2])
 def test_power_draws_equal_complex_exponential_bit_for_bit(antennas):
     # power draws and CSI snapshots share one phasor kernel
-    s = make_scenario(seed=11, num_antennas=antennas, num_subcarriers=4)
+    s = make_scenario(seed=11, num_antennas=antennas)
     for i, loc in enumerate([LOC, Location(-60.0, 80.0), Location(99.0, 5.0)]):
         got = draw_power_samples(s, loc, 10_000, sample_seed=i)
         assert got.tobytes() == complex_exp_draws(s, loc, 10_000, i).tobytes()
-        assert draw_csi(s, loc, i).tobytes() == \
-            complex_exp_csi(s, loc, i).tobytes()
+        assert draw_csi(s, loc, i, antennas, 4, BANDWIDTH).tobytes() == \
+            complex_exp_csi(s, loc, i, antennas, 4).tobytes()
 
 
 def test_multipath_samples_equal_complex_exponential_bit_for_bit():
@@ -379,21 +370,22 @@ def test_location_outside_cell_rejected():
 # ---------------------------------------------------------------- CSI
 
 def test_csi_shape_and_determinism():
-    s = make_scenario(seed=9, num_antennas=4, num_subcarriers=16)
-    c1 = draw_csi(s, LOC, sample_seed=5)
-    c2 = draw_csi(s, LOC, sample_seed=5)
+    s = make_scenario(seed=9)
+    c1 = draw_csi(s, LOC, 5, 4, 16, BANDWIDTH)
+    c2 = draw_csi(s, LOC, 5, 4, 16, BANDWIDTH)
     assert c1.shape == (4, 16)
     np.testing.assert_array_equal(c1, c2)
-    c3 = draw_csi(s, LOC, sample_seed=6)
+    c3 = draw_csi(s, LOC, 6, 4, 16, BANDWIDTH)
     assert not np.array_equal(c1, c3)
 
 
 def test_csi_frobenius_norm_distribution_stable_across_seeds():
-    s = make_scenario(seed=10, num_antennas=4, num_subcarriers=8)
+    s = make_scenario(seed=10)
     expect = 4 * 8 * path_power_sum(s)
     means = []
     for offset in (0, 10_000):
-        sq = [np.sum(np.abs(draw_csi(s, LOC, sample_seed=offset + i)) ** 2)
+        sq = [np.sum(np.abs(draw_csi(s, LOC, offset + i, 4, 8,
+                                     BANDWIDTH)) ** 2)
               for i in range(1000)]
         means.append(np.mean(sq))
     assert means[0] == pytest.approx(expect, rel=0.1)
@@ -402,8 +394,8 @@ def test_csi_frobenius_norm_distribution_stable_across_seeds():
 
 
 def test_csi_single_path_is_rank_one():
-    s = make_scenario(seed=11, num_paths=1, num_antennas=6, num_subcarriers=12)
-    c = draw_csi(s, LOC, sample_seed=1)
+    s = make_scenario(seed=11, num_paths=1)
+    c = draw_csi(s, LOC, 1, 6, 12, BANDWIDTH)
     sv = np.linalg.svd(c, compute_uv=False)
     assert sv[1] < 1e-10 * sv[0]
 
@@ -413,7 +405,8 @@ def test_csi_single_path_is_rank_one():
 def test_true_outage_capacity_deterministic_channel():
     s = make_scenario(seed=12, num_paths=1)
     a1 = s.path_amplitudes(LOC.as_array())[0, 0]
-    s_unit = band_variant(s, noise_power=float(a1 * a1))  # SNR exactly 1
+    # the fields do not depend on the noise: SNR exactly 1
+    s_unit = make_scenario(seed=12, num_paths=1, noise_power=float(a1 * a1))
     for eps in (0.001, 0.01, 0.2):
         # one path fails the series' convergence test: Monte Carlo
         assert np.isnan(exact_root(s_unit, LOC, eps))
@@ -795,14 +788,16 @@ def test_spatial_consistency_w1_increases_with_distance():
 
 def test_phase_independence_beyond_ten_wavelengths():
     s = make_scenario(seed=19)
-    gap = 12.0 * s.config.carrier_wavelength
+    gap = 4.5   # twelve wavelengths at 800 MHz
     rng = np.random.default_rng(20)
     corrs = []
     for k in range(100):
         x, y = rng.uniform(-80, 80, 2)
         la, lb = Location(x, y, 1.5), Location(x + gap, y, 1.5)
-        h1 = np.array([draw_csi(s, la, i)[0, 0] for i in range(200)])
-        h2 = np.array([draw_csi(s, lb, i)[0, 0] for i in range(200)])
+        h1 = np.array([draw_csi(s, la, i, 1, 1, BANDWIDTH)[0, 0]
+                       for i in range(200)])
+        h2 = np.array([draw_csi(s, lb, i, 1, 1, BANDWIDTH)[0, 0]
+                       for i in range(200)])
         num = np.abs(np.mean(h1 * np.conj(h2)))
         den = math.sqrt(np.mean(np.abs(h1) ** 2) * np.mean(np.abs(h2) ** 2))
         corrs.append(num / den)
