@@ -5,13 +5,19 @@ Wasserstein distances between per-user rate distributions.
 The network is rectifier-activated with an identity output layer and is
 trained by plain mini-batch SGD with momentum; gradients are backpropagated
 analytically (no autodiff dependency), which keeps training deterministic
-for a fixed seed.
+for a fixed seed. Each batch runs on two threads (inline on one CPU) with
+the floating-point operations of a single-threaded pass, so the trained
+chart does not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -184,6 +190,29 @@ def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
     return triplets[:kept], n_triplets - kept
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _under_errstate(errs: dict, work, *args):
+    with np.errstate(**errs):
+        return work(*args)
+
+
+def _start(pool, work, *args):
+    """Begin work(*args) on the helper thread of pool, under the calling
+    thread's numpy error state (numpy keeps one per thread), and return the
+    call that waits for its result. Without a pool, work runs inline when
+    that call is made."""
+    if pool is None:
+        return partial(work, *args)
+    return pool.submit(_under_errstate, np.geterr(), work, *args).result
+
+
 def _forward_cached(weights, biases, x: np.ndarray):
     """Forward pass keeping post-activation values for backprop."""
     activations = [x]
@@ -194,6 +223,19 @@ def _forward_cached(weights, biases, x: np.ndarray):
         a = z if i == last else np.maximum(z, 0.0)
         activations.append(a)
     return activations
+
+
+def _forward_rows(weights, biases, feats, rows, acts) -> None:
+    """_forward_cached of feats[rows], written in place: the gathered rows
+    into acts[0] and the layers' activations into acts[1:], each buffer
+    with one row per entry of rows. rows must lie in range."""
+    np.take(feats, rows, axis=0, out=acts[0], mode="clip")
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(acts[i], w, out=acts[i + 1])
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
 
 
 def forward(model: ChartModel, features) -> np.ndarray:
@@ -209,19 +251,36 @@ def forward(model: ChartModel, features) -> np.ndarray:
 
 
 def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
-                          anchors, positives, negatives, margin: float):
+                          anchors, positives, negatives, margin: float,
+                          buffers, pool):
     """Mean triplet loss of the batch and its weight and bias gradients.
 
     The gradients are None when the loss is finite and no hinge term is
     positive: they are exactly zero then, and the backward pass is skipped.
     A NaN hinge is not positive either, but it leaves the loss NaN, so such
     a batch still takes the full pass and train() rejects its loss.
+
+    The m stacked rows are forwarded into buffers, one per layer of at
+    least m rows, in two blocks: rows [0, cut) here and [cut, m) on the
+    helper thread of pool (here too, after the first, when pool is None).
+    cut is a multiple of 4, so the last rows of the product, which
+    OpenBLAS's DGEMM hands to its tail kernel (at most m mod 4 of them),
+    stay last in the second block; every row then carries the bits of
+    _forward_cached, whatever the pool.
     """
     # overflow here surfaces as a non-finite loss, which train() rejects
     b = len(anchors)
-    stacked = feats[np.concatenate([anchors, positives, negatives])]
+    rows = np.concatenate([anchors, positives, negatives])
+    m = rows.size
+    acts = [buf[:m] for buf in buffers]
+    cut = 4 * (m // 8)
     with np.errstate(invalid="ignore", over="ignore"):
-        acts = _forward_cached(weights, biases, stacked)
+        # fewer than 8 rows: one block, here
+        tail = _start(pool if cut else None, _forward_rows, weights, biases,
+                      feats, rows[cut:], [a[cut:] for a in acts])
+        _forward_rows(weights, biases, feats, rows[:cut],
+                      [a[:cut] for a in acts])
+        tail()
         z = acts[-1]
         za, zp, zn = z[:b], z[b:2 * b], z[2 * b:]
         diff_p = za - zp
@@ -241,21 +300,26 @@ def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
             -active * up,
             active * un,
         ]) / b
-        return (loss, *_backward(weights, acts, g_out))
+        return (loss, *_backward(weights, acts, g_out, pool))
 
 
-def _backward(weights, acts, g_out: np.ndarray):
+def _backward(weights, acts, g_out: np.ndarray, pool):
     """Weight and bias gradients from the output gradient g_out, passed back
     through the rectifier stack whose activations acts the forward pass
-    kept."""
+    kept. Above the first layer, the helper thread of pool forms each
+    weight gradient while this one forms the bias gradient and passes g
+    back; no product is split, so the bits do not depend on the pool."""
     grads_w = [None] * len(weights)
     grads_b = [None] * len(weights)
     g = g_out
-    for i in range(len(weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ g
+    for i in range(len(weights) - 1, 0, -1):
+        grad_w = _start(pool, np.matmul, acts[i].T, g)
         grads_b[i] = g.sum(axis=0)
-        if i > 0:
-            g = (g @ weights[i].T) * (acts[i] > 0.0)
+        g_in = (g @ weights[i].T) * (acts[i] > 0.0)
+        grads_w[i] = grad_w()
+        g = g_in
+    grads_w[0] = acts[0].T @ g
+    grads_b[0] = g.sum(axis=0)
     return grads_w, grads_b
 
 
@@ -263,10 +327,12 @@ def train(model: ChartModel, triplets, features, margin: float = 1.0,
           step_size: float = 0.01, epochs: int = 20, batch_size: int = 128,
           seed: int = 0) -> TrainResult:
     """Mini-batch SGD with momentum MOMENTUM on the mean triplet loss over
-    triplets, a (k, 3) int array of (anchor, positive, negative) rows.
+    triplets, a (k, 3) int array of (anchor, positive, negative) rows of
+    features.
 
-    Deterministic for fixed inputs and seed; aborts with diagnostics on a
-    non-finite loss.
+    Deterministic for fixed inputs and seed, on any number of CPUs; aborts
+    with diagnostics on a non-finite loss. With more than one usable CPU,
+    each batch shares its work with one helper thread.
     """
     idx = np.asarray(triplets)
     if idx.size == 0:
@@ -274,42 +340,59 @@ def train(model: ChartModel, triplets, features, margin: float = 1.0,
     if idx.ndim != 2 or idx.shape[1] != 3:
         raise ConfigurationError(
             f"triplets must be a k x 3 index array, got shape {idx.shape}")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ConfigurationError(
+            f"triplet indices must be integers, got {idx.dtype}")
+    feats = np.asarray(features, dtype=float)
+    if feats.ndim != 2 or feats.shape[1] != model.input_dim:
+        raise ConfigurationError(
+            f"features must be a users x {model.input_dim} array, got shape "
+            f"{feats.shape}")
+    if idx.min() < 0 or idx.max() >= len(feats):
+        raise ConfigurationError(
+            f"triplet indices must lie in [0, {len(feats)}), got "
+            f"{idx.min()} to {idx.max()}")
     a, p, n = idx.T
     if np.any((a == p) | (a == n) | (p == n)):
         raise ConfigurationError("triplet indices must be distinct")
     if margin <= 0 or epochs < 1 or batch_size < 1 or step_size < 0:
         raise ConfigurationError("hyperparameters must be positive")
-    feats = np.asarray(features, dtype=float)
     rng = np.random.default_rng(seed)
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
+    # the activations of the largest batch, reused by every batch
+    buffers = [np.empty((3 * min(batch_size, len(idx)), d))
+               for d in model.layer_dims]
     trace = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(idx))
-        total, count = 0.0, 0
-        for start in range(0, len(order), batch_size):
-            chunk = idx[order[start:start + batch_size]]
-            loss, gw, gb = _batch_loss_and_grads(
-                weights, biases, feats, chunk[:, 0], chunk[:, 1], chunk[:, 2],
-                margin)
-            if not math.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {start // batch_size}")
-            total += loss * len(chunk)
-            count += len(chunk)
-            # a batch without gradients still takes its momentum step
-            for i in range(len(weights)):
-                vel_w[i] = MOMENTUM * vel_w[i]
-                vel_b[i] = MOMENTUM * vel_b[i]
-                if gw is not None:
-                    vel_w[i] -= step_size * gw[i]
-                    vel_b[i] -= step_size * gb[i]
-                weights[i] = weights[i] + vel_w[i]
-                biases[i] = biases[i] + vel_b[i]
-        trace.append(total / count)
+    helper = (ThreadPoolExecutor(max_workers=1) if _worker_count() > 1
+              else nullcontext())
+    with helper as pool:
+        for epoch in range(epochs):
+            order = rng.permutation(len(idx))
+            total, count = 0.0, 0
+            for start in range(0, len(order), batch_size):
+                chunk = idx[order[start:start + batch_size]]
+                loss, gw, gb = _batch_loss_and_grads(
+                    weights, biases, feats, chunk[:, 0], chunk[:, 1],
+                    chunk[:, 2], margin, buffers, pool)
+                if not math.isfinite(loss):
+                    raise TrainingError(
+                        f"non-finite loss at epoch {epoch}, batch "
+                        f"{start // batch_size}")
+                total += loss * len(chunk)
+                count += len(chunk)
+                # a batch without gradients still takes its momentum step
+                for i in range(len(weights)):
+                    vel_w[i] = MOMENTUM * vel_w[i]
+                    vel_b[i] = MOMENTUM * vel_b[i]
+                    if gw is not None:
+                        vel_w[i] -= step_size * gw[i]
+                        vel_b[i] -= step_size * gb[i]
+                    weights[i] = weights[i] + vel_w[i]
+                    biases[i] = biases[i] + vel_b[i]
+            trace.append(total / count)
     return TrainResult(
         model=ChartModel(weights=tuple(weights), biases=tuple(biases)),
         epoch_losses=trace)
-

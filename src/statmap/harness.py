@@ -10,6 +10,7 @@ reported on stdout only, never inside output files.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import chart as chart_mod
-from .chart import ChartModel
+from .chart import ChartModel, _worker_count
 from .dataio import Dataset, UserRecord, write_csv, write_json
 from .errors import ConfigurationError
 from .gpmap import FittedMap, TrainingSet, fit as gp_fit, predict_batch
@@ -86,6 +87,19 @@ def _check_draw_buffer(setting: str, draws, paths: int) -> None:
             f"{paths} paths")
 
 
+# Largest allocation that the chart section may ask for: one CSI snapshot,
+# the mined triplets, the chart's weights or one batch's activations.
+MAX_CHART_BYTES = 1 << 30
+
+
+def _check_chart_bytes(setting: str, what: str, nbytes: int) -> None:
+    """Refuse nbytes for what beyond the chart limit."""
+    if nbytes > MAX_CHART_BYTES:
+        raise ConfigurationError(
+            f"{setting} needs {nbytes / (1 << 30):.3g} GiB for {what}, over "
+            f"the {MAX_CHART_BYTES >> 30} GiB limit")
+
+
 @dataclass(frozen=True)
 class ChartTrainingConfig:
     """The CSI grid that the chart is learned from, plus chart training
@@ -127,6 +141,26 @@ class ChartTrainingConfig:
             raise ConfigurationError(
                 "need 0 < close_quantile < far_quantile <= 1, got "
                 f"{self.close_quantile} and {self.far_quantile}")
+        _check_chart_bytes(
+            f"csi_antennas={self.csi_antennas} with csi_subcarriers="
+            f"{self.csi_subcarriers}", "a CSI snapshot",
+            16 * self.csi_antennas * self.csi_subcarriers)
+        # 8-byte anchors and (anchor, positive, negative) rows
+        _check_chart_bytes(f"n_triplets={self.n_triplets}", "the triplets",
+                           32 * self.n_triplets)
+        # the length of csi_features' vector, then the layers
+        step = math.ceil(self.csi_subcarriers / self.s_red)
+        columns = math.ceil(self.csi_subcarriers / step)
+        dims = [2 * self.csi_antennas * columns + 1, *self.hidden,
+                chart_mod.LATENT_DIM]
+        _check_chart_bytes(
+            f"hidden={list(self.hidden)} on {dims[0]} CSI features",
+            "the chart's weights",
+            8 * sum(d_in * d_out for d_in, d_out in zip(dims, dims[1:])))
+        # 3 rows of 8-byte activations per triplet of a batch
+        _check_chart_bytes(
+            f"batch_size={self.batch_size}", "one batch's activations",
+            24 * min(self.batch_size, self.n_triplets) * sum(dims))
 
 
 @dataclass(frozen=True)
@@ -405,14 +439,6 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
         raise
     return ExperimentReport(mode=mode, **columns, epsilon=config.epsilon,
                             delta=config.delta, seed=seed, config_echo=echo)
-
-
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 def _pool_map(work, count: int, block: int) -> list:

@@ -2,7 +2,10 @@
 analytic gradients against central finite differences, and training behavior."""
 
 import math
+import os
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -246,11 +249,20 @@ def test_forward_dimension_mismatch():
 
 # ---------------------------------------------------------------- loss
 
+def batch_loss_and_grads(model, feats, anchors, positives, negatives,
+                         margin):
+    """_batch_loss_and_grads on one thread, into buffers sized for the
+    batch."""
+    buffers = [np.empty((3 * len(anchors), d)) for d in model.layer_dims]
+    return _batch_loss_and_grads(model.weights, model.biases, feats, anchors,
+                                 positives, negatives, margin, buffers, None)
+
+
 def triplet_loss(model, feats, triplets, margin):
     """Mean of max(0, ||za - zp|| - ||za - zn|| + margin) over the triplets,
     as training computes it."""
-    return _batch_loss_and_grads(model.weights, model.biases, feats,
-                                 *np.asarray(triplets).T, margin)[0]
+    return batch_loss_and_grads(model, feats, *np.asarray(triplets).T,
+                                margin)[0]
 
 
 def test_triplet_loss_zero_when_separated():
@@ -308,8 +320,8 @@ def test_analytic_gradient_matches_finite_differences():
     model = init_chart_model(6, hidden=(10, 8), seed=5)
     margin = 5.0  # large margin keeps every hinge active and off the kink
     anchors, positives, negatives = triplets.T
-    _, gw, gb = _batch_loss_and_grads(model.weights, model.biases, feats,
-                                      anchors, positives, negatives, margin)
+    _, gw, gb = batch_loss_and_grads(model, feats, anchors, positives,
+                                     negatives, margin)
     analytic = np.concatenate([g.ravel() for g in gw]
                               + [g.ravel() for g in gb])
 
@@ -368,12 +380,25 @@ def test_train_aborts_on_nonfinite():
     (np.array([0, 1, 2]), "k x 3"),
     (np.array([(0, 1, 2, 3), (4, 5, 6, 7)]), "k x 3"),
     (np.empty((0, 3), dtype=int), "no triplets"),
+    # indices outside the 8 users: -1 would train on the last one
+    (np.array([(0, 1, 2), (-1, 3, 4)]), r"lie in \[0, 8\)"),
+    (np.array([(0, 1, 2), (3, 4, 8)]), r"lie in \[0, 8\)"),
+    (np.array([(0.0, 1.0, 2.0)]), "integers"),
+    (np.array([(True, False, True)]), "integers"),
 ])
 def test_train_refuses_malformed_triplets(triplets, match):
     feats = np.random.default_rng(30).normal(size=(8, 4))
     m = init_chart_model(4, hidden=(5,), seed=8)
     with pytest.raises(ConfigurationError, match=match):
         train(m, triplets, feats, epochs=1, seed=0)
+
+
+@pytest.mark.parametrize("shape", [(8, 5), (8, 3), (8,), (8, 4, 1)])
+def test_train_refuses_features_of_another_shape(shape):
+    feats = np.random.default_rng(30).normal(size=shape)
+    m = init_chart_model(4, hidden=(5,), seed=8)
+    with pytest.raises(ConfigurationError, match="users x 4"):
+        train(m, np.array([(0, 1, 2)]), feats, epochs=1, seed=0)
 
 
 # ---------------------------------------------------------------- backward skip
@@ -417,7 +442,7 @@ def full_backward_train(model, triplets, feats, margin, step_size, epochs,
             up = (za - zp) / np.maximum(dp, 1e-12)[:, None]
             un = (za - zn) / np.maximum(dn, 1e-12)[:, None]
             gw, gb = _backward(weights, acts, np.vstack(
-                [active * (up - un), -active * up, active * un]) / b)
+                [active * (up - un), -active * up, active * un]) / b, None)
             total += float(np.mean(losses)) * b
             for i in range(len(weights)):
                 vel_w[i] = MOMENTUM * vel_w[i] - step_size * gw[i]
@@ -450,7 +475,8 @@ def test_backward_pass_runs_once_per_batch_with_a_positive_hinge(monkeypatch):
     model, triplets, feats = separable_chart_problem()
     positive, backward_at = [], []
 
-    def batch(weights, biases, feats, anchors, positives, negatives, margin):
+    def batch(weights, biases, feats, anchors, positives, negatives, margin,
+              buffers, pool):
         # the hinge terms, from the very rows the batch embeds
         b = len(anchors)
         z = _forward_cached(weights, biases, feats[np.concatenate(
@@ -459,7 +485,8 @@ def test_backward_pass_runs_once_per_batch_with_a_positive_hinge(monkeypatch):
             - np.linalg.norm(z[:b] - z[2 * b:], axis=1) + margin
         positive.append(bool(np.any(hinge > 0.0)))
         return _batch_loss_and_grads(weights, biases, feats, anchors,
-                                     positives, negatives, margin)
+                                     positives, negatives, margin, buffers,
+                                     pool)
 
     def backward(*args):
         backward_at.append(len(positive) - 1)
@@ -473,12 +500,107 @@ def test_backward_pass_runs_once_per_batch_with_a_positive_hinge(monkeypatch):
     assert 0 < len(backward_at) < len(positive)
 
 
+# ---------------------------------------------------------------- two threads
+# A batch's m stacked rows are forwarded in two blocks, [0, cut) and [cut, m)
+# with cut = 4 * (m // 8), the second on a helper thread, and each weight
+# gradient above the first layer is formed there too. The bytes are those of
+# the single-block pass of full_backward_train: _forward_cached on all m
+# rows, then _backward.
+
+def assert_same_training(got, weights, biases, trace):
+    assert np.array(got.epoch_losses).tobytes() == np.array(trace).tobytes()
+    for have, want in zip(got.model.weights + got.model.biases,
+                          weights + biases):
+        assert have.tobytes() == want.tobytes()
+
+
+def two_cpus(monkeypatch):
+    """Let train() see two usable CPUs, so it starts its helper thread on
+    any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+def chart_sized_problem():
+    """257 CSI-like features (unit-norm block and a log-power entry) for 60
+    users and the default hidden widths; 299 triplets."""
+    rng = np.random.default_rng(40)
+    block = np.abs(rng.normal(size=(60, 256)))
+    block /= np.linalg.norm(block, axis=1)[:, None]
+    feats = np.hstack([block, rng.uniform(-12, -8, size=(60, 1))])
+    rows = [rng.normal(loc=g, size=50) for g in feats[:, -1]]
+    triplets, _ = build_triplets(rows, 320, seed=6)
+    assert len(triplets) >= 299
+    return init_chart_model(257, seed=7), triplets[:299], feats
+
+
+# 3b mod 4 is 0, 1, 2 and 3; each leaves a short last batch, at 33 one of 2
+# triplets: 6 rows, forwarded as one block
+@pytest.mark.parametrize("batch_size", [32, 35, 34, 33])
+def test_split_batches_train_the_single_block_bytes(monkeypatch, batch_size):
+    two_cpus(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("training called the public forward")
+
+    monkeypatch.setattr(chart, "forward", refuse)
+    model, triplets, feats = chart_sized_problem()
+    assert len(triplets) % batch_size
+    args = dict(margin=1.0, step_size=0.02, epochs=3, batch_size=batch_size,
+                seed=5)
+    got = train(model, triplets, feats, **args)
+    assert_same_training(got, *full_backward_train(model, triplets, feats,
+                                                   **args))
+
+
+def test_training_bytes_do_not_depend_on_cpu_count(monkeypatch):
+    model, triplets, feats = chart_sized_problem()
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # switch threads often
+    try:
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            assert chart._worker_count() == cpus
+            results.append(train(model, triplets, feats, step_size=0.02,
+                                 epochs=2, batch_size=33, seed=5))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results[1:]:
+        assert_same_training(got, list(results[0].model.weights),
+                             list(results[0].model.biases),
+                             results[0].epoch_losses)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_row_on_the_helper_names_its_epoch_and_batch(monkeypatch,
+                                                                bad):
+    # the non-finite row is only ever a negative, so it lies in the last
+    # third of its batch's rows, past the cut: only the helper forwards it,
+    # under the same error state as this thread (warnings would be errors)
+    two_cpus(monkeypatch)
+    model, triplets, feats = separable_chart_problem()
+    feats = np.vstack([feats, np.full(feats.shape[1], bad)])
+    triplets = triplets.copy()
+    triplets[17, 2] = len(feats) - 1
+    order = np.random.default_rng(3).permutation(len(triplets))
+    batch = int(np.flatnonzero(order == 17)[0]) // 32
+    assert batch > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingError,
+                           match=f"at epoch 0, batch {batch}$"):
+            train(model, triplets, feats, step_size=0.05, epochs=2,
+                  batch_size=32, seed=3)
+
+
 def test_nan_hinge_is_not_taken_for_an_inactive_batch():
     feats = np.random.default_rng(25).normal(size=(3, 4))
     feats[2, 0] = np.nan
     model = init_chart_model(4, hidden=(5,), seed=4)
-    loss, gw, gb = _batch_loss_and_grads(model.weights, model.biases, feats,
-                                         [0], [1], [2], 1.0)
+    loss, gw, gb = batch_loss_and_grads(model, feats, [0], [1], [2], 1.0)
     assert math.isnan(loss)
     assert gw is not None and gb is not None
 

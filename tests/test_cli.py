@@ -18,6 +18,7 @@ from statmap.dataio import save_chart, save_map
 from statmap.errors import FitError, NumericalError
 from statmap.gpmap import Hyperparams, TrainingSet, build_map
 from statmap.harness import (
+    MAX_CHART_BYTES,
     MAX_DRAW_BUFFER_BYTES,
     ChartTrainingConfig,
     ExperimentConfig,
@@ -400,20 +401,25 @@ NOT_POSITIVE_FLOAT = st.floats(max_value=0.0, **FINITE)
 # at least 21 samples per user; quantiles 0.05 / 0.5; 7 paths, so at most
 # MOST_DRAWS samples per user or ceil(100 / epsilon) Monte-Carlo oracle
 # draws within the draw buffer limit) or for DEMO_CONFIG (at least 100 and
-# at most MOST_DRAWS samples in each fit, 7 paths)
+# at most MOST_DRAWS samples in each fit, 7 paths). Past the chart limit: a
+# hidden width whose weights alone hold more than MAX_CHART_BYTES, 16-byte
+# CSI entries of that many antennas, 32 bytes of triplets each.
 MOST_DRAWS = MAX_DRAW_BUFFER_BYTES // (7 * 16)
 OUT_OF_RANGE = {
     ("chart", "hidden"): st.tuples(
-        st.lists(st.integers(1, 64), max_size=2), NOT_POSITIVE_INT,
+        st.lists(st.integers(1, 64), max_size=2),
+        NOT_POSITIVE_INT | st.integers(min_value=MAX_CHART_BYTES // 8 + 1),
         st.lists(st.integers(1, 64), max_size=2)).map(
         lambda t: t[0] + [t[1]] + t[2]),
     ("chart", "epochs"): NOT_POSITIVE_INT,
     ("chart", "batch_size"): NOT_POSITIVE_INT,
-    ("chart", "n_triplets"): NOT_POSITIVE_INT,
+    ("chart", "n_triplets"): NOT_POSITIVE_INT
+    | st.integers(min_value=MAX_CHART_BYTES // 32 + 1),
     ("chart", "s_red"): NOT_POSITIVE_INT | st.integers(min_value=25),
     ("chart", "step_size"): NOT_POSITIVE_FLOAT,
     ("chart", "margin"): NOT_POSITIVE_FLOAT,
-    ("chart", "csi_antennas"): NOT_POSITIVE_INT,
+    ("chart", "csi_antennas"): NOT_POSITIVE_INT
+    | st.integers(min_value=MAX_CHART_BYTES // 16 + 1),
     ("chart", "csi_subcarriers"): NOT_POSITIVE_INT,
     ("chart", "csi_bandwidth_hz"): NOT_POSITIVE_FLOAT,
     ("chart", "close_quantile"): NOT_POSITIVE_FLOAT | st.floats(
@@ -507,6 +513,11 @@ def test_fuzz_out_of_range_config_value_exits_2(tmp_path, monkeypatch, data):
     ("chart", "csi_antennas", 0),
     ("chart", "csi_subcarriers", 0),
     ("chart", "csi_bandwidth_hz", 0),
+    # chart arrays past MAX_CHART_BYTES, refused without allocating them:
+    # 7.1 PiB of anchors, 187 TiB of weights, 745 GiB of antenna entries
+    ("chart", "n_triplets", 10 ** 15),
+    ("chart", "hidden", [10 ** 11]),
+    ("chart", "csi_antennas", 10 ** 11),
 ])
 def test_exit_2_out_of_range_before_any_work(tmp_path, capsys, monkeypatch,
                                              section, key, value):
