@@ -13,7 +13,6 @@ chart does not depend on the CPU count.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import pdist
 
+from ._threads import _under_errstate, _worker_count
 from .errors import ConfigurationError, DegenerateInputError, TrainingError
 from .stats import EmpiricalDistribution, wasserstein1
 
@@ -188,19 +188,6 @@ def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
             triplets[kept] = anchor, rng.choice(pos_pool), rng.choice(neg_pool)
             kept += 1
     return triplets[:kept], n_triplets - kept
-
-
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _under_errstate(errs: dict, work, *args):
-    with np.errstate(**errs):
-        return work(*args)
 
 
 def _start(pool, work, *args):
@@ -383,15 +370,19 @@ def train(model: ChartModel, triplets, features, margin: float = 1.0,
                         f"{start // batch_size}")
                 total += loss * len(chunk)
                 count += len(chunk)
-                # a batch without gradients still takes its momentum step
+                # a batch without gradients still takes its momentum step;
+                # the step runs in place, as the gradients are fresh arrays
+                # of this batch and the weights are train's own copies
                 for i in range(len(weights)):
-                    vel_w[i] = MOMENTUM * vel_w[i]
-                    vel_b[i] = MOMENTUM * vel_b[i]
+                    vel_w[i] *= MOMENTUM
+                    vel_b[i] *= MOMENTUM
                     if gw is not None:
-                        vel_w[i] -= step_size * gw[i]
-                        vel_b[i] -= step_size * gb[i]
-                    weights[i] = weights[i] + vel_w[i]
-                    biases[i] = biases[i] + vel_b[i]
+                        gw[i] *= step_size
+                        gb[i] *= step_size
+                        vel_w[i] -= gw[i]
+                        vel_b[i] -= gb[i]
+                    weights[i] += vel_w[i]
+                    biases[i] += vel_b[i]
             trace.append(total / count)
     return TrainResult(
         model=ChartModel(weights=tuple(weights), biases=tuple(biases)),

@@ -5,23 +5,32 @@ with a squared-exponential kernel plus nugget. Hyperparameters maximize the
 log marginal likelihood by multi-start L-BFGS-B in log space within box
 bounds, on the analytic gradient that each evaluation reads off its own
 Cholesky factor; the prior mean is profiled out in closed form at every
-evaluation, and the pairwise training distances and a two-array workspace
-for the kernel and its factor are allocated once per fit, so an evaluation
-allocates nothing n x n. A fitted map is immutable: it freezes the Cholesky
-factor of K + nugget*I and the solved weight vector, and prediction is pure
-linear algebra: a batch of queries costs one cross-kernel product and one
+evaluation. The pairwise training distances are computed once per fit, and
+each start gets its own two-array workspace for the kernel and its factor,
+so an evaluation allocates nothing n x n. The starts run concurrently, one
+thread per start up to the usable CPUs: an evaluation factors, solves and
+inverts through LAPACK routines called without the interpreter lock (a
+small ctypes shim over scipy's cython_lapack). The starts' best points are
+then reduced in start order, so the fit is the same whatever the thread
+count. A fitted map is immutable: it freezes the Cholesky factor of
+K + nugget*I and the solved weight vector, and prediction is pure linear
+algebra: a batch of queries costs one cross-kernel product and one
 triangular solve with a right-hand side per query.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
+from scipy.linalg import cho_solve, cholesky, cython_lapack, solve_triangular
 from scipy.optimize import minimize
 
+from ._threads import _under_errstate, _worker_count
 from .errors import ConfigurationError, FitError, IllConditionedError
 
 __all__ = [
@@ -162,20 +171,91 @@ def kernel_matrix(coords: np.ndarray, hyper: Hyperparams) -> np.ndarray:
     return _covariance(_sq_dists(coords, coords), hyper, with_nugget=True)
 
 
+# scipy's f2py LAPACK wrappers hold the interpreter lock while they run, so
+# concurrent starts would factor one after the other. The same routines,
+# taken from cython_lapack's table of function pointers and called through
+# ctypes, which releases the lock, compute the same bits.
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+_CHAR, _ARRAY = ctypes.c_char_p, ctypes.c_void_p
+_INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+_ZERO = ctypes.c_double(0.0)
+
+
+def _lapack(name: str, *argtypes):
+    """The cython_lapack routine name as a ctypes function."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None, *argtypes)(
+        _capsule_pointer(capsule, _capsule_name(capsule)))
+
+
+_dpotrf = _lapack("dpotrf", _CHAR, _INT, _ARRAY, _INT, _INT)
+_dpotrs = _lapack("dpotrs", _CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT,
+                  _INT)
+_dpotri = _lapack("dpotri", _CHAR, _INT, _ARRAY, _INT, _INT)
+_dlaset = _lapack("dlaset", _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _ARRAY, _INT)
+
+
+def _address(a: np.ndarray, shape: tuple) -> int:
+    """Address of a, which must be a writeable F-ordered float64 array of
+    the given shape, as LAPACK reads and writes it in place."""
+    if not (a.shape == shape and a.dtype == np.float64
+            and a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError(
+            f"LAPACK needs a writeable F-ordered float64 array of shape "
+            f"{shape}, got {a.dtype} {a.shape}")
+    return a.ctypes.data
+
+
+def _potrf(a: np.ndarray) -> int:
+    """Lower Cholesky factor of the (n, n) array a, in place; returns
+    LAPACK's info (> 0 where a is not positive definite). The strict upper
+    triangle is then zeroed, as scipy's ``cholesky`` does: one ``dlaset``
+    over the columns right of the first sets their upper triangle, diagonal
+    included, which is a's strict upper triangle."""
+    n, info = ctypes.c_int(len(a)), ctypes.c_int()
+    _dpotrf(b"L", n, _address(a, (n.value, n.value)), n, info)
+    if n.value > 1:
+        m = ctypes.c_int(n.value - 1)
+        _dlaset(b"U", m, m, _ZERO, _ZERO, a[:, 1:].ctypes.data, n)
+    return info.value
+
+
+def _potrs(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C^-1 b in a new array, from low, the lower factor of C:
+    ``cho_solve((low, True), b)`` for one right-hand side."""
+    x = np.array(b, dtype=float)
+    n, one, info = ctypes.c_int(len(low)), ctypes.c_int(1), ctypes.c_int()
+    _dpotrs(b"L", n, one, _address(low, (n.value, n.value)), n,
+            _address(x, (n.value,)), n, info)
+    return x
+
+
+def _potri(low: np.ndarray) -> int:
+    """The lower triangle of C^-1 in place of low, the lower factor of C;
+    returns LAPACK's info. The strict upper triangle is left as it was."""
+    n, info = ctypes.c_int(len(low)), ctypes.c_int()
+    _dpotri(b"L", n, _address(low, (n.value, n.value)), n, info)
+    return info.value
+
+
 def _cholesky_with_jitter(k, hyper: Hyperparams):
     """Lower Cholesky factor; retries once with a tiny jitter when noise-free.
 
     ``k`` is the kernel, or a pair (kernel, buffer): the kernel is then copied
-    into the buffer and factored there in place, via its F-ordered transpose
-    (the same matrix, as the kernel is symmetric).
+    into the buffer and factored there in place by ``_potrf``, via its
+    F-ordered transpose (the same matrix, as the kernel is symmetric).
     """
     kernel, buf = (k, None) if isinstance(k, np.ndarray) else k
     try:
         if buf is None:
             return cholesky(kernel, lower=True), False
         np.copyto(buf, kernel)
-        return cholesky(buf.T, lower=True, overwrite_a=True,
-                        check_finite=False), False
+        if _potrf(buf.T) == 0:
+            return buf.T, False
     except np.linalg.LinAlgError:
         pass
     if hyper.noise_var == 0.0:
@@ -224,9 +304,7 @@ def default_bounds(train: TrainingSet) -> dict:
 def _profiled_mean(low: np.ndarray, targets: np.ndarray) -> float:
     """GLS-optimal prior mean given the Cholesky factor of C."""
     ones = np.ones_like(targets)
-    ci_y = cho_solve((low, True), targets, check_finite=False)
-    ci_1 = cho_solve((low, True), ones, check_finite=False)
-    return float(ones @ ci_y) / float(ones @ ci_1)
+    return float(ones @ _potrs(low, targets)) / float(ones @ _potrs(low, ones))
 
 
 def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray,
@@ -242,6 +320,8 @@ def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray,
     ``work`` (allocated when not given) is a pair of (n, n) arrays: C, then
     K and K * d2, are formed in the first, and the second takes the factor
     of C and then C^-1 in place; the arithmetic is that of fresh arrays.
+    The LAPACK calls run without the interpreter lock, so evaluations on
+    separate workspaces run concurrently.
     """
     signal_var, length_scale, noise_var = (float(v) for v in np.exp(theta))
     hyper = Hyperparams(0.0, signal_var, length_scale, noise_var)
@@ -251,16 +331,16 @@ def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray,
     low, _ = _cholesky_with_jitter(work, hyper)
     mean = _profiled_mean(low, targets)
     r = targets - mean
-    alpha = cho_solve((low, True), r, check_finite=False)
+    alpha = _potrs(low, r)
     lml = _lml_from_factor(low, r, alpha)
     # the lower triangle of C^-1, in place of the factor
-    cinv, info = lapack.dpotri(low, lower=1, overwrite_c=1)
+    info = _potri(low)
     if info != 0:
         raise IllConditionedError(f"inverting the kernel failed (info={info})")
-    # cinv is Fortran-ordered; its transpose is C-ordered, as the kernels
-    # are, and holds C^-1 in the upper triangle, which by symmetry serves
-    # the traces below equally well.
-    upper, inv_diag = cinv.T, np.diag(cinv)
+    # low is Fortran-ordered; its transpose is C-ordered, as the kernels
+    # are, and holds C^-1 in the upper triangle and the factor's zeros
+    # below it, which by symmetry serves the traces below equally well.
+    upper, inv_diag = low.T, np.diag(low)
     # C minus the nugget, exactly: K's diagonal is signal_var * exp(0).
     k[np.diag_indices_from(k)] = signal_var
 
@@ -285,13 +365,21 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
     kernel does not factor scores FAILED_NEG_LML with a zero gradient, so the
     line search backs off from it. Multi-start jitters are seeded, so the
     whole fit is deterministic; FIT_MAX_EVALUATIONS caps the evaluations per
-    start. Every evaluation reuses one workspace (``_profiled_lml``); the
-    map's factor is a new array.
+    start.
+
+    The starts run concurrently on min(starts, usable CPUs) threads, inline
+    on one CPU. Each start reuses one workspace of its own
+    (``_profiled_lml``) and keeps its own best point: its first evaluation
+    to reach its lowest -LML. The bests are reduced in start order with a
+    strict comparison, which picks the evaluation that one best shared by
+    the starts run one after the other picks: the first, in start order, to
+    reach the minimum. ``converged`` is that of the last start whose best
+    beat every earlier start's, and ``iterations`` counts the evaluations
+    of all starts. The map's factor is a new array.
     """
     if restarts < 1:
         raise ConfigurationError(f"restarts must be at least 1, got {restarts}")
     d2 = _sq_dists(train.coords, train.coords)
-    work = (np.empty_like(d2), np.empty_like(d2))
     bounds = default_bounds(train)
     lo, hi = np.log([bounds["signal_var"], bounds["length_scale"],
                      bounds["noise_var"]]).T
@@ -301,36 +389,47 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
         init = Hyperparams(prior_mean=float(np.mean(train.targets)),
                            signal_var=var, length_scale=med,
                            noise_var=0.1 * var)
-
-    # The best point evaluated and its profiled mean, which build_map then
-    # freezes as they are.
-    best = {"neg_lml": math.inf}
-
-    def objective(theta):
-        try:
-            lml, mean, grad = _profiled_lml(theta, d2, train.targets, work)
-        except IllConditionedError:
-            return FAILED_NEG_LML, np.zeros(3)
-        if -lml < best["neg_lml"]:
-            best.update(neg_lml=-lml, theta=theta.copy(), prior_mean=mean)
-        return -lml, -grad
-
     x0 = np.clip(np.log([init.signal_var, init.length_scale,
                          max(init.noise_var, math.exp(lo[2]))]), lo, hi)
     rng = np.random.default_rng(seed)
     starts = [x0] + [np.clip(x0 + rng.normal(0.0, 0.7, 3), lo, hi)
                      for _ in range(restarts - 1)]
 
-    total_iter, converged = 0, False
-    for start in starts:
-        before = best["neg_lml"]
-        res = minimize(objective, start, jac=True, method="L-BFGS-B",
-                       bounds=list(zip(lo, hi)),
-                       options={"maxfun": FIT_MAX_EVALUATIONS, "ftol": 1e-12,
-                                "gtol": 1e-6})
+    def run(start):
+        """The best point that L-BFGS-B from start evaluates, with its
+        profiled mean, and the optimizer's result."""
+        work = (np.empty_like(d2), np.empty_like(d2))
+        best = {"neg_lml": math.inf}
+
+        def objective(theta):
+            try:
+                lml, mean, grad = _profiled_lml(theta, d2, train.targets, work)
+            except IllConditionedError:
+                return FAILED_NEG_LML, np.zeros(3)
+            if -lml < best["neg_lml"]:
+                best.update(neg_lml=-lml, theta=theta.copy(), prior_mean=mean)
+            return -lml, -grad
+
+        return best, minimize(objective, start, jac=True, method="L-BFGS-B",
+                              bounds=list(zip(lo, hi)),
+                              options={"maxfun": FIT_MAX_EVALUATIONS,
+                                       "ftol": 1e-12, "gtol": 1e-6})
+
+    threads = min(len(starts), _worker_count())
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            runs = list(pool.map(partial(_under_errstate, np.geterr(), run),
+                                 starts))
+    else:
+        runs = [run(start) for start in starts]
+
+    # The best point of all starts and its profiled mean, which build_map
+    # then freezes as they are.
+    best, total_iter, converged = {"neg_lml": math.inf}, 0, False
+    for run_best, res in runs:
         total_iter += int(res.nfev)
-        if best["neg_lml"] < before:
-            converged = bool(res.success)
+        if run_best["neg_lml"] < best["neg_lml"]:
+            best, converged = run_best, bool(res.success)
     if "theta" not in best:
         raise FitError("all restarts failed to factorize the kernel matrix")
 
@@ -339,8 +438,9 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
                         signal_var=float(signal_var),
                         length_scale=float(length_scale),
                         noise_var=float(noise_var))
+    # the kernel in place of d2, which nothing reads after it
     fmap = build_map(train, hyper,
-                     _covariance(d2, hyper, with_nugget=True, out=work[0]))
+                     _covariance(d2, hyper, with_nugget=True, out=d2))
     return replace(fmap, diagnostics=replace(
         fmap.diagnostics, iterations=total_iter, restarts=len(starts),
         converged=converged))

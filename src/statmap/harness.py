@@ -18,7 +18,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import chart as chart_mod
-from .chart import ChartModel, _worker_count
+from ._threads import _worker_count
+from .chart import ChartModel
 from .dataio import Dataset, UserRecord, write_csv, write_json
 from .errors import ConfigurationError
 from .gpmap import FittedMap, TrainingSet, fit as gp_fit, predict_batch

@@ -471,6 +471,57 @@ def test_skipped_backward_passes_leave_training_bit_identical(step_size):
         assert have.tobytes() == want.tobytes()
 
 
+def out_of_place_train(model, triplets, feats, margin, step_size, epochs,
+                       batch_size, seed):
+    """train() on one thread with a momentum step that makes new arrays
+    (MOMENTUM * vel, step_size * g, w + vel); also returns how many batches
+    had no positive hinge."""
+    idx = np.asarray(triplets)
+    rng = np.random.default_rng(seed)
+    weights, biases = list(model.weights), list(model.biases)
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+    buffers = [np.empty((3 * min(batch_size, len(idx)), d))
+               for d in model.layer_dims]
+    trace, inactive = [], 0
+    for _ in range(epochs):
+        order = rng.permutation(len(idx))
+        total = 0.0
+        for start in range(0, len(order), batch_size):
+            chunk = idx[order[start:start + batch_size]]
+            loss, gw, gb = _batch_loss_and_grads(
+                weights, biases, feats, chunk[:, 0], chunk[:, 1], chunk[:, 2],
+                margin, buffers, None)
+            total += loss * len(chunk)
+            inactive += gw is None
+            for i in range(len(weights)):
+                vel_w[i] = MOMENTUM * vel_w[i]
+                vel_b[i] = MOMENTUM * vel_b[i]
+                if gw is not None:
+                    vel_w[i] -= step_size * gw[i]
+                    vel_b[i] -= step_size * gb[i]
+                weights[i] = weights[i] + vel_w[i]
+                biases[i] = biases[i] + vel_b[i]
+        trace.append(total / len(idx))
+    return weights, biases, trace, inactive
+
+
+@pytest.mark.parametrize("step_size", [0.05, 1e-4])
+def test_in_place_momentum_step_trains_the_out_of_place_bytes(step_size):
+    model, triplets, feats = separable_chart_problem()
+    before = [a.tobytes() for a in model.weights + model.biases]
+    args = dict(margin=1.0, step_size=step_size, epochs=8, batch_size=32,
+                seed=3)
+    got = train(model, triplets, feats, **args)
+    weights, biases, trace, inactive = out_of_place_train(
+        model, triplets, feats, **args)
+    # at 0.05 the loss reaches 0, so later batches step on momentum alone
+    assert (inactive > 0) == (step_size == 0.05)
+    assert_same_training(got, weights, biases, trace)
+    # the model trained from is left as it was
+    assert [a.tobytes() for a in model.weights + model.biases] == before
+
+
 def test_backward_pass_runs_once_per_batch_with_a_positive_hinge(monkeypatch):
     model, triplets, feats = separable_chart_problem()
     positive, backward_at = [], []

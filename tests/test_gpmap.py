@@ -2,6 +2,9 @@
 multivariate-normal oracle, hyperparameter fitting, posterior predictions."""
 
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -356,22 +359,34 @@ def test_workspace_lml_raises_where_the_kernel_does_not_factor():
         lml_bytes(*allocating_profiled_lml(theta, d2, train.targets)))
 
 
+def usable_cpus(monkeypatch, n):
+    """Let fit() see n usable CPUs, on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 def test_fit_evaluations_allocate_nothing_n_by_n(monkeypatch):
-    # the workspace is allocated once per fit: after the first evaluation
-    # none may allocate even one n x n array (the allocating evaluation
-    # makes four)
+    # each start allocates its workspace once: after a start's first
+    # evaluation none may allocate even one n x n array (the allocating
+    # evaluation makes four). On one CPU the starts run one after the other,
+    # so each traced peak is that of one evaluation.
+    usable_cpus(monkeypatch, 1)
     n = 300
     train = prior_train(45, n, TRUTH)
     real = gm._profiled_lml
-    peaks = []
+    peaks, workspaces = [], []
 
     def traced(*args):
+        work = args[3]
+        if not any(work is seen for seen in workspaces):
+            workspaces.append(work)
+            peaks.append([])
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         try:
             return real(*args)
         finally:
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            peaks[-1].append(tracemalloc.get_traced_memory()[1] - before)
 
     monkeypatch.setattr(gm, "_profiled_lml", traced)
     tracemalloc.start()
@@ -379,8 +394,29 @@ def test_fit_evaluations_allocate_nothing_n_by_n(monkeypatch):
         fit(train, restarts=2, seed=0)
     finally:
         tracemalloc.stop()
-    assert len(peaks) > 10
-    assert max(peaks[1:]) < n * n * 8
+    assert len(workspaces) == 2
+    assert sum(map(len, peaks)) > 10
+    for start_peaks in peaks:
+        assert max(start_peaks[1:]) < n * n * 8
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+def test_a_fit_allocates_one_workspace_per_start(monkeypatch, restarts):
+    usable_cpus(monkeypatch, 2)
+    train = prior_train(46, 40, TRUTH)
+    real = gm._profiled_lml
+    workspaces = []     # kept alive, so no two can share an address
+
+    def recorded(theta, d2, targets, work):
+        if not any(work is seen for seen in workspaces):
+            workspaces.append(work)
+        assert [w.shape for w in work] == [d2.shape, d2.shape]
+        return real(theta, d2, targets, work)
+
+    monkeypatch.setattr(gm, "_profiled_lml", recorded)
+    fit(train, restarts=restarts, seed=0)
+    assert len(workspaces) == restarts
+    assert len({id(w) for work in workspaces for w in work}) == 2 * restarts
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
@@ -416,10 +452,16 @@ def test_fit_raises_fit_error_when_no_kernel_factors(monkeypatch):
     def boom(*a, **k):
         raise np.linalg.LinAlgError("forced")
 
+    # scipy's cholesky, and the lock-free factorization of the fit's
+    # workspaces: neither factors any kernel
     monkeypatch.setattr(gm, "cholesky", boom)
+    monkeypatch.setattr(gm, "_potrf", lambda a: 1)
     train, _ = random_train(20, np.random.default_rng(15))
-    with pytest.raises(FitError):
-        fit(train, restarts=2, seed=0)
+    for cpus in (1, 2, 4):
+        usable_cpus(monkeypatch, cpus)
+        for restarts in (2, 3):
+            with pytest.raises(FitError):
+                fit(train, restarts=restarts, seed=0)
 
 
 def test_fit_backs_off_from_failed_factorizations(monkeypatch):
@@ -444,6 +486,223 @@ def test_fit_backs_off_from_failed_factorizations(monkeypatch):
     assert 0.9 * cap < fmap.hyper.length_scale <= cap
     assert fmap.diagnostics.log_marginal_likelihood > (
         map_lml(init, train) + 1.0)
+
+
+# ------------------------------------------------ lock-free LAPACK shim
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 301])
+def test_lapack_shim_equals_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(50 + n)
+    a = rng.normal(size=(n, n))
+    spd = a @ a.T + n * np.eye(n)
+    b = rng.normal(size=n)
+    b_bytes = b.tobytes()
+    want = cholesky(spd, lower=True)
+    # the F-ordered copy holds spd's upper triangle above the diagonal,
+    # which the factorization must zero as scipy's does
+    low = np.array(spd, order="F")
+    assert gm._potrf(low) == 0
+    assert np.all(np.triu(low, 1) == 0)
+    assert low.tobytes() == want.tobytes()
+    assert gm._potrs(low, b).tobytes() == cho_solve((want, True), b).tobytes()
+    assert b.tobytes() == b_bytes
+    want_inv, info = lapack.dpotri(want, lower=1)
+    assert info == 0
+    assert gm._potri(low) == 0
+    assert low.tobytes() == want_inv.tobytes()
+
+
+def test_lapack_shim_refuses_arrays_it_would_misread():
+    spd = np.eye(3) + 0.5
+    for bad in (np.ascontiguousarray(spd[:, ::-1]),       # C-ordered
+                np.asfortranarray(spd, dtype=np.float32),
+                np.asfortranarray(spd)[:2, :2],           # not contiguous
+                np.asfortranarray(spd[:, :2])):           # not square
+        with pytest.raises(ValueError, match="F-ordered float64"):
+            gm._potrf(bad)
+    frozen = np.asfortranarray(spd)
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError):
+        gm._potri(frozen)
+    low = cholesky(spd, lower=True)
+    for rhs in (np.ones(2), np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            gm._potrs(low, rhs)
+
+
+def test_lapack_shim_reports_an_indefinite_kernel():
+    # the kernel of test_workspace_lml_raises_where_the_kernel_does_not_factor
+    train, _ = random_train(40, np.random.default_rng(3))
+    d2 = gm._sq_dists(train.coords, train.coords)
+    theta = np.array([0.0, math.log(50.0), -70.0])
+    hyper = Hyperparams(0.0, *np.exp(theta))
+    kernel = gm._covariance(d2, hyper, with_nugget=True)
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky(kernel, lower=True)
+    assert gm._potrf(np.array(kernel, order="F")) > 0
+    work = (np.empty_like(d2), np.empty_like(d2))
+    with pytest.raises(IllConditionedError, match="length_scale=50"):
+        gm._cholesky_with_jitter((kernel, work[1]), hyper)
+    with pytest.raises(IllConditionedError):
+        gm._profiled_lml(theta, d2, train.targets, work)
+    good = log_theta(TRUTH)
+    assert lml_bytes(*gm._profiled_lml(good, d2, train.targets, work)) == (
+        lml_bytes(*allocating_profiled_lml(good, d2, train.targets)))
+
+
+# ------------------------------------------------------ concurrent starts
+
+def shared_best_fit(train, restarts, seed):
+    """fit() with its starts run one after the other on one workspace, all
+    updating one shared best point; returns the map and the iterations and
+    converged flag of its diagnostics."""
+    d2 = gm._sq_dists(train.coords, train.coords)
+    work = (np.empty_like(d2), np.empty_like(d2))
+    bounds = default_bounds(train)
+    lo, hi = np.log([bounds["signal_var"], bounds["length_scale"],
+                     bounds["noise_var"]]).T
+    var = max(float(np.var(train.targets)), 1e-10)
+    init = Hyperparams(float(np.mean(train.targets)), var,
+                       math.sqrt(float(np.median(d2[d2 > 0]))), 0.1 * var)
+    best = {"neg_lml": math.inf}
+
+    def objective(theta):
+        try:
+            lml, mean, grad = gm._profiled_lml(theta, d2, train.targets, work)
+        except IllConditionedError:
+            return gm.FAILED_NEG_LML, np.zeros(3)
+        if -lml < best["neg_lml"]:
+            best.update(neg_lml=-lml, theta=theta.copy(), prior_mean=mean)
+        return -lml, -grad
+
+    x0 = np.clip(np.log([init.signal_var, init.length_scale,
+                         max(init.noise_var, math.exp(lo[2]))]), lo, hi)
+    rng = np.random.default_rng(seed)
+    starts = [x0] + [np.clip(x0 + rng.normal(0.0, 0.7, 3), lo, hi)
+                     for _ in range(restarts - 1)]
+    total_iter, converged = 0, False
+    for start in starts:
+        before = best["neg_lml"]
+        res = minimize(objective, start, jac=True, method="L-BFGS-B",
+                       bounds=list(zip(lo, hi)),
+                       options={"maxfun": gm.FIT_MAX_EVALUATIONS,
+                                "ftol": 1e-12, "gtol": 1e-6})
+        total_iter += int(res.nfev)
+        if best["neg_lml"] < before:
+            converged = bool(res.success)
+    hyper = Hyperparams(best["prior_mean"], *np.exp(best["theta"]))
+    return build_map(train, hyper), total_iter, converged
+
+
+def fit_bytes(fmap):
+    hyper = fmap.hyper
+    return (fmap.chol.tobytes(), fmap.alpha.tobytes(),
+            np.array([hyper.prior_mean, hyper.signal_var, hyper.length_scale,
+                      hyper.noise_var]).tobytes(),
+            np.float64(fmap.diagnostics.log_marginal_likelihood).tobytes(),
+            fmap.diagnostics.jitter_applied)
+
+
+def diagnostics_of(fmap):
+    d = fmap.diagnostics
+    return d.iterations, d.restarts, d.converged
+
+
+# Seeds 60, 61 and 62 take their optimum from the last, the first and the
+# middle start; on seed 66 all three starts tie to the last bit, so the
+# strict comparison must keep the first. Capped at 18 evaluations, the
+# first start stops short of convergence and the others do not: on seed 60
+# a converged later start wins, and on seed 61 the unconverged first start
+# ties with the second to the last bit and wins.
+@pytest.mark.parametrize("seed,max_evaluations",
+                         [(60, None), (61, None), (62, None), (66, None),
+                          (60, 18), (61, 18)])
+@pytest.mark.parametrize("restarts", [2, 3])
+def test_concurrent_starts_fit_the_shared_best_bytes(monkeypatch, seed,
+                                                     max_evaluations,
+                                                     restarts):
+    if max_evaluations is not None:
+        monkeypatch.setattr(gm, "FIT_MAX_EVALUATIONS", max_evaluations)
+    train = prior_train(seed, 80, TRUTH)
+    want, iterations, converged = shared_best_fit(train, restarts, seed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # switch threads often
+    try:
+        for cpus in (1, 2, 4):
+            usable_cpus(monkeypatch, cpus)
+            got = fit(train, restarts=restarts, seed=seed)
+            assert fit_bytes(got) == fit_bytes(want)
+            assert diagnostics_of(got) == (iterations, restarts, converged)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_starts_run_under_the_callers_numpy_error_state(monkeypatch, cpus):
+    # numpy keeps its error state per thread; a start on a worker thread
+    # must see the caller's, as an inline start does
+    usable_cpus(monkeypatch, cpus)
+    real = gm._profiled_lml
+    seen = []
+
+    def recorded(*args):
+        seen.append(np.geterr())
+        return real(*args)
+
+    monkeypatch.setattr(gm, "_profiled_lml", recorded)
+    train = prior_train(61, 40, TRUTH)
+    with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+        caller = np.geterr()
+        fit(train, restarts=2, seed=4)
+    assert seen and all(errs == caller for errs in seen)
+
+
+def failing_second_start(monkeypatch, init, failure):
+    """Make every evaluation of each start but the one from init (the first)
+    raise failure from the kernel factorization; build_map factors as ever."""
+    marked = threading.local()
+    real_minimize, real_factor = gm.minimize, gm._cholesky_with_jitter
+    first = log_theta(init)
+
+    def minimize_marked(fun, x0, **options):
+        marked.fail = not np.array_equal(x0, first)
+        try:
+            return real_minimize(fun, x0, **options)
+        finally:
+            marked.fail = False
+
+    def factor(k, hyper):
+        if getattr(marked, "fail", False):
+            raise failure
+        return real_factor(k, hyper)
+
+    monkeypatch.setattr(gm, "minimize", minimize_marked)
+    monkeypatch.setattr(gm, "_cholesky_with_jitter", factor)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_start_that_never_factors_leaves_the_first_starts_optimum(
+        monkeypatch, cpus):
+    usable_cpus(monkeypatch, cpus)
+    train = prior_train(61, 80, TRUTH)
+    init = Hyperparams(0.0, 1.0, 1.0, 0.2)
+    alone = fit(train, init=init, restarts=1)
+    failing_second_start(monkeypatch, init, IllConditionedError("forced"))
+    got = fit(train, init=init, restarts=3, seed=4)
+    assert fit_bytes(got) == fit_bytes(alone)
+    assert got.diagnostics.converged == alone.diagnostics.converged
+    assert got.diagnostics.restarts == 3
+    assert got.diagnostics.iterations > alone.diagnostics.iterations
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_exception_in_a_start_reaches_the_caller(monkeypatch, cpus):
+    usable_cpus(monkeypatch, cpus)
+    train = prior_train(61, 40, TRUTH)
+    init = Hyperparams(0.0, 1.0, 1.0, 0.2)
+    failing_second_start(monkeypatch, init, RuntimeError("start failed"))
+    with pytest.raises(RuntimeError, match="start failed"):
+        fit(train, init=init, restarts=2, seed=4)
 
 
 # ---------------------------------------------------------------- predict
