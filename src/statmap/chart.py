@@ -13,15 +13,12 @@ chart does not depend on the CPU count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from ._threads import _under_errstate, _worker_count
+from ._threads import helper_pool, start
 from .errors import ConfigurationError, DegenerateInputError, TrainingError
 from .stats import EmpiricalDistribution, wasserstein1
 
@@ -190,16 +187,6 @@ def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
     return triplets[:kept], n_triplets - kept
 
 
-def _start(pool, work, *args):
-    """Begin work(*args) on the helper thread of pool, under the calling
-    thread's numpy error state (numpy keeps one per thread), and return the
-    call that waits for its result. Without a pool, work runs inline when
-    that call is made."""
-    if pool is None:
-        return partial(work, *args)
-    return pool.submit(_under_errstate, np.geterr(), work, *args).result
-
-
 def _forward_cached(weights, biases, x: np.ndarray):
     """Forward pass keeping post-activation values for backprop."""
     activations = [x]
@@ -263,8 +250,8 @@ def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
     cut = 4 * (m // 8)
     with np.errstate(invalid="ignore", over="ignore"):
         # fewer than 8 rows: one block, here
-        tail = _start(pool if cut else None, _forward_rows, weights, biases,
-                      feats, rows[cut:], [a[cut:] for a in acts])
+        tail = start(pool if cut else None, _forward_rows, weights, biases,
+                     feats, rows[cut:], [a[cut:] for a in acts])
         _forward_rows(weights, biases, feats, rows[:cut],
                       [a[:cut] for a in acts])
         tail()
@@ -300,7 +287,7 @@ def _backward(weights, acts, g_out: np.ndarray, pool):
     grads_b = [None] * len(weights)
     g = g_out
     for i in range(len(weights) - 1, 0, -1):
-        grad_w = _start(pool, np.matmul, acts[i].T, g)
+        grad_w = start(pool, np.matmul, acts[i].T, g)
         grads_b[i] = g.sum(axis=0)
         g_in = (g @ weights[i].T) * (acts[i] > 0.0)
         grads_w[i] = grad_w()
@@ -353,9 +340,7 @@ def train(model: ChartModel, triplets, features, margin: float = 1.0,
     buffers = [np.empty((3 * min(batch_size, len(idx)), d))
                for d in model.layer_dims]
     trace = []
-    helper = (ThreadPoolExecutor(max_workers=1) if _worker_count() > 1
-              else nullcontext())
-    with helper as pool:
+    with helper_pool() as pool:
         for epoch in range(epochs):
             order = rng.permutation(len(idx))
             total, count = 0.0, 0

@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import ctypes
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, cython_lapack, solve_triangular
+from scipy.linalg import cython_lapack, solve_triangular
 from scipy.optimize import minimize
 
-from ._threads import _under_errstate, _worker_count
+from ._threads import map_in_order
 from .errors import ConfigurationError, FitError, IllConditionedError
 
 __all__ = [
@@ -171,7 +169,8 @@ def kernel_matrix(coords: np.ndarray, hyper: Hyperparams) -> np.ndarray:
     return _covariance(_sq_dists(coords, coords), hyper, with_nugget=True)
 
 
-# scipy's f2py LAPACK wrappers hold the interpreter lock while they run, so
+# Every factorization and solve of a kernel goes through this shim. scipy's
+# f2py LAPACK wrappers hold the interpreter lock while they run, so
 # concurrent starts would factor one after the other. The same routines,
 # taken from cython_lapack's table of function pointers and called through
 # ctypes, which releases the lock, compute the same bits.
@@ -215,12 +214,16 @@ def _potrf(a: np.ndarray) -> int:
     LAPACK's info (> 0 where a is not positive definite). The strict upper
     triangle is then zeroed, as scipy's ``cholesky`` does: one ``dlaset``
     over the columns right of the first sets their upper triangle, diagonal
-    included, which is a's strict upper triangle."""
+    included, which is a's strict upper triangle. A factor whose diagonal
+    is not finite reports info = n, as scipy's ``cholesky`` refuses a
+    matrix that is not finite; OpenBLAS's dpotrf passes it through."""
     n, info = ctypes.c_int(len(a)), ctypes.c_int()
     _dpotrf(b"L", n, _address(a, (n.value, n.value)), n, info)
     if n.value > 1:
         m = ctypes.c_int(n.value - 1)
         _dlaset(b"U", m, m, _ZERO, _ZERO, a[:, 1:].ctypes.data, n)
+    if info.value == 0 and not np.isfinite(np.diag(a)).all():
+        return n.value
     return info.value
 
 
@@ -242,39 +245,25 @@ def _potri(low: np.ndarray) -> int:
     return info.value
 
 
-def _cholesky_with_jitter(k, hyper: Hyperparams):
-    """Lower Cholesky factor; retries once with a tiny jitter when noise-free.
-
-    ``k`` is the kernel, or a pair (kernel, buffer): the kernel is then copied
-    into the buffer and factored there in place by ``_potrf``, via its
-    F-ordered transpose (the same matrix, as the kernel is symmetric).
-    """
-    kernel, buf = (k, None) if isinstance(k, np.ndarray) else k
-    try:
-        if buf is None:
-            return cholesky(kernel, lower=True), False
-        np.copyto(buf, kernel)
-        if _potrf(buf.T) == 0:
-            return buf.T, False
-    except np.linalg.LinAlgError:
-        pass
+def _cholesky_with_jitter(kernel: np.ndarray, buf: np.ndarray,
+                          hyper: Hyperparams):
+    """Lower Cholesky factor, and whether jitter was added: kernel is
+    copied into buf, a C-ordered array of its shape, and factored there in
+    place by ``_potrf`` via buf's F-ordered transpose (the same matrix, as
+    the kernel is symmetric). When noise-free, a kernel that does not factor
+    is retried once with a tiny jitter on its diagonal."""
+    np.copyto(buf, kernel)
+    if _potrf(buf.T) == 0:
+        return buf.T, False
     if hyper.noise_var == 0.0:
-        bumped = kernel.copy()
-        bumped[np.diag_indices_from(bumped)] += JITTER_REL * hyper.signal_var
-        try:
-            return cholesky(bumped, lower=True), True
-        except np.linalg.LinAlgError:
-            pass
+        np.copyto(buf, kernel)
+        buf[np.diag_indices_from(buf)] += JITTER_REL * hyper.signal_var
+        if _potrf(buf.T) == 0:
+            return buf.T, True
     raise IllConditionedError(
         "kernel matrix is not positive definite for hyperparameters "
         f"(signal_var={hyper.signal_var:g}, length_scale={hyper.length_scale:g}, "
         f"noise_var={hyper.noise_var:g})")
-
-
-def _validate_duplicates(train: TrainingSet, hyper: Hyperparams):
-    if hyper.noise_var == 0.0 and train.has_duplicates():
-        raise ConfigurationError(
-            "duplicate training coordinates require a positive nugget")
 
 
 def _lml_from_factor(low: np.ndarray, r: np.ndarray,
@@ -308,7 +297,7 @@ def _profiled_mean(low: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray,
-                  work=None):
+                  work: tuple):
     """LML with the prior mean profiled out, at theta = (log signal_var,
     log length_scale, log noise_var), and its gradient in theta.
 
@@ -317,18 +306,16 @@ def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray,
     alpha = C^-1 (y - mean); the profiled mean maximizes the LML, so its own
     derivative drops out. Raises IllConditionedError when C does not factor.
 
-    ``work`` (allocated when not given) is a pair of (n, n) arrays: C, then
-    K and K * d2, are formed in the first, and the second takes the factor
-    of C and then C^-1 in place; the arithmetic is that of fresh arrays.
+    ``work`` is a pair of C-ordered (n, n) arrays: C, then K and K * d2,
+    are formed in the first, and the second takes the factor of C and then
+    C^-1 in place; the arithmetic is that of fresh arrays.
     The LAPACK calls run without the interpreter lock, so evaluations on
     separate workspaces run concurrently.
     """
     signal_var, length_scale, noise_var = (float(v) for v in np.exp(theta))
     hyper = Hyperparams(0.0, signal_var, length_scale, noise_var)
-    if work is None:
-        work = (np.empty_like(d2), np.empty_like(d2))
     k = _covariance(d2, hyper, with_nugget=True, out=work[0])
-    low, _ = _cholesky_with_jitter(work, hyper)
+    low, _ = _cholesky_with_jitter(k, work[1], hyper)
     mean = _profiled_mean(low, targets)
     r = targets - mean
     alpha = _potrs(low, r)
@@ -367,10 +354,9 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
     whole fit is deterministic; FIT_MAX_EVALUATIONS caps the evaluations per
     start.
 
-    The starts run concurrently on min(starts, usable CPUs) threads, inline
-    on one CPU. Each start reuses one workspace of its own
-    (``_profiled_lml``) and keeps its own best point: its first evaluation
-    to reach its lowest -LML. The bests are reduced in start order with a
+    The starts run concurrently (``map_in_order``). Each start reuses one
+    workspace of its own (``_profiled_lml``) and keeps its own best point:
+    its first evaluation to reach its lowest -LML. The bests are reduced in start order with a
     strict comparison, which picks the evaluation that one best shared by
     the starts run one after the other picks: the first, in start order, to
     reach the minimum. ``converged`` is that of the last start whose best
@@ -415,13 +401,7 @@ def fit(train: TrainingSet, init: Hyperparams | None = None,
                               options={"maxfun": FIT_MAX_EVALUATIONS,
                                        "ftol": 1e-12, "gtol": 1e-6})
 
-    threads = min(len(starts), _worker_count())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(partial(_under_errstate, np.geterr(), run),
-                                 starts))
-    else:
-        runs = [run(start) for start in starts]
+    runs = map_in_order(run, starts)
 
     # The best point of all starts and its profiled mean, which build_map
     # then freezes as they are.
@@ -455,12 +435,14 @@ def build_map(train: TrainingSet, hyper: Hyperparams,
     comes from that factor. The factor and the weight vector are read-only,
     like the training arrays, so one map can be shared by many callers.
     """
-    _validate_duplicates(train, hyper)
+    if hyper.noise_var == 0.0 and train.has_duplicates():
+        raise ConfigurationError(
+            "duplicate training coordinates require a positive nugget")
     if k is None:
         k = kernel_matrix(train.coords, hyper)
-    low, jit = _cholesky_with_jitter(k, hyper)
+    low, jit = _cholesky_with_jitter(k, np.empty(k.shape), hyper)
     r = train.targets - hyper.prior_mean
-    alpha = cho_solve((low, True), r)
+    alpha = _potrs(low, r)
     low.flags.writeable = False
     alpha.flags.writeable = False
     return FittedMap(hyper=hyper, train=train, chol=low, alpha=alpha,

@@ -12,13 +12,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import chart as chart_mod
-from ._threads import _worker_count
+from ._threads import map_in_order
 from .chart import ChartModel
 from .dataio import Dataset, UserRecord, write_csv, write_json
 from .errors import ConfigurationError
@@ -325,8 +324,16 @@ def _uniform_test_locations(config: ExperimentConfig) -> list:
 # The pipeline stages that the experiments and the CLI commands share.
 
 def _capacity_rows(dataset: Dataset, noise_power: float) -> list:
-    return [capacity_from_power(r.power_samples, noise_power)
-            for r in dataset.records]
+    """Each user's capacity samples; refuses a user whose powers overflow."""
+    with np.errstate(over="ignore"):
+        rows = [capacity_from_power(r.power_samples, noise_power)
+                for r in dataset.records]
+    for r, row in zip(dataset.records, rows):
+        if np.isinf(row).any():
+            raise ConfigurationError(
+                f"user {r.user_id}: power samples overflow the capacity "
+                f"at noise_power {noise_power:g}")
+    return rows
 
 
 def _eps_quantiles(capacity_rows, epsilon: float) -> np.ndarray:
@@ -443,12 +450,10 @@ def _run_experiment(config: ExperimentConfig, mode: str) -> ExperimentReport:
 
 
 def _pool_map(work, count: int, block: int) -> list:
-    """work(indices) over blocks of range(count) on one thread per usable
-    CPU; the blocks' result lists joined in index order."""
+    """work(indices) over blocks of range(count), joined in index order."""
     indices = range(count)
     blocks = [indices[i:i + block] for i in indices[::block]]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return [item for result in pool.map(work, blocks) for item in result]
+    return [item for result in map_in_order(work, blocks) for item in result]
 
 
 def _evaluate_test_users(scenario, config, queries_of, fmap):

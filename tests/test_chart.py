@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from statmap import chart
+from statmap import _threads, chart
 from statmap.chart import (
     MOMENTUM,
     ChartModel,
@@ -614,7 +614,7 @@ def test_training_bytes_do_not_depend_on_cpu_count(monkeypatch):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, n=cpus: set(range(n)),
                                 raising=False)
-            assert chart._worker_count() == cpus
+            assert _threads._worker_count() == cpus
             results.append(train(model, triplets, feats, step_size=0.02,
                                  epochs=2, batch_size=33, seed=5))
     finally:

@@ -646,6 +646,32 @@ def test_exit_2_malformed_dataset_record(tmp_path, capsys, command, doc,
     assert sorted(os.listdir(out)) == ["dataset.jsonl"]
 
 
+@pytest.mark.parametrize("command,doc", [("fit-map", BASE_CONFIG),
+                                         ("train-chart", CHART_CONFIG)])
+def test_exit_2_power_samples_that_overflow_the_capacity(tmp_path, capsys,
+                                                        command, doc):
+    # a finite power of 1e308 passes the loader, but power / noise_power
+    # overflows; the capacity was inf, and the quantile stage's ValueError
+    # a traceback (exit 1)
+    doc = json.loads(json.dumps(doc))
+    doc["experiment"]["n_train_users"] = 20
+    out = tmp_path / "out"
+    assert run("simulate", write_config(tmp_path, doc), out) == 0
+    dataset = out / "dataset.jsonl"
+    lines = dataset.read_text().splitlines()
+    row = json.loads(lines[3])
+    set_value(("power_samples", 5), 1e308)(row)
+    lines[3] = json.dumps(row)
+    dataset.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    cfg = write_config(tmp_path, dict(doc, dataset=str(dataset)), "cfg2.json")
+    assert run(command, cfg, out) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: user {row['user_id']}: power samples overflow "
+        f"the capacity at noise_power 1e-13\n")
+    assert sorted(os.listdir(out)) == ["dataset.jsonl"]
+
+
 def test_exit_2_corrupt_map(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"
@@ -705,10 +731,7 @@ def test_exit_3_no_kernel_factors(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert run("simulate", cfg, out) == 0
 
-    def boom(*args, **kwargs):
-        raise np.linalg.LinAlgError("forced")
-
-    monkeypatch.setattr(gm, "cholesky", boom)
+    monkeypatch.setattr(gm, "_potrf", lambda a: 1)   # LAPACK's info > 0
     doc = dict(BASE_CONFIG, dataset=str(out / "dataset.jsonl"))
     capsys.readouterr()
     assert run("fit-map", write_config(tmp_path, doc, "cfg2.json"), out) == 3

@@ -159,10 +159,7 @@ def test_lml_rejects_duplicates_without_nugget():
 
 
 def test_cholesky_failure_raises_ill_conditioned(monkeypatch):
-    def boom(*a, **k):
-        raise np.linalg.LinAlgError("forced")
-
-    monkeypatch.setattr(gm, "cholesky", boom)
+    monkeypatch.setattr(gm, "_potrf", lambda a: 1)   # LAPACK's info > 0
     train = TrainingSet.new([[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0])
     with pytest.raises(IllConditionedError) as exc:
         map_lml(Hyperparams(0.0, 2.0, 1.0, 0.1), train)
@@ -176,6 +173,29 @@ def test_jitter_rescues_noise_free_near_duplicates():
     h = Hyperparams(1.0, 1.0, 1e3, 0.0)
     fmap = build_map(train, h)
     assert fmap.diagnostics.jitter_applied
+
+
+@pytest.mark.parametrize("kind", ["nugget", "noise-free-jitter"])
+def test_build_map_factors_and_solves_as_scipy_bit_for_bit(kind):
+    # the map's factor and weights, pinned to scipy's cholesky and
+    # cho_solve; noise-free near-duplicates take the jitter retry
+    if kind == "nugget":
+        train, hyper = prior_train(47, 200, TRUTH), TRUTH
+    else:
+        train = near_duplicate_train(43, 120)
+        hyper = Hyperparams(0.2, 1.0, 2.0, 0.0)
+    k = kernel_matrix(train.coords, hyper)
+    if kind == "noise-free-jitter":
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(k, lower=True)
+        k[np.diag_indices_from(k)] += gm.JITTER_REL * hyper.signal_var
+    want = cholesky(k, lower=True)
+    fmap = build_map(train, hyper)
+    assert fmap.diagnostics.jitter_applied == (kind == "noise-free-jitter")
+    assert fmap.chol.flags.f_contiguous and want.flags.f_contiguous
+    assert fmap.chol.tobytes(order="F") == want.tobytes(order="F")
+    want_alpha = cho_solve((want, True), train.targets - hyper.prior_mean)
+    assert fmap.alpha.tobytes() == want_alpha.tobytes()
 
 
 # ---------------------------------------------------------------- fit
@@ -253,6 +273,11 @@ TRUTH = Hyperparams(prior_mean=1.0, signal_var=1.5, length_scale=1.2,
                     noise_var=0.1)
 
 
+def workspace(d2):
+    """A fresh pair of arrays for one _profiled_lml evaluation."""
+    return np.empty_like(d2), np.empty_like(d2)
+
+
 @pytest.mark.parametrize("n,where", [(30, "inside"), (30, "noise-bound"),
                                      (30, "long-scale"), (250, "inside")])
 def test_lml_gradient_matches_central_differences(n, where):
@@ -263,15 +288,17 @@ def test_lml_gradient_matches_central_differences(n, where):
         theta[2] = math.log(default_bounds(train)["noise_var"][0]) + 1e-3
     elif where == "long-scale":    # a near-flat, badly conditioned kernel
         theta[1] = math.log(20.0)
-    lml, mean, grad = gm._profiled_lml(theta, d2, train.targets)
+    lml, mean, grad = gm._profiled_lml(theta, d2, train.targets,
+                                       workspace(d2))
     signal_var, length_scale, noise_var = np.exp(theta)
     assert lml == pytest.approx(map_lml(
         Hyperparams(mean, signal_var, length_scale, noise_var), train),
         abs=1e-9)
     step = 1e-6
     central = np.array([
-        (gm._profiled_lml(theta + e, d2, train.targets)[0]
-         - gm._profiled_lml(theta - e, d2, train.targets)[0]) / (2 * step)
+        (gm._profiled_lml(theta + e, d2, train.targets, workspace(d2))[0]
+         - gm._profiled_lml(theta - e, d2, train.targets,
+                            workspace(d2))[0]) / (2 * step)
         for e in step * np.eye(3)])
     assert np.linalg.norm(grad - central) < 1e-4 * np.linalg.norm(central)
 
@@ -339,7 +366,8 @@ def test_workspace_lml_equals_allocating_evaluation_bit_for_bit(kind):
         want = lml_bytes(*allocating_profiled_lml(theta, d2, train.targets))
         assert lml_bytes(*gm._profiled_lml(theta, d2, train.targets,
                                            work)) == want
-        assert lml_bytes(*gm._profiled_lml(theta, d2, train.targets)) == want
+        assert lml_bytes(*gm._profiled_lml(theta, d2, train.targets,
+                                           workspace(d2))) == want
 
 
 def test_workspace_lml_raises_where_the_kernel_does_not_factor():
@@ -449,12 +477,7 @@ def test_fit_rejects_fewer_than_one_start():
 
 
 def test_fit_raises_fit_error_when_no_kernel_factors(monkeypatch):
-    def boom(*a, **k):
-        raise np.linalg.LinAlgError("forced")
-
-    # scipy's cholesky, and the lock-free factorization of the fit's
-    # workspaces: neither factors any kernel
-    monkeypatch.setattr(gm, "cholesky", boom)
+    # the one factorization route factors no kernel
     monkeypatch.setattr(gm, "_potrf", lambda a: 1)
     train, _ = random_train(20, np.random.default_rng(15))
     for cpus in (1, 2, 4):
@@ -473,11 +496,11 @@ def test_fit_backs_off_from_failed_factorizations(monkeypatch):
     real = gm._cholesky_with_jitter
     failures = []
 
-    def flaky(k, hyper):
+    def flaky(kernel, buf, hyper):
         if hyper.length_scale > cap:
             failures.append(hyper.length_scale)
             raise IllConditionedError("forced")
-        return real(k, hyper)
+        return real(kernel, buf, hyper)
 
     monkeypatch.setattr(gm, "_cholesky_with_jitter", flaky)
     init = Hyperparams(0.0, 1.0, 0.5 * cap, 0.2)
@@ -542,12 +565,31 @@ def test_lapack_shim_reports_an_indefinite_kernel():
     assert gm._potrf(np.array(kernel, order="F")) > 0
     work = (np.empty_like(d2), np.empty_like(d2))
     with pytest.raises(IllConditionedError, match="length_scale=50"):
-        gm._cholesky_with_jitter((kernel, work[1]), hyper)
+        gm._cholesky_with_jitter(kernel, work[1], hyper)
     with pytest.raises(IllConditionedError):
         gm._profiled_lml(theta, d2, train.targets, work)
     good = log_theta(TRUTH)
     assert lml_bytes(*gm._profiled_lml(good, d2, train.targets, work)) == (
         lml_bytes(*allocating_profiled_lml(good, d2, train.targets)))
+
+
+@pytest.mark.parametrize("n", [3, 200])
+@pytest.mark.parametrize("hyper", [
+    Hyperparams(0.0, 1.0, 1e-200, 0.1),     # l^2 underflows: a NaN diagonal
+    Hyperparams(0.0, 1e308, 1.0, 1e308)],   # an infinite diagonal
+    ids=["nan", "inf"])
+def test_a_kernel_that_is_not_finite_does_not_factor(n, hyper):
+    # scipy's cholesky refuses such a kernel; OpenBLAS's dpotrf returns a
+    # factor of it with info = 0
+    train, _ = random_train(n, np.random.default_rng(18))
+    with np.errstate(all="ignore"):
+        kernel = kernel_matrix(train.coords, hyper)
+        assert not np.isfinite(kernel).all()
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            cholesky(kernel, lower=True)
+        assert gm._potrf(np.array(kernel, order="F")) > 0
+        with pytest.raises(IllConditionedError):
+            build_map(train, hyper)
 
 
 # ------------------------------------------------------ concurrent starts
@@ -671,10 +713,10 @@ def failing_second_start(monkeypatch, init, failure):
         finally:
             marked.fail = False
 
-    def factor(k, hyper):
+    def factor(kernel, buf, hyper):
         if getattr(marked, "fail", False):
             raise failure
-        return real_factor(k, hyper)
+        return real_factor(kernel, buf, hyper)
 
     monkeypatch.setattr(gm, "minimize", minimize_marked)
     monkeypatch.setattr(gm, "_cholesky_with_jitter", factor)

@@ -20,7 +20,7 @@ from statmap.dataio import (
     save_dataset,
     save_map,
 )
-from statmap import harness
+from statmap import _threads, harness
 from statmap.chart import ChartModel, forward, init_chart_model
 from statmap.errors import (
     ConfigurationError,
@@ -187,7 +187,7 @@ def test_load_map_builds_and_factors_the_kernel_once(tmp_path, monkeypatch):
     fmap = fitted_map()
     path = tmp_path / "map.json"
     save_map(fmap, path)
-    calls = {"cholesky": 0, "kernel_matrix": 0, "sha256": 0}
+    calls = {"_potrf": 0, "kernel_matrix": 0, "sha256": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -195,19 +195,19 @@ def test_load_map_builds_and_factors_the_kernel_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(gm, "cholesky", counted("cholesky", gm.cholesky))
+    monkeypatch.setattr(gm, "_potrf", counted("_potrf", gm._potrf))
     counted_kernel = counted("kernel_matrix", gm.kernel_matrix)
     for module in (gm, dio):
         monkeypatch.setattr(module, "kernel_matrix", counted_kernel)
     monkeypatch.setattr(dio, "_sha256", counted("sha256", dio._sha256))
     dio._last_map.clear()  # forget the last map loaded
     back = load_map(path)
-    assert calls == {"cholesky": 1, "kernel_matrix": 1, "sha256": 1}
+    assert calls == {"_potrf": 1, "kernel_matrix": 1, "sha256": 1}
     np.testing.assert_array_equal(back.chol, fmap.chol)
     np.testing.assert_array_equal(back.alpha, fmap.alpha)
     # the same bytes again: the map that passed those checks, no new work
     assert load_map(path) is back
-    assert calls == {"cholesky": 1, "kernel_matrix": 1, "sha256": 1}
+    assert calls == {"_potrf": 1, "kernel_matrix": 1, "sha256": 1}
 
 
 def test_failed_map_load_is_not_remembered(tmp_path, monkeypatch):
@@ -218,12 +218,9 @@ def test_failed_map_load_is_not_remembered(tmp_path, monkeypatch):
     path = tmp_path / "map.json"
     save_map(fmap, path)
 
-    def boom(*args, **kwargs):
-        raise np.linalg.LinAlgError("forced")
-
     dio._last_map.clear()
     with monkeypatch.context() as patch:
-        patch.setattr(gm, "cholesky", boom)
+        patch.setattr(gm, "_potrf", lambda a: 1)   # LAPACK's info > 0
         with pytest.raises(IllConditionedError):
             load_map(path)
     # the same bytes load once the factorisation works
@@ -353,7 +350,7 @@ def test_simulated_records_do_not_depend_on_cpu_count(monkeypatch, with_csi):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, n=cpus: set(range(n)),
                                 raising=False)
-            assert harness._worker_count() == cpus
+            assert _threads._worker_count() == cpus
             ds = simulate_dataset(config, with_csi=with_csi)
             blobs.append([(r.user_id, r.location, r.power_samples.tobytes(),
                            r.csi if r.csi is None else r.csi.tobytes())
@@ -562,13 +559,45 @@ def test_report_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
                                     lambda pid, n=cpus: set(range(n)),
                                     raising=False)
                 monkeypatch.setattr(harness, "ORACLE_BLOCK", block)
-                assert harness._worker_count() == cpus
+                assert _threads._worker_count() == cpus
                 paths = write_report(run_location_experiment(THREADED),
                                      tmp_path / f"{cpus}-{block}")
                 blobs.append([open(p, "rb").read() for p in paths])
     finally:
         sys.setswitchinterval(interval)
     assert len(blobs) == 9 and all(blob == blobs[0] for blob in blobs)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_workers_run_under_the_callers_numpy_error_state(monkeypatch, cpus):
+    # numpy keeps its error state per thread: every worker of the draw pool,
+    # the judging pool and the fit's starts must read the caller's, as work
+    # run inline does
+    import statmap.gpmap as gm
+
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(harness, "ORACLE_BLOCK", 7)     # 6 judging blocks
+    seen = {"draw": [], "judge": [], "start": []}
+
+    def recorded(key, work):
+        def wrapper(*args):
+            seen[key].append(np.geterr())
+            return work(*args)
+        return wrapper
+
+    monkeypatch.setattr(harness, "draw_power_samples",
+                        recorded("draw", draw_power_samples))
+    monkeypatch.setattr(harness, "true_outage_capacities",
+                        recorded("judge", true_outage_capacities))
+    monkeypatch.setattr(gm, "_profiled_lml",
+                        recorded("start", gm._profiled_lml))
+    # raise where numpy would warn; an underflow in the kernel is harmless
+    with np.errstate(all="raise", under="ignore"):
+        caller = np.geterr()
+        run_location_experiment(dataclasses.replace(THREADED, gp_restarts=2))
+    assert [len(seen[key]) > 0 for key in seen] == [True] * 3
+    assert all(errs == caller for errs in sum(seen.values(), []))
 
 
 def test_one_oracle_block_stays_within_its_memory_bound():
@@ -612,7 +641,7 @@ def test_aggregates_report_what_the_rate_costs(tmp_path):
 
 def test_worker_count_without_cpu_affinity(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert harness._worker_count() == (os.cpu_count() or 1)
+    assert _threads._worker_count() == (os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------- demo

@@ -1,6 +1,6 @@
 """Package surface: every exported name resolves, every public name of a
-submodule has a caller inside the package, and every config field is read
-by the package."""
+submodule has a caller inside the package, every config field is read by
+the package, and threads and Cholesky factorizations each have one home."""
 
 import ast
 import dataclasses
@@ -33,13 +33,14 @@ def test_all_exports_resolve(module_name):
 
 
 # the identifier each kind of reference carries
-IDENTIFIER = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+IDENTIFIER = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
+              ast.ImportFrom: "module"}
 
 
 def references(kinds=tuple(IDENTIFIER)):
     """(module, name, top-level definition it sits in, or None) for every
-    reference of the given kinds (by default Name, Attribute and imported
-    name) in the package's source."""
+    reference of the given kinds (by default Name, Attribute, imported name
+    and the module a from-import reads) in the package's source."""
     refs = set()
     for path in SRC.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -78,3 +79,15 @@ def test_every_config_field_is_read_outside_its_class():
                        for m, n, owner in reads):
                 inert.add(f"{cls.__name__}.{f.name}")
     assert inert == set()
+
+
+def test_threads_and_cholesky_factorizations_each_have_one_home():
+    # only _threads makes threads, so every worker runs under its caller's
+    # numpy error state; every factorization and solve of a kernel goes
+    # through gpmap's lock-free LAPACK shim, never scipy's f2py wrappers
+    refs = references()
+    makers = {m for m, n, _ in refs
+              if n and (n.startswith("concurrent") or n == "threading")}
+    assert makers == {"_threads"}
+    assert {(m, n) for m, n, _ in refs if n in ("cholesky", "cho_solve")} == (
+        set())
