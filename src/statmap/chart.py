@@ -7,13 +7,15 @@ trained by plain mini-batch SGD with momentum; gradients are backpropagated
 analytically (no autodiff dependency), which keeps training deterministic
 for a fixed seed. Each batch runs on two threads (inline on one CPU) with
 the floating-point operations of a single-threaded pass, so the trained
-chart does not depend on the CPU count.
+chart does not depend on the CPU count. The backward pass skips the
+triplets whose hinge is zero, as they pass back exact zeros.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -41,6 +43,13 @@ MOMENTUM = 0.9          # SGD velocity decay per step
 # W1 entries per quantile call in triplet mining: 8 MiB of rows, so a chunk
 # and its copies stay within a few tens of MB at any user count
 QUANTILE_CHUNK_ENTRIES = 1 << 20
+# Triplets a backward pass takes at least. A triplet whose hinge is zero
+# passes back exact zeros, so the pass takes only the active ones, padded
+# to this floor: fewer rows send OpenBLAS's products to its small-matrix
+# kernels, which round differently from the full batch's. With OpenBLAS
+# 0.3.31's SkylakeX kernels a floor of 4 is the smallest that keeps the
+# bytes of the full pass; 8 leaves a factor of two.
+BACKWARD_MIN_TRIPLETS = 8
 
 
 @dataclass(frozen=True)
@@ -232,7 +241,16 @@ def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
     The gradients are None when the loss is finite and no hinge term is
     positive: they are exactly zero then, and the backward pass is skipped.
     A NaN hinge is not positive either, but it leaves the loss NaN, so such
-    a batch still takes the full pass and train() rejects its loss.
+    a batch still takes a backward pass and train() rejects its loss.
+
+    The backward pass takes only the rows of the triplets whose hinge is
+    positive, padded with the lowest-index inactive ones to
+    BACKWARD_MIN_TRIPLETS (all m rows when b is smaller), gathered in order
+    to the buffers' fronts, so it costs O(active rows), not O(m). A dropped
+    row's output gradient is an exact +-0, so the gradients keep the bits
+    of the pass over all m rows while DGEMM sums a product's rows in one
+    block: up to 128 triplets with OpenBLAS 0.3.31's SkylakeX kernels (see
+    README, Determinism).
 
     The m stacked rows are forwarded into buffers, one per layer of at
     least m rows, in two blocks: rows [0, cut) here and [cut, m) on the
@@ -266,9 +284,17 @@ def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
         hinge = losses > 0.0
         if not hinge.any() and math.isfinite(loss):
             return loss, None, None
-        active = hinge.astype(float)[:, None]
-        up = diff_p / np.maximum(dp, 1e-12)[:, None]
-        un = diff_n / np.maximum(dn, 1e-12)[:, None]
+        # the active triplets and the lowest-index inactive ones, `pad` of
+        # them; their rows are gathered, in order, to the buffers' fronts
+        pad = BACKWARD_MIN_TRIPLETS - int(hinge.sum())
+        kept = np.flatnonzero(hinge | (np.cumsum(~hinge) <= pad))
+        if kept.size < b:
+            rows = np.concatenate([kept, kept + b, kept + 2 * b])
+            acts = [np.take(a, rows, axis=0, out=a[:rows.size], mode="clip")
+                    for a in acts]
+        active = hinge[kept].astype(float)[:, None]
+        up = diff_p[kept] / np.maximum(dp[kept], 1e-12)[:, None]
+        un = diff_n[kept] / np.maximum(dn[kept], 1e-12)[:, None]
         g_out = np.vstack([
             active * (up - un),
             -active * up,
@@ -280,9 +306,12 @@ def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
 def _backward(weights, acts, g_out: np.ndarray, pool):
     """Weight and bias gradients from the output gradient g_out, passed back
     through the rectifier stack whose activations acts the forward pass
-    kept. Above the first layer, the helper thread of pool forms each
-    weight gradient while this one forms the bias gradient and passes g
-    back; no product is split, so the bits do not depend on the pool."""
+    kept, one row per row of g_out. Above the first layer, the helper
+    thread of pool forms each weight gradient while this one forms the bias
+    gradient and passes g back; no product is split, so the bits do not
+    depend on the pool. Sums over rows run in row order (numpy's over axis
+    0, DGEMM's within a block), so rows of exact zeros may be left out
+    without changing a bit."""
     grads_w = [None] * len(weights)
     grads_b = [None] * len(weights)
     g = g_out
@@ -329,8 +358,13 @@ def train(model: ChartModel, triplets, features, margin: float = 1.0,
     a, p, n = idx.T
     if np.any((a == p) | (a == n) | (p == n)):
         raise ConfigurationError("triplet indices must be distinct")
-    if margin <= 0 or epochs < 1 or batch_size < 1 or step_size < 0:
-        raise ConfigurationError("hyperparameters must be positive")
+    if not all(isinstance(c, Integral) and not isinstance(c, bool) and c >= 1
+               for c in (epochs, batch_size)):
+        raise ConfigurationError("epochs and batch_size must be integers >= 1, "
+                                 f"got {epochs!r} and {batch_size!r}")
+    if not (0 < margin < math.inf and 0 <= step_size < math.inf):
+        raise ConfigurationError("need a finite margin > 0 and step_size >= 0, "
+                                 f"got {margin} and {step_size}")
     rng = np.random.default_rng(seed)
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]

@@ -72,6 +72,11 @@ class Hyperparams:
                 f"{self.signal_var}, {self.length_scale}")
         if self.noise_var < 0:
             raise ConfigurationError(f"noise_var must be >= 0, got {self.noise_var}")
+        # the kernel's diagonal
+        if not math.isfinite(self.signal_var + self.noise_var):
+            raise ConfigurationError(
+                "signal_var + noise_var must be finite, got "
+                f"{self.signal_var} + {self.noise_var}")
 
 
 @dataclass(frozen=True)
@@ -304,7 +309,8 @@ def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray,
     Returns (lml, profiled mean, gradient). Each component of the gradient is
     0.5 * (alpha^T dC alpha - tr(C^-1 dC)) (GPML eq. 5.9) with
     alpha = C^-1 (y - mean); the profiled mean maximizes the LML, so its own
-    derivative drops out. Raises IllConditionedError when C does not factor.
+    derivative drops out. Raises IllConditionedError when C does not factor,
+    or when theta gives no valid Hyperparams.
 
     ``work`` is a pair of C-ordered (n, n) arrays: C, then K and K * d2,
     are formed in the first, and the second takes the factor of C and then
@@ -313,7 +319,10 @@ def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray,
     separate workspaces run concurrently.
     """
     signal_var, length_scale, noise_var = (float(v) for v in np.exp(theta))
-    hyper = Hyperparams(0.0, signal_var, length_scale, noise_var)
+    try:
+        hyper = Hyperparams(0.0, signal_var, length_scale, noise_var)
+    except ConfigurationError as exc:
+        raise IllConditionedError(str(exc)) from None
     k = _covariance(d2, hyper, with_nugget=True, out=work[0])
     low, _ = _cholesky_with_jitter(k, work[1], hyper)
     mean = _profiled_mean(low, targets)

@@ -401,6 +401,37 @@ def test_train_refuses_features_of_another_shape(shape):
         train(m, np.array([(0, 1, 2)]), feats, epochs=1, seed=0)
 
 
+@pytest.mark.parametrize("bad, match", [
+    (dict(step_size=math.nan), "step_size"),
+    (dict(step_size=math.inf), "step_size"),
+    (dict(step_size=-0.01), "step_size"),
+    (dict(margin=math.nan), "margin"),
+    (dict(margin=math.inf), "margin"),
+    (dict(margin=0.0), "margin"),
+    (dict(epochs=2.5), "epochs"),
+    (dict(epochs=0), "epochs"),
+    (dict(epochs=True), "epochs"),
+    (dict(batch_size=2.5), "batch_size"),
+    (dict(batch_size=0), "batch_size"),
+])
+def test_train_refuses_bad_hyperparameters_before_any_work(monkeypatch, bad,
+                                                           match):
+    # a NaN step size or margin ended in a non-finite loss at some batch,
+    # after numpy's warnings; epochs=2.5 in a TypeError
+    def no_batch(*args):
+        raise AssertionError("a refused call must not run a batch")
+
+    monkeypatch.setattr(chart, "_batch_loss_and_grads", no_batch)
+    feats = np.random.default_rng(30).normal(size=(8, 4))
+    m = init_chart_model(4, hidden=(5,), seed=8)
+    args = dict(margin=1.0, step_size=0.01, epochs=2, batch_size=4, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=match):
+            train(m, np.array([(0, 1, 2), (3, 4, 5)]), feats,
+                  **{**args, **bad})
+
+
 # ---------------------------------------------------------------- backward skip
 # A batch whose hinge terms are all zero has an exactly zero gradient, so
 # train() skips its backward pass and takes the momentum step alone.
@@ -549,6 +580,98 @@ def test_backward_pass_runs_once_per_batch_with_a_positive_hinge(monkeypatch):
           batch_size=32, seed=3)
     assert backward_at == [i for i, p in enumerate(positive) if p]
     assert 0 < len(backward_at) < len(positive)
+
+
+# ---------------------------------------------------------------- compaction
+# The backward pass takes only the triplets whose hinge is positive, padded
+# with the lowest-index inactive ones to BACKWARD_MIN_TRIPLETS: 3 rows each.
+
+FLOOR = chart.BACKWARD_MIN_TRIPLETS
+
+
+def hinge_controlled_problem(active_counts, batch_size, seed):
+    """chart_sized_problem's model and features with triplets laid out so
+    that batch j of train()'s first epoch (at seed) holds active_counts[j]
+    triplets whose hinge is positive, at scattered places, and the rest
+    well inside the margin; returns the model, triplets, features and the
+    margin. A small step size keeps every hinge on its side."""
+    model, _, feats = chart_sized_problem()
+    z = forward(model, feats)
+    rng = np.random.default_rng(41)
+    cand = np.array([rng.choice(len(feats), 3, replace=False)
+                     for _ in range(4000)])
+    gap = np.linalg.norm(z[cand[:, 0]] - z[cand[:, 1]], axis=1) \
+        - np.linalg.norm(z[cand[:, 0]] - z[cand[:, 2]], axis=1)
+    # the closer user of each pair is the positive
+    cand[gap > 0.0, 1:] = cand[gap > 0.0, :0:-1]
+    gap = -np.abs(gap)
+    lo, mid, hi = np.quantile(gap, [0.1, 0.5, 0.9])
+    active, inactive = iter(cand[gap > hi]), iter(cand[gap < lo])
+    triplets = np.empty((batch_size * len(active_counts), 3), dtype=int)
+    order = np.random.default_rng(seed).permutation(len(triplets))
+    for j, count in enumerate(active_counts):
+        hot = rng.permutation(batch_size) < count
+        for slot, is_active in zip(order[j * batch_size:], hot):
+            triplets[slot] = next(active if is_active else inactive)
+    return model, triplets, feats, -mid
+
+
+def spy_on_active_counts(monkeypatch):
+    """Record (active triplets, batch size) of every batch train() runs."""
+    seen = []
+
+    def batch(weights, biases, feats, anchors, positives, negatives, margin,
+              buffers, pool):
+        b = len(anchors)
+        z = _forward_cached(weights, biases, feats[np.concatenate(
+            [anchors, positives, negatives])])[-1]
+        hinge = np.linalg.norm(z[:b] - z[b:2 * b], axis=1) \
+            - np.linalg.norm(z[:b] - z[2 * b:], axis=1) + margin
+        seen.append((int(np.sum(hinge > 0.0)), b))
+        return _batch_loss_and_grads(weights, biases, feats, anchors,
+                                     positives, negatives, margin, buffers,
+                                     pool)
+
+    monkeypatch.setattr(chart, "_batch_loss_and_grads", batch)
+    return seen
+
+
+def test_compacted_backward_trains_the_full_backward_bytes(monkeypatch):
+    two_cpus(monkeypatch)
+    counts = [1, FLOOR - 1, 0, FLOOR, FLOOR + 1, 32, 3, 20, FLOOR + 1, 1]
+    model, triplets, feats, margin = hinge_controlled_problem(counts, 32, 5)
+    seen = spy_on_active_counts(monkeypatch)
+    args = dict(margin=margin, step_size=1e-3, epochs=2, batch_size=32,
+                seed=5)
+    got = train(model, triplets, feats, **args)
+    # the first epoch runs the batches as laid out, and every case occurs
+    assert seen[:len(counts)] == [(c, 32) for c in counts]
+    assert {1, FLOOR - 1, FLOOR, FLOOR + 1, 32} <= {c for c, _ in seen}
+    assert_same_training(got, *full_backward_train(model, triplets, feats,
+                                                   **args))
+
+
+@pytest.mark.parametrize("batch_size", [32, 5])
+def test_backward_takes_the_active_triplets_padded_to_the_floor(monkeypatch,
+                                                                batch_size):
+    counts = [1, FLOOR - 1, FLOOR, FLOOR + 1, 3, batch_size, 0]
+    model, triplets, feats, margin = hinge_controlled_problem(
+        [min(c, batch_size) for c in counts], batch_size, 2)
+    seen = spy_on_active_counts(monkeypatch)
+    rows = []
+
+    def backward(weights, acts, g_out, pool):
+        assert all(len(a) == len(g_out) for a in acts)
+        rows.append((len(seen) - 1, len(g_out)))
+        return _backward(weights, acts, g_out, pool)
+
+    monkeypatch.setattr(chart, "_backward", backward)
+    train(model, triplets, feats, margin=margin, step_size=1e-3, epochs=2,
+          batch_size=batch_size, seed=2)
+    assert seen[:len(counts)] == [(min(c, batch_size), batch_size)
+                                  for c in counts]
+    assert rows == [(i, 3 * min(b, max(active, FLOOR)))
+                    for i, (active, b) in enumerate(seen) if active]
 
 
 # ---------------------------------------------------------------- two threads

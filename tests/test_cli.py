@@ -936,6 +936,21 @@ def test_exit_2_non_finite_map_hyperparameter(tmp_path, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_exit_2_map_hyperparameters_whose_sum_overflows(tmp_path, capsys):
+    # each value is finite, but the kernel's diagonal is not: this exited 3,
+    # after numpy's two-line overflow warning
+    map_path = small_map(tmp_path)
+    doc = json.loads(map_path.read_text())
+    doc["hyper"].update(signal_var=1e308, noise_var=1e308)
+    map_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("select-rate", select_rate_config(tmp_path, map_path), out) == 2
+    assert not (out / "rates.csv").exists()
+    assert capsys.readouterr().err == (
+        "configuration error: signal_var + noise_var must be finite, got "
+        "1e+308 + 1e+308\n")
+
+
 # ---------------------------------------------------------------- reruns
 
 @pytest.mark.parametrize("command,config", [

@@ -106,6 +106,34 @@ def test_hyperparams_reject_non_finite(field, value):
         Hyperparams(**fields)
 
 
+def unchecked_hyper(*values):
+    """Hyperparams(*values) without its checks: the kernel that values
+    would give, which no valid Hyperparams does."""
+    hyper = object.__new__(Hyperparams)
+    for name, value in zip(("prior_mean", "signal_var", "length_scale",
+                            "noise_var"), values):
+        object.__setattr__(hyper, name, value)
+    return hyper
+
+
+def test_hyperparams_reject_an_infinite_diagonal():
+    # each value is finite, but the kernel's diagonal overflows
+    with pytest.raises(ConfigurationError,
+                       match=r"signal_var \+ noise_var must be finite"):
+        Hyperparams(0.0, 1e308, 1.0, 1e308)
+    Hyperparams(0.0, 1e308, 1.0, 0.0)
+
+
+def test_profiled_lml_scores_theta_without_valid_hyperparameters_as_failed():
+    # the fit's objective takes IllConditionedError as a failed evaluation
+    train, _ = random_train(5, np.random.default_rng(18))
+    d2 = gm._sq_dists(train.coords, train.coords)
+    work = (np.empty_like(d2), np.empty_like(d2))
+    theta = np.log([1e308, 1.0, 1e308])
+    with pytest.raises(IllConditionedError, match="must be finite"):
+        gm._profiled_lml(theta, d2, train.targets, work)
+
+
 # ------------------------------------------------- marginal likelihood
 
 def test_lml_single_gaussian_closed_form():
@@ -576,7 +604,7 @@ def test_lapack_shim_reports_an_indefinite_kernel():
 @pytest.mark.parametrize("n", [3, 200])
 @pytest.mark.parametrize("hyper", [
     Hyperparams(0.0, 1.0, 1e-200, 0.1),     # l^2 underflows: a NaN diagonal
-    Hyperparams(0.0, 1e308, 1.0, 1e308)],   # an infinite diagonal
+    unchecked_hyper(0.0, 1e308, 1.0, 1e308)],   # an infinite diagonal
     ids=["nan", "inf"])
 def test_a_kernel_that_is_not_finite_does_not_factor(n, hyper):
     # scipy's cholesky refuses such a kernel; OpenBLAS's dpotrf returns a
