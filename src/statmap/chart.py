@@ -22,7 +22,7 @@ from scipy.spatial.distance import pdist
 
 from ._threads import helper_pool, start
 from .errors import ConfigurationError, DegenerateInputError, TrainingError
-from .stats import EmpiricalDistribution, wasserstein1
+from .stats import wasserstein1
 
 __all__ = [
     "ChartModel",
@@ -95,7 +95,7 @@ def init_chart_model(input_dim: int, hidden=DEFAULT_HIDDEN,
     return ChartModel(weights=tuple(weights), biases=tuple(biases))
 
 
-def csi_features(csi, s_red: int = MAX_SUBCARRIER_FEATURES) -> np.ndarray:
+def csi_features(csi, s_red: int) -> np.ndarray:
     """Fixed-length real feature vector from a complex CSI snapshot.
 
     Subcarriers are decimated to at most s_red columns; the feature block is
@@ -133,9 +133,11 @@ def _condensed_row(condensed: np.ndarray, n: int, i: int) -> np.ndarray:
     return row
 
 
-def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
-                   far_quantile: float = 0.5, seed: int = 0):
-    """Mine triplets from W1 distances between per-user rate distributions.
+def build_triplets(distributions, n_triplets: int,
+                   close_quantile: float = 0.05, far_quantile: float = 0.5,
+                   seed: int = 0):
+    """Mine triplets from W1 distances between per-user rate distributions,
+    one EmpiricalDistribution per user.
 
     For each uniformly drawn anchor, the positive comes from users whose W1
     to the anchor is below the anchor's close_quantile, the negative from
@@ -147,19 +149,15 @@ def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
         raise ConfigurationError("need 0 < close_quantile < far_quantile <= 1")
     if n_triplets < 1:
         raise ConfigurationError("n_triplets must be >= 1")
-    n_users = len(rate_samples)
+    n_users = len(distributions)
     if n_users < 3:
         raise ConfigurationError("triplet mining needs at least 3 users")
-    if len({np.size(r) for r in rate_samples}) == 1:
-        # equal sizes: W1 is the mean absolute difference of sorted samples;
-        # the rows are stacked and sorted in one copy
-        stacked = np.array(rate_samples, dtype=float)
-        stacked.sort(axis=1)
-        condensed = pdist(stacked, "cityblock") / stacked.shape[1]
-        del stacked
-    else:
-        condensed = None
-        dists = [EmpiricalDistribution.from_samples(r) for r in rate_samples]
+    condensed = None
+    if len({d.n for d in distributions}) == 1:
+        # equal sizes: W1 is the mean absolute difference of the sorted
+        # samples, stacked in one temporary copy
+        condensed = pdist(np.array([d.sorted_samples for d in distributions]),
+                          "cityblock") / distributions[0].n
 
     rng = np.random.default_rng(seed)
     anchors = rng.integers(0, n_users, size=n_triplets)
@@ -176,8 +174,8 @@ def build_triplets(rate_samples, n_triplets: int, close_quantile: float = 0.05,
             rows = np.array([_condensed_row(condensed, n_users, anchor)
                              for anchor in block])
         else:
-            rows = np.array([[wasserstein1(dists[anchor], d) for d in dists]
-                             for anchor in block])
+            rows = np.array([[wasserstein1(distributions[anchor], d)
+                              for d in distributions] for anchor in block])
         others = np.arange(n_users) != block[:, None]
         close_cuts, far_cuts = np.quantile(
             rows[others].reshape(block.size, n_users - 1),
@@ -326,8 +324,8 @@ def _backward(weights, acts, g_out: np.ndarray, pool):
     return grads_w, grads_b
 
 
-def train(model: ChartModel, triplets, features, margin: float = 1.0,
-          step_size: float = 0.01, epochs: int = 20, batch_size: int = 128,
+def train(model: ChartModel, triplets, features, *, margin: float = 1.0,
+          step_size: float = 0.01, epochs: int, batch_size: int = 128,
           seed: int = 0) -> TrainResult:
     """Mini-batch SGD with momentum MOMENTUM on the mean triplet loss over
     triplets, a (k, 3) int array of (anchor, positive, negative) rows of

@@ -30,7 +30,7 @@ from .dataio import (
     write_csv,
 )
 from .errors import ConfigurationError, NumericalError, ParseError
-from .gpmap import predict_batch
+from .gpmap import predict
 from .harness import (
     ChartTrainingConfig,
     ExperimentConfig,
@@ -231,7 +231,7 @@ def cmd_select_rate(doc, seed, out_dir, full):
                 "select_rate.queries must hold [x, y] pairs of finite "
                 f"numbers, got {query!r}")
     queries = np.asarray(queries, dtype=float)
-    rates = select_rate_map(predict_batch(load_map(map_path), queries), delta)
+    rates = select_rate_map(predict(load_map(map_path), queries), delta)
     path = os.path.join(out_dir, "rates.csv")
     write_csv(path, ["x", "y", "rate", "policy"],
               zip(queries[:, 0], queries[:, 1], rates,

@@ -169,6 +169,9 @@ def load_dataset(path) -> Dataset:
                     raise ValueError("CSI entries must be finite")
                 if not csi.any():
                     raise ValueError("all-zero CSI snapshot")
+                with np.errstate(over="ignore"):
+                    if not np.isfinite(np.sum(np.abs(csi) ** 2)):
+                        raise ValueError("CSI power overflows")
                 if csi_shape is None:
                     csi_shape = csi.shape
                 elif csi.shape != csi_shape:

@@ -40,7 +40,6 @@ __all__ = [
     "kernel_matrix",
     "fit",
     "predict",
-    "predict_batch",
     "default_bounds",
 ]
 
@@ -72,11 +71,17 @@ class Hyperparams:
                 f"{self.signal_var}, {self.length_scale}")
         if self.noise_var < 0:
             raise ConfigurationError(f"noise_var must be >= 0, got {self.noise_var}")
-        # the kernel's diagonal
+        # the kernel's diagonal, and its denominator's square
         if not math.isfinite(self.signal_var + self.noise_var):
             raise ConfigurationError(
                 "signal_var + noise_var must be finite, got "
                 f"{self.signal_var} + {self.noise_var}")
+        try:
+            self.length_scale ** 2
+        except OverflowError:
+            raise ConfigurationError(
+                "length_scale ** 2 must be finite, got "
+                f"{self.length_scale}") from None
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,16 @@ class TrainingSet:
             raise ConfigurationError("need at least 2 training points")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(t))):
             raise ConfigurationError("coordinates and targets must be finite")
+        # No pair lies farther apart than the bounding box's corners, as
+        # rounding is monotone; only where those overflow are the pairs
+        # themselves checked, a chunk of rows at a time.
+        corners = np.array([c.min(axis=0), c.max(axis=0)])
+        if not np.isfinite(_sq_dists(corners, corners)).all() and not all(
+                np.isfinite(_sq_dists(c[i:i + PREDICT_CHUNK], c)).all()
+                for i in range(0, len(c), PREDICT_CHUNK)):
+            raise ConfigurationError(
+                "training coordinates lie too far apart: their squared "
+                "distances overflow")
         c.flags.writeable = False
         t.flags.writeable = False
         return cls(coords=c, targets=t)
@@ -113,11 +128,11 @@ class TrainingSet:
 
 @dataclass(frozen=True)
 class PredictiveDistribution:
-    """Gaussian posterior of the outage capacity: arrays in query order from
-    :func:`predict_batch`, floats from :func:`predict`."""
+    """Gaussian posterior of the outage capacity at each query of a
+    :func:`predict` call: arrays in query order."""
 
-    mean: np.ndarray | float
-    variance: np.ndarray | float
+    mean: np.ndarray
+    variance: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -145,12 +160,15 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     dx*dx + dy*dy is bit-identical to summing a 3-D difference array over its
     last axis, so stored kernel checksums stay valid, without the temporary.
+    A squared distance that overflows is inf, without a warning: the kernel
+    is 0 there, so such a query is infinitely far from the map's points.
     """
-    d2 = a[:, 0, None] - b[None, :, 0]
-    dy = a[:, 1, None] - b[None, :, 1]
-    d2 *= d2
-    dy *= dy
-    d2 += dy
+    with np.errstate(over="ignore"):
+        d2 = a[:, 0, None] - b[None, :, 0]
+        dy = a[:, 1, None] - b[None, :, 1]
+        d2 *= d2
+        dy *= dy
+        d2 += dy
     return d2
 
 
@@ -159,9 +177,11 @@ def _covariance(d2: np.ndarray, hyper: Hyperparams, with_nugget: bool,
     """signal_var * exp(-d2 / (2 l^2)) in ``out``, or in a single new array.
 
     Dividing by the negated denominator equals negating the numerator bit for
-    bit, as IEEE rounding is symmetric in sign.
+    bit, as IEEE rounding is symmetric in sign. A quotient that overflows is
+    -inf, without a warning, and its covariance the exact limit 0.
     """
-    k = np.divide(d2, -2.0 * hyper.length_scale ** 2, out=out)
+    with np.errstate(over="ignore"):
+        k = np.divide(d2, -2.0 * hyper.length_scale ** 2, out=out)
     np.exp(k, out=k)
     k *= hyper.signal_var
     if with_nugget:
@@ -351,8 +371,8 @@ def _profiled_lml(theta: np.ndarray, d2: np.ndarray, targets: np.ndarray,
     return lml, mean, grad
 
 
-def fit(train: TrainingSet, init: Hyperparams | None = None,
-        restarts: int = 3, seed: int = 0) -> FittedMap:
+def fit(train: TrainingSet, init: Hyperparams | None = None, *,
+        restarts: int, seed: int = 0) -> FittedMap:
     """Maximize the log marginal likelihood and freeze the posterior solves.
 
     L-BFGS-B runs on the analytic gradient in (log signal_var,
@@ -459,19 +479,19 @@ def build_map(train: TrainingSet, hyper: Hyperparams,
                                                 0, 0, True, jit))
 
 
-def predict_batch(fmap: FittedMap, queries) -> PredictiveDistribution:
+def predict(fmap: FittedMap, queries) -> PredictiveDistribution:
     """Posterior at each query point, as arrays of means and variances in
     query order.
 
     Queries are evaluated in chunks of up to ``PREDICT_CHUNK``: per chunk,
     the (n, chunk) cross-kernel, its product with the weight vector, and one
     triangular solve with a column per query, so memory stays O(n * chunk)
-    whatever the batch size.
+    whatever the batch size; one point [x, y] is a batch of one.
     BLAS solves many columns in other blocks than one, so a query's moments
     may differ from those of the same query in a batch of another size by
-    ~1e-14; :func:`predict` is a batch of one. The frozen factor was checked
-    finite when it was made and is not scanned again; the queries are, and
-    non-finite ones raise ConfigurationError.
+    ~1e-14. The frozen factor was checked finite when it was made and is
+    not scanned again; the queries are, and non-finite ones raise
+    ConfigurationError.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.ndim != 2 or q.shape[1] != 2:
@@ -489,10 +509,3 @@ def predict_batch(fmap: FittedMap, queries) -> PredictiveDistribution:
         variances[chunk] = hyper.signal_var - np.einsum("ij,ij->j", v, v)
     return PredictiveDistribution(mean=means,
                                   variance=np.maximum(variances, 0.0))
-
-
-def predict(fmap: FittedMap, query) -> PredictiveDistribution:
-    """Posterior at one query point, as floats: a batch of one."""
-    pred = predict_batch(fmap, np.asarray(query, dtype=float).reshape(1, 2))
-    return PredictiveDistribution(mean=float(pred.mean[0]),
-                                  variance=float(pred.variance[0]))

@@ -21,7 +21,7 @@ from ._threads import map_in_order
 from .chart import ChartModel
 from .dataio import Dataset, UserRecord, write_csv, write_json
 from .errors import ConfigurationError
-from .gpmap import FittedMap, TrainingSet, fit as gp_fit, predict_batch
+from .gpmap import FittedMap, TrainingSet, fit as gp_fit, predict
 from .propagation import (
     Location,
     PointProcessConfig,
@@ -52,6 +52,7 @@ __all__ = [
     "ExperimentReport",
     "ChartFit",
     "simulate_dataset",
+    "capacity_distributions",
     "estimate_capacities",
     "fit_location_map",
     "fit_chart",
@@ -323,28 +324,24 @@ def _uniform_test_locations(config: ExperimentConfig) -> list:
 # ------------------------------------------------------------ stages
 # The pipeline stages that the experiments and the CLI commands share.
 
-def _capacity_rows(dataset: Dataset, noise_power: float) -> list:
-    """Each user's capacity samples; refuses a user whose powers overflow."""
+def capacity_distributions(dataset: Dataset, noise_power: float) -> list:
+    """Each user's capacity samples as one EmpiricalDistribution, sorted
+    once; refuses a user whose powers overflow the capacity."""
+    dists = []
     with np.errstate(over="ignore"):
-        rows = [capacity_from_power(r.power_samples, noise_power)
-                for r in dataset.records]
-    for r, row in zip(dataset.records, rows):
-        if np.isinf(row).any():
-            raise ConfigurationError(
-                f"user {r.user_id}: power samples overflow the capacity "
-                f"at noise_power {noise_power:g}")
-    return rows
+        for r in dataset.records:
+            row = capacity_from_power(r.power_samples, noise_power)
+            if np.isinf(row).any():
+                raise ConfigurationError(
+                    f"user {r.user_id}: power samples overflow the capacity "
+                    f"at noise_power {noise_power:g}")
+            dists.append(EmpiricalDistribution.from_samples(row))
+    return dists
 
 
-def _eps_quantiles(capacity_rows, epsilon: float) -> np.ndarray:
-    return np.array([empirical_quantile(EmpiricalDistribution.from_samples(c),
-                                        epsilon) for c in capacity_rows])
-
-
-def estimate_capacities(dataset: Dataset, epsilon: float,
-                        noise_power: float) -> np.ndarray:
-    """Per-user lower eps-quantile of the capacity samples."""
-    return _eps_quantiles(_capacity_rows(dataset, noise_power), epsilon)
+def estimate_capacities(dists, epsilon: float) -> np.ndarray:
+    """Per-user lower eps-quantile of the capacity distributions."""
+    return np.array([empirical_quantile(d, epsilon) for d in dists])
 
 
 def _fit_gp(coords, targets, config: ExperimentConfig) -> FittedMap:
@@ -356,22 +353,23 @@ def fit_location_map(dataset: Dataset, config: ExperimentConfig) -> FittedMap:
     """Location stage: per-user eps-outage capacities, then a GP over (x, y)."""
     if any(r.location is None for r in dataset.records):
         raise ConfigurationError("fit-map needs a location for every user")
-    targets = estimate_capacities(dataset, config.epsilon,
-                                  config.scenario.noise_power)
+    targets = estimate_capacities(capacity_distributions(
+        dataset, config.scenario.noise_power), config.epsilon)
     return _fit_gp([[r.location.x, r.location.y] for r in dataset.records],
                    targets, config)
 
 
 def fit_chart(dataset: Dataset, config: ExperimentConfig) -> ChartFit:
-    """Chart stage: capacity rows, their eps-quantiles, W1 triplets mined from
-    the rows, CSI features, and the chart trained on those triplets."""
+    """Chart stage: the capacity distributions, their eps-quantiles, W1
+    triplets mined from them, CSI features, and the chart trained on those
+    triplets."""
     if any(r.csi is None for r in dataset.records):
         raise ConfigurationError("train-chart needs a CSI snapshot per user")
     cc, seed = config.chart, config.seed
-    rows = _capacity_rows(dataset, config.scenario.noise_power)
-    targets = _eps_quantiles(rows, config.epsilon)
+    dists = capacity_distributions(dataset, config.scenario.noise_power)
+    targets = estimate_capacities(dists, config.epsilon)
     triplets, skipped = chart_mod.build_triplets(
-        rows, cc.n_triplets, cc.close_quantile, cc.far_quantile,
+        dists, cc.n_triplets, cc.close_quantile, cc.far_quantile,
         seed=derive_seed(seed, "triplets"))
     feats = np.vstack([chart_mod.csi_features(r.csi, cc.s_red)
                        for r in dataset.records])
@@ -472,7 +470,7 @@ def _evaluate_test_users(scenario, config, queries_of, fmap):
     """
     locs = _uniform_test_locations(config)
     queries = queries_of(locs)
-    preds = predict_batch(fmap, queries)
+    preds = predict(fmap, queries)
     # (map rate, baseline rate) per user; the oracle gets plain floats
     rates = np.column_stack([select_rate_map(preds, config.delta),
                              select_rate_baseline(fmap.train, queries)])

@@ -51,7 +51,7 @@ def select_rate_baseline(train: TrainingSet, queries) -> np.ndarray:
     Ties resolve to the lowest training index, so the choice is deterministic.
     Distances are taken PREDICT_CHUNK queries at a time, so memory stays
     O(n * chunk) whatever the batch size. Non-finite queries raise
-    ConfigurationError, as in ``predict_batch``.
+    ConfigurationError, as in ``predict``.
     """
     q = np.asarray(queries, dtype=float).reshape(-1, 2)
     if not np.isfinite(q).all():

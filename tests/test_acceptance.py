@@ -24,7 +24,6 @@ from statmap.gpmap import (
     fit,
     kernel_matrix,
     predict,
-    predict_batch,
 )
 from statmap.harness import (
     ExperimentConfig,
@@ -78,14 +77,14 @@ def test_criterion_1_meta_probability_calibration():
     y = f_train + rng.normal(0.0, math.sqrt(truth.noise_var), n_train)
     train = TrainingSet.new(train_xy, y)
     # true outage capacities at held-out points: exact conditional marginals
-    true_preds = predict_batch(build_map(train, truth), test_xy)
+    true_preds = predict(build_map(train, truth), test_xy)
     g = rng.normal(size=n_test)
     truths = np.array([m + math.sqrt(v) * gg
                        for m, v, gg in zip(true_preds.mean,
                                            true_preds.variance, g)])
     # rates from a map whose hyperparameters are re-fitted from the data
     fmap = fit(train, restarts=2, seed=0)
-    rates = select_rate_map(predict_batch(fmap, test_xy), delta)
+    rates = select_rate_map(predict(fmap, test_xy), delta)
     violations = float(np.mean(rates > truths))
     elapsed = time.perf_counter() - t0
     ok = 0.037 <= violations <= 0.065 and elapsed < 60.0
@@ -170,7 +169,7 @@ def test_criterion_5_gp_unit_suite():
     y = np.sin(coords[:, 0]) + np.cos(coords[:, 1])
     fmap = build_map(TrainingSet.new(coords, y),
                      Hyperparams(0.0, 1.0, 2.0, 0.0))
-    interp_ok = all(abs(predict(fmap, coords[i]).mean - y[i]) < 1e-8
+    interp_ok = all(abs(predict(fmap, coords[i]).mean[0] - y[i]) < 1e-8
                     for i in range(30))
     # (c) posterior variance <= prior variance on a 1e4-point grid
     h = Hyperparams(0.0, 2.0, 1.5, 0.1)
@@ -180,7 +179,7 @@ def test_criterion_5_gp_unit_suite():
                                 np.linspace(-8, 8, 100)),
                     axis=-1).reshape(-1, 2)
     var_ok = all(v <= h.signal_var + 1e-12
-                 for v in predict_batch(fmap2, grid).variance)
+                 for v in predict(fmap2, grid).variance)
     # (d) Cholesky posterior equals dense-inverse posterior, N <= 50
     dense_ok = True
     for n in (10, 50):
@@ -196,7 +195,8 @@ def test_criterion_5_gp_unit_suite():
             mean = h.prior_mean + kx @ kinv @ (targets - h.prior_mean)
             var = h.signal_var - kx @ kinv @ kx
             p = predict(fmap3, q)
-            dense_ok &= abs(p.mean - mean) < 1e-8 and abs(p.variance - var) < 1e-8
+            dense_ok &= (abs(p.mean[0] - mean) < 1e-8
+                         and abs(p.variance[0] - var) < 1e-8)
     ok = lml_ok and interp_ok and var_ok and dense_ok
     report("5 (GP unit suite)", ok,
            f"LML oracle {lml_ok}, interpolation {interp_ok}, variance bound "

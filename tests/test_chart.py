@@ -62,7 +62,7 @@ def test_features_declared_dimension():
 
 def test_features_zero_csi_rejected():
     with pytest.raises(DegenerateInputError):
-        csi_features(np.zeros((4, 8), dtype=complex))
+        csi_features(np.zeros((4, 8), dtype=complex), s_red=8)
 
 
 def test_features_s_red_bounds():
@@ -79,10 +79,15 @@ def shifted_samples(base, shifts):
     return [base + s for s in shifts]
 
 
+def distributions(rows):
+    """One EmpiricalDistribution per row, as triplet mining takes them."""
+    return [EmpiricalDistribution.from_samples(r) for r in rows]
+
+
 def test_triplets_satisfy_w1_ordering():
     rng = np.random.default_rng(4)
     rows = [rng.normal(loc=rng.uniform(0, 5), size=200) for _ in range(30)]
-    triplets, _ = build_triplets(rows, 200, seed=5)
+    triplets, _ = build_triplets(distributions(rows), 200, seed=5)
     dists = [EmpiricalDistribution.from_samples(r) for r in rows]
     assert len(triplets)
     for anchor, pos, neg in triplets:
@@ -94,7 +99,7 @@ def test_triplets_satisfy_w1_ordering():
 def test_triplets_three_user_case():
     base = np.linspace(0, 1, 50)
     rows = shifted_samples(base, [0.0, 0.1, 5.0])
-    triplets, skipped = build_triplets(rows, 60, seed=6)
+    triplets, skipped = build_triplets(distributions(rows), 60, seed=6)
     assert skipped == 0
     anchored = triplets[triplets[:, 0] == 0]
     assert len(anchored)
@@ -105,17 +110,17 @@ def test_triplets_three_user_case():
 def test_triplets_deterministic():
     rng = np.random.default_rng(7)
     rows = [rng.normal(size=100) for _ in range(20)]
-    a, _ = build_triplets(rows, 100, seed=42)
-    b, _ = build_triplets(rows, 100, seed=42)
+    a, _ = build_triplets(distributions(rows), 100, seed=42)
+    b, _ = build_triplets(distributions(rows), 100, seed=42)
     assert np.array_equal(a, b)
-    c, _ = build_triplets(rows, 100, seed=43)
+    c, _ = build_triplets(distributions(rows), 100, seed=43)
     assert not np.array_equal(a, c)
 
 
 def test_triplets_are_one_k_by_3_int_array():
     rng = np.random.default_rng(26)
     rows = [rng.normal(loc=i % 3, size=30) for i in range(10)]
-    triplets, skipped = build_triplets(rows, 50, seed=27)
+    triplets, skipped = build_triplets(distributions(rows), 50, seed=27)
     assert triplets.dtype.kind == "i"
     assert triplets.shape == (50 - skipped, 3)
 
@@ -156,7 +161,7 @@ def test_triplets_match_per_triplet_reference(sizes):
     rows = [rng.normal(loc=rng.uniform(0, 5), size=40 if sizes == "equal"
                        else 30 + i % 5) for i in range(25)]
     rows += [rows[0].copy() for _ in range(3)]   # ties leave an empty pool
-    got = build_triplets(rows, 300, 0.05, 0.5, seed=10)
+    got = build_triplets(distributions(rows), 300, 0.05, 0.5, seed=10)
     want = per_triplet_mining(rows, 300, 0.05, 0.5, seed=10)
     assert same_mining(got, want)
     assert want[1] > 0
@@ -169,11 +174,12 @@ def test_triplets_do_not_depend_on_the_quantile_chunk(monkeypatch, sizes):
     rng = np.random.default_rng(23)
     rows = [rng.normal(loc=rng.uniform(0, 5), size=40 if sizes == "equal"
                        else 30 + i % 5) for i in range(30)]
-    whole = build_triplets(rows, 300, 0.05, 0.5, seed=24)
+    dists = distributions(rows)
+    whole = build_triplets(dists, 300, 0.05, 0.5, seed=24)
     for anchors_per_call in (1, 7):
         monkeypatch.setattr(chart, "QUANTILE_CHUNK_ENTRIES",
                             anchors_per_call * len(rows))
-        assert same_mining(build_triplets(rows, 300, 0.05, 0.5, seed=24),
+        assert same_mining(build_triplets(dists, 300, 0.05, 0.5, seed=24),
                            whole)
 
 
@@ -194,14 +200,15 @@ def test_fast_w1_row_matches_generic():
 
 
 def test_triplet_mining_keeps_one_copy_of_the_rows():
-    # equal-size rows are stacked and sorted once: the call's own
-    # allocations stay below 1.5x the rows (two copies would be ~2x)
+    # equal-size sorted rows are stacked once: the call's own allocations
+    # stay below 1.5x the rows (two copies would be ~2x)
     rng = np.random.default_rng(28)
-    rows = [rng.normal(loc=i % 7, size=4000) for i in range(300)]
-    row_bytes = sum(r.nbytes for r in rows)
+    dists = distributions([rng.normal(loc=i % 7, size=4000)
+                           for i in range(300)])
+    row_bytes = sum(d.sorted_samples.nbytes for d in dists)
     tracemalloc.start()
     try:
-        triplets, _ = build_triplets(rows, 200, seed=29)
+        triplets, _ = build_triplets(dists, 200, seed=29)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -343,8 +350,9 @@ def test_analytic_gradient_matches_finite_differences():
 def test_train_zero_step_size_keeps_weights():
     rng = np.random.default_rng(13)
     feats = rng.normal(size=(12, 5))
-    triplets, _ = build_triplets([rng.normal(loc=i, size=50) for i in range(12)],
-                                 40, seed=0)
+    triplets, _ = build_triplets(
+        distributions([rng.normal(loc=i, size=50) for i in range(12)]), 40,
+        seed=0)
     m = init_chart_model(5, hidden=(6,), seed=6)
     result = train(m, triplets, feats, step_size=0.0, epochs=3, seed=1)
     for w0, w1 in zip(m.weights, result.model.weights):
@@ -354,8 +362,9 @@ def test_train_zero_step_size_keeps_weights():
 def test_train_deterministic():
     rng = np.random.default_rng(14)
     feats = rng.normal(size=(15, 5))
-    triplets, _ = build_triplets([rng.normal(loc=i % 4, size=60) for i in range(15)],
-                                 80, seed=0)
+    triplets, _ = build_triplets(
+        distributions([rng.normal(loc=i % 4, size=60) for i in range(15)]), 80,
+        seed=0)
     m = init_chart_model(5, hidden=(8, 6), seed=7)
     r1 = train(m, triplets, feats, epochs=4, seed=3)
     r2 = train(m, triplets, feats, epochs=4, seed=3)
@@ -444,7 +453,7 @@ def separable_chart_problem():
     rows = [rng.normal(loc=g, scale=0.3, size=80) for g in gain]
     feats = gain[:, None] * rng.normal(size=(1, 12)) \
         + 0.1 * rng.normal(size=(40, 12))
-    triplets, _ = build_triplets(rows, 200, seed=1)
+    triplets, _ = build_triplets(distributions(rows), 200, seed=1)
     return init_chart_model(12, hidden=(16, 8), seed=2), triplets, feats
 
 
@@ -637,6 +646,9 @@ def spy_on_active_counts(monkeypatch):
 
 
 def test_compacted_backward_trains_the_full_backward_bytes(monkeypatch):
+    """The bytes of the full backward pass. They hold with OpenBLAS
+    0.3.31's SkylakeX and Sandybridge kernels, not with its Haswell kernels
+    (README, Determinism)."""
     two_cpus(monkeypatch)
     counts = [1, FLOOR - 1, 0, FLOOR, FLOOR + 1, 32, 3, 20, FLOOR + 1, 1]
     model, triplets, feats, margin = hinge_controlled_problem(counts, 32, 5)
@@ -703,7 +715,7 @@ def chart_sized_problem():
     block /= np.linalg.norm(block, axis=1)[:, None]
     feats = np.hstack([block, rng.uniform(-12, -8, size=(60, 1))])
     rows = [rng.normal(loc=g, size=50) for g in feats[:, -1]]
-    triplets, _ = build_triplets(rows, 320, seed=6)
+    triplets, _ = build_triplets(distributions(rows), 320, seed=6)
     assert len(triplets) >= 299
     return init_chart_model(257, seed=7), triplets[:299], feats
 
@@ -712,6 +724,9 @@ def chart_sized_problem():
 # triplets: 6 rows, forwarded as one block
 @pytest.mark.parametrize("batch_size", [32, 35, 34, 33])
 def test_split_batches_train_the_single_block_bytes(monkeypatch, batch_size):
+    """The bytes of a single-block forward and a full backward pass. They
+    hold with OpenBLAS 0.3.31's SkylakeX and Sandybridge kernels, not with
+    its Haswell kernels (README, Determinism)."""
     two_cpus(monkeypatch)
 
     def refuse(*args):
@@ -811,7 +826,7 @@ def latent_w1_spearman(model, feats, rate_rows, rng):
 
 def test_chart_quality_spearman_improves():
     locs, feats, rate_rows = synthetic_chart_problem()
-    triplets, _ = build_triplets(rate_rows, 4000, seed=17)
+    triplets, _ = build_triplets(distributions(rate_rows), 4000, seed=17)
     m0 = init_chart_model(feats.shape[1], hidden=(32, 16), seed=18)
     rho_before = latent_w1_spearman(m0, feats, rate_rows,
                                     np.random.default_rng(19))

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from statmap.propagation import (
     derive_seed,
     draw_power_samples,
 )
+from statmap.rateselect import gaussian_quantile
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCENARIO_SMALL = {"field_components": 64}
@@ -588,6 +590,10 @@ NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
      "CSI shape (3, 16) differs from the first CSI record's (4, 16)"),
     # a format error, not a numerical failure from featurizing (exit 3)
     ("train-chart", CHART_CONFIG, 2, zero_csi, "all-zero CSI snapshot"),
+    # featurizing overflowed with two numpy warnings, and training then
+    # failed on a non-finite loss (exit 3)
+    ("train-chart", CHART_CONFIG, 2, set_value(("csi", "re", 0, 2), 1e200),
+     "CSI power overflows"),
     # not broadcast into a 4-antenna snapshot
     ("train-chart", CHART_CONFIG, 2, set_value(("csi", "im"), [[0.5] * 16]),
      "CSI must be one antennas x subcarriers matrix in both re and im"),
@@ -618,7 +624,7 @@ NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
     ("train-chart", CHART_CONFIG, 1, set_value(("kind",), "\udcff"),
      "invalid UTF-8 (invalid start byte)"),
 ], ids=["negative-power", "nan-power", "nan-csi", "csi-cut-to-3-of-4-antennas",
-        "all-zero-csi", "csi-im-of-1-antenna", "empty-power-fit-map",
+        "all-zero-csi", "csi-power-overflow", "csi-im-of-1-antenna", "empty-power-fit-map",
         "empty-power-train-chart", "2d-power-train-chart", "2d-power-fit-map",
         "scalar-power", "negative-z", "nan-z", "nan-x", "non-utf8-record",
         "non-utf8-header"])
@@ -949,6 +955,69 @@ def test_exit_2_map_hyperparameters_whose_sum_overflows(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "configuration error: signal_var + noise_var must be finite, got "
         "1e+308 + 1e+308\n")
+
+
+FAR_APART = ("configuration error: training coordinates lie too far apart: "
+             "their squared distances overflow\n")
+
+
+def test_exit_2_training_coordinates_whose_distances_overflow(tmp_path,
+                                                               capsys):
+    # each coordinate is finite, but a squared distance is not: fit-map
+    # printed two numpy warnings, L-BFGS-B stopped on a NaN gradient, and
+    # the command exited 0 with a bad map
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["experiment"]["n_train_users"] = 20
+    out = tmp_path / "out"
+    assert run("simulate", write_config(tmp_path, doc), out) == 0
+    dataset = out / "dataset.jsonl"
+    lines = dataset.read_text().splitlines()
+    row = json.loads(lines[3])
+    row["x"] = 1e200
+    lines[3] = json.dumps(row)
+    dataset.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    cfg = write_config(tmp_path, dict(doc, dataset=str(dataset)), "cfg2.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("fit-map", cfg, out) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == FAR_APART
+    assert sorted(os.listdir(out)) == ["dataset.jsonl"]
+
+
+def test_exit_2_map_coordinates_whose_distances_overflow(tmp_path, capsys):
+    # a hand-edited map is refused as a fitted one would be
+    map_path = small_map(tmp_path)
+    doc = json.loads(map_path.read_text())
+    doc["coords"][1] = [1e200, 0.0]
+    map_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("select-rate", select_rate_config(tmp_path, map_path),
+                   out) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == FAR_APART
+    assert not (out / "rates.csv").exists()
+
+
+def test_a_query_whose_distances_overflow_gets_the_prior_rate(tmp_path,
+                                                              capsys):
+    # such a query is infinitely far from the map's points: its rate is the
+    # prior's delta-quantile, the exact limit, and numpy no longer prints
+    # an overflow warning on the way
+    cfg = select_rate_config(tmp_path, small_map(tmp_path),
+                             queries=[[1e200, 0.0], [0.0, -1e300]])
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("select-rate", cfg, out) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    prior = max(1.5 + math.sqrt(0.5) * gaussian_quantile(0.05), 0.0)
+    rows = (out / "rates.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[2]) for row in rows] == [prior, prior]
 
 
 # ---------------------------------------------------------------- reruns

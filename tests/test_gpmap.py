@@ -25,7 +25,6 @@ from statmap.gpmap import (
     fit,
     kernel_matrix,
     predict,
-    predict_batch,
 )
 
 HYPER = Hyperparams(prior_mean=0.0, signal_var=1.0, length_scale=1.0,
@@ -124,14 +123,34 @@ def test_hyperparams_reject_an_infinite_diagonal():
     Hyperparams(0.0, 1e308, 1.0, 0.0)
 
 
+def test_hyperparams_reject_a_length_scale_whose_square_overflows():
+    # the kernel divides by length_scale ** 2, which raised OverflowError
+    with pytest.raises(ConfigurationError,
+                       match=r"length_scale \*\* 2 must be finite"):
+        Hyperparams(0.0, 1.0, 1e155, 0.0)
+    Hyperparams(0.0, 1.0, 1e154, 0.0)
+
+
 def test_profiled_lml_scores_theta_without_valid_hyperparameters_as_failed():
     # the fit's objective takes IllConditionedError as a failed evaluation
     train, _ = random_train(5, np.random.default_rng(18))
     d2 = gm._sq_dists(train.coords, train.coords)
     work = (np.empty_like(d2), np.empty_like(d2))
-    theta = np.log([1e308, 1.0, 1e308])
-    with pytest.raises(IllConditionedError, match="must be finite"):
-        gm._profiled_lml(theta, d2, train.targets, work)
+    for theta in ([1e308, 1.0, 1e308], [1.0, 1e155, 0.1]):
+        with pytest.raises(IllConditionedError, match="must be finite"):
+            gm._profiled_lml(np.log(theta), d2, train.targets, work)
+
+
+def test_training_coordinates_whose_squared_distances_overflow():
+    # the bounding box's corners are too far apart, but no pair is: refused
+    # only where a pair itself overflows
+    corner = 1.3e154
+    TrainingSet.new([[0.0, 0.0], [corner, 0.0], [corner / 2, 0.85 * corner]],
+                    [0.0, 1.0, 2.0])
+    for coords in ([[0.0, 0.0], [corner, corner]], [[-1e200, 0.0], [0.0, 0.0]],
+                   [[0.0, 0.0], [0.0, 1e300], [1.0, 1.0]]):
+        with pytest.raises(ConfigurationError, match="too far apart"):
+            TrainingSet.new(coords, np.zeros(len(coords)))
 
 
 # ------------------------------------------------- marginal likelihood
@@ -785,16 +804,16 @@ def test_predict_interpolates_noise_free():
     fmap = build_map(train, Hyperparams(0.0, 1.0, 2.0, 0.0))
     for i in (0, 7, 19):
         p = predict(fmap, coords[i])
-        assert p.mean == pytest.approx(y[i], abs=1e-8)
-        assert p.variance == pytest.approx(0.0, abs=1e-8)
+        assert p.mean == pytest.approx([y[i]], abs=1e-8)
+        assert p.variance == pytest.approx([0.0], abs=1e-8)
 
 
 def test_predict_reverts_to_prior_far_away():
     train = TrainingSet.new([[0.0, 0.0], [1.0, 0.0]], [3.0, 4.0])
     fmap = build_map(train, Hyperparams(2.0, 1.5, 1.0, 0.1))
     p = predict(fmap, [1e5, 1e5])
-    assert p.mean == pytest.approx(2.0, abs=1e-6)
-    assert p.variance == pytest.approx(1.5, abs=1e-6)
+    assert p.mean == pytest.approx([2.0], abs=1e-6)
+    assert p.variance == pytest.approx([1.5], abs=1e-6)
 
 
 def test_predict_one_point_closed_form():
@@ -804,31 +823,32 @@ def test_predict_one_point_closed_form():
     train = TrainingSet.new([[0.0, 0.0], [1e9, 0.0]], [2.0, 0.0])
     fmap = build_map(train, h)
     p = predict(fmap, [d, 0.0])
-    assert p.mean == pytest.approx(1.0, abs=1e-9)
-    assert p.variance == pytest.approx(0.75, abs=1e-9)
+    assert p.mean == pytest.approx([1.0], abs=1e-9)
+    assert p.variance == pytest.approx([0.75], abs=1e-9)
 
 
 def test_predict_batch_equals_single_calls():
     # A batch is not bit-equal to single calls: BLAS blocks many-column
     # solves and products differently (measured gap ~1e-14), hence the
-    # tolerance. A batch of one is what predict computes, so that stays exact.
+    # tolerance. One point [x, y] is a batch of one, so that stays exact.
     rng = np.random.default_rng(8)
     train, _ = random_train(30, rng)
     fmap = build_map(train, Hyperparams(0.1, 1.2, 1.5, 0.05))
     queries = rng.uniform(-6, 6, size=(10_000, 2))
-    batch = predict_batch(fmap, queries)
+    batch = predict(fmap, queries)
     assert batch.mean.shape == batch.variance.shape == (10_000,)
     for i in range(0, 10_000, 997):
         single = predict(fmap, queries[i])
-        assert type(single.mean) is float and type(single.variance) is float
-        one = predict_batch(fmap, [queries[i]])
+        assert single.mean.shape == single.variance.shape == (1,)
+        one = predict(fmap, [queries[i]])
         assert (one.mean.tolist(), one.variance.tolist()) == \
-            ([single.mean], [single.variance])
-        assert batch.mean[i] == pytest.approx(single.mean, abs=1e-12)
-        assert batch.variance[i] == pytest.approx(single.variance, abs=1e-12)
+            (single.mean.tolist(), single.variance.tolist())
+        assert batch.mean[i] == pytest.approx(single.mean[0], abs=1e-12)
+        assert batch.variance[i] == pytest.approx(single.variance[0],
+                                                  abs=1e-12)
     # permuting queries permutes outputs
     perm = rng.permutation(200)
-    permuted = predict_batch(fmap, queries[perm])
+    permuted = predict(fmap, queries[perm])
     np.testing.assert_allclose(permuted.mean, batch.mean[perm], rtol=0,
                                atol=1e-12)
     np.testing.assert_allclose(permuted.variance, batch.variance[perm],
@@ -841,7 +861,7 @@ def test_predict_rejects_non_finite_queries(bad):
     train = TrainingSet.new([[0.0, 0.0], [1.0, 0.0]], [3.0, 4.0])
     fmap = build_map(train, Hyperparams(2.0, 1.5, 1.0, 0.1))
     with pytest.raises(ConfigurationError):
-        predict_batch(fmap, bad)
+        predict(fmap, bad)
     with pytest.raises(ConfigurationError):
         predict(fmap, bad[-1])
 
@@ -853,7 +873,7 @@ def test_posterior_variance_bounded_by_prior():
     fmap = build_map(train, h)
     grid = np.stack(np.meshgrid(np.linspace(-8, 8, 100),
                                 np.linspace(-8, 8, 100)), axis=-1).reshape(-1, 2)
-    variances = predict_batch(fmap, grid).variance
+    variances = predict(fmap, grid).variance
     assert variances.shape == (len(grid),)
     assert np.all(variances <= h.signal_var + 1e-12)
     assert np.all(variances >= 0.0)
@@ -878,7 +898,7 @@ def test_predict_batch_matches_dense_inverse(batch_size):
     h = Hyperparams(0.4, 1.3, 1.1, 0.08)
     fmap = build_map(train, h)
     queries = rng.uniform(-6, 6, size=(batch_size, 2))
-    got = predict_batch(fmap, queries)
+    got = predict(fmap, queries)
     assert got.mean.shape == got.variance.shape == (batch_size,)
     for q, got_mean, got_var in zip(queries, got.mean, got.variance):
         mean, var = dense_posterior(h, train, q)
@@ -896,8 +916,8 @@ def test_cholesky_posterior_matches_dense_inverse():
             q = rng.uniform(-5, 5, 2)
             got = predict(fmap, q)
             mean, var = dense_posterior(h, train, q)
-            assert got.mean == pytest.approx(mean, abs=1e-8)
-            assert got.variance == pytest.approx(var, abs=1e-8)
+            assert got.mean == pytest.approx([mean], abs=1e-8)
+            assert got.variance == pytest.approx([var], abs=1e-8)
 
 
 def test_variance_never_increases_with_extra_point():
@@ -909,7 +929,8 @@ def test_variance_never_increases_with_extra_point():
         base = build_map(TrainingSet.new(coords[:-1], y[:-1]), h)
         bigger = build_map(TrainingSet.new(coords, y), h)
         q = rng.uniform(-4, 4, 2)
-        assert predict(bigger, q).variance <= predict(base, q).variance + 1e-10
+        assert predict(bigger, q).variance[0] <= \
+            predict(base, q).variance[0] + 1e-10
 
 
 def test_predict_is_continuous():
@@ -920,4 +941,4 @@ def test_predict_is_continuous():
     q = np.array([0.3, -0.7])
     p0 = predict(fmap, q)
     p1 = predict(fmap, q + 1e-6 * h.length_scale)
-    assert abs(p1.mean - p0.mean) < 1e-4 * math.sqrt(h.signal_var)
+    assert abs(p1.mean[0] - p0.mean[0]) < 1e-4 * math.sqrt(h.signal_var)

@@ -33,6 +33,7 @@ from statmap.harness import (
     ChartTrainingConfig,
     ExperimentConfig,
     MismatchDemoConfig,
+    capacity_distributions,
     estimate_capacities,
     run_chart_experiment,
     run_location_experiment,
@@ -144,7 +145,9 @@ def test_map_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.train.targets, fmap.train.targets)
     assert back.diagnostics == fmap.diagnostics
     q = [7.5, -3.0]
-    assert predict(back, q) == predict(fmap, q)
+    got, want = predict(back, q), predict(fmap, q)
+    assert (got.mean.tolist(), got.variance.tolist()) == (
+        want.mean.tolist(), want.variance.tolist())
 
 
 def test_map_checksum_detects_tampering(tmp_path):
@@ -386,7 +389,8 @@ def test_chart_test_queries_equal_per_user_csi_draws(monkeypatch):
 
 def test_estimate_capacities_matches_manual():
     ds = small_dataset()
-    got = estimate_capacities(ds, SMALL.epsilon, SMALL.scenario.noise_power)
+    got = estimate_capacities(
+        capacity_distributions(ds, SMALL.scenario.noise_power), SMALL.epsilon)
     rec = ds.records[7]
     caps = capacity_from_power(rec.power_samples, SMALL.scenario.noise_power)
     want = empirical_quantile(EmpiricalDistribution.from_samples(caps),
@@ -399,7 +403,8 @@ def test_estimate_capacities_one_record():
     p = np.random.default_rng(9).exponential(size=5000)
     ds = Dataset(records=[UserRecord(user_id=0, location=None,
                                      power_samples=p)])
-    got = estimate_capacities(ds, 0.01, noise_power=1.0)
+    got = estimate_capacities(capacity_distributions(ds, noise_power=1.0),
+                              0.01)
     d = EmpiricalDistribution.from_samples(capacity_from_power(p, 1.0))
     assert got.shape == (1,)
     assert got[0] == empirical_quantile(d, 0.01)

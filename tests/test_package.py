@@ -1,10 +1,13 @@
 """Package surface: every exported name resolves, every public name of a
-submodule has a caller inside the package, every config field is read by
-the package, and threads and Cholesky factorizations each have one home."""
+submodule has a caller inside the package, every name the benchmark's span
+recorder wraps exists, every config field is read by the package, and
+threads and Cholesky factorizations each have one home."""
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,9 +24,9 @@ MODULES = ["statmap"] + [f"statmap.{name}" for name in (
     "chart", "dataio", "gpmap", "harness", "propagation", "rateselect",
     "stats")]
 SRC = Path(statmap.__file__).resolve().parent
-# Public names that may lack a caller in the package: perfbench/spans.py
-# TRACED still wraps gpmap.predict (ROADMAP open item 5).
-NO_CALLER_ALLOWED = {"gpmap.predict"}
+# Public names that may lack a caller in the package.
+NO_CALLER_ALLOWED = set()
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -64,6 +67,21 @@ def test_every_public_name_has_a_caller_in_the_package():
                        for m, n, owner in refs):
                 orphans.add(f"{short}.{name}")
     assert orphans == NO_CALLER_ALLOWED
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # a traced benchmark run wraps these names; a rename in the package
+    # fails here rather than in the benchmark
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    recorder = spans.SpanRecorder()
+    try:
+        recorder.install()
+    finally:
+        recorder.uninstall()
 
 
 def test_every_config_field_is_read_outside_its_class():

@@ -15,7 +15,7 @@ from statmap.gpmap import (
     TrainingSet,
     build_map,
     kernel_matrix,
-    predict_batch,
+    predict,
 )
 from statmap.rateselect import (
     gaussian_quantile,
@@ -71,6 +71,11 @@ def scalar_rate(mean, variance, delta):
     return max(mean + math.sqrt(variance) * gaussian_quantile(delta), 0.0)
 
 
+def one_query(mean, variance):
+    """The predictive distribution of a single query."""
+    return PredictiveDistribution(np.array([mean]), np.array([variance]))
+
+
 def test_select_rate_zero_variance():
     for delta in (1e-4, 0.3, 0.9):
         rates = select_rate_map(PredictiveDistribution(
@@ -79,16 +84,16 @@ def test_select_rate_zero_variance():
 
 
 def test_select_rate_median_is_mean():
-    assert select_rate_map(PredictiveDistribution(3.0, 0.25), 0.5) == 3.0
+    assert select_rate_map(one_query(3.0, 0.25), 0.5).tolist() == [3.0]
 
 
 def test_select_rate_milli_delta():
-    rate = select_rate_map(PredictiveDistribution(3.0, 0.25), 1e-3)
-    assert rate == pytest.approx(3.0 - 0.5 * 3.090232306, abs=1e-5)
+    rate = select_rate_map(one_query(3.0, 0.25), 1e-3)
+    assert rate == pytest.approx([3.0 - 0.5 * 3.090232306], abs=1e-5)
 
 
 def test_select_rate_clamps_at_zero():
-    assert select_rate_map(PredictiveDistribution(0.5, 4.0), 1e-4) == 0.0
+    assert select_rate_map(one_query(0.5, 4.0), 1e-4).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("delta", [1e-4, 1e-2, 0.3, 0.5, 0.9])
@@ -108,16 +113,16 @@ def test_select_rate_array_matches_scalar_formula(delta):
 
 
 def test_rate_monotone_in_delta():
-    pred = PredictiveDistribution(1.7, 0.6)
+    pred = one_query(1.7, 0.6)
     deltas = np.linspace(0.01, 0.99, 25)
-    rates = [select_rate_map(pred, d) for d in deltas]
+    rates = [select_rate_map(pred, d)[0] for d in deltas]
     assert all(a <= b for a, b in zip(rates, rates[1:]))
 
 
 def test_rate_conservative_below_half():
-    pred = PredictiveDistribution(1.7, 0.6)
+    pred = one_query(1.7, 0.6)
     for delta in (0.001, 0.1, 0.49):
-        assert select_rate_map(pred, delta) <= pred.mean
+        assert select_rate_map(pred, delta)[0] <= pred.mean[0]
 
 
 def test_select_rate_map_validation():
@@ -164,7 +169,7 @@ def test_baseline_clamps_at_zero():
 @pytest.mark.parametrize("queries", [[[math.nan, 4.0], [5.0, 5.0]],
                                      [[math.inf, 4.0]]])
 def test_baseline_refuses_non_finite_queries(queries):
-    # as predict_batch does; a non-finite query has no nearest point
+    # as predict does; a non-finite query has no nearest point
     train = TrainingSet.new([[0.0, 0.0], [5.0, 5.0]], [1.0, 2.0])
     with pytest.raises(ConfigurationError, match="finite"):
         select_rate_baseline(train, queries)
@@ -214,7 +219,7 @@ def test_meta_probability_calibration():
     y_train = f_train + rng.normal(0.0, math.sqrt(hyper.noise_var), n_train)
 
     fmap = build_map(TrainingSet.new(train_xy, y_train), hyper)
-    preds = predict_batch(fmap, test_xy)
+    preds = predict(fmap, test_xy)
     # conditional draw of the true value at each held-out point: under the
     # prior, f_q | y is Gaussian with exactly the predictive moments
     truths = np.array([
