@@ -11,6 +11,7 @@ to stdout only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -175,21 +176,35 @@ def _dataset_path(doc: dict, out_dir: str) -> str:
     return path
 
 
+@contextlib.contextmanager
+def _step(name: str):
+    """Prints the wall time of the block on stdout when it completes."""
+    start = time.perf_counter()
+    yield
+    print(f"{name}: {time.perf_counter() - start:.3f} s")
+
+
 def cmd_simulate(doc, seed, out_dir, full):
     mode, config = _experiment_config(doc, seed, full)
     with_csi = mode == "chart"
-    dataset = simulate_dataset(config, with_csi=with_csi)
+    with _step("draw"):
+        dataset = simulate_dataset(config, with_csi=with_csi)
     path = os.path.join(out_dir, "dataset.jsonl")
-    save_dataset(dataset, path)
+    with _step("write"):
+        save_dataset(dataset, path)
     print(f"wrote {path} ({len(dataset)} users, with_csi={with_csi})")
     return [path]
 
 
 def cmd_fit_map(doc, seed, out_dir, full):
     _, config = _experiment_config(doc, seed, full)
-    fmap = fit_location_map(load_dataset(_dataset_path(doc, out_dir)), config)
+    with _step("read"):
+        dataset = load_dataset(_dataset_path(doc, out_dir))
+    with _step("fit"):
+        fmap = fit_location_map(dataset, config)
     path = os.path.join(out_dir, "map.json")
-    save_map(fmap, path)
+    with _step("write"):
+        save_map(fmap, path)
     d = fmap.diagnostics
     print(f"wrote {path} (lml={d.log_marginal_likelihood:.3f}, "
           f"iterations={d.iterations})")
@@ -198,12 +213,16 @@ def cmd_fit_map(doc, seed, out_dir, full):
 
 def cmd_train_chart(doc, seed, out_dir, full):
     _, config = _experiment_config(doc, seed, full)
-    charted = fit_chart(load_dataset(_dataset_path(doc, out_dir)), config)
+    with _step("read"):
+        dataset = load_dataset(_dataset_path(doc, out_dir))
+    with _step("train"):
+        charted = fit_chart(dataset, config)
     chart_path = os.path.join(out_dir, "chart.json")
-    save_chart(charted.model, chart_path)
     trace_path = os.path.join(out_dir, "chart_trace.csv")
-    write_csv(trace_path, ["epoch", "mean_loss"],
-              list(enumerate(charted.epoch_losses)))
+    with _step("write"):
+        save_chart(charted.model, chart_path)
+        write_csv(trace_path, ["epoch", "mean_loss"],
+                  list(enumerate(charted.epoch_losses)))
     print(f"wrote {chart_path} and {trace_path} "
           f"({charted.n_triplets} triplets, {charted.skipped} skipped)")
     return [chart_path, trace_path]

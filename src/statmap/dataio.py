@@ -2,14 +2,16 @@
 maps and chart models, and CSV report tables.
 
 All writers are deterministic (sorted keys, compact separators, repr-exact
-floats), so identical inputs produce byte-identical files, and all of them
-go through write_text. Loaders raise ParseError with file/line/field context
+floats, and the datasets' sample arrays as base64 of their exact bytes), so
+identical inputs produce byte-identical files, and all of them go through
+write_text. Loaders raise ParseError with file/line/field context
 on malformed input, bytes that are not UTF-8 included, and refuse unknown
 schema versions explicitly.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import itertools
@@ -48,9 +50,15 @@ __all__ = [
     "kernel_checksum",
 ]
 
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 MAP_VERSION = 1
 CHART_VERSION = 1
+
+# the dataset's sample arrays, as stored: little-endian float64 power samples
+# and complex128 CSI entries
+_FLOAT64 = np.dtype("<f8")
+_COMPLEX128 = np.dtype("<c16")
+_NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,13 @@ def _decode(data: bytes, path) -> str:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """One JSON object per user: {user_id, x, y, z, power_samples, csi?}."""
+    """One JSON object per user: {user_id, x, y, z, power_samples, csi?}.
+
+    power_samples is the base64 (standard alphabet, padded) of the
+    little-endian float64 bytes, and csi is {"shape": [antennas,
+    subcarriers], "data": base64 of the little-endian complex128 bytes in
+    row-major order}: exact, and the same bytes for the same dataset.
+    """
     header = {"kind": "statmap-dataset", "version": DATASET_VERSION}
     rows = itertools.chain([header], map(_dataset_row, dataset.records))
     write_text(path, (_dump(row) + "\n" for row in rows))
@@ -127,70 +141,115 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def _dataset_row(rec: UserRecord) -> dict:
     row = {"user_id": rec.user_id,
-           "power_samples": rec.power_samples.tolist()}
+           "power_samples": _b64(rec.power_samples, _FLOAT64)}
     if rec.location is not None:
         row["x"] = rec.location.x
         row["y"] = rec.location.y
         row["z"] = rec.location.z
     if rec.csi is not None:
-        row["csi"] = {"re": rec.csi.real.tolist(),
-                      "im": rec.csi.imag.tolist()}
+        row["csi"] = {"shape": list(rec.csi.shape),
+                      "data": _b64(rec.csi, _COMPLEX128)}
     return row
 
 
+def _b64(values: np.ndarray, dtype: np.dtype) -> str:
+    raw = np.ascontiguousarray(values, dtype=dtype).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _from_b64(value, dtype: np.dtype, field: str) -> np.ndarray:
+    """The 1-D array whose bytes the base64 string value holds."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a base64 string, got "
+                         f"{type(value).__name__}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:   # binascii.Error, or a non-ASCII character
+        raise ValueError(f"invalid base64 in {field} ({exc})") from exc
+    if len(raw) % dtype.itemsize:
+        raise ValueError(f"{field} holds {len(raw)} bytes, not a whole "
+                         f"number of {dtype.itemsize}-byte values")
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def _lines(fh):
+    """The file's lines, numbered as bytes.splitlines() numbers them (a lone
+    CR ends a line too), read one line at a time."""
+    for line in fh:
+        if b"\r" in line:
+            yield from line.splitlines()
+        else:
+            yield line
+
+
 def load_dataset(path) -> Dataset:
-    records = []
-    lines = _read_bytes(path).splitlines()
-    if not lines:
-        raise ParseError("empty dataset file", path=path)
-    header = _parse_json_line(lines[0], path, 1)
-    _check_header(header, "statmap-dataset", DATASET_VERSION, path)
-    csi_shape = None        # every CSI record must match the first one
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        row = _parse_json_line(line, path, lineno)
-        try:
-            loc = None
-            if "x" in row:
-                xyz = [float(row[key]) for key in ("x", "y", "z")]
-                if not all(map(math.isfinite, xyz)):
-                    raise ValueError("location coordinates must be finite")
-                loc = Location(*xyz)
-            csi = None
-            if "csi" in row:
-                re = np.asarray(row["csi"]["re"], dtype=float)
-                im = np.asarray(row["csi"]["im"], dtype=float)
-                if re.ndim != 2 or re.shape != im.shape:
-                    raise ValueError("CSI must be one antennas x subcarriers "
-                                     "matrix in both re and im")
-                csi = re + 1j * im
-                if not np.isfinite(csi).all():
-                    raise ValueError("CSI entries must be finite")
-                if not csi.any():
-                    raise ValueError("all-zero CSI snapshot")
-                with np.errstate(over="ignore"):
-                    if not np.isfinite(np.sum(np.abs(csi) ** 2)):
-                        raise ValueError("CSI power overflows")
-                if csi_shape is None:
-                    csi_shape = csi.shape
-                elif csi.shape != csi_shape:
-                    raise ValueError(
-                        f"CSI shape {csi.shape} differs from the first CSI "
-                        f"record's {csi_shape}")
-            powers = np.asarray(row["power_samples"], dtype=float)
-            if powers.ndim != 1 or powers.size == 0:
-                raise ValueError("power_samples must be a non-empty list of "
-                                 "numbers")
-            if not (np.isfinite(powers) & (powers >= 0.0)).all():
-                raise ValueError("power samples must be finite and nonnegative")
-            records.append(UserRecord(
-                user_id=int(row["user_id"]), location=loc,
-                power_samples=powers, csi=csi))
-        except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-            raise ParseError(f"bad dataset record: {exc}", path=path,
-                             line=lineno) from exc
+    """The records of a dataset file, read one line at a time, so that only
+    the decoded arrays and the current line are held at once."""
+    with open(path, "rb") as fh:
+        lines = enumerate(_lines(fh), start=1)
+        first = next(lines, None)
+        if first is None:
+            raise ParseError("empty dataset file", path=path)
+        _check_header(_parse_json_line(first[1], path, 1), "statmap-dataset",
+                      DATASET_VERSION, path, line=1)
+        records = []
+        csi_shape = None    # every CSI record must match the first one
+        for lineno, line in lines:
+            if not line.strip():
+                continue
+            row = _parse_json_line(line, path, lineno)
+            try:
+                record = _dataset_record(row, csi_shape)
+            except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+                raise ParseError(f"bad dataset record: {exc}", path=path,
+                                 line=lineno) from exc
+            if record.csi is not None:
+                csi_shape = record.csi.shape
+            records.append(record)
     return Dataset(records=records)
+
+
+def _dataset_record(row, csi_shape) -> UserRecord:
+    """One row's record; csi_shape is the first CSI record's shape, or None
+    before it."""
+    loc = None
+    if "x" in row:
+        xyz = [float(row[key]) for key in ("x", "y", "z")]
+        if not all(map(math.isfinite, xyz)):
+            raise ValueError("location coordinates must be finite")
+        loc = Location(*xyz)
+    csi = None
+    if "csi" in row:
+        shape, data = row["csi"]["shape"], row["csi"]["data"]
+        if not (isinstance(shape, list) and len(shape) == 2
+                and all(type(n) is int and n > 0 for n in shape)):
+            raise ValueError("CSI shape must be [antennas, subcarriers], two "
+                             f"positive integers, got {shape!r}")
+        csi = _from_b64(data, _COMPLEX128, "CSI data")
+        if csi.size != shape[0] * shape[1]:
+            raise ValueError(f"CSI data holds {csi.size} values, its shape "
+                             f"{shape} needs {shape[0] * shape[1]}")
+        csi = csi.reshape(shape)
+        if not np.isfinite(csi).all():
+            raise ValueError("CSI entries must be finite")
+        if not csi.any():
+            raise ValueError("all-zero CSI snapshot")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(np.abs(csi) ** 2)):
+                raise ValueError("CSI power overflows")
+        if csi_shape is not None and csi.shape != csi_shape:
+            raise ValueError(f"CSI shape {csi.shape} differs from the first "
+                             f"CSI record's {csi_shape}")
+    samples = row["power_samples"]
+    if not isinstance(samples, str):
+        raise ValueError(_NOT_A_SAMPLE_LIST)
+    powers = _from_b64(samples, _FLOAT64, "power_samples")
+    if powers.size == 0:
+        raise ValueError(_NOT_A_SAMPLE_LIST)
+    if not (np.isfinite(powers) & (powers >= 0.0)).all():
+        raise ValueError("power samples must be finite and nonnegative")
+    return UserRecord(user_id=int(row["user_id"]), location=loc,
+                      power_samples=powers, csi=csi)
 
 
 def kernel_checksum(train: TrainingSet, hyper: Hyperparams) -> str:
@@ -252,7 +311,7 @@ def _map_from_bytes(data: bytes, path) -> FittedMap:
         train = TrainingSet.new(doc["coords"], doc["targets"])
         diag = FitDiagnostics(**doc["diagnostics"])
         stored = doc["kernel_checksum"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise ParseError(f"bad map document: {exc}", path=path) from exc
     k = kernel_matrix(train.coords, hyper)
     actual = _sha256(k)
@@ -305,11 +364,12 @@ def _parse_json_line(line: bytes, path, lineno: int):
                          line=lineno) from exc
 
 
-def _check_header(header, kind: str, version: int, path):
+def _check_header(header, kind: str, version: int, path, line=None):
     if not isinstance(header, dict) or header.get("kind") != kind:
-        raise ParseError(f"not a {kind} file", path=path, field="kind")
+        raise ParseError(f"not a {kind} file", path=path, line=line,
+                         field="kind")
     if header.get("version") != version:
         raise ParseError(
             f"unsupported {kind} version {header.get('version')!r}, "
-            f"expected {version}", path=path, field="version")
+            f"expected {version}", path=path, line=line, field="version")
 

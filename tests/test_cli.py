@@ -1,5 +1,6 @@
 """CLI tests: command pipelines, exit codes, and byte-identical reruns."""
 
+import base64
 import contextlib
 import io
 import json
@@ -143,6 +144,32 @@ def test_train_chart_pipeline(tmp_path):
     trace = (out / "chart_trace.csv").read_text().splitlines()
     assert trace[0] == "epoch,mean_loss"
     assert len(trace) == 1 + CHART_CONFIG["chart"]["epochs"]
+
+
+@pytest.mark.parametrize("command,doc,steps,written", [
+    ("fit-map", BASE_CONFIG, ["read", "fit", "write"], ["map.json"]),
+    ("train-chart", CHART_CONFIG, ["read", "train", "write"],
+     ["chart.json", "chart_trace.csv"]),
+])
+def test_pipeline_commands_print_their_step_times(tmp_path, capsys, command,
+                                                  doc, steps, written):
+    def printed_steps():
+        lines = capsys.readouterr().out.splitlines()
+        timed = [line[:-2].split(": ") for line in lines
+                 if line.endswith(" s") and not line.startswith("done in ")]
+        assert all(float(seconds) >= 0.0 for _, seconds in timed)
+        return [name for name, _ in timed]
+
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("simulate", write_config(tmp_path, doc), out) == 0
+    assert printed_steps() == ["draw", "write"]
+    cfg = write_config(tmp_path, dict(doc, dataset=str(out / "dataset.jsonl")),
+                       "cfg2.json")
+    assert run(command, cfg, out) == 0
+    assert printed_steps() == steps
+    # the timings go to stdout only
+    assert sorted(os.listdir(out)) == sorted(["dataset.jsonl", *written])
 
 
 def test_evaluate_location(tmp_path, capsys):
@@ -559,31 +586,70 @@ def set_value(where, value):
     return edit
 
 
+def b64(values, dtype) -> str:
+    raw = np.ascontiguousarray(values, dtype=dtype).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def powers(row) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(row["power_samples"]), "<f8")
+
+
+def csi(row) -> np.ndarray:
+    data = np.frombuffer(base64.b64decode(row["csi"]["data"]), "<c16")
+    return data.reshape(row["csi"]["shape"])
+
+
+def set_power(index, value):
+    def edit(row):
+        p = powers(row).copy()
+        p[index] = value
+        row["power_samples"] = b64(p, "<f8")
+    return edit
+
+
+def set_csi(index, value):
+    def edit(row):
+        h = csi(row).copy()
+        h[index] = value
+        row["csi"]["data"] = b64(h, "<c16")
+    return edit
+
+
 def cut_to_three_antennas(row):
-    for part in ("re", "im"):
-        row["csi"][part] = row["csi"][part][:3]
+    row["csi"] = {"shape": [3, 16], "data": b64(csi(row)[:3], "<c16")}
 
 
 def zero_csi(row):
-    for part in ("re", "im"):
-        row["csi"][part] = [[0.0] * len(r) for r in row["csi"][part]]
+    row["csi"]["data"] = b64(np.zeros_like(csi(row)), "<c16")
 
 
 def fold_power_samples(row):
-    half = len(row["power_samples"]) // 2
-    row["power_samples"] = [row["power_samples"][:half],
-                            row["power_samples"][half:2 * half]]
+    p = powers(row)
+    half = p.size // 2
+    row["power_samples"] = [b64(p[:half], "<f8"), b64(p[half:2 * half], "<f8")]
+
+
+def cut_bytes(field, n):
+    """Drops the last n bytes of the base64 array at field."""
+    def edit(row):
+        target = row
+        for key in field[:-1]:
+            target = target[key]
+        raw = base64.b64decode(target[field[-1]])
+        target[field[-1]] = base64.b64encode(raw[:-n]).decode("ascii")
+    return edit
 
 
 NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
 
 
 @pytest.mark.parametrize("command,doc,lineno,edit,message", [
-    ("fit-map", BASE_CONFIG, 2, set_value(("power_samples", 3), -1.0),
+    ("fit-map", BASE_CONFIG, 2, set_power(3, -1.0),
      "power samples must be finite and nonnegative"),
-    ("fit-map", BASE_CONFIG, 2, set_value(("power_samples", 3), math.nan),
+    ("fit-map", BASE_CONFIG, 2, set_power(3, math.nan),
      "power samples must be finite and nonnegative"),
-    ("train-chart", CHART_CONFIG, 2, set_value(("csi", "re", 0, 2), math.nan),
+    ("train-chart", CHART_CONFIG, 2, set_csi((0, 2), math.nan),
      "CSI entries must be finite"),
     # a format error, not a traceback from stacking the features (exit 1)
     ("train-chart", CHART_CONFIG, 5, cut_to_three_antennas,
@@ -592,15 +658,22 @@ NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
     ("train-chart", CHART_CONFIG, 2, zero_csi, "all-zero CSI snapshot"),
     # featurizing overflowed with two numpy warnings, and training then
     # failed on a non-finite loss (exit 3)
-    ("train-chart", CHART_CONFIG, 2, set_value(("csi", "re", 0, 2), 1e200),
+    ("train-chart", CHART_CONFIG, 2, set_csi((0, 2), 1e200),
      "CSI power overflows"),
-    # not broadcast into a 4-antenna snapshot
-    ("train-chart", CHART_CONFIG, 2, set_value(("csi", "im"), [[0.5] * 16]),
-     "CSI must be one antennas x subcarriers matrix in both re and im"),
+    # one antenna's data is not broadcast into a 4-antenna snapshot
+    ("train-chart", CHART_CONFIG, 2, cut_bytes(("csi", "data"), 3 * 16 * 16),
+     "CSI data holds 16 values, its shape [4, 16] needs 64"),
+    ("train-chart", CHART_CONFIG, 2, set_value(("csi", "shape"), [4, 15]),
+     "CSI data holds 64 values, its shape [4, 15] needs 60"),
+    ("train-chart", CHART_CONFIG, 2, set_value(("csi", "shape"), [64]),
+     "CSI shape must be [antennas, subcarriers], two positive integers, "
+     "got [64]"),
+    ("train-chart", CHART_CONFIG, 2, cut_bytes(("csi", "data"), 8),
+     "CSI data holds 1016 bytes, not a whole number of 16-byte values"),
     # each was a traceback (exit 1) from fitting or stacking
-    ("fit-map", BASE_CONFIG, 3, set_value(("power_samples",), []),
+    ("fit-map", BASE_CONFIG, 3, set_value(("power_samples",), ""),
      NOT_A_SAMPLE_LIST),
-    ("train-chart", CHART_CONFIG, 3, set_value(("power_samples",), []),
+    ("train-chart", CHART_CONFIG, 3, set_value(("power_samples",), ""),
      NOT_A_SAMPLE_LIST),
     ("train-chart", CHART_CONFIG, 4, fold_power_samples, NOT_A_SAMPLE_LIST),
     # silently flattened into one user's samples
@@ -608,6 +681,15 @@ NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
     # a numerical failure (exit 3) from too few samples for epsilon
     ("fit-map", BASE_CONFIG, 2, set_value(("power_samples",), 1.5),
      NOT_A_SAMPLE_LIST),
+    ("fit-map", BASE_CONFIG, 3, cut_bytes(("power_samples",), 3),
+     "power_samples holds 2397 bytes, not a whole number of 8-byte values"),
+    ("fit-map", BASE_CONFIG, 2, set_value(("power_samples",), "AAAA!AAA"),
+     "invalid base64 in power_samples (Only base64 data is allowed)"),
+    ("fit-map", BASE_CONFIG, 2, set_value(("power_samples",), "AAAAAAA"),
+     "invalid base64 in power_samples (Incorrect padding)"),
+    ("train-chart", CHART_CONFIG, 3, set_value(("csi", "data"), "\u00e9"),
+     "invalid base64 in CSI data (string argument should contain only ASCII "
+     "characters)"),
     # refused by Location, but without the file and line
     ("fit-map", BASE_CONFIG, 2, set_value(("z",), -1.0),
      "location height must be >= 0, got -1.0"),
@@ -624,10 +706,13 @@ NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
     ("train-chart", CHART_CONFIG, 1, set_value(("kind",), "\udcff"),
      "invalid UTF-8 (invalid start byte)"),
 ], ids=["negative-power", "nan-power", "nan-csi", "csi-cut-to-3-of-4-antennas",
-        "all-zero-csi", "csi-power-overflow", "csi-im-of-1-antenna", "empty-power-fit-map",
+        "all-zero-csi", "csi-power-overflow", "csi-data-of-1-antenna",
+        "csi-shape-disagrees-with-data", "csi-shape-not-2d",
+        "csi-bytes-not-whole-values", "empty-power-fit-map",
         "empty-power-train-chart", "2d-power-train-chart", "2d-power-fit-map",
-        "scalar-power", "negative-z", "nan-z", "nan-x", "non-utf8-record",
-        "non-utf8-header"])
+        "scalar-power", "power-bytes-not-whole-values", "power-not-base64",
+        "power-base64-unpadded", "csi-not-ascii", "negative-z", "nan-z",
+        "nan-x", "non-utf8-record", "non-utf8-header"])
 def test_exit_2_malformed_dataset_record(tmp_path, capsys, command, doc,
                                          lineno, edit, message):
     # json writes and reads NaN, so only the loader can refuse it
@@ -654,6 +739,24 @@ def test_exit_2_malformed_dataset_record(tmp_path, capsys, command, doc,
 
 @pytest.mark.parametrize("command,doc", [("fit-map", BASE_CONFIG),
                                          ("train-chart", CHART_CONFIG)])
+def test_exit_2_version_1_dataset(tmp_path, capsys, command, doc):
+    # the text encoding of the samples before the base64 one; simulate
+    # remakes the file from the same config and seed
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text('{"kind":"statmap-dataset","version":1}\n'
+                       '{"power_samples":[1.0,2.0],"user_id":0,"x":0.0,'
+                       '"y":0.0,"z":1.5}\n')
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(doc, dataset=str(dataset)))
+    assert run(command, cfg, out) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: unsupported statmap-dataset version 1, "
+        f"expected 2; file={dataset}; line=1; field=version\n")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command,doc", [("fit-map", BASE_CONFIG),
+                                         ("train-chart", CHART_CONFIG)])
 def test_exit_2_power_samples_that_overflow_the_capacity(tmp_path, capsys,
                                                         command, doc):
     # a finite power of 1e308 passes the loader, but power / noise_power
@@ -666,7 +769,7 @@ def test_exit_2_power_samples_that_overflow_the_capacity(tmp_path, capsys,
     dataset = out / "dataset.jsonl"
     lines = dataset.read_text().splitlines()
     row = json.loads(lines[3])
-    set_value(("power_samples", 5), 1e308)(row)
+    set_power(5, 1e308)(row)
     lines[3] = json.dumps(row)
     dataset.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -939,7 +1042,21 @@ def test_exit_2_non_finite_map_hyperparameter(tmp_path, capsys):
     out = tmp_path / "out"
     assert run("select-rate", select_rate_config(tmp_path, map_path), out) == 2
     assert not (out / "rates.csv").exists()
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.endswith(f"; file={map_path}\n")
+
+
+def test_exit_2_map_length_scale_whose_square_overflows(tmp_path, capsys):
+    map_path = small_map(tmp_path)
+    doc = json.loads(map_path.read_text())
+    doc["hyper"]["length_scale"] = 1e155
+    map_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("select-rate", select_rate_config(tmp_path, map_path), out) == 2
+    assert not (out / "rates.csv").exists()
+    assert capsys.readouterr().err == (
+        "configuration error: bad map document: length_scale ** 2 must be "
+        f"finite, got 1e+155; file={map_path}\n")
 
 
 def test_exit_2_map_hyperparameters_whose_sum_overflows(tmp_path, capsys):
@@ -953,8 +1070,8 @@ def test_exit_2_map_hyperparameters_whose_sum_overflows(tmp_path, capsys):
     assert run("select-rate", select_rate_config(tmp_path, map_path), out) == 2
     assert not (out / "rates.csv").exists()
     assert capsys.readouterr().err == (
-        "configuration error: signal_var + noise_var must be finite, got "
-        "1e+308 + 1e+308\n")
+        "configuration error: bad map document: signal_var + noise_var must "
+        f"be finite, got 1e+308 + 1e+308; file={map_path}\n")
 
 
 FAR_APART = ("configuration error: training coordinates lie too far apart: "
@@ -998,7 +1115,9 @@ def test_exit_2_map_coordinates_whose_distances_overflow(tmp_path, capsys):
         assert run("select-rate", select_rate_config(tmp_path, map_path),
                    out) == 2
     assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == FAR_APART
+    assert capsys.readouterr().err == (
+        "configuration error: bad map document: training coordinates lie too "
+        f"far apart: their squared distances overflow; file={map_path}\n")
     assert not (out / "rates.csv").exists()
 
 

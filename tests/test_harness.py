@@ -92,8 +92,73 @@ def test_dataset_roundtrip_lossless(tmp_path):
     for a, b in zip(ds.records, back.records):
         assert a.user_id == b.user_id
         assert a.location == b.location
-        np.testing.assert_array_equal(a.power_samples, b.power_samples)
-        np.testing.assert_array_equal(a.csi, b.csi)
+        assert a.power_samples.tobytes() == b.power_samples.tobytes()
+        assert a.csi.shape == b.csi.shape
+        assert a.csi.tobytes() == b.csi.tobytes()
+
+
+def test_dataset_roundtrip_bit_exact_edge_values(tmp_path):
+    tiny = np.finfo(float).smallest_subnormal
+    powers = np.array([0.0, -0.0, tiny, 3 * tiny, np.finfo(float).tiny / 2,
+                       np.finfo(float).max, 1 / 3, 1e-300])
+    rng = np.random.default_rng(3)
+    csi = rng.normal(size=(16, 32)) + 1j * rng.normal(size=(16, 32))
+    csi[0, :3] = [complex(-0.0, tiny), complex(tiny, -0.0), -0.0]
+    ds = Dataset(records=[
+        UserRecord(user_id=7, location=Location(-1.5, 2.25, 1.5),
+                   power_samples=powers, csi=csi),
+        # strided and column-major arrays are written in row-major order
+        UserRecord(user_id=8, location=None, power_samples=powers[::-1],
+                   csi=np.asfortranarray(csi[::-1]))])
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    save_dataset(ds, first)
+    save_dataset(ds, second)
+    assert first.read_bytes() == second.read_bytes()
+    back = load_dataset(first)
+    for a, b in zip(ds.records, back.records):
+        assert (a.user_id, a.location) == (b.user_id, b.location)
+        assert b.power_samples.dtype == np.float64
+        assert a.power_samples.tobytes() == b.power_samples.tobytes()
+        assert b.csi.dtype == np.complex128 and b.csi.shape == (16, 32)
+        assert a.csi.tobytes() == b.csi.tobytes()
+
+
+def test_dataset_load_holds_one_line_at_a_time(tmp_path):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "d.jsonl"
+    save_dataset(Dataset(records=[
+        UserRecord(user_id=i, location=Location(float(i), 0.0, 1.5),
+                   power_samples=rng.exponential(size=2000),
+                   csi=rng.normal(size=(8, 64)) + 1j * rng.normal(size=(8, 64)))
+        for i in range(200)]), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(r.power_samples.nbytes + r.csi.nbytes for r in back.records)
+    # 4.8 MB of arrays from a 6.5 MB file; holding the file's bytes, or a
+    # list of its lines, at once would add the file's size to the peak
+    assert peak < kept + size / 4
+
+
+def test_dataset_errors_name_the_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    save_dataset(small_dataset(), path)
+    header, *rows = path.read_bytes().splitlines()
+    bad = rows[2].replace(b'"user_id":', b'"user_i":')
+    # CRLF, a blank line and a lone CR each end a line
+    path.write_bytes(header + b"\r\n" + rows[0] + b"\n\n" + rows[1] + b"\r"
+                     + bad + b"\n" + rows[3] + b"\n")
+    with pytest.raises(ParseError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == (f"bad dataset record: 'user_id'; file={path}; "
+                              "line=5")
+    path.write_bytes(b"")
+    with pytest.raises(ParseError, match="empty dataset file"):
+        load_dataset(path)
 
 
 def test_dataset_truncated_file(tmp_path):
