@@ -20,7 +20,7 @@ from numbers import Integral
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from ._threads import helper_pool, start
+from ._threads import shared_pool, start
 from .errors import ConfigurationError, DegenerateInputError, TrainingError
 from .stats import wasserstein1
 
@@ -372,35 +372,35 @@ def train(model: ChartModel, triplets, features, *, margin: float = 1.0,
     buffers = [np.empty((3 * min(batch_size, len(idx)), d))
                for d in model.layer_dims]
     trace = []
-    with helper_pool() as pool:
-        for epoch in range(epochs):
-            order = rng.permutation(len(idx))
-            total, count = 0.0, 0
-            for start in range(0, len(order), batch_size):
-                chunk = idx[order[start:start + batch_size]]
-                loss, gw, gb = _batch_loss_and_grads(
-                    weights, biases, feats, chunk[:, 0], chunk[:, 1],
-                    chunk[:, 2], margin, buffers, pool)
-                if not math.isfinite(loss):
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, batch "
-                        f"{start // batch_size}")
-                total += loss * len(chunk)
-                count += len(chunk)
-                # a batch without gradients still takes its momentum step;
-                # the step runs in place, as the gradients are fresh arrays
-                # of this batch and the weights are train's own copies
-                for i in range(len(weights)):
-                    vel_w[i] *= MOMENTUM
-                    vel_b[i] *= MOMENTUM
-                    if gw is not None:
-                        gw[i] *= step_size
-                        gb[i] *= step_size
-                        vel_w[i] -= gw[i]
-                        vel_b[i] -= gb[i]
-                    weights[i] += vel_w[i]
-                    biases[i] += vel_b[i]
-            trace.append(total / count)
+    pool = shared_pool()
+    for epoch in range(epochs):
+        order = rng.permutation(len(idx))
+        total, count = 0.0, 0
+        for start in range(0, len(order), batch_size):
+            chunk = idx[order[start:start + batch_size]]
+            loss, gw, gb = _batch_loss_and_grads(
+                weights, biases, feats, chunk[:, 0], chunk[:, 1],
+                chunk[:, 2], margin, buffers, pool)
+            if not math.isfinite(loss):
+                raise TrainingError(
+                    f"non-finite loss at epoch {epoch}, batch "
+                    f"{start // batch_size}")
+            total += loss * len(chunk)
+            count += len(chunk)
+            # a batch without gradients still takes its momentum step;
+            # the step runs in place, as the gradients are fresh arrays
+            # of this batch and the weights are train's own copies
+            for i in range(len(weights)):
+                vel_w[i] *= MOMENTUM
+                vel_b[i] *= MOMENTUM
+                if gw is not None:
+                    gw[i] *= step_size
+                    gb[i] *= step_size
+                    vel_w[i] -= gw[i]
+                    vel_b[i] -= gb[i]
+                weights[i] += vel_w[i]
+                biases[i] += vel_b[i]
+        trace.append(total / count)
     return TrainResult(
         model=ChartModel(weights=tuple(weights), biases=tuple(biases)),
         epoch_losses=trace)

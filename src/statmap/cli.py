@@ -253,8 +253,8 @@ def cmd_select_rate(doc, seed, out_dir, full):
     rates = select_rate_map(predict(load_map(map_path), queries), delta)
     path = os.path.join(out_dir, "rates.csv")
     write_csv(path, ["x", "y", "rate", "policy"],
-              zip(queries[:, 0], queries[:, 1], rates,
-                  [POLICY_MAP] * len(queries)))
+              zip(queries[:, 0].tolist(), queries[:, 1].tolist(),
+                  rates.tolist(), [POLICY_MAP] * len(queries)))
     print(f"wrote {path} ({len(queries)} queries, delta={delta:g})")
     return [path]
 

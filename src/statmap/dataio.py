@@ -342,6 +342,8 @@ def write_csv(path, header: list, rows) -> None:
 
 
 def _fmt(v) -> str:
+    if type(v) is float:        # the common case, ahead of the checks below
+        return repr(v)
     if isinstance(v, str):
         return v
     if isinstance(v, (bool, np.bool_)):

@@ -15,7 +15,10 @@ then reduced in start order, so the fit is the same whatever the thread
 count. A fitted map is immutable: it freezes the Cholesky factor of
 K + nugget*I and the solved weight vector, and prediction is pure linear
 algebra: a batch of queries costs one cross-kernel product and one
-triangular solve with a right-hand side per query.
+triangular solve with a right-hand side per query. Prediction splits the
+batch into blocks of PREDICT_CHUNK queries that run concurrently, their
+solves also through the shim; each block writes its own slice of the
+moments, so they are the same whatever the thread count.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cython_lapack, solve_triangular
+from scipy.linalg import cython_lapack
 from scipy.optimize import minimize
 
 from ._threads import map_in_order
@@ -45,7 +48,7 @@ __all__ = [
 
 LOG2PI = math.log(2.0 * math.pi)
 JITTER_REL = 1e-9  # relative jitter when a noise-free Cholesky fails
-PREDICT_CHUNK = 128  # queries per triangular solve; bounds memory to n * chunk
+PREDICT_CHUNK = 64  # queries per block and solve; memory n * chunk per thread
 FAILED_NEG_LML = 1e12  # search objective where the kernel does not factor
 FIT_MAX_EVALUATIONS = 400  # L-BFGS-B objective evaluations per start
 
@@ -221,16 +224,19 @@ _dpotrs = _lapack("dpotrs", _CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT,
                   _INT)
 _dpotri = _lapack("dpotri", _CHAR, _INT, _ARRAY, _INT, _INT)
 _dlaset = _lapack("dlaset", _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _ARRAY, _INT)
+_dtrtrs = _lapack("dtrtrs", _CHAR, _CHAR, _CHAR, _INT, _INT, _ARRAY, _INT,
+                  _ARRAY, _INT, _INT)
 
 
-def _address(a: np.ndarray, shape: tuple) -> int:
-    """Address of a, which must be a writeable F-ordered float64 array of
-    the given shape, as LAPACK reads and writes it in place."""
+def _address(a: np.ndarray, shape: tuple, written: bool = True) -> int:
+    """Address of a, which must be an F-ordered float64 array of the given
+    shape, and writeable where LAPACK writes it in place (written)."""
     if not (a.shape == shape and a.dtype == np.float64
-            and a.flags.f_contiguous and a.flags.writeable):
+            and a.flags.f_contiguous and (a.flags.writeable or not written)):
+        kind = "writeable F-ordered" if written else "F-ordered"
         raise ValueError(
-            f"LAPACK needs a writeable F-ordered float64 array of shape "
-            f"{shape}, got {a.dtype} {a.shape}")
+            f"LAPACK needs a {kind} float64 array of shape {shape}, got "
+            f"{a.dtype} {a.shape}")
     return a.ctypes.data
 
 
@@ -257,9 +263,22 @@ def _potrs(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``cho_solve((low, True), b)`` for one right-hand side."""
     x = np.array(b, dtype=float)
     n, one, info = ctypes.c_int(len(low)), ctypes.c_int(1), ctypes.c_int()
-    _dpotrs(b"L", n, one, _address(low, (n.value, n.value)), n,
-            _address(x, (n.value,)), n, info)
+    _dpotrs(b"L", n, one, _address(low, (n.value, n.value), written=False),
+            n, _address(x, (n.value,)), n, info)
     return x
+
+
+def _trtrs(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """low^-1 b in place of b, an (n, k) F-ordered array, from low, an
+    (n, n) lower triangle that is only read: ``solve_triangular(low, b,
+    lower=True)`` bit for bit. A factor that ``_potrf`` accepted has a
+    positive diagonal, so LAPACK's info is always 0 here."""
+    n, k = ctypes.c_int(len(low)), ctypes.c_int(b.shape[-1])
+    info = ctypes.c_int()
+    _dtrtrs(b"L", b"N", b"N", n, k,
+            _address(low, (n.value, n.value), written=False), n,
+            _address(b, (n.value, k.value)), n, info)
+    return b
 
 
 def _potri(low: np.ndarray) -> int:
@@ -483,12 +502,16 @@ def predict(fmap: FittedMap, queries) -> PredictiveDistribution:
     """Posterior at each query point, as arrays of means and variances in
     query order.
 
-    Queries are evaluated in chunks of up to ``PREDICT_CHUNK``: per chunk,
-    the (n, chunk) cross-kernel, its product with the weight vector, and one
-    triangular solve with a column per query, so memory stays O(n * chunk)
-    whatever the batch size; one point [x, y] is a batch of one.
-    BLAS solves many columns in other blocks than one, so a query's moments
-    may differ from those of the same query in a batch of another size by
+    Queries are evaluated in blocks of up to ``PREDICT_CHUNK``, on up to
+    one thread per usable CPU (``map_in_order``): per block, the (n, block)
+    cross-kernel, its product with the weight vector, and one triangular
+    solve with a column per query (``_trtrs``, without the interpreter
+    lock), each written to the block's own slice of the results. Memory
+    stays O(n * block) per thread whatever the batch size; one point
+    [x, y] is a batch of one. A block's bits do not depend on the thread
+    that runs it, so the moments do not depend on the CPU count. BLAS
+    solves many columns in other blocks than one, so a query's moments may
+    differ from those of the same query in a batch of another size by
     ~1e-14. The frozen factor was checked finite when it was made and is
     not scanned again; the queries are, and non-finite ones raise
     ConfigurationError.
@@ -500,12 +523,17 @@ def predict(fmap: FittedMap, queries) -> PredictiveDistribution:
         raise ConfigurationError("queries must be finite")
     hyper = fmap.hyper
     means, variances = np.empty(len(q)), np.empty(len(q))
-    for start in range(0, len(q), PREDICT_CHUNK):
-        chunk = slice(start, start + PREDICT_CHUNK)
-        kx = _covariance(_sq_dists(fmap.train.coords, q[chunk]), hyper,
+
+    def moments(start):
+        block = slice(start, start + PREDICT_CHUNK)
+        kx = _covariance(_sq_dists(fmap.train.coords, q[block]), hyper,
                          with_nugget=False)
-        means[chunk] = hyper.prior_mean + fmap.alpha @ kx
-        v = solve_triangular(fmap.chol, kx, lower=True, check_finite=False)
-        variances[chunk] = hyper.signal_var - np.einsum("ij,ij->j", v, v)
+        # the product with the C-ordered kernel, whose bits the F-ordered
+        # copy that LAPACK solves in place would not give
+        means[block] = hyper.prior_mean + fmap.alpha @ kx
+        v = _trtrs(fmap.chol, np.asfortranarray(kx))
+        variances[block] = hyper.signal_var - np.einsum("ij,ij->j", v, v)
+
+    map_in_order(moments, range(0, len(q), PREDICT_CHUNK))
     return PredictiveDistribution(mean=means,
                                   variance=np.maximum(variances, 0.0))

@@ -147,3 +147,25 @@ def test_write_csv_row_error_leaves_the_new_prefix_alone(tmp_path):
     with pytest.raises(RuntimeError, match="row failed"):
         write_csv(path, ["i", "v"], rows())
     assert path.read_text() == "i,v\n1,0.5\n2,1.5\n"
+
+
+def old_fmt(v) -> str:
+    """The CSV cell formatter before its float fast path."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def test_csv_cells_keep_the_bytes_of_the_checked_formatter(tmp_path):
+    cells = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+             0.1, 1e308, 3, -7, 2 ** 70, True, False, np.True_,
+             np.float64(0.1), np.float64(-0.0), np.float32(0.1), np.int64(-4),
+             np.uint8(200), "map", ""]
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["v"], [(v,) for v in cells])
+    assert path.read_bytes() == "".join(
+        ["v\n"] + [old_fmt(v) + "\n" for v in cells]).encode()

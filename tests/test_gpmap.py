@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky, lapack
+from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 from scipy.optimize import minimize
 
 import statmap.gpmap as gm
@@ -600,6 +600,36 @@ def test_lapack_shim_refuses_arrays_it_would_misread():
             gm._potrs(low, rhs)
 
 
+def test_triangular_solve_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(52)
+    n = 301
+    a = rng.normal(size=(n, n))
+    low = np.array(cholesky(a @ a.T + n * np.eye(n), lower=True), order="F")
+    low.flags.writeable = False     # a map's factor is read-only
+    b = rng.normal(size=(n, PREDICT_CHUNK))
+    want = solve_triangular(low, b, lower=True)
+    x = np.asfortranarray(b)
+    assert gm._trtrs(low, x) is x
+    assert x.tobytes() == want.tobytes()
+
+
+def test_triangular_solve_refuses_arrays_it_would_misread():
+    low = np.asfortranarray(np.tril(np.eye(3) + 0.5))
+    rhs = np.ones((3, 2), order="F")
+    for bad_low in (np.ascontiguousarray(low),            # C-ordered
+                    np.asfortranarray(low[:, :2])):       # not square
+        with pytest.raises(ValueError, match="F-ordered float64"):
+            gm._trtrs(bad_low, rhs)
+    for bad_rhs in (np.ones((2, 2), order="F"),           # too few rows
+                    np.ones((3, 2))):                     # C-ordered
+        with pytest.raises(ValueError, match=r"shape \(3, 2\)"):
+            gm._trtrs(low, bad_rhs)
+    rhs.flags.writeable = False
+    with pytest.raises(ValueError, match="writeable F-ordered"):
+        gm._trtrs(low, rhs)
+    assert (rhs == 1.0).all()
+
+
 def test_lapack_shim_reports_an_indefinite_kernel():
     # the kernel of test_workspace_lml_raises_where_the_kernel_does_not_factor
     train, _ = random_train(40, np.random.default_rng(3))
@@ -904,6 +934,20 @@ def test_predict_batch_matches_dense_inverse(batch_size):
         mean, var = dense_posterior(h, train, q)
         assert got_mean == pytest.approx(mean, abs=1e-8)
         assert got_var == pytest.approx(var, abs=1e-8)
+
+
+@pytest.mark.parametrize("batch_size", [1, 63, 64, 65, 128, 2051])
+def test_predict_bytes_do_not_depend_on_cpu_count(monkeypatch, batch_size):
+    rng = np.random.default_rng(12)
+    train, _ = random_train(400, rng)
+    fmap = build_map(train, Hyperparams(0.4, 1.3, 1.1, 0.08))
+    queries = rng.uniform(-6, 6, size=(batch_size, 2))
+    got = []
+    for cpus in (1, 2, 4):
+        usable_cpus(monkeypatch, cpus)
+        pred = predict(fmap, queries)
+        got.append((pred.mean.tobytes(), pred.variance.tobytes()))
+    assert got[1] == got[0] and got[2] == got[0]
 
 
 def test_cholesky_posterior_matches_dense_inverse():
