@@ -86,9 +86,9 @@ def map_in_order(work, items: list) -> list:
     over the threads however long each takes; results come back in item
     order. After an item raises, no thread takes another, and the error of
     the lowest item that raised is raised here, as the inline loop would."""
-    pool = shared_pool()
     helpers = min(len(items), _worker_count()) - 1
-    if pool is None or helpers < 1:
+    pool = shared_pool() if helpers > 0 else None
+    if pool is None:
         return [work(item) for item in items]
     results, errors = [None] * len(items), {}
     indices, take = iter(range(len(items))), threading.Lock()
