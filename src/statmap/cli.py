@@ -295,19 +295,22 @@ COMMANDS = {
 }
 
 
+# Built once per process: parsing leaves it as it was.
+_PARSER = argparse.ArgumentParser(
+    prog="statmap",
+    description="Statistical radio maps for URLLC rate selection")
+_PARSER.add_argument("command", choices=sorted(COMMANDS))
+_PARSER.add_argument("--config", required=True, help="JSON config file")
+_PARSER.add_argument("--seed", type=int, default=None,
+                     help="root seed (overrides the config's seed)")
+_PARSER.add_argument("--out", default=".", help="output directory")
+_PARSER.add_argument("--full", action="store_true",
+                     help="headline operating point (epsilon=delta=1e-3; "
+                     "5000 training users in chart mode)")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="statmap",
-        description="Statistical radio maps for URLLC rate selection")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="root seed (overrides the config's seed)")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--full", action="store_true",
-                        help="headline operating point (epsilon=delta=1e-3; "
-                        "5000 training users in chart mode)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     start = time.perf_counter()
     try:

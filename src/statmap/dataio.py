@@ -279,16 +279,18 @@ _last_map: list[tuple] = []
 
 
 def load_map(path) -> FittedMap:
-    """Rebuilds the Cholesky factor and verifies the stored kernel checksum.
+    """Rebuilds the inverse Cholesky factor and verifies the stored kernel
+    checksum.
 
     The file is read once per call, and its bytes are compared in full with
     those of the last map this process loaded from the same path. When they
     are equal, that map is returned: it passed every check below for these
     exact bytes, and its arrays are read-only. Otherwise the remembered map
     is dropped first, so that a load never holds two factors, and the kernel
-    matrix is built once, hashed, then factored once. A load that raises is
-    not remembered. Between loads the process keeps one map alive: its n x n
-    factor (8 MB at n = 1000) and the file's bytes.
+    matrix is built once, hashed, then factored once and the factor inverted
+    once in place (``build_map``). A load that raises is not remembered.
+    Between loads the process keeps one map alive: its n x n inverse factor
+    (8 MB at n = 1000) and the file's bytes.
     """
     data = _read_bytes(path)
     if _last_map and _last_map[0][:2] == (path, data):

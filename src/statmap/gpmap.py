@@ -10,15 +10,17 @@ each start gets its own two-array workspace for the kernel and its factor,
 so an evaluation allocates nothing n x n. The starts run concurrently, one
 thread per start up to the usable CPUs: an evaluation factors, solves and
 inverts through LAPACK routines called without the interpreter lock (a
-small ctypes shim over scipy's cython_lapack). The starts' best points are
-then reduced in start order, so the fit is the same whatever the thread
-count. A fitted map is immutable: it freezes the Cholesky factor of
-K + nugget*I and the solved weight vector, and prediction is pure linear
-algebra: a batch of queries costs one cross-kernel product and one
-triangular solve with a right-hand side per query. Prediction splits the
-batch into blocks of PREDICT_CHUNK queries that run concurrently, their
-solves also through the shim; each block writes its own slice of the
-moments, so they are the same whatever the thread count.
+small ctypes shim over scipy's cython_lapack and cython_blas). The starts'
+best points are then reduced in start order, so the fit is the same
+whatever the thread count. A fitted map is immutable: it freezes the
+inverse of the Cholesky factor L of K + nugget*I, inverted once when the
+map is built, and the solved weight vector, and prediction is pure linear
+algebra: a batch of queries costs one cross-kernel product with the
+weights and one triangular product v = L^-1 k* with a column per query,
+in place of the slower forward substitution (GPML Alg. 2.1). Prediction
+splits the batch into blocks of PREDICT_CHUNK queries that run
+concurrently, their products also through the shim; each block writes its
+own slice of the moments, so they are the same whatever the thread count.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cython_lapack
+from scipy.linalg import cython_blas, cython_lapack
 from scipy.optimize import minimize
 
 from ._threads import map_in_order
@@ -153,7 +155,8 @@ class FittedMap:
 
     hyper: Hyperparams
     train: TrainingSet
-    chol: np.ndarray            # lower-triangular factor of K + noise_var*I
+    chol_inv: np.ndarray        # inverse of the lower Cholesky factor of
+                                # K + noise_var*I, lower-triangular
     alpha: np.ndarray           # (K + noise_var*I)^-1 (y - m0)
     diagnostics: FitDiagnostics
 
@@ -197,11 +200,12 @@ def kernel_matrix(coords: np.ndarray, hyper: Hyperparams) -> np.ndarray:
     return _covariance(_sq_dists(coords, coords), hyper, with_nugget=True)
 
 
-# Every factorization and solve of a kernel goes through this shim. scipy's
-# f2py LAPACK wrappers hold the interpreter lock while they run, so
-# concurrent starts would factor one after the other. The same routines,
-# taken from cython_lapack's table of function pointers and called through
-# ctypes, which releases the lock, compute the same bits.
+# Every factorization, solve and product with a kernel's factor goes
+# through this shim. scipy's f2py LAPACK and BLAS wrappers hold the
+# interpreter lock while they run, so concurrent starts would factor one
+# after the other. The same routines, taken from cython_lapack's and
+# cython_blas's tables of function pointers and called through ctypes,
+# which releases the lock, compute the same bits.
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi))
 _capsule_pointer = ctypes.PYFUNCTYPE(
@@ -209,23 +213,27 @@ _capsule_pointer = ctypes.PYFUNCTYPE(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 _CHAR, _ARRAY = ctypes.c_char_p, ctypes.c_void_p
 _INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-_ZERO = ctypes.c_double(0.0)
+_ZERO, _ONE = ctypes.c_double(0.0), ctypes.c_double(1.0)
 
 
-def _lapack(name: str, *argtypes):
-    """The cython_lapack routine name as a ctypes function."""
-    capsule = cython_lapack.__pyx_capi__[name]
+def _routine(module, name: str, *argtypes):
+    """The routine name of module (cython_lapack or cython_blas) as a
+    ctypes function."""
+    capsule = module.__pyx_capi__[name]
     return ctypes.CFUNCTYPE(None, *argtypes)(
         _capsule_pointer(capsule, _capsule_name(capsule)))
 
 
-_dpotrf = _lapack("dpotrf", _CHAR, _INT, _ARRAY, _INT, _INT)
-_dpotrs = _lapack("dpotrs", _CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT,
-                  _INT)
-_dpotri = _lapack("dpotri", _CHAR, _INT, _ARRAY, _INT, _INT)
-_dlaset = _lapack("dlaset", _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _ARRAY, _INT)
-_dtrtrs = _lapack("dtrtrs", _CHAR, _CHAR, _CHAR, _INT, _INT, _ARRAY, _INT,
-                  _ARRAY, _INT, _INT)
+_dpotrf = _routine(cython_lapack, "dpotrf", _CHAR, _INT, _ARRAY, _INT, _INT)
+_dpotrs = _routine(cython_lapack, "dpotrs", _CHAR, _INT, _INT, _ARRAY, _INT,
+                   _ARRAY, _INT, _INT)
+_dpotri = _routine(cython_lapack, "dpotri", _CHAR, _INT, _ARRAY, _INT, _INT)
+_dtrtri = _routine(cython_lapack, "dtrtri", _CHAR, _CHAR, _INT, _ARRAY, _INT,
+                   _INT)
+_dlaset = _routine(cython_lapack, "dlaset", _CHAR, _INT, _INT, _DOUBLE,
+                   _DOUBLE, _ARRAY, _INT)
+_dtrmm = _routine(cython_blas, "dtrmm", _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT,
+                  _DOUBLE, _ARRAY, _INT, _ARRAY, _INT)
 
 
 def _address(a: np.ndarray, shape: tuple, written: bool = True) -> int:
@@ -235,8 +243,8 @@ def _address(a: np.ndarray, shape: tuple, written: bool = True) -> int:
             and a.flags.f_contiguous and (a.flags.writeable or not written)):
         kind = "writeable F-ordered" if written else "F-ordered"
         raise ValueError(
-            f"LAPACK needs a {kind} float64 array of shape {shape}, got "
-            f"{a.dtype} {a.shape}")
+            f"LAPACK and BLAS need a {kind} float64 array of shape "
+            f"{shape}, got {a.dtype} {a.shape}")
     return a.ctypes.data
 
 
@@ -268,16 +276,24 @@ def _potrs(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _trtrs(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """low^-1 b in place of b, an (n, k) F-ordered array, from low, an
-    (n, n) lower triangle that is only read: ``solve_triangular(low, b,
-    lower=True)`` bit for bit. A factor that ``_potrf`` accepted has a
-    positive diagonal, so LAPACK's info is always 0 here."""
-    n, k = ctypes.c_int(len(low)), ctypes.c_int(b.shape[-1])
-    info = ctypes.c_int()
-    _dtrtrs(b"L", b"N", b"N", n, k,
-            _address(low, (n.value, n.value), written=False), n,
-            _address(b, (n.value, k.value)), n, info)
+def _trtri(low: np.ndarray) -> np.ndarray:
+    """low^-1 in place of low, an (n, n) lower triangle whose strict upper
+    triangle is zero and stays so: ``lapack.dtrtri(low, lower=1)`` bit for
+    bit. A factor that ``_potrf`` accepted has a positive diagonal, so
+    LAPACK's info is always 0 here."""
+    n, info = ctypes.c_int(len(low)), ctypes.c_int()
+    _dtrtri(b"L", b"N", n, _address(low, (n.value, n.value)), n, info)
+    return low
+
+
+def _trmm(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """inv b in place of b, an (n, k) F-ordered array, from inv, an (n, n)
+    lower triangle that is only read: ``blas.dtrmm(1.0, inv, b,
+    lower=1)`` bit for bit."""
+    n, k = ctypes.c_int(len(inv)), ctypes.c_int(b.shape[-1])
+    _dtrmm(b"L", b"L", b"N", b"N", n, k, _ONE,
+           _address(inv, (n.value, n.value), written=False), n,
+           _address(b, (n.value, k.value)), n)
     return b
 
 
@@ -479,9 +495,11 @@ def build_map(train: TrainingSet, hyper: Hyperparams,
     """Freeze a map at fixed hyperparameters (no optimization).
 
     ``k`` is ``kernel_matrix(train.coords, hyper)``, when the caller already
-    holds it; the kernel is factored once and the log marginal likelihood
-    comes from that factor. The factor and the weight vector are read-only,
-    like the training arrays, so one map can be shared by many callers.
+    holds it; the kernel is factored once, and the weight vector and the
+    log marginal likelihood come from that factor. The factor is then
+    inverted in place (``_trtri``), so the map holds one n x n array. The
+    inverse factor and the weight vector are read-only, like the training
+    arrays, so one map can be shared by many callers.
     """
     if hyper.noise_var == 0.0 and train.has_duplicates():
         raise ConfigurationError(
@@ -491,11 +509,12 @@ def build_map(train: TrainingSet, hyper: Hyperparams,
     low, jit = _cholesky_with_jitter(k, np.empty(k.shape), hyper)
     r = train.targets - hyper.prior_mean
     alpha = _potrs(low, r)
-    low.flags.writeable = False
+    lml = _lml_from_factor(low, r, alpha)
+    inv = _trtri(low)
+    inv.flags.writeable = False
     alpha.flags.writeable = False
-    return FittedMap(hyper=hyper, train=train, chol=low, alpha=alpha,
-                     diagnostics=FitDiagnostics(_lml_from_factor(low, r, alpha),
-                                                0, 0, True, jit))
+    return FittedMap(hyper=hyper, train=train, chol_inv=inv, alpha=alpha,
+                     diagnostics=FitDiagnostics(lml, 0, 0, True, jit))
 
 
 def predict(fmap: FittedMap, queries) -> PredictiveDistribution:
@@ -504,17 +523,22 @@ def predict(fmap: FittedMap, queries) -> PredictiveDistribution:
 
     Queries are evaluated in blocks of up to ``PREDICT_CHUNK``, on up to
     one thread per usable CPU (``map_in_order``): per block, the (n, block)
-    cross-kernel, its product with the weight vector, and one triangular
-    solve with a column per query (``_trtrs``, without the interpreter
-    lock), each written to the block's own slice of the results. Memory
-    stays O(n * block) per thread whatever the batch size; one point
-    [x, y] is a batch of one. A block's bits do not depend on the thread
-    that runs it, so the moments do not depend on the CPU count. BLAS
-    solves many columns in other blocks than one, so a query's moments may
-    differ from those of the same query in a batch of another size by
-    ~1e-14. The frozen factor was checked finite when it was made and is
-    not scanned again; the queries are, and non-finite ones raise
-    ConfigurationError.
+    cross-kernel, formed F-ordered, its product with the weight vector, and
+    then its product with the inverse factor in place of it (``_trmm``,
+    without the interpreter lock), each written to the block's own slice of
+    the results. Memory stays O(n * block) per thread whatever the batch
+    size; one point [x, y] is a batch of one. A block's bits do not depend
+    on the thread that runs it, so the moments do not depend on the CPU
+    count. BLAS multiplies many columns in other blocks than one, so a
+    query's moments may differ from those of the same query in a batch of
+    another size by ~1e-14. On a well-conditioned map the product is as
+    accurate as forward substitution with the factor. On an ill-conditioned
+    one (points 1e-7 apart, a nugget of 1e-9 signal_var), the variances
+    next to the data err up to ~2e-13 signal_var, where forward
+    substitution errs ~1e-15; the factor's own rounding already makes
+    errors of ~1e-12 signal_var away from the data. The frozen inverse
+    factor was made from a factor checked finite and is not scanned again;
+    the queries are, and non-finite ones raise ConfigurationError.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.ndim != 2 or q.shape[1] != 2:
@@ -526,12 +550,12 @@ def predict(fmap: FittedMap, queries) -> PredictiveDistribution:
 
     def moments(start):
         block = slice(start, start + PREDICT_CHUNK)
-        kx = _covariance(_sq_dists(fmap.train.coords, q[block]), hyper,
+        # the (n, block) cross-kernel as the F-ordered transpose of the
+        # (block, n) one: the same distances, bit for bit
+        kx = _covariance(_sq_dists(q[block], fmap.train.coords).T, hyper,
                          with_nugget=False)
-        # the product with the C-ordered kernel, whose bits the F-ordered
-        # copy that LAPACK solves in place would not give
-        means[block] = hyper.prior_mean + fmap.alpha @ kx
-        v = _trtrs(fmap.chol, np.asfortranarray(kx))
+        means[block] = hyper.prior_mean + fmap.alpha @ kx   # before _trmm
+        v = _trmm(fmap.chol_inv, kx)                        # overwrites kx
         variances[block] = hyper.signal_var - np.einsum("ij,ij->j", v, v)
 
     map_in_order(moments, range(0, len(q), PREDICT_CHUNK))

@@ -243,6 +243,31 @@ def test_mismatch_demo_exits_3_where_the_exact_oracle_fails(
 
 # ---------------------------------------------------------------- exit codes
 
+def test_main_parses_every_call_with_the_one_parser(tmp_path, capsys,
+                                                   monkeypatch):
+    # no call builds a parser of its own; usage errors still exit 2 with
+    # argparse's message, and every call parses its own arguments
+    import argparse
+
+    monkeypatch.setattr(argparse, "ArgumentParser", None)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command", "--config", "cfg.json"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: statmap ")
+        assert "statmap: error: argument command: invalid choice: " \
+            "'no-such-command'" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "statmap: error: the following arguments are required: "
+            "--config\n")
+        assert run("simulate", str(tmp_path / "nope.json"), tmp_path) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 def test_exit_2_missing_config(tmp_path):
     assert run("simulate", str(tmp_path / "nope.json"), tmp_path) == 2
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
+from scipy.linalg import blas, cho_solve, cholesky, lapack, solve_triangular
 from scipy.optimize import minimize
 
 import statmap.gpmap as gm
@@ -224,8 +224,8 @@ def test_jitter_rescues_noise_free_near_duplicates():
 
 @pytest.mark.parametrize("kind", ["nugget", "noise-free-jitter"])
 def test_build_map_factors_and_solves_as_scipy_bit_for_bit(kind):
-    # the map's factor and weights, pinned to scipy's cholesky and
-    # cho_solve; noise-free near-duplicates take the jitter retry
+    # the map's inverse factor and weights, pinned to scipy's cholesky,
+    # dtrtri and cho_solve; noise-free near-duplicates take the jitter retry
     if kind == "nugget":
         train, hyper = prior_train(47, 200, TRUTH), TRUTH
     else:
@@ -239,8 +239,10 @@ def test_build_map_factors_and_solves_as_scipy_bit_for_bit(kind):
     want = cholesky(k, lower=True)
     fmap = build_map(train, hyper)
     assert fmap.diagnostics.jitter_applied == (kind == "noise-free-jitter")
-    assert fmap.chol.flags.f_contiguous and want.flags.f_contiguous
-    assert fmap.chol.tobytes(order="F") == want.tobytes(order="F")
+    want_inv, info = lapack.dtrtri(want, lower=1)
+    assert info == 0
+    assert fmap.chol_inv.flags.f_contiguous and want_inv.flags.f_contiguous
+    assert fmap.chol_inv.tobytes(order="F") == want_inv.tobytes(order="F")
     want_alpha = cho_solve((want, True), train.targets - hyper.prior_mean)
     assert fmap.alpha.tobytes() == want_alpha.tobytes()
 
@@ -301,7 +303,7 @@ def test_fitted_map_arrays_are_read_only():
     train, noise = random_train(20, rng)
     for fmap in (build_map(train, replace(HYPER, noise_var=noise)),
                  fit(train, restarts=1, seed=0)):
-        for array in (fmap.chol, fmap.alpha):
+        for array in (fmap.chol_inv, fmap.alpha):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -600,33 +602,48 @@ def test_lapack_shim_refuses_arrays_it_would_misread():
             gm._potrs(low, rhs)
 
 
-def test_triangular_solve_equals_scipy_bit_for_bit():
+def test_triangular_inverse_and_product_equal_scipy_bit_for_bit():
     rng = np.random.default_rng(52)
     n = 301
     a = rng.normal(size=(n, n))
     low = np.array(cholesky(a @ a.T + n * np.eye(n), lower=True), order="F")
-    low.flags.writeable = False     # a map's factor is read-only
+    want_inv, info = lapack.dtrtri(low, lower=1)
+    assert info == 0
+    assert gm._trtri(low) is low
+    assert np.all(np.triu(low, 1) == 0)
+    assert low.flags.f_contiguous
+    assert low.tobytes(order="F") == want_inv.tobytes(order="F")
+    low.flags.writeable = False     # a map's inverse factor is read-only
     b = rng.normal(size=(n, PREDICT_CHUNK))
-    want = solve_triangular(low, b, lower=True)
+    want = blas.dtrmm(1.0, low, b, lower=1)
     x = np.asfortranarray(b)
-    assert gm._trtrs(low, x) is x
-    assert x.tobytes() == want.tobytes()
+    assert gm._trmm(low, x) is x
+    assert x.tobytes(order="F") == want.tobytes(order="F")
 
 
-def test_triangular_solve_refuses_arrays_it_would_misread():
+def test_triangular_product_refuses_arrays_it_would_misread():
     low = np.asfortranarray(np.tril(np.eye(3) + 0.5))
+    for bad_low in (np.ascontiguousarray(low),            # C-ordered
+                    np.asfortranarray(low[:, :2])):       # not square
+        with pytest.raises(ValueError, match="F-ordered float64"):
+            gm._trtri(bad_low)
+    frozen = low.copy(order="F")
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="writeable F-ordered"):
+        gm._trtri(frozen)
+    assert frozen.tobytes() == low.tobytes()
     rhs = np.ones((3, 2), order="F")
     for bad_low in (np.ascontiguousarray(low),            # C-ordered
                     np.asfortranarray(low[:, :2])):       # not square
         with pytest.raises(ValueError, match="F-ordered float64"):
-            gm._trtrs(bad_low, rhs)
+            gm._trmm(bad_low, rhs)
     for bad_rhs in (np.ones((2, 2), order="F"),           # too few rows
                     np.ones((3, 2))):                     # C-ordered
         with pytest.raises(ValueError, match=r"shape \(3, 2\)"):
-            gm._trtrs(low, bad_rhs)
+            gm._trmm(low, bad_rhs)
     rhs.flags.writeable = False
     with pytest.raises(ValueError, match="writeable F-ordered"):
-        gm._trtrs(low, rhs)
+        gm._trmm(low, rhs)
     assert (rhs == 1.0).all()
 
 
@@ -715,7 +732,7 @@ def shared_best_fit(train, restarts, seed):
 
 def fit_bytes(fmap):
     hyper = fmap.hyper
-    return (fmap.chol.tobytes(), fmap.alpha.tobytes(),
+    return (fmap.chol_inv.tobytes(), fmap.alpha.tobytes(),
             np.array([hyper.prior_mean, hyper.signal_var, hyper.length_scale,
                       hyper.noise_var]).tobytes(),
             np.float64(fmap.diagnostics.log_marginal_likelihood).tobytes(),
@@ -948,6 +965,55 @@ def test_predict_bytes_do_not_depend_on_cpu_count(monkeypatch, batch_size):
         pred = predict(fmap, queries)
         got.append((pred.mean.tobytes(), pred.variance.tobytes()))
     assert got[1] == got[0] and got[2] == got[0]
+
+
+def longdouble_variances(k, kx, signal_var):
+    """signal_var - |L^-1 kx|^2 per column of kx, with L the Cholesky factor
+    of k: Cholesky and forward substitution in np.longdouble."""
+    a = np.array(k, dtype=np.longdouble)
+    low = np.zeros_like(a)
+    for j in range(len(a)):
+        low[j, j] = np.sqrt(a[j, j] - low[j, :j] @ low[j, :j])
+        low[j + 1:, j] = ((a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j])
+                          / low[j, j])
+    v = np.array(kx, dtype=np.longdouble)
+    for i in range(len(a)):
+        v[i] = (v[i] - low[i, :i] @ v[:i]) / low[i, i]
+    return signal_var - (v * v).sum(axis=0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("noise_var", [0.0, 1e-9],
+                         ids=["noise-free-jitter", "nugget"])
+def test_predict_variances_on_an_ill_conditioned_map(noise_var):
+    # Pairs 1e-7 apart with a nugget of 1e-9 signal_var (given, or the
+    # jitter of a noise-free kernel that fails to factor), queried at, next
+    # to and away from the data. Both ways of reading the variances off the
+    # double factor err most away from the data (~8e-13, the factor's own
+    # rounding). At and next to the data, the product with the inverse
+    # factor sums terms much larger than the variances (~5e-10): its errors
+    # reach ~1e-14, up to 15x those of forward substitution, but stay far
+    # under that bound.
+    train = near_duplicate_train(43, 120)
+    hyper = Hyperparams(0.2, 1.0, 2.0, noise_var)
+    fmap = build_map(train, hyper)
+    assert fmap.diagnostics.jitter_applied == (noise_var == 0.0)
+    k = kernel_matrix(train.coords, hyper)
+    if noise_var == 0.0:
+        k[np.diag_indices_from(k)] += gm.JITTER_REL * hyper.signal_var
+    rng = np.random.default_rng(44)
+    queries = np.vstack([train.coords,
+                         train.coords + rng.normal(0.0, 1e-4, (120, 2)),
+                         rng.uniform(-5, 5, size=(120, 2))])
+    kx = gm._covariance(gm._sq_dists(train.coords, queries), hyper,
+                        with_nugget=False)
+    want = np.maximum(longdouble_variances(k, kx, hyper.signal_var),
+                      0.0).astype(float)
+    v = solve_triangular(cholesky(k, lower=True), kx, lower=True)
+    solved = np.maximum(hyper.signal_var - np.einsum("ij,ij->j", v, v), 0.0)
+    got = predict(fmap, queries).variance
+    assert np.abs(got - want).max() <= 2.0 * np.abs(solved - want).max()
 
 
 def test_cholesky_posterior_matches_dense_inverse():

@@ -255,7 +255,7 @@ def test_load_map_builds_and_factors_the_kernel_once(tmp_path, monkeypatch):
     fmap = fitted_map()
     path = tmp_path / "map.json"
     save_map(fmap, path)
-    calls = {"_potrf": 0, "kernel_matrix": 0, "sha256": 0}
+    calls = {"_potrf": 0, "_trtri": 0, "kernel_matrix": 0, "sha256": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -263,19 +263,22 @@ def test_load_map_builds_and_factors_the_kernel_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(gm, "_potrf", counted("_potrf", gm._potrf))
+    for name in ("_potrf", "_trtri"):
+        monkeypatch.setattr(gm, name, counted(name, getattr(gm, name)))
     counted_kernel = counted("kernel_matrix", gm.kernel_matrix)
     for module in (gm, dio):
         monkeypatch.setattr(module, "kernel_matrix", counted_kernel)
     monkeypatch.setattr(dio, "_sha256", counted("sha256", dio._sha256))
     dio._last_map.clear()  # forget the last map loaded
     back = load_map(path)
-    assert calls == {"_potrf": 1, "kernel_matrix": 1, "sha256": 1}
-    np.testing.assert_array_equal(back.chol, fmap.chol)
+    assert calls == {"_potrf": 1, "_trtri": 1, "kernel_matrix": 1,
+                     "sha256": 1}
+    np.testing.assert_array_equal(back.chol_inv, fmap.chol_inv)
     np.testing.assert_array_equal(back.alpha, fmap.alpha)
     # the same bytes again: the map that passed those checks, no new work
     assert load_map(path) is back
-    assert calls == {"_potrf": 1, "kernel_matrix": 1, "sha256": 1}
+    assert calls == {"_potrf": 1, "_trtri": 1, "kernel_matrix": 1,
+                     "sha256": 1}
 
 
 def test_failed_map_load_is_not_remembered(tmp_path, monkeypatch):
@@ -292,7 +295,7 @@ def test_failed_map_load_is_not_remembered(tmp_path, monkeypatch):
         with pytest.raises(IllConditionedError):
             load_map(path)
     # the same bytes load once the factorisation works
-    np.testing.assert_array_equal(load_map(path).chol, fmap.chol)
+    np.testing.assert_array_equal(load_map(path).chol_inv, fmap.chol_inv)
     # a broken file, then the fixed one
     text = path.read_text()
     path.write_text(text[:len(text) // 2])
@@ -313,7 +316,7 @@ def test_map_load_drops_the_last_map_before_building_another(tmp_path,
     save_map(fitted_map(), first)
     save_map(fitted_map(), second)
     dio._last_map.clear()
-    last = weakref.ref(load_map(first).chol)
+    last = weakref.ref(load_map(first).chol_inv)
     alive_at_build = []
     real_build = dio.build_map
 
