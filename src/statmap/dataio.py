@@ -25,14 +25,8 @@ import numpy as np
 
 from .chart import ChartModel
 from .errors import ConfigurationError, ParseError
-from .gpmap import (
-    FitDiagnostics,
-    FittedMap,
-    Hyperparams,
-    TrainingSet,
-    build_map,
-    kernel_matrix,
-)
+from .gpmap import (FitDiagnostics, FittedMap, Hyperparams, TrainingSet,
+                    build_map)
 from .propagation import Location
 
 __all__ = [
@@ -51,7 +45,7 @@ __all__ = [
 ]
 
 DATASET_VERSION = 2
-MAP_VERSION = 1
+MAP_VERSION = 2
 CHART_VERSION = 1
 
 # the dataset's sample arrays, as stored: little-endian float64 power samples
@@ -188,10 +182,9 @@ def load_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         lines = enumerate(_lines(fh), start=1)
         first = next(lines, None)
-        if first is None:
-            raise ParseError("empty dataset file", path=path)
-        _check_header(_parse_json_line(first[1], path, 1), "statmap-dataset",
-                      DATASET_VERSION, path, line=1)
+        if first is not None:
+            _check_header(_parse_json_line(first[1], path, 1),
+                          "statmap-dataset", DATASET_VERSION, path, line=1)
         records = []
         csi_shape = None    # every CSI record must match the first one
         for lineno, line in lines:
@@ -200,12 +193,15 @@ def load_dataset(path) -> Dataset:
             row = _parse_json_line(line, path, lineno)
             try:
                 record = _dataset_record(row, csi_shape)
-            except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError,
+                    ConfigurationError) as exc:
                 raise ParseError(f"bad dataset record: {exc}", path=path,
                                  line=lineno) from exc
             if record.csi is not None:
                 csi_shape = record.csi.shape
             records.append(record)
+    if not records:
+        raise ParseError("empty dataset file: no user records", path=path)
     return Dataset(records=records)
 
 
@@ -214,10 +210,12 @@ def _dataset_record(row, csi_shape) -> UserRecord:
     before it."""
     loc = None
     if "x" in row:
-        xyz = [float(row[key]) for key in ("x", "y", "z")]
+        xyz = [row[key] for key in ("x", "y", "z")]
+        if not all(type(v) in (int, float) for v in xyz):
+            raise ValueError("x, y and z must be JSON numbers")
         if not all(map(math.isfinite, xyz)):
             raise ValueError("location coordinates must be finite")
-        loc = Location(*xyz)
+        loc = Location(*map(float, xyz))
     csi = None
     if "csi" in row:
         shape, data = row["csi"]["shape"], row["csi"]["data"]
@@ -248,17 +246,19 @@ def _dataset_record(row, csi_shape) -> UserRecord:
         raise ValueError(_NOT_A_SAMPLE_LIST)
     if not (np.isfinite(powers) & (powers >= 0.0)).all():
         raise ValueError("power samples must be finite and nonnegative")
-    return UserRecord(user_id=int(row["user_id"]), location=loc,
+    if type(row["user_id"]) is not int:
+        raise ValueError(f"user_id must be a JSON integer: {row['user_id']!r}")
+    return UserRecord(user_id=row["user_id"], location=loc,
                       power_samples=powers, csi=csi)
 
 
 def kernel_checksum(train: TrainingSet, hyper: Hyperparams) -> str:
-    """SHA-256 of the dense training kernel matrix bytes."""
-    return _sha256(kernel_matrix(train.coords, hyper))
-
-
-def _sha256(k: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(k).data).hexdigest()
+    """SHA-256 of the values a map's posterior is rebuilt from: the four
+    hyperparameters, n, the coordinates row by row and the targets, each as
+    little-endian float64. O(n); no kernel bits, which vary across hosts."""
+    values = [dataclasses.astuple(hyper), [train.n], train.coords.ravel(),
+              train.targets]
+    return hashlib.sha256(np.concatenate(values, dtype=_FLOAT64)).hexdigest()
 
 
 def save_map(fmap: FittedMap, path) -> None:
@@ -279,16 +279,16 @@ _last_map: list[tuple] = []
 
 
 def load_map(path) -> FittedMap:
-    """Rebuilds the inverse Cholesky factor and verifies the stored kernel
-    checksum.
+    """The map stored at path, its checksum verified and its inverse
+    Cholesky factor rebuilt.
 
-    The file is read once per call, and its bytes are compared in full with
-    those of the last map this process loaded from the same path. When they
-    are equal, that map is returned: it passed every check below for these
-    exact bytes, and its arrays are read-only. Otherwise the remembered map
-    is dropped first, so that a load never holds two factors, and the kernel
-    matrix is built once, hashed, then factored once and the factor inverted
-    once in place (``build_map``). A load that raises is not remembered.
+    The file is read once per call. When its bytes equal in full those of
+    the last map this process loaded from the same path, that map is
+    returned: it passed every check below for these bytes, and its arrays
+    are read-only. Otherwise the remembered map is dropped first, so that a
+    load never holds two factors; the checksum of the stored values is
+    compared before any n x n work, and ``build_map`` then builds, factors
+    and inverts the kernel once each. A load that raises is not remembered.
     Between loads the process keeps one map alive: its n x n inverse factor
     (8 MB at n = 1000) and the file's bytes.
     """
@@ -313,15 +313,13 @@ def _map_from_bytes(data: bytes, path) -> FittedMap:
         train = TrainingSet.new(doc["coords"], doc["targets"])
         diag = FitDiagnostics(**doc["diagnostics"])
         stored = doc["kernel_checksum"]
-    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            ConfigurationError) as exc:
         raise ParseError(f"bad map document: {exc}", path=path) from exc
-    k = kernel_matrix(train.coords, hyper)
-    actual = _sha256(k)
-    if actual != stored:
-        raise ParseError("kernel matrix checksum mismatch "
-                         f"(stored {stored[:12]}.., recomputed {actual[:12]}..)",
+    if kernel_checksum(train, hyper) != stored:
+        raise ParseError(f"map checksum mismatch (stored {stored!s:.12}..)",
                          path=path, field="kernel_checksum")
-    fmap = build_map(train, hyper, k)
+    fmap = build_map(train, hyper)
     return dataclasses.replace(fmap, diagnostics=diag)
 
 

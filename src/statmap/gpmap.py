@@ -127,9 +127,6 @@ class TrainingSet:
     def n(self) -> int:
         return self.coords.shape[0]
 
-    def has_duplicates(self) -> bool:
-        return np.unique(self.coords, axis=0).shape[0] < self.n
-
 
 @dataclass(frozen=True)
 class PredictiveDistribution:
@@ -165,7 +162,7 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared distances, (len(a), len(b)), summed per coordinate.
 
     dx*dx + dy*dy is bit-identical to summing a 3-D difference array over its
-    last axis, so stored kernel checksums stay valid, without the temporary.
+    last axis, without the temporary.
     A squared distance that overflows is inf, without a warning: the kernel
     is 0 there, so such a query is infinitely far from the map's points.
     """
@@ -501,7 +498,8 @@ def build_map(train: TrainingSet, hyper: Hyperparams,
     inverse factor and the weight vector are read-only, like the training
     arrays, so one map can be shared by many callers.
     """
-    if hyper.noise_var == 0.0 and train.has_duplicates():
+    if hyper.noise_var == 0.0 and (
+            len(np.unique(train.coords, axis=0)) < train.n):
         raise ConfigurationError(
             "duplicate training coordinates require a positive nugget")
     if k is None:
@@ -515,6 +513,15 @@ def build_map(train: TrainingSet, hyper: Hyperparams,
     alpha.flags.writeable = False
     return FittedMap(hyper=hyper, train=train, chol_inv=inv, alpha=alpha,
                      diagnostics=FitDiagnostics(lml, 0, 0, True, jit))
+
+
+def check_queries(queries) -> np.ndarray:
+    """The queries as a (k, 2) float array, one point [x, y] being a batch
+    of one; any other shape, or a coordinate not finite, is refused."""
+    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    if q.ndim != 2 or q.shape[1] != 2 or not np.isfinite(q).all():
+        raise ConfigurationError("queries must be finite 2-D points [x, y]")
+    return q
 
 
 def predict(fmap: FittedMap, queries) -> PredictiveDistribution:
@@ -538,13 +545,9 @@ def predict(fmap: FittedMap, queries) -> PredictiveDistribution:
     substitution errs ~1e-15; the factor's own rounding already makes
     errors of ~1e-12 signal_var away from the data. The frozen inverse
     factor was made from a factor checked finite and is not scanned again;
-    the queries are, and non-finite ones raise ConfigurationError.
+    the queries are checked by ``check_queries``.
     """
-    q = np.atleast_2d(np.asarray(queries, dtype=float))
-    if q.ndim != 2 or q.shape[1] != 2:
-        raise ConfigurationError("queries must be 2-D points")
-    if not np.isfinite(q).all():
-        raise ConfigurationError("queries must be finite")
+    q = check_queries(queries)
     hyper = fmap.hyper
     means, variances = np.empty(len(q)), np.empty(len(q))
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigurationError
-from .gpmap import PREDICT_CHUNK, PredictiveDistribution, TrainingSet, _sq_dists
+from .gpmap import (PREDICT_CHUNK, PredictiveDistribution, TrainingSet,
+                    _sq_dists, check_queries)
 
 __all__ = [
     "POLICY_MAP",
@@ -50,12 +50,9 @@ def select_rate_baseline(train: TrainingSet, queries) -> np.ndarray:
 
     Ties resolve to the lowest training index, so the choice is deterministic.
     Distances are taken PREDICT_CHUNK queries at a time, so memory stays
-    O(n * chunk) whatever the batch size. Non-finite queries raise
-    ConfigurationError, as in ``predict``.
+    O(n * chunk) whatever the batch size; queries are checked as in predict.
     """
-    q = np.asarray(queries, dtype=float).reshape(-1, 2)
-    if not np.isfinite(q).all():
-        raise ConfigurationError("queries must be finite")
+    q = check_queries(queries)
     nearest = np.concatenate([
         np.argmin(_sq_dists(q[start:start + PREDICT_CHUNK], train.coords),
                   axis=1)  # argmin returns the first minimum

@@ -375,6 +375,34 @@ def test_exit_2_experiment_seed(tmp_path, capsys):
     assert not (tmp_path / "out" / "report_rows.csv").exists()
 
 
+@pytest.mark.parametrize("seed", [2**127, -2**127 - 1, 2**128],
+                         ids=["2^127", "-2^127-1", "2^128"])
+@pytest.mark.parametrize("command", ["simulate", "mismatch-demo"])
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_exit_2_seed_outside_128_bits(tmp_path, capsys, form, command, seed):
+    # derive_seed packs the root seed into 16 signed bytes: a seed outside
+    # them raised OverflowError there, a traceback (exit 1)
+    doc = dict(DEMO_CONFIG if command == "mismatch-demo" else BASE_CONFIG)
+    if form == "config":
+        doc["seed"] = seed
+    out = tmp_path / "out"
+    assert run(command, write_config(tmp_path, doc), out,
+               seed=seed if form == "flag" else None) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: seed must be an integer in [-2^127, 2^127), "
+        f"got {seed}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-2**127, 2**127 - 1])
+def test_seeds_at_the_ends_of_128_bits_run(tmp_path, seed):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["experiment"]["n_train_users"] = 20
+    out = tmp_path / "out"
+    assert run("simulate", write_config(tmp_path, doc), out, seed=seed) == 0
+    assert (out / "dataset.jsonl").exists()
+
+
 @pytest.mark.parametrize("section,key,value", [
     (None, "seed", 2.5),
     ("experiment", "n_test_users", 2.5),
@@ -667,6 +695,7 @@ def cut_bytes(field, n):
 
 
 NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
+NOT_A_NUMBER_XYZ = "x, y and z must be JSON numbers"
 
 
 @pytest.mark.parametrize("command,doc,lineno,edit,message", [
@@ -730,6 +759,20 @@ NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
      "invalid UTF-8 (invalid start byte)"),
     ("train-chart", CHART_CONFIG, 1, set_value(("kind",), "\udcff"),
      "invalid UTF-8 (invalid start byte)"),
+    # read as 1.0, 12.5 and 2: the config parser refuses such values
+    ("fit-map", BASE_CONFIG, 2, set_value(("x",), True), NOT_A_NUMBER_XYZ),
+    ("fit-map", BASE_CONFIG, 3, set_value(("y",), "12.5"), NOT_A_NUMBER_XYZ),
+    ("train-chart", CHART_CONFIG, 2, set_value(("z",), None),
+     NOT_A_NUMBER_XYZ),
+    ("fit-map", BASE_CONFIG, 2, set_value(("user_id",), 2.7),
+     "user_id must be a JSON integer: 2.7"),
+    ("train-chart", CHART_CONFIG, 3, set_value(("user_id",), True),
+     "user_id must be a JSON integer: True"),
+    ("fit-map", BASE_CONFIG, 2, set_value(("user_id",), "2"),
+     "user_id must be a JSON integer: '2'"),
+    # a JSON integer past the float range was an OverflowError traceback
+    ("fit-map", BASE_CONFIG, 2, set_value(("x",), 10**400),
+     "int too large to convert to float"),
 ], ids=["negative-power", "nan-power", "nan-csi", "csi-cut-to-3-of-4-antennas",
         "all-zero-csi", "csi-power-overflow", "csi-data-of-1-antenna",
         "csi-shape-disagrees-with-data", "csi-shape-not-2d",
@@ -737,7 +780,9 @@ NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
         "empty-power-train-chart", "2d-power-train-chart", "2d-power-fit-map",
         "scalar-power", "power-bytes-not-whole-values", "power-not-base64",
         "power-base64-unpadded", "csi-not-ascii", "negative-z", "nan-z",
-        "nan-x", "non-utf8-record", "non-utf8-header"])
+        "nan-x", "non-utf8-record", "non-utf8-header", "boolean-x",
+        "string-y", "null-z", "float-user-id", "boolean-user-id",
+        "string-user-id", "integer-x-past-the-float-range"])
 def test_exit_2_malformed_dataset_record(tmp_path, capsys, command, doc,
                                          lineno, edit, message):
     # json writes and reads NaN, so only the loader can refuse it
@@ -777,6 +822,22 @@ def test_exit_2_version_1_dataset(tmp_path, capsys, command, doc):
     assert capsys.readouterr().err == (
         f"configuration error: unsupported statmap-dataset version 1, "
         f"expected 2; file={dataset}; line=1; field=version\n")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command,doc", [("fit-map", BASE_CONFIG),
+                                         ("train-chart", CHART_CONFIG)])
+def test_exit_2_dataset_without_records(tmp_path, capsys, command, doc):
+    # a header alone reached the GP ("coordinates must be 2-D points") or
+    # the triplet miner ("triplet mining needs at least 3 users")
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text('{"kind":"statmap-dataset","version":2}\n\n')
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(doc, dataset=str(dataset)))
+    assert run(command, cfg, out) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: empty dataset file: no user records; "
+        f"file={dataset}\n")
     assert os.listdir(out) == []
 
 
@@ -1062,13 +1123,108 @@ def test_exit_2_dataset_not_a_path(tmp_path, capsys, monkeypatch, command,
 def test_exit_2_non_finite_map_hyperparameter(tmp_path, capsys):
     map_path = small_map(tmp_path)
     doc = json.loads(map_path.read_text())
-    doc["hyper"]["prior_mean"] = float("nan")  # not covered by the checksum
+    doc["hyper"]["prior_mean"] = float("nan")  # refused before the checksum
     map_path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert run("select-rate", select_rate_config(tmp_path, map_path), out) == 2
     assert not (out / "rates.csv").exists()
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.endswith(f"; file={map_path}\n")
+
+
+def add_to_target(doc):
+    doc["targets"][0] += 3.0
+
+
+def add_to_prior_mean(doc):
+    doc["hyper"]["prior_mean"] += 2.0
+
+
+def store_a_number_as_checksum(doc):
+    doc["kernel_checksum"] = 5
+
+
+@pytest.mark.parametrize("edit", [add_to_target, add_to_prior_mean,
+                                  store_a_number_as_checksum])
+def test_exit_2_map_with_an_edited_stored_value(tmp_path, capsys, edit):
+    # the kernel depends on neither the targets nor the prior mean, so a
+    # checksum of its bytes let both edits through, and the map then
+    # served other rates; a stored number was a TypeError traceback
+    map_path = small_map(tmp_path)
+    doc = json.loads(map_path.read_text())
+    edit(doc)
+    map_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("select-rate", select_rate_config(tmp_path, map_path), out) == 2
+    assert not (out / "rates.csv").exists()
+    assert capsys.readouterr().err == (
+        "configuration error: map checksum mismatch (stored "
+        f"{str(doc['kernel_checksum'])[:12]}..); file={map_path}; "
+        "field=kernel_checksum\n")
+
+
+def test_map_loads_where_the_kernel_rounds_differently(tmp_path,
+                                                       monkeypatch):
+    # numpy's exp rounds differently under AVX-512 than under AVX2, so a
+    # map written on one host met a kernel 1 ulp off on another, and a
+    # checksum of the kernel's bytes refused it there (exit 2)
+    import statmap.dataio as dio
+    import statmap.gpmap as gm
+
+    rng = np.random.default_rng(8)
+    map_path = tmp_path / "map.json"
+    train = TrainingSet.new(rng.uniform(-50, 50, size=(60, 2)),
+                            rng.uniform(1, 3, size=60))
+    save_map(build_map(train, Hyperparams(2.0, 0.5, 12.0, 0.05)), map_path)
+    queries = rng.uniform(-60, 60, size=(20, 2)).tolist()
+    cfg = select_rate_config(tmp_path, map_path, queries=queries)
+    out = tmp_path / "out"
+    dio._last_map.clear()
+    assert run("select-rate", cfg, out) == 0
+    want = (out / "rates.csv").read_text()
+    real = gm._covariance
+
+    def covariance_1_ulp_up(*args, **kwargs):
+        k = real(*args, **kwargs)
+        return np.nextafter(k, np.inf, out=k)
+
+    monkeypatch.setattr(gm, "_covariance", covariance_1_ulp_up)
+    dio._last_map.clear()
+    assert run("select-rate", cfg, out) == 0
+    got = (out / "rates.csv").read_text()
+    assert got != want   # the perturbation reached the rates
+    rates = [np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1,
+                        usecols=(0, 1, 2)) for text in (got, want)]
+    np.testing.assert_array_equal(rates[0][:, :2], rates[1][:, :2])
+    np.testing.assert_allclose(rates[0][:, 2], rates[1][:, 2], rtol=1e-12)
+
+
+def test_exit_2_map_value_past_the_float_range(tmp_path, capsys):
+    # a JSON integer too large for a float was an OverflowError traceback
+    map_path = small_map(tmp_path)
+    doc = json.loads(map_path.read_text())
+    doc["hyper"]["signal_var"] = 10**400
+    map_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("select-rate", select_rate_config(tmp_path, map_path), out) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: bad map document: int too large to convert to "
+        f"float; file={map_path}\n")
+
+
+def test_exit_2_version_1_map(tmp_path, capsys):
+    # version 1 held a checksum of the kernel's bytes; fit-map remakes the
+    # file from the same dataset
+    map_path = small_map(tmp_path)
+    doc = json.loads(map_path.read_text())
+    doc["version"] = 1
+    map_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("select-rate", select_rate_config(tmp_path, map_path), out) == 2
+    assert not (out / "rates.csv").exists()
+    assert capsys.readouterr().err == (
+        "configuration error: unsupported statmap-gp-map version 1, "
+        f"expected 2; file={map_path}; field=version\n")
 
 
 def test_exit_2_map_length_scale_whose_square_overflows(tmp_path, capsys):

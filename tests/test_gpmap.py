@@ -81,8 +81,11 @@ def test_kernel_matrix_nugget_on_diagonal_only():
 
 @pytest.mark.parametrize("n", [3, 50, 1000])
 def test_kernel_matrix_bytes_match_broadcast_formula(n):
-    # Saved maps carry a SHA-256 of these bytes, so the kernel must stay
-    # bit-identical to the formula they were written with.
+    # The fit, build_map and predict form their kernels through _sq_dists
+    # and _covariance; this pins those to the plain broadcast formula bit
+    # for bit. No file stores kernel bits: a map's checksum covers the
+    # values the kernel is built from, so another formula changes this
+    # test alone.
     rng = np.random.default_rng(n)
     coords = rng.uniform(-300, 300, size=(n, 2))
     h = Hyperparams(0.3, 1.7, 37.3, 0.21)

@@ -221,8 +221,7 @@ def test_map_checksum_detects_tampering(tmp_path):
     save_map(fmap, path)
     load_map(path)  # the next load compares against these bytes
     doc = path.read_text()
-    # perturb one target: kernel checksum still matches (it hashes K only),
-    # so corrupt a coordinate instead, which changes K
+    # a coordinate is one of the stored values that the checksum covers
     corrupted = doc.replace(repr(float(fmap.train.coords[0, 0])),
                             repr(float(fmap.train.coords[0, 0]) + 1.0), 1)
     assert corrupted != doc
@@ -233,8 +232,8 @@ def test_map_checksum_detects_tampering(tmp_path):
 
 
 def test_map_non_finite_prior_mean_rejected(tmp_path):
-    # prior_mean is not part of the kernel checksum, so the check that
-    # catches it is the finiteness check on the hyperparameters
+    # the finiteness check on the hyperparameters refuses it before the
+    # checksum is compared
     fmap = fitted_map()
     path = tmp_path / "map.json"
     save_map(fmap, path)
@@ -249,13 +248,16 @@ def test_map_non_finite_prior_mean_rejected(tmp_path):
 
 
 def test_load_map_builds_and_factors_the_kernel_once(tmp_path, monkeypatch):
+    import hashlib
+    import types
+
     import statmap.dataio as dio
     import statmap.gpmap as gm
 
     fmap = fitted_map()
     path = tmp_path / "map.json"
-    save_map(fmap, path)
     calls = {"_potrf": 0, "_trtri": 0, "kernel_matrix": 0, "sha256": 0}
+    hashed = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -263,16 +265,26 @@ def test_load_map_builds_and_factors_the_kernel_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_potrf", "_trtri"):
+    def sha256(data):
+        hashed.append(memoryview(data).nbytes)
+        return hashlib.sha256(data)
+
+    for name in ("_potrf", "_trtri", "kernel_matrix"):
         monkeypatch.setattr(gm, name, counted(name, getattr(gm, name)))
-    counted_kernel = counted("kernel_matrix", gm.kernel_matrix)
-    for module in (gm, dio):
-        monkeypatch.setattr(module, "kernel_matrix", counted_kernel)
-    monkeypatch.setattr(dio, "_sha256", counted("sha256", dio._sha256))
+    monkeypatch.setattr(dio, "hashlib", types.SimpleNamespace(
+        sha256=counted("sha256", sha256)))
+    # saving builds no kernel: it hashes the values it stores
+    save_map(fmap, path)
+    assert calls == {"_potrf": 0, "_trtri": 0, "kernel_matrix": 0,
+                     "sha256": 1}
+    calls.update(sha256=0)
     dio._last_map.clear()  # forget the last map loaded
     back = load_map(path)
     assert calls == {"_potrf": 1, "_trtri": 1, "kernel_matrix": 1,
                      "sha256": 1}
+    # O(n) bytes: four hyperparameters, n, two coordinates and one target
+    # per training point, 8 bytes each
+    assert hashed == [8 * (5 + 3 * fmap.train.n)] * 2
     np.testing.assert_array_equal(back.chol_inv, fmap.chol_inv)
     np.testing.assert_array_equal(back.alpha, fmap.alpha)
     # the same bytes again: the map that passed those checks, no new work

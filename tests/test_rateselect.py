@@ -175,6 +175,19 @@ def test_baseline_refuses_non_finite_queries(queries):
         select_rate_baseline(train, queries)
 
 
+@pytest.mark.parametrize("queries", [np.zeros((2, 3)), np.zeros(4),
+                                     [[math.nan, 1.0]]],
+                         ids=["2x3", "length-4", "nan"])
+def test_predict_and_baseline_refuse_the_same_queries(queries):
+    # the baseline reshaped a (2, 3) array into 3 queries, and (4,) into 2
+    train = TrainingSet.new([[0.0, 0.0], [5.0, 5.0]], [1.0, 2.0])
+    fmap = build_map(train, Hyperparams(1.5, 0.5, 8.0, 0.05))
+    with pytest.raises(ConfigurationError, match="finite 2-D points"):
+        predict(fmap, queries)
+    with pytest.raises(ConfigurationError, match="finite 2-D points"):
+        select_rate_baseline(train, queries)
+
+
 def test_baseline_matches_exhaustive_scan():
     rng = np.random.default_rng(31)
     coords = rng.uniform(-10, 10, size=(100, 2))
