@@ -5,9 +5,9 @@ fewer than the CPUs the process may use, as the calling thread works too.
 It is made again when that count changes, and dropped in a forked child.
 Each helper runs under the numpy error state of the thread that hands it
 work (numpy keeps one per thread). A task that no helper has taken by the
-time its caller wants the result runs on the caller instead, so no caller
-waits for a busy pool; work that a helper runs gets no pool, and runs any
-work of its own inline, so nested use cannot deadlock.
+time its caller has run out of work is cancelled, so no caller waits for a
+busy pool; work that a helper runs gets no pool, and runs any work of its
+own inline, so nested use cannot deadlock.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 
@@ -68,16 +67,6 @@ def _under_errstate(errs: dict, work, *args):
         return work(*args)
 
 
-def start(pool, work, *args):
-    """Begin work(*args) on a helper of pool, and return the call that
-    waits for its result. Without a pool, or when no helper has taken the
-    task by then, that call runs work inline."""
-    if pool is None:
-        return partial(work, *args)
-    task = pool.submit(_under_errstate, np.geterr(), work, *args)
-    return lambda: work(*args) if task.cancel() else task.result()
-
-
 def map_in_order(work, items: list) -> list:
     """[work(item) for item in items], on up to one thread per usable CPU,
     the calling thread included, or inline when that makes one.
@@ -104,10 +93,13 @@ def map_in_order(work, items: list) -> list:
             except BaseException as exc:    # raised on the calling thread
                 errors[i] = exc
 
-    waits = [start(pool, drain) for _ in range(helpers)]
+    errs = np.geterr()
+    tasks = [pool.submit(_under_errstate, errs, drain) for _ in range(helpers)]
     drain()
-    for wait in waits:
-        wait()
+    # a task no helper has taken would find no item left: drop it
+    for task in tasks:
+        if not task.cancel():
+            task.result()
     if errors:
         raise errors[min(errors)]
     return results

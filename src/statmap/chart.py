@@ -5,10 +5,9 @@ Wasserstein distances between per-user rate distributions.
 The network is rectifier-activated with an identity output layer and is
 trained by plain mini-batch SGD with momentum; gradients are backpropagated
 analytically (no autodiff dependency), which keeps training deterministic
-for a fixed seed. Each batch runs on two threads (inline on one CPU) with
-the floating-point operations of a single-threaded pass, so the trained
-chart does not depend on the CPU count. The backward pass skips the
-triplets whose hinge is zero, as they pass back exact zeros.
+for a fixed seed. Training runs on the calling thread, so the trained chart
+does not depend on the CPU count. The backward pass skips the triplets
+whose hinge is zero, as they pass back exact zeros.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from numbers import Integral
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from ._threads import shared_pool, start
 from .errors import ConfigurationError, DegenerateInputError, TrainingError
 from .stats import wasserstein1
 
@@ -206,19 +204,6 @@ def _forward_cached(weights, biases, x: np.ndarray):
     return activations
 
 
-def _forward_rows(weights, biases, feats, rows, acts) -> None:
-    """_forward_cached of feats[rows], written in place: the gathered rows
-    into acts[0] and the layers' activations into acts[1:], each buffer
-    with one row per entry of rows. rows must lie in range."""
-    np.take(feats, rows, axis=0, out=acts[0], mode="clip")
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = np.matmul(acts[i], w, out=acts[i + 1])
-        z += b
-        if i < last:
-            np.maximum(z, 0.0, out=z)
-
-
 def forward(model: ChartModel, features) -> np.ndarray:
     """Latent coordinates for one feature vector or a batch of rows."""
     x = np.asarray(features, dtype=float)
@@ -232,8 +217,7 @@ def forward(model: ChartModel, features) -> np.ndarray:
 
 
 def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
-                          anchors, positives, negatives, margin: float,
-                          buffers, pool):
+                          anchors, positives, negatives, margin: float):
     """Mean triplet loss of the batch and its weight and bias gradients.
 
     The gradients are None when the loss is finite and no hinge term is
@@ -243,34 +227,18 @@ def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
 
     The backward pass takes only the rows of the triplets whose hinge is
     positive, padded with the lowest-index inactive ones to
-    BACKWARD_MIN_TRIPLETS (all m rows when b is smaller), gathered in order
-    to the buffers' fronts, so it costs O(active rows), not O(m). A dropped
-    row's output gradient is an exact +-0, so the gradients keep the bits
-    of the pass over all m rows while DGEMM sums a product's rows in one
-    block: up to 128 triplets with OpenBLAS 0.3.31's SkylakeX kernels (see
-    README, Determinism).
-
-    The m stacked rows are forwarded into buffers, one per layer of at
-    least m rows, in two blocks: rows [0, cut) here and [cut, m) on the
-    helper thread of pool (here too, after the first, when pool is None).
-    cut is a multiple of 4, so the last rows of the product, which
-    OpenBLAS's DGEMM hands to its tail kernel (at most m mod 4 of them),
-    stay last in the second block; every row then carries the bits of
-    _forward_cached, whatever the pool.
+    BACKWARD_MIN_TRIPLETS (all rows when b is smaller), gathered in order,
+    so it costs O(active rows), not O(b). A dropped row's output gradient
+    is an exact +-0, so the gradients keep the bits of the pass over all
+    rows while DGEMM sums a product's rows in one block: up to 128
+    triplets with OpenBLAS 0.3.31's SkylakeX kernels (see README,
+    Determinism).
     """
     # overflow here surfaces as a non-finite loss, which train() rejects
     b = len(anchors)
     rows = np.concatenate([anchors, positives, negatives])
-    m = rows.size
-    acts = [buf[:m] for buf in buffers]
-    cut = 4 * (m // 8)
     with np.errstate(invalid="ignore", over="ignore"):
-        # fewer than 8 rows: one block, here
-        tail = start(pool if cut else None, _forward_rows, weights, biases,
-                     feats, rows[cut:], [a[cut:] for a in acts])
-        _forward_rows(weights, biases, feats, rows[:cut],
-                      [a[:cut] for a in acts])
-        tail()
+        acts = _forward_cached(weights, biases, feats[rows])
         z = acts[-1]
         za, zp, zn = z[:b], z[b:2 * b], z[2 * b:]
         diff_p = za - zp
@@ -283,13 +251,12 @@ def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
         if not hinge.any() and math.isfinite(loss):
             return loss, None, None
         # the active triplets and the lowest-index inactive ones, `pad` of
-        # them; their rows are gathered, in order, to the buffers' fronts
+        # them; their rows are gathered, in order
         pad = BACKWARD_MIN_TRIPLETS - int(hinge.sum())
         kept = np.flatnonzero(hinge | (np.cumsum(~hinge) <= pad))
         if kept.size < b:
             rows = np.concatenate([kept, kept + b, kept + 2 * b])
-            acts = [np.take(a, rows, axis=0, out=a[:rows.size], mode="clip")
-                    for a in acts]
+            acts = [a[rows] for a in acts]
         active = hinge[kept].astype(float)[:, None]
         up = diff_p[kept] / np.maximum(dp[kept], 1e-12)[:, None]
         un = diff_n[kept] / np.maximum(dn[kept], 1e-12)[:, None]
@@ -298,27 +265,22 @@ def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
             -active * up,
             active * un,
         ]) / b
-        return (loss, *_backward(weights, acts, g_out, pool))
+        return (loss, *_backward(weights, acts, g_out))
 
 
-def _backward(weights, acts, g_out: np.ndarray, pool):
+def _backward(weights, acts, g_out: np.ndarray):
     """Weight and bias gradients from the output gradient g_out, passed back
     through the rectifier stack whose activations acts the forward pass
-    kept, one row per row of g_out. Above the first layer, the helper
-    thread of pool forms each weight gradient while this one forms the bias
-    gradient and passes g back; no product is split, so the bits do not
-    depend on the pool. Sums over rows run in row order (numpy's over axis
-    0, DGEMM's within a block), so rows of exact zeros may be left out
-    without changing a bit."""
+    kept, one row per row of g_out. Sums over rows run in row order
+    (numpy's over axis 0, DGEMM's within a block), so rows of exact zeros
+    may be left out without changing a bit."""
     grads_w = [None] * len(weights)
     grads_b = [None] * len(weights)
     g = g_out
     for i in range(len(weights) - 1, 0, -1):
-        grad_w = start(pool, np.matmul, acts[i].T, g)
+        grads_w[i] = acts[i].T @ g
         grads_b[i] = g.sum(axis=0)
-        g_in = (g @ weights[i].T) * (acts[i] > 0.0)
-        grads_w[i] = grad_w()
-        g = g_in
+        g = (g @ weights[i].T) * (acts[i] > 0.0)
     grads_w[0] = acts[0].T @ g
     grads_b[0] = g.sum(axis=0)
     return grads_w, grads_b
@@ -331,9 +293,9 @@ def train(model: ChartModel, triplets, features, *, margin: float = 1.0,
     triplets, a (k, 3) int array of (anchor, positive, negative) rows of
     features.
 
-    Deterministic for fixed inputs and seed, on any number of CPUs; aborts
-    with diagnostics on a non-finite loss. With more than one usable CPU,
-    each batch shares its work with one helper thread.
+    Deterministic for fixed inputs and seed; runs on the calling thread, so
+    the result does not depend on the CPU count. Aborts with diagnostics on
+    a non-finite loss.
     """
     idx = np.asarray(triplets)
     if idx.size == 0:
@@ -368,11 +330,7 @@ def train(model: ChartModel, triplets, features, *, margin: float = 1.0,
     biases = [b.copy() for b in model.biases]
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
-    # the activations of the largest batch, reused by every batch
-    buffers = [np.empty((3 * min(batch_size, len(idx)), d))
-               for d in model.layer_dims]
     trace = []
-    pool = shared_pool()
     for epoch in range(epochs):
         order = rng.permutation(len(idx))
         total, count = 0.0, 0
@@ -380,7 +338,7 @@ def train(model: ChartModel, triplets, features, *, margin: float = 1.0,
             chunk = idx[order[start:start + batch_size]]
             loss, gw, gb = _batch_loss_and_grads(
                 weights, biases, feats, chunk[:, 0], chunk[:, 1],
-                chunk[:, 2], margin, buffers, pool)
+                chunk[:, 2], margin)
             if not math.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch "

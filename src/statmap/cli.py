@@ -44,7 +44,12 @@ from .harness import (
     simulate_dataset,
     write_report,
 )
-from .propagation import Location, PointProcessConfig, ScenarioConfig
+from .propagation import (
+    Location,
+    PointProcessConfig,
+    ScenarioConfig,
+    check_seed,
+)
 from .rateselect import POLICY_MAP, select_rate_map
 
 EXIT_OK = 0
@@ -318,9 +323,7 @@ def main(argv=None) -> int:
         if not isinstance(doc, dict):
             raise ConfigurationError("config root must be a JSON object")
         seed = doc.get("seed", 0) if args.seed is None else args.seed
-        if not (_has_kind(seed, int) and -2**127 <= seed < 2**127):
-            raise ConfigurationError(
-                f"seed must be an integer in [-2^127, 2^127), got {seed!r}")
+        check_seed(seed)
         os.makedirs(args.out, exist_ok=True)
         COMMANDS[args.command](doc, seed, args.out, args.full)
     except (ConfigurationError, OSError) as exc:

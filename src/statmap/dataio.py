@@ -52,7 +52,6 @@ CHART_VERSION = 1
 # and complex128 CSI entries
 _FLOAT64 = np.dtype("<f8")
 _COMPLEX128 = np.dtype("<c16")
-_NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
 
 
 @dataclass(frozen=True)
@@ -238,12 +237,9 @@ def _dataset_record(row, csi_shape) -> UserRecord:
         if csi_shape is not None and csi.shape != csi_shape:
             raise ValueError(f"CSI shape {csi.shape} differs from the first "
                              f"CSI record's {csi_shape}")
-    samples = row["power_samples"]
-    if not isinstance(samples, str):
-        raise ValueError(_NOT_A_SAMPLE_LIST)
-    powers = _from_b64(samples, _FLOAT64, "power_samples")
+    powers = _from_b64(row["power_samples"], _FLOAT64, "power_samples")
     if powers.size == 0:
-        raise ValueError(_NOT_A_SAMPLE_LIST)
+        raise ValueError("power_samples holds no values")
     if not (np.isfinite(powers) & (powers >= 0.0)).all():
         raise ValueError("power samples must be finite and nonnegative")
     if type(row["user_id"]) is not int:

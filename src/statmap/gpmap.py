@@ -331,15 +331,15 @@ def _lml_from_factor(low: np.ndarray, r: np.ndarray,
     return float(-0.5 * r @ alpha - 0.5 * logdet - 0.5 * r.size * LOG2PI)
 
 
-def default_bounds(train: TrainingSet) -> dict:
-    """Data-driven box bounds for (signal_var, length_scale, noise_var)."""
+def default_bounds(train: TrainingSet, pos_d2: np.ndarray) -> dict:
+    """Data-driven box bounds for (signal_var, length_scale, noise_var),
+    given pos_d2, the positive squared distances between train's
+    coordinates."""
     var = max(float(np.var(train.targets)), 1e-12)
-    d2 = _sq_dists(train.coords, train.coords)
-    pos = d2[d2 > 0]
-    if pos.size == 0:
+    if pos_d2.size == 0:
         raise ConfigurationError("all training coordinates coincide")
-    dmin = math.sqrt(float(pos.min()))
-    dmax = math.sqrt(float(pos.max()))
+    dmin = math.sqrt(float(pos_d2.min()))
+    dmax = math.sqrt(float(pos_d2.max()))
     return {
         "signal_var": (1e-6 * var, 1e3 * var),
         "length_scale": (0.1 * dmin, 10.0 * dmax),
@@ -427,15 +427,17 @@ def fit(train: TrainingSet, init: Hyperparams | None = None, *,
     if restarts < 1:
         raise ConfigurationError(f"restarts must be at least 1, got {restarts}")
     d2 = _sq_dists(train.coords, train.coords)
-    bounds = default_bounds(train)
+    pos_d2 = d2[d2 > 0]
+    bounds = default_bounds(train, pos_d2)
     lo, hi = np.log([bounds["signal_var"], bounds["length_scale"],
                      bounds["noise_var"]]).T
     if init is None:
         var = max(float(np.var(train.targets)), 1e-10)
-        med = math.sqrt(float(np.median(d2[d2 > 0])))
+        med = math.sqrt(float(np.median(pos_d2, overwrite_input=True)))
         init = Hyperparams(prior_mean=float(np.mean(train.targets)),
                            signal_var=var, length_scale=med,
                            noise_var=0.1 * var)
+    del pos_d2      # up to n^2 values: freed before the starts' workspaces
     x0 = np.clip(np.log([init.signal_var, init.length_scale,
                          max(init.noise_var, math.exp(lo[2]))]), lo, hi)
     rng = np.random.default_rng(seed)

@@ -26,6 +26,7 @@ from .propagation import (
     Location,
     PointProcessConfig,
     ScenarioConfig,
+    check_seed,
     derive_seed,
     draw_csi,
     draw_power_samples,
@@ -178,6 +179,7 @@ class ExperimentConfig:
     chart: ChartTrainingConfig = dc_field(default_factory=ChartTrainingConfig)
 
     def __post_init__(self):
+        check_seed(self.seed)
         if not 0.0 < self.epsilon < 1.0 or not 0.0 < self.delta < 1.0:
             raise ConfigurationError("epsilon and delta must lie in (0,1)")
         paths = self.scenario.num_paths
@@ -205,6 +207,7 @@ class MismatchDemoConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         if not self.fit_sizes or min(self.fit_sizes) < RICIAN_MIN_SAMPLES:
             raise ConfigurationError(
                 f"need fit_sizes of at least {RICIAN_MIN_SAMPLES} each, got "

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.special import j0, j1, jn_zeros
@@ -34,6 +35,7 @@ __all__ = [
     "CosineField",
     "Scenario",
     "generate_scenario",
+    "check_seed",
     "derive_seed",
     "sample_locations_thomas",
     "draw_power_samples",
@@ -76,6 +78,15 @@ def _substream(*entropy) -> np.random.Generator:
     words = [e & 0xFFFFFFFFFFFFFFFF if isinstance(e, (int, np.integer))
              else _entropy(str(e).encode("utf-8")) for e in entropy]
     return np.random.default_rng(np.random.SeedSequence(words))
+
+
+def check_seed(seed) -> None:
+    """Refuse a root seed that derive_seed cannot pack into 16 signed
+    bytes, or that is not an integer."""
+    if not (isinstance(seed, Integral) and not isinstance(seed, bool)
+            and -2**127 <= seed < 2**127):
+        raise ConfigurationError(
+            f"seed must be an integer in [-2^127, 2^127), got {seed!r}")
 
 
 def derive_seed(root: int, *labels) -> int:

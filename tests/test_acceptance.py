@@ -213,10 +213,8 @@ def test_criterion_6_gradient_check():
     model = init_chart_model(6, hidden=(10, 8), seed=1)
     margin = 5.0
     idx = triplets.T
-    # one thread, into activation buffers for the 15 stacked rows
-    buffers = [np.empty((15, d)) for d in model.layer_dims]
     _, gw, gb = _batch_loss_and_grads(model.weights, model.biases, feats,
-                                      *idx, margin, buffers, None)
+                                      *idx, margin)
     analytic = np.concatenate([g.ravel() for g in gw]
                               + [g.ravel() for g in gb])
 
@@ -243,9 +241,9 @@ def test_criterion_6_gradient_check():
         dn = theta.copy(); dn[i] -= step
         m_up, m_dn = rebuild(up), rebuild(dn)
         fd[i] = (_batch_loss_and_grads(m_up.weights, m_up.biases, feats,
-                                       *idx, margin, buffers, None)[0]
+                                       *idx, margin)[0]
                  - _batch_loss_and_grads(m_dn.weights, m_dn.biases, feats,
-                                         *idx, margin, buffers, None)[0]
+                                         *idx, margin)[0]
                  ) / (2 * step)
     rel = np.abs(analytic - fd) / np.maximum(np.abs(analytic) + np.abs(fd),
                                              1e-8)

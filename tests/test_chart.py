@@ -258,11 +258,9 @@ def test_forward_dimension_mismatch():
 
 def batch_loss_and_grads(model, feats, anchors, positives, negatives,
                          margin):
-    """_batch_loss_and_grads on one thread, into buffers sized for the
-    batch."""
-    buffers = [np.empty((3 * len(anchors), d)) for d in model.layer_dims]
+    """_batch_loss_and_grads with the model's weights and biases."""
     return _batch_loss_and_grads(model.weights, model.biases, feats, anchors,
-                                 positives, negatives, margin, buffers, None)
+                                 positives, negatives, margin)
 
 
 def triplet_loss(model, feats, triplets, margin):
@@ -482,7 +480,7 @@ def full_backward_train(model, triplets, feats, margin, step_size, epochs,
             up = (za - zp) / np.maximum(dp, 1e-12)[:, None]
             un = (za - zn) / np.maximum(dn, 1e-12)[:, None]
             gw, gb = _backward(weights, acts, np.vstack(
-                [active * (up - un), -active * up, active * un]) / b, None)
+                [active * (up - un), -active * up, active * un]) / b)
             total += float(np.mean(losses)) * b
             for i in range(len(weights)):
                 vel_w[i] = MOMENTUM * vel_w[i] - step_size * gw[i]
@@ -513,7 +511,7 @@ def test_skipped_backward_passes_leave_training_bit_identical(step_size):
 
 def out_of_place_train(model, triplets, feats, margin, step_size, epochs,
                        batch_size, seed):
-    """train() on one thread with a momentum step that makes new arrays
+    """train() with a momentum step that makes new arrays
     (MOMENTUM * vel, step_size * g, w + vel); also returns how many batches
     had no positive hinge."""
     idx = np.asarray(triplets)
@@ -521,8 +519,6 @@ def out_of_place_train(model, triplets, feats, margin, step_size, epochs,
     weights, biases = list(model.weights), list(model.biases)
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
-    buffers = [np.empty((3 * min(batch_size, len(idx)), d))
-               for d in model.layer_dims]
     trace, inactive = [], 0
     for _ in range(epochs):
         order = rng.permutation(len(idx))
@@ -531,7 +527,7 @@ def out_of_place_train(model, triplets, feats, margin, step_size, epochs,
             chunk = idx[order[start:start + batch_size]]
             loss, gw, gb = _batch_loss_and_grads(
                 weights, biases, feats, chunk[:, 0], chunk[:, 1], chunk[:, 2],
-                margin, buffers, None)
+                margin)
             total += loss * len(chunk)
             inactive += gw is None
             for i in range(len(weights)):
@@ -566,8 +562,7 @@ def test_backward_pass_runs_once_per_batch_with_a_positive_hinge(monkeypatch):
     model, triplets, feats = separable_chart_problem()
     positive, backward_at = [], []
 
-    def batch(weights, biases, feats, anchors, positives, negatives, margin,
-              buffers, pool):
+    def batch(weights, biases, feats, anchors, positives, negatives, margin):
         # the hinge terms, from the very rows the batch embeds
         b = len(anchors)
         z = _forward_cached(weights, biases, feats[np.concatenate(
@@ -576,8 +571,7 @@ def test_backward_pass_runs_once_per_batch_with_a_positive_hinge(monkeypatch):
             - np.linalg.norm(z[:b] - z[2 * b:], axis=1) + margin
         positive.append(bool(np.any(hinge > 0.0)))
         return _batch_loss_and_grads(weights, biases, feats, anchors,
-                                     positives, negatives, margin, buffers,
-                                     pool)
+                                     positives, negatives, margin)
 
     def backward(*args):
         backward_at.append(len(positive) - 1)
@@ -629,8 +623,7 @@ def spy_on_active_counts(monkeypatch):
     """Record (active triplets, batch size) of every batch train() runs."""
     seen = []
 
-    def batch(weights, biases, feats, anchors, positives, negatives, margin,
-              buffers, pool):
+    def batch(weights, biases, feats, anchors, positives, negatives, margin):
         b = len(anchors)
         z = _forward_cached(weights, biases, feats[np.concatenate(
             [anchors, positives, negatives])])[-1]
@@ -638,8 +631,7 @@ def spy_on_active_counts(monkeypatch):
             - np.linalg.norm(z[:b] - z[2 * b:], axis=1) + margin
         seen.append((int(np.sum(hinge > 0.0)), b))
         return _batch_loss_and_grads(weights, biases, feats, anchors,
-                                     positives, negatives, margin, buffers,
-                                     pool)
+                                     positives, negatives, margin)
 
     monkeypatch.setattr(chart, "_batch_loss_and_grads", batch)
     return seen
@@ -649,7 +641,6 @@ def test_compacted_backward_trains_the_full_backward_bytes(monkeypatch):
     """The bytes of the full backward pass. They hold with OpenBLAS
     0.3.31's SkylakeX and Sandybridge kernels, not with its Haswell kernels
     (README, Determinism)."""
-    two_cpus(monkeypatch)
     counts = [1, FLOOR - 1, 0, FLOOR, FLOOR + 1, 32, 3, 20, FLOOR + 1, 1]
     model, triplets, feats, margin = hinge_controlled_problem(counts, 32, 5)
     seen = spy_on_active_counts(monkeypatch)
@@ -672,10 +663,10 @@ def test_backward_takes_the_active_triplets_padded_to_the_floor(monkeypatch,
     seen = spy_on_active_counts(monkeypatch)
     rows = []
 
-    def backward(weights, acts, g_out, pool):
+    def backward(weights, acts, g_out):
         assert all(len(a) == len(g_out) for a in acts)
         rows.append((len(seen) - 1, len(g_out)))
-        return _backward(weights, acts, g_out, pool)
+        return _backward(weights, acts, g_out)
 
     monkeypatch.setattr(chart, "_backward", backward)
     train(model, triplets, feats, margin=margin, step_size=1e-3, epochs=2,
@@ -686,25 +677,16 @@ def test_backward_takes_the_active_triplets_padded_to_the_floor(monkeypatch,
                     for i, (active, b) in enumerate(seen) if active]
 
 
-# ---------------------------------------------------------------- two threads
-# A batch's m stacked rows are forwarded in two blocks, [0, cut) and [cut, m)
-# with cut = 4 * (m // 8), the second on a helper thread, and each weight
-# gradient above the first layer is formed there too. The bytes are those of
-# the single-block pass of full_backward_train: _forward_cached on all m
-# rows, then _backward.
+# ---------------------------------------------------------------- chart size
+# At the default hidden widths, training with its compacted backward pass
+# keeps the bytes of full_backward_train: _forward_cached on all 3b stacked
+# rows, then _backward on all of them.
 
 def assert_same_training(got, weights, biases, trace):
     assert np.array(got.epoch_losses).tobytes() == np.array(trace).tobytes()
     for have, want in zip(got.model.weights + got.model.biases,
                           weights + biases):
         assert have.tobytes() == want.tobytes()
-
-
-def two_cpus(monkeypatch):
-    """Let train() see two usable CPUs, so it starts its helper thread on
-    any host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
 
 
 def chart_sized_problem():
@@ -721,13 +703,13 @@ def chart_sized_problem():
 
 
 # 3b mod 4 is 0, 1, 2 and 3; each leaves a short last batch, at 33 one of 2
-# triplets: 6 rows, forwarded as one block
+# triplets: 6 rows
 @pytest.mark.parametrize("batch_size", [32, 35, 34, 33])
-def test_split_batches_train_the_single_block_bytes(monkeypatch, batch_size):
-    """The bytes of a single-block forward and a full backward pass. They
-    hold with OpenBLAS 0.3.31's SkylakeX and Sandybridge kernels, not with
-    its Haswell kernels (README, Determinism)."""
-    two_cpus(monkeypatch)
+def test_chart_sized_training_keeps_the_full_backward_bytes(monkeypatch,
+                                                            batch_size):
+    """The bytes of full_backward_train, without a call to the public
+    forward. They hold with OpenBLAS 0.3.31's SkylakeX and Sandybridge
+    kernels, not with its Haswell kernels (README, Determinism)."""
 
     def refuse(*args):
         raise AssertionError("training called the public forward")
@@ -764,12 +746,9 @@ def test_training_bytes_do_not_depend_on_cpu_count(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_row_on_the_helper_names_its_epoch_and_batch(monkeypatch,
-                                                                bad):
-    # the non-finite row is only ever a negative, so it lies in the last
-    # third of its batch's rows, past the cut: only the helper forwards it,
-    # under the same error state as this thread (warnings would be errors)
-    two_cpus(monkeypatch)
+def test_non_finite_row_names_its_epoch_and_batch(bad):
+    # the non-finite row is only ever a negative; training forwards it
+    # without a warning (warnings would be errors here)
     model, triplets, feats = separable_chart_problem()
     feats = np.vstack([feats, np.full(feats.shape[1], bad)])
     triplets = triplets.copy()

@@ -325,7 +325,8 @@ def test_partial_pointprocess_section_merges_with_defaults():
         ExperimentConfig().pointprocess.parent_intensity
 
 
-@pytest.mark.parametrize("name", ["quick", "location", "chart"])
+@pytest.mark.parametrize("name", ["quick", "location", "location_poisson",
+                                  "chart"])
 def test_full_overrides_the_shipped_configs(name):
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     exp = doc["experiment"]
@@ -340,6 +341,8 @@ def test_full_overrides_the_shipped_configs(name):
     assert (full.epsilon, full.delta, full.samples_per_user,
             full.n_train_users) == (1e-3, 1e-3, 10_000, users)
     assert full.n_test_users == config.n_test_users
+    assert config.pointprocess == full.pointprocess == PointProcessConfig(
+        **doc.get("pointprocess", {}))
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -694,7 +697,7 @@ def cut_bytes(field, n):
     return edit
 
 
-NOT_A_SAMPLE_LIST = "power_samples must be a non-empty list of numbers"
+NO_SAMPLES = "power_samples holds no values"
 NOT_A_NUMBER_XYZ = "x, y and z must be JSON numbers"
 
 
@@ -726,15 +729,17 @@ NOT_A_NUMBER_XYZ = "x, y and z must be JSON numbers"
      "CSI data holds 1016 bytes, not a whole number of 16-byte values"),
     # each was a traceback (exit 1) from fitting or stacking
     ("fit-map", BASE_CONFIG, 3, set_value(("power_samples",), ""),
-     NOT_A_SAMPLE_LIST),
+     NO_SAMPLES),
     ("train-chart", CHART_CONFIG, 3, set_value(("power_samples",), ""),
-     NOT_A_SAMPLE_LIST),
-    ("train-chart", CHART_CONFIG, 4, fold_power_samples, NOT_A_SAMPLE_LIST),
+     NO_SAMPLES),
+    ("train-chart", CHART_CONFIG, 4, fold_power_samples,
+     "power_samples must be a base64 string, got list"),
     # silently flattened into one user's samples
-    ("fit-map", BASE_CONFIG, 4, fold_power_samples, NOT_A_SAMPLE_LIST),
+    ("fit-map", BASE_CONFIG, 4, fold_power_samples,
+     "power_samples must be a base64 string, got list"),
     # a numerical failure (exit 3) from too few samples for epsilon
     ("fit-map", BASE_CONFIG, 2, set_value(("power_samples",), 1.5),
-     NOT_A_SAMPLE_LIST),
+     "power_samples must be a base64 string, got float"),
     ("fit-map", BASE_CONFIG, 3, cut_bytes(("power_samples",), 3),
      "power_samples holds 2397 bytes, not a whole number of 8-byte values"),
     ("fit-map", BASE_CONFIG, 2, set_value(("power_samples",), "AAAA!AAA"),

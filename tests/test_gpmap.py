@@ -31,6 +31,13 @@ HYPER = Hyperparams(prior_mean=0.0, signal_var=1.0, length_scale=1.0,
                     noise_var=0.0)
 
 
+def bounds_of(train):
+    """default_bounds from train's positive squared distances, as fit()
+    passes them."""
+    d2 = gm._sq_dists(train.coords, train.coords)
+    return default_bounds(train, d2[d2 > 0])
+
+
 def map_lml(hyper, train):
     """The LML that build_map reads off its own Cholesky factor."""
     return build_map(train, hyper).diagnostics.log_marginal_likelihood
@@ -272,11 +279,32 @@ def test_fit_recovers_prior_hyperparameters():
     assert truth.signal_var / 2 < fmap.hyper.signal_var < truth.signal_var * 2
 
 
+def test_fit_forms_the_training_distances_once(monkeypatch):
+    # the bounds and the initial length scale share the fit's distances
+    train = prior_train(36, 50, TRUTH)
+    sq_dists, shapes = gm._sq_dists, []
+
+    def counted(a, b):
+        shapes.append((len(a), len(b)))
+        return sq_dists(a, b)
+
+    monkeypatch.setattr(gm, "_sq_dists", counted)
+    fit(train, restarts=2, seed=0)
+    assert shapes.count((train.n, train.n)) == 1
+
+
+def test_fit_refuses_coincident_coordinates():
+    train = TrainingSet.new(np.ones((5, 2)), np.arange(5.0))
+    with pytest.raises(ConfigurationError,
+                       match="all training coordinates coincide"):
+        fit(train, restarts=1)
+
+
 def test_fit_constant_targets_degenerate():
     coords = np.random.default_rng(4).uniform(-3, 3, size=(30, 2))
     train = TrainingSet.new(coords, np.full(30, 1.75))
     fmap = fit(train, restarts=2, seed=1)
-    lo_sig = default_bounds(train)["signal_var"][0]
+    lo_sig = bounds_of(train)["signal_var"][0]
     assert fmap.hyper.signal_var <= 10 * lo_sig
     assert fmap.hyper.prior_mean == pytest.approx(1.75, abs=1e-6)
 
@@ -337,7 +365,7 @@ def test_lml_gradient_matches_central_differences(n, where):
     d2 = gm._sq_dists(train.coords, train.coords)
     theta = log_theta(TRUTH) + np.array([0.3, -0.2, 0.4])
     if where == "noise-bound":     # just inside the nugget's lower bound
-        theta[2] = math.log(default_bounds(train)["noise_var"][0]) + 1e-3
+        theta[2] = math.log(bounds_of(train)["noise_var"][0]) + 1e-3
     elif where == "long-scale":    # a near-flat, badly conditioned kernel
         theta[1] = math.log(20.0)
     lml, mean, grad = gm._profiled_lml(theta, d2, train.targets,
@@ -408,7 +436,7 @@ def test_workspace_lml_equals_allocating_evaluation_bit_for_bit(kind):
              "prior": lambda: prior_train(42, 120, TRUTH),
              "near-duplicates": lambda: near_duplicate_train(43, 80)}[kind]()
     d2 = gm._sq_dists(train.coords, train.coords)
-    bounds = default_bounds(train)
+    bounds = bounds_of(train)
     lo, hi = np.log([bounds[key] for key in ("signal_var", "length_scale",
                                              "noise_var")]).T
     thetas = lo + np.random.default_rng(44).uniform(size=(16, 3)) * (hi - lo)
@@ -505,7 +533,7 @@ def test_fit_reaches_nelder_mead_optimum(seed):
     # on the LML itself, from the same start and within the same bounds.
     train = prior_train(seed, 40, TRUTH)
     init = Hyperparams(float(np.mean(train.targets)), 1.0, 1.0, 0.2)
-    bounds = default_bounds(train)
+    bounds = bounds_of(train)
     box = [(None, None)] + [tuple(np.log(bounds[key]))
                             for key in ("signal_var", "length_scale",
                                         "noise_var")]
@@ -697,7 +725,7 @@ def shared_best_fit(train, restarts, seed):
     converged flag of its diagnostics."""
     d2 = gm._sq_dists(train.coords, train.coords)
     work = (np.empty_like(d2), np.empty_like(d2))
-    bounds = default_bounds(train)
+    bounds = bounds_of(train)
     lo, hi = np.log([bounds["signal_var"], bounds["length_scale"],
                      bounds["noise_var"]]).T
     var = max(float(np.var(train.targets)), 1e-10)

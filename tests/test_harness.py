@@ -497,6 +497,24 @@ def test_experiment_config_validation():
         ExperimentConfig(epsilon=2.0)
 
 
+@pytest.mark.parametrize("seed", [-2**127 - 1, 2**127, 2**128],
+                         ids=["-2^127-1", "2^127", "2^128"])
+@pytest.mark.parametrize("cls", [ExperimentConfig, MismatchDemoConfig])
+def test_configs_refuse_seeds_outside_128_bits(cls, seed):
+    # derive_seed packs the root seed into 16 signed bytes: outside them it
+    # raised OverflowError at the first draw
+    with pytest.raises(ConfigurationError) as err:
+        cls(seed=seed)
+    assert str(err.value) == (
+        f"seed must be an integer in [-2^127, 2^127), got {seed}")
+
+
+@pytest.mark.parametrize("seed", [-2**127, 2**127 - 1])
+@pytest.mark.parametrize("cls", [ExperimentConfig, MismatchDemoConfig])
+def test_configs_take_seeds_at_the_ends_of_128_bits(cls, seed):
+    assert derive_seed(cls(seed=seed).seed, "test-users") >= 0
+
+
 MOST_DRAWS = harness.MAX_DRAW_BUFFER_BYTES // (7 * 16)
 
 
