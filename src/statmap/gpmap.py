@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cython_blas, cython_lapack
-from scipy.optimize import minimize
 
 from ._threads import map_in_order
 from .errors import ConfigurationError, FitError, IllConditionedError
@@ -424,6 +423,7 @@ def fit(train: TrainingSet, init: Hyperparams | None = None, *,
     beat every earlier start's, and ``iterations`` counts the evaluations
     of all starts. The map's factor is a new array.
     """
+    from scipy.optimize import minimize
     if restarts < 1:
         raise ConfigurationError(f"restarts must be at least 1, got {restarts}")
     d2 = _sq_dists(train.coords, train.coords)

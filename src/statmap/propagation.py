@@ -17,13 +17,13 @@ hashing (purpose label, location, sample seed).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
-from scipy.special import j0, j1, jn_zeros
 
 from .errors import ConfigurationError, NumericalError
 from .stats import EmpiricalDistribution, capacity_from_power, empirical_quantile
@@ -402,13 +402,17 @@ def draw_csi(scenario: Scenario, loc: Location, sample_seed: int,
     return np.einsum("p,pa,ps->as", paths, steering, ramps)
 
 
-def _kluyver_grid(n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first n_terms zeros z of J0 and the weights 2 / (z J1(z)^2)."""
+@functools.cache
+def _kluyver_grid(n_terms=KLUYVER_TERMS) -> tuple[np.ndarray, np.ndarray]:
+    """The first n_terms zeros z of J0 and the weights 2 / (z J1(z)^2),
+    built on first use; read-only, as every caller shares them."""
+    from scipy.special import j1, jn_zeros
     zeros = jn_zeros(0, n_terms)
-    return zeros, 2.0 / (zeros * j1(zeros) ** 2)
+    grid = zeros, 2.0 / (zeros * j1(zeros) ** 2)
+    for part in grid:
+        part.flags.writeable = False
+    return grid
 
-
-_KLUYVER_GRID = _kluyver_grid(KLUYVER_TERMS)
 
 # The exact CDF of |sum_p a_p e^{j phi_p}| / sum_p a_p under i.i.d. uniform
 # phases, with the amplitudes scaled to sum to 1, is 1 beyond r = 1 and
@@ -425,6 +429,7 @@ _KLUYVER_GRID = _kluyver_grid(KLUYVER_TERMS)
 def _j0_products(scaled, nodes, weights) -> np.ndarray:
     """Series weights times prod_p J0(a_p z) at the zeros z, one row per
     row of scaled amplitudes."""
+    from scipy.special import j0
     out = np.empty((len(scaled), nodes.size))
     out[:] = weights
     arg = np.empty_like(out)
@@ -437,6 +442,7 @@ def _kluyver_cdf(r, nodes, weighted, terms=None):
     """The CDF at each r[i, k] in [0, 1] on row i of weighted, and its
     error bound (KLUYVER_TAIL_FACTOR times the largest distance from it of a
     partial sum over the second half of the terms): (values, spreads)."""
+    from scipy.special import j1
     terms = np.multiply(r[..., None], nodes, out=terms)
     j1(terms, out=terms)
     terms *= weighted[:, None]
@@ -501,7 +507,7 @@ def _kluyver_quantiles(scaled, level):
     indices, their J0 products) pairs, one per length: the shortest that
     converged, or the longest.
     """
-    all_nodes, all_weights = _KLUYVER_GRID
+    all_nodes, all_weights = _kluyver_grid()
     n = KLUYVER_FIRST_TERMS
     rows = np.arange(len(scaled))
     weighted = _j0_products(scaled, all_nodes[:n], all_weights[:n])
@@ -528,7 +534,7 @@ def multipath_power_cdf(amplitudes, powers) -> np.ndarray:
     fails the series' convergence test (see ``true_outage_capacities``)."""
     a = np.asarray(amplitudes, dtype=float)
     powers = np.asarray(powers, dtype=float)
-    nodes, weights = _KLUYVER_GRID
+    nodes, weights = _kluyver_grid()
     radii = np.sqrt(powers) / a.sum()
     values, spreads = map(np.ravel, _kluyver_cdf(
         radii[None], nodes, _j0_products((a / a.sum())[None], nodes, weights)))
@@ -560,7 +566,7 @@ def _exact_truths(scenario: Scenario, locs, epsilon: float, rates) -> list:
                 0.0, math.expm1(rate * math.log(2.0))) * noise) / peaks[user]
                 for rate in rates[user]])
         values = _kluyver_cdf(np.array(radii),
-                              _KLUYVER_GRID[0][:weighted.shape[1]],
+                              _kluyver_grid()[0][:weighted.shape[1]],
                               weighted)[0].tolist()
         for user, user_radii, user_values in zip(rows.tolist(), radii, values):
             if math.isnan(roots[user]):

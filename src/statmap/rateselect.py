@@ -11,7 +11,6 @@ clamped at 0 ("do not transmit").
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .gpmap import (PREDICT_CHUNK, PredictiveDistribution, TrainingSet,
                     _sq_dists, check_queries)
@@ -30,6 +29,7 @@ POLICY_BASELINE = "nearest_neighbor"
 
 def gaussian_quantile(delta: float) -> float:
     """Standard normal inverse CDF, accurate to well below 1e-9."""
+    from scipy.special import ndtri
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     return float(ndtri(delta))

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import i0e
 
 from .errors import (
     DegenerateInputError,
@@ -154,6 +152,7 @@ def _rician_logpdf(r: np.ndarray, K: float, omega: float) -> np.ndarray:
     I0 is evaluated through the exponentially scaled i0e to avoid overflow:
     log I0(x) = x + log(i0e(x)).
     """
+    from scipy.special import i0e
     z = 2.0 * r * math.sqrt(K * (1.0 + K) / omega)
     log_i0 = z + np.log(i0e(z))
     return (math.log(2.0 * (1.0 + K) / omega) + np.log(r)
@@ -166,6 +165,7 @@ def fit_rician_ml(samples) -> RicianFit:
     omega is profiled out as the sample mean power, reducing the problem to
     a 1-D search over the Rician factor K in [0, RICIAN_K_MAX].
     """
+    from scipy.optimize import minimize_scalar
     r = np.asarray(samples, dtype=float).ravel()
     if r.size < RICIAN_MIN_SAMPLES:
         raise ValueError(

@@ -3,7 +3,6 @@ analytic gradients against central finite differences, and training behavior."""
 
 import math
 import os
-import sys
 import tracemalloc
 import warnings
 
@@ -725,20 +724,24 @@ def test_chart_sized_training_keeps_the_full_backward_bytes(monkeypatch,
 
 
 def test_training_bytes_do_not_depend_on_cpu_count(monkeypatch):
+    # training runs on the calling thread: a call into the pool fails here,
+    # whether chart reaches it through _threads or a name of its own
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("training took the thread pool")
+
+    for module in (_threads, chart):
+        for name in ("shared_pool", "map_in_order"):
+            monkeypatch.setattr(module, name, refuse,
+                                raising=module is _threads)
     model, triplets, feats = chart_sized_problem()
     results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)     # switch threads often
-    try:
-        for cpus in (1, 2, 4):
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid, n=cpus: set(range(n)),
-                                raising=False)
-            assert _threads._worker_count() == cpus
-            results.append(train(model, triplets, feats, step_size=0.02,
-                                 epochs=2, batch_size=33, seed=5))
-    finally:
-        sys.setswitchinterval(interval)
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=cpus: set(range(n)), raising=False)
+        assert _threads._worker_count() == cpus
+        results.append(train(model, triplets, feats, step_size=0.02,
+                             epochs=2, batch_size=33, seed=5))
     for got in results[1:]:
         assert_same_training(got, list(results[0].model.weights),
                              list(results[0].model.biases),

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import typing
 import warnings
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import statmap
 from statmap.cli import _experiment_config, main
 from statmap.dataio import save_chart, save_map
 from statmap.errors import FitError, NumericalError
@@ -1346,3 +1349,85 @@ def test_seed_changes_output(tmp_path):
     assert run("simulate", cfg, out1, seed=1) == 0
     assert run("simulate", cfg, out2, seed=2) == 0
     assert read_all(out1) != read_all(out2)
+
+
+# ---------------------------------------------------------------- start-up
+# Every scipy subpackage but linalg is imported by the function that calls
+# it, so a fresh process loads only what its command runs.
+
+LAZY_SCIPY = {"scipy.optimize", "scipy.spatial", "scipy.special",
+              "scipy.stats"}
+
+
+def fresh_modules(code):
+    """The names in sys.modules of a new interpreter after it runs code,
+    with this statmap first on its path."""
+    src = str(Path(statmap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def fresh_main(*argv):
+    """Code that runs the CLI on argv and fails unless it exits 0."""
+    return f"from statmap import cli\nassert cli.main({list(argv)!r}) == 0"
+
+
+def test_building_every_shipped_config_loads_no_lazy_scipy():
+    loaded = fresh_modules(f"""
+import json, pathlib
+import statmap, statmap.cli as cli
+from statmap.harness import MismatchDemoConfig
+paths = sorted(pathlib.Path({str(CONFIG_DIR)!r}).glob("*.json"))
+assert len(paths) == 5
+for path in paths:
+    doc = json.loads(path.read_text())
+    if "demo" in doc:
+        MismatchDemoConfig(**dict(doc["demo"],
+                                  fit_sizes=tuple(doc["demo"]["fit_sizes"])))
+    else:
+        for full in (False, True):
+            cli._experiment_config(doc, doc["seed"], full)
+""")
+    assert "statmap.cli" in loaded and not loaded & LAZY_SCIPY
+
+
+def test_a_fresh_select_rate_loads_no_optimizer_or_spatial_code(tmp_path):
+    cfg = select_rate_config(tmp_path, small_map(tmp_path))
+    out = tmp_path / "out"
+    loaded = fresh_modules(fresh_main("select-rate", "--config", cfg,
+                                      "--out", str(out)))
+    assert (out / "rates.csv").exists()
+    assert not loaded & {"scipy.optimize", "scipy.spatial"}
+
+
+@pytest.mark.parametrize("doc", [BASE_CONFIG, CHART_CONFIG])
+def test_a_fresh_simulate_loads_no_special_functions(tmp_path, doc):
+    out = tmp_path / "out"
+    loaded = fresh_modules(fresh_main(
+        "simulate", "--config", write_config(tmp_path, doc), "--out",
+        str(out)))
+    assert (out / "dataset.jsonl").exists()
+    assert "scipy.special" not in loaded
+
+
+def test_a_fresh_evaluate_on_two_cpus_writes_the_in_process_bytes(
+        tmp_path, monkeypatch):
+    # the fresh process first imports scipy.special for the exact oracle,
+    # which runs on the pool: two threads may import it at once
+    cfg = str(CONFIG_DIR / "quick.json")
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh_modules("import os, sys\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "import statmap\n"
+                  "assert 'scipy.special' not in sys.modules\n"
+                  + fresh_main("evaluate", "--config", cfg, "--out",
+                               str(fresh)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert run("evaluate", cfg, here) == 0
+    assert read_all(fresh) == read_all(here) and read_all(here)

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.linalg import blas, cho_solve, cholesky, lapack, solve_triangular
 from scipy.optimize import minimize
 
@@ -826,9 +827,10 @@ def test_starts_run_under_the_callers_numpy_error_state(monkeypatch, cpus):
 
 def failing_second_start(monkeypatch, init, failure):
     """Make every evaluation of each start but the one from init (the first)
-    raise failure from the kernel factorization; build_map factors as ever."""
+    raise failure from the kernel factorization; build_map factors as ever.
+    fit imports minimize when it is called, so the patch goes on scipy."""
     marked = threading.local()
-    real_minimize, real_factor = gm.minimize, gm._cholesky_with_jitter
+    real_minimize, real_factor = minimize, gm._cholesky_with_jitter
     first = log_theta(init)
 
     def minimize_marked(fun, x0, **options):
@@ -843,7 +845,7 @@ def failing_second_start(monkeypatch, init, failure):
             raise failure
         return real_factor(kernel, buf, hyper)
 
-    monkeypatch.setattr(gm, "minimize", minimize_marked)
+    monkeypatch.setattr(scipy.optimize, "minimize", minimize_marked)
     monkeypatch.setattr(gm, "_cholesky_with_jitter", factor)
 
 
