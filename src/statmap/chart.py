@@ -192,19 +192,16 @@ def build_triplets(distributions, n_triplets: int,
     return triplets[:kept], n_triplets - kept
 
 
-def _rectified(weights, biases, x: np.ndarray):
-    """x and the output of each rectifier layer (all but the identity
-    output layer), kept for backprop."""
-    activations = [x]
-    for w, b in zip(weights[:-1], biases[:-1]):
-        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
-    return activations
-
-
 def _forward_cached(weights, biases, x: np.ndarray):
     """Forward pass keeping post-activation values for backprop."""
-    activations = _rectified(weights, biases, x)
-    return activations + [activations[-1] @ weights[-1] + biases[-1]]
+    activations = [x]
+    a = x
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w + b
+        a = z if i == last else np.maximum(z, 0.0)
+        activations.append(a)
+    return activations
 
 
 def forward(model: ChartModel, features) -> np.ndarray:
@@ -223,10 +220,6 @@ def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
                           anchors, positives, negatives, margin: float):
     """Mean triplet loss of the batch and its weight and bias gradients.
 
-    Each distinct user of the batch goes through the rectifier layers once;
-    the output layer, whose bits depend on the rows that share its product,
-    takes the stacked rows gathered from them (README, Determinism).
-
     The gradients are None when the loss is finite and no hinge term is
     positive: they are exactly zero then, and the backward pass is skipped.
     A NaN hinge is not positive either, but it leaves the loss NaN, so such
@@ -243,11 +236,10 @@ def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
     """
     # overflow here surfaces as a non-finite loss, which train() rejects
     b = len(anchors)
-    users, slot = np.unique(np.concatenate([anchors, positives, negatives]),
-                            return_inverse=True)
+    rows = np.concatenate([anchors, positives, negatives])
     with np.errstate(invalid="ignore", over="ignore"):
-        hidden = _rectified(weights, biases, feats[users])
-        z = hidden[-1][slot] @ weights[-1] + biases[-1]
+        acts = _forward_cached(weights, biases, feats[rows])
+        z = acts[-1]
         za, zp, zn = z[:b], z[b:2 * b], z[2 * b:]
         diff_p = za - zp
         diff_n = za - zn
@@ -263,8 +255,8 @@ def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
         pad = BACKWARD_MIN_TRIPLETS - int(hinge.sum())
         kept = np.flatnonzero(hinge | (np.cumsum(~hinge) <= pad))
         if kept.size < b:
-            slot = slot[np.concatenate([kept, kept + b, kept + 2 * b])]
-        acts = [a[slot] for a in hidden]
+            rows = np.concatenate([kept, kept + b, kept + 2 * b])
+            acts = [a[rows] for a in acts]
         active = hinge[kept].astype(float)[:, None]
         up = diff_p[kept] / np.maximum(dp[kept], 1e-12)[:, None]
         un = diff_n[kept] / np.maximum(dn[kept], 1e-12)[:, None]

@@ -724,16 +724,13 @@ def test_chart_sized_training_keeps_the_full_backward_bytes(monkeypatch,
 
 
 def test_training_bytes_do_not_depend_on_cpu_count(monkeypatch):
-    # training runs on the calling thread: a call into the pool fails here,
-    # whether chart reaches it through _threads or a name of its own
+    # training runs on the calling thread: a call into the pool fails here
 
     def refuse(*args, **kwargs):
         raise AssertionError("training took the thread pool")
 
-    for module in (_threads, chart):
-        for name in ("shared_pool", "map_in_order"):
-            monkeypatch.setattr(module, name, refuse,
-                                raising=module is _threads)
+    for name in ("shared_pool", "map_in_order"):
+        monkeypatch.setattr(_threads, name, refuse)
     model, triplets, feats = chart_sized_problem()
     results = []
     for cpus in (1, 4):

@@ -1383,7 +1383,7 @@ import json, pathlib
 import statmap, statmap.cli as cli
 from statmap.harness import MismatchDemoConfig
 paths = sorted(pathlib.Path({str(CONFIG_DIR)!r}).glob("*.json"))
-assert len(paths) == 5
+assert paths
 for path in paths:
     doc = json.loads(path.read_text())
     if "demo" in doc:
