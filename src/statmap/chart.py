@@ -28,6 +28,7 @@ __all__ = [
     "MAX_SUBCARRIER_FEATURES",
     "init_chart_model",
     "csi_features",
+    "feature_length",
     "build_triplets",
     "forward",
     "train",
@@ -40,13 +41,6 @@ MOMENTUM = 0.9          # SGD velocity decay per step
 # W1 entries per quantile call in triplet mining: 8 MiB of rows, so a chunk
 # and its copies stay within a few tens of MB at any user count
 QUANTILE_CHUNK_ENTRIES = 1 << 20
-# Triplets a backward pass takes at least. A triplet whose hinge is zero
-# passes back exact zeros, so the pass takes only the active ones, padded
-# to this floor: fewer rows send OpenBLAS's products to its small-matrix
-# kernels, which round differently from the full batch's. With OpenBLAS
-# 0.3.31's SkylakeX kernels a floor of 4 is the smallest that keeps the
-# bytes of the full pass; 8 leaves a factor of two.
-BACKWARD_MIN_TRIPLETS = 8
 
 
 @dataclass(frozen=True)
@@ -118,6 +112,12 @@ def csi_features(csi, s_red: int) -> np.ndarray:
     block = np.concatenate([mags.ravel(), prods.ravel()])
     block /= np.linalg.norm(block)
     return np.concatenate([block, [math.log10(total)]])
+
+
+def feature_length(antennas: int, subcarriers: int, s_red: int) -> int:
+    """Length of csi_features' vector for an antennas x subcarriers CSI."""
+    columns = math.ceil(subcarriers / math.ceil(subcarriers / s_red))
+    return 2 * antennas * columns + 1
 
 
 def _condensed_row(condensed: np.ndarray, n: int, i: int) -> np.ndarray:
@@ -220,60 +220,40 @@ def _batch_loss_and_grads(weights, biases, feats: np.ndarray,
                           anchors, positives, negatives, margin: float):
     """Mean triplet loss of the batch and its weight and bias gradients.
 
-    The gradients are None when the loss is finite and no hinge term is
-    positive: they are exactly zero then, and the backward pass is skipped.
-    A NaN hinge is not positive either, but it leaves the loss NaN, so such
-    a batch still takes a backward pass and train() rejects its loss.
-
     The backward pass takes only the rows of the triplets whose hinge is
-    positive, padded with the lowest-index inactive ones to
-    BACKWARD_MIN_TRIPLETS (all rows when b is smaller), gathered in order,
-    so it costs O(active rows), not O(b). A dropped row's output gradient
-    is an exact +-0, so the gradients keep the bits of the pass over all
-    rows while DGEMM sums a product's rows in one block: up to 128
-    triplets with OpenBLAS 0.3.31's SkylakeX kernels (see README,
-    Determinism).
+    positive, gathered in order, so it costs O(active rows), not O(b): an
+    inactive triplet passes back exact zeros. The gradients are None when
+    no hinge is positive. A non-finite loss comes back with gradients or
+    without; train() rejects it before it reads them.
     """
     # overflow here surfaces as a non-finite loss, which train() rejects
     b = len(anchors)
     rows = np.concatenate([anchors, positives, negatives])
     with np.errstate(invalid="ignore", over="ignore"):
         acts = _forward_cached(weights, biases, feats[rows])
-        z = acts[-1]
-        za, zp, zn = z[:b], z[b:2 * b], z[2 * b:]
+        za, zp, zn = np.split(acts[-1], 3)
         diff_p = za - zp
         diff_n = za - zn
         dp = np.linalg.norm(diff_p, axis=1)
         dn = np.linalg.norm(diff_n, axis=1)
         losses = np.maximum(0.0, dp - dn + margin)
         loss = float(np.mean(losses))
-        hinge = losses > 0.0
-        if not hinge.any() and math.isfinite(loss):
+        kept = np.flatnonzero(losses > 0.0)
+        if kept.size == 0:
             return loss, None, None
-        # the active triplets and the lowest-index inactive ones, `pad` of
-        # them; their rows are gathered, in order
-        pad = BACKWARD_MIN_TRIPLETS - int(hinge.sum())
-        kept = np.flatnonzero(hinge | (np.cumsum(~hinge) <= pad))
         if kept.size < b:
             rows = np.concatenate([kept, kept + b, kept + 2 * b])
             acts = [a[rows] for a in acts]
-        active = hinge[kept].astype(float)[:, None]
         up = diff_p[kept] / np.maximum(dp[kept], 1e-12)[:, None]
         un = diff_n[kept] / np.maximum(dn[kept], 1e-12)[:, None]
-        g_out = np.vstack([
-            active * (up - un),
-            -active * up,
-            active * un,
-        ]) / b
+        g_out = np.vstack([up - un, -up, un]) / b
         return (loss, *_backward(weights, acts, g_out))
 
 
 def _backward(weights, acts, g_out: np.ndarray):
     """Weight and bias gradients from the output gradient g_out, passed back
     through the rectifier stack whose activations acts the forward pass
-    kept, one row per row of g_out. Sums over rows run in row order
-    (numpy's over axis 0, DGEMM's within a block), so rows of exact zeros
-    may be left out without changing a bit."""
+    kept, one row per row of g_out."""
     grads_w = [None] * len(weights)
     grads_b = [None] * len(weights)
     g = g_out

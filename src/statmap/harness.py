@@ -10,7 +10,6 @@ reported on stdout only, never inside output files.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from dataclasses import dataclass, field as dc_field
 
@@ -26,6 +25,7 @@ from .propagation import (
     Location,
     PointProcessConfig,
     ScenarioConfig,
+    check_finite,
     check_seed,
     derive_seed,
     draw_csi,
@@ -123,6 +123,7 @@ class ChartTrainingConfig:
     batch_size: int = 128
 
     def __post_init__(self):
+        check_finite(self)
         if any(width < 1 for width in self.hidden):
             raise ConfigurationError(
                 f"hidden widths must be at least 1, got {list(self.hidden)}")
@@ -150,11 +151,9 @@ class ChartTrainingConfig:
         # 8-byte anchors and (anchor, positive, negative) rows
         _check_chart_bytes(f"n_triplets={self.n_triplets}", "the triplets",
                            32 * self.n_triplets)
-        # the length of csi_features' vector, then the layers
-        step = math.ceil(self.csi_subcarriers / self.s_red)
-        columns = math.ceil(self.csi_subcarriers / step)
-        dims = [2 * self.csi_antennas * columns + 1, *self.hidden,
-                chart_mod.LATENT_DIM]
+        dims = [chart_mod.feature_length(self.csi_antennas,
+                                         self.csi_subcarriers, self.s_red),
+                *self.hidden, chart_mod.LATENT_DIM]
         _check_chart_bytes(
             f"hidden={list(self.hidden)} on {dims[0]} CSI features",
             "the chart's weights",

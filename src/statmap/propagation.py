@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral
 
 import numpy as np
@@ -35,6 +35,7 @@ __all__ = [
     "CosineField",
     "Scenario",
     "generate_scenario",
+    "check_finite",
     "check_seed",
     "derive_seed",
     "sample_locations_thomas",
@@ -87,6 +88,14 @@ def check_seed(seed) -> None:
             and -2**127 <= seed < 2**127):
         raise ConfigurationError(
             f"seed must be an integer in [-2^127, 2^127), got {seed!r}")
+
+
+def check_finite(config) -> None:
+    """Refuse a config dataclass that has a non-finite float field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value}")
 
 
 def derive_seed(root: int, *labels) -> int:
@@ -142,6 +151,7 @@ class ScenarioConfig:
     path_weight_decay: float = 0.45
 
     def __post_init__(self):
+        check_finite(self)
         if self.num_paths < 1:
             raise ConfigurationError("num_paths must be >= 1")
         if self.field_components < 1:
@@ -177,6 +187,7 @@ class PointProcessConfig:
     offspring_std: float = 8.0          # isotropic Gaussian offset std, meters
 
     def __post_init__(self):
+        check_finite(self)
         if self.parent_intensity <= 0 or self.mean_cluster_size <= 0:
             raise ConfigurationError("intensities must be positive")
         if self.offspring_std < 0:

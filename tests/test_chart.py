@@ -3,8 +3,11 @@ analytic gradients against central finite differences, and training behavior."""
 
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from statmap.chart import (
     _forward_cached,
     build_triplets,
     csi_features,
+    feature_length,
     forward,
     init_chart_model,
     train,
@@ -57,6 +61,14 @@ def test_features_declared_dimension():
     assert f.shape == (2 * 64 * 24 + 1,)
     # magnitude block has unit norm
     assert np.linalg.norm(f[:-1]) == pytest.approx(1.0, abs=1e-12)
+    # the length the config checks the chart's size with, s_red above,
+    # at and below the subcarrier count included
+    for a in (1, 2, 5):
+        for s in (1, 2, 7, 23, 24, 25, 49, 288):
+            csi = random_csi(rng, a=a, s=s)
+            for s_red in (1, 2, 7, 8, 23, 24):
+                assert csi_features(csi, s_red).size \
+                    == feature_length(a, s, s_red)
 
 
 def test_features_zero_csi_rejected():
@@ -455,9 +467,11 @@ def separable_chart_problem():
 
 
 def full_backward_train(model, triplets, feats, margin, step_size, epochs,
-                        batch_size, seed):
-    """train() with the backward pass run on every batch, an all-zero
-    output gradient included."""
+                        batch_size, seed, active_only=False):
+    """train() written out: _forward_cached on a batch's 3b stacked rows,
+    then _backward on all of them, an all-zero output gradient included.
+    With active_only, _backward takes only the rows of the triplets whose
+    hinge is positive, gathered in order (none in a batch without one)."""
     idx = np.asarray(triplets)
     rng = np.random.default_rng(seed)
     weights, biases = list(model.weights), list(model.biases)
@@ -478,8 +492,12 @@ def full_backward_train(model, triplets, feats, margin, step_size, epochs,
             active = (losses > 0.0).astype(float)[:, None]
             up = (za - zp) / np.maximum(dp, 1e-12)[:, None]
             un = (za - zn) / np.maximum(dn, 1e-12)[:, None]
-            gw, gb = _backward(weights, acts, np.vstack(
-                [active * (up - un), -active * up, active * un]) / b)
+            g_out = np.vstack([active * (up - un), -active * up, active * un])
+            if active_only:
+                rows = np.flatnonzero(np.tile(active[:, 0], 3))
+                acts = [a[rows] for a in acts]
+                g_out = g_out[rows]
+            gw, gb = _backward(weights, acts, g_out / b)
             total += float(np.mean(losses)) * b
             for i in range(len(weights)):
                 vel_w[i] = MOMENTUM * vel_w[i] - step_size * gw[i]
@@ -585,11 +603,8 @@ def test_backward_pass_runs_once_per_batch_with_a_positive_hinge(monkeypatch):
 
 
 # ---------------------------------------------------------------- compaction
-# The backward pass takes only the triplets whose hinge is positive, padded
-# with the lowest-index inactive ones to BACKWARD_MIN_TRIPLETS: 3 rows each.
-
-FLOOR = chart.BACKWARD_MIN_TRIPLETS
-
+# The backward pass takes only the triplets whose hinge is positive: 3 rows
+# each.
 
 def hinge_controlled_problem(active_counts, batch_size, seed):
     """chart_sized_problem's model and features with triplets laid out so
@@ -637,10 +652,9 @@ def spy_on_active_counts(monkeypatch):
 
 
 def test_compacted_backward_trains_the_full_backward_bytes(monkeypatch):
-    """The bytes of the full backward pass. They hold with OpenBLAS
-    0.3.31's SkylakeX and Sandybridge kernels, not with its Haswell kernels
-    (README, Determinism)."""
-    counts = [1, FLOOR - 1, 0, FLOOR, FLOOR + 1, 32, 3, 20, FLOOR + 1, 1]
+    """The bytes of the reference that backpropagates the same active rows,
+    and the full backward pass's weights to rounding."""
+    counts = [1, 7, 0, 8, 9, 32, 3, 20, 9, 1]
     model, triplets, feats, margin = hinge_controlled_problem(counts, 32, 5)
     seen = spy_on_active_counts(monkeypatch)
     args = dict(margin=margin, step_size=1e-3, epochs=2, batch_size=32,
@@ -648,15 +662,16 @@ def test_compacted_backward_trains_the_full_backward_bytes(monkeypatch):
     got = train(model, triplets, feats, **args)
     # the first epoch runs the batches as laid out, and every case occurs
     assert seen[:len(counts)] == [(c, 32) for c in counts]
-    assert {1, FLOOR - 1, FLOOR, FLOOR + 1, 32} <= {c for c, _ in seen}
-    assert_same_training(got, *full_backward_train(model, triplets, feats,
-                                                   **args))
+    assert {1, 7, 8, 9, 32} <= {c for c, _ in seen}
+    assert_same_training(got, *full_backward_train(
+        model, triplets, feats, **args, active_only=True))
+    assert_close_training(got, *full_backward_train(model, triplets, feats,
+                                                    **args))
 
 
 @pytest.mark.parametrize("batch_size", [32, 5])
-def test_backward_takes_the_active_triplets_padded_to_the_floor(monkeypatch,
-                                                                batch_size):
-    counts = [1, FLOOR - 1, FLOOR, FLOOR + 1, 3, batch_size, 0]
+def test_backward_takes_exactly_the_active_triplets(monkeypatch, batch_size):
+    counts = [1, 7, 8, 9, 3, batch_size, 0]
     model, triplets, feats, margin = hinge_controlled_problem(
         [min(c, batch_size) for c in counts], batch_size, 2)
     seen = spy_on_active_counts(monkeypatch)
@@ -672,20 +687,32 @@ def test_backward_takes_the_active_triplets_padded_to_the_floor(monkeypatch,
           batch_size=batch_size, seed=2)
     assert seen[:len(counts)] == [(min(c, batch_size), batch_size)
                                   for c in counts]
-    assert rows == [(i, 3 * min(b, max(active, FLOOR)))
-                    for i, (active, b) in enumerate(seen) if active]
+    assert rows == [(i, 3 * active) for i, (active, _) in enumerate(seen)
+                    if active]
 
 
 # ---------------------------------------------------------------- chart size
-# At the default hidden widths, training with its compacted backward pass
-# keeps the bytes of full_backward_train: _forward_cached on all 3b stacked
-# rows, then _backward on all of them.
+# At the default hidden widths, training keeps the bytes of
+# full_backward_train's active rows (_forward_cached on all 3b stacked rows,
+# then _backward on the active ones) and the full pass's weights to
+# rounding: the two sum a product's rows in blocks of different sizes.
 
 def assert_same_training(got, weights, biases, trace):
     assert np.array(got.epoch_losses).tobytes() == np.array(trace).tobytes()
     for have, want in zip(got.model.weights + got.model.biases,
                           weights + biases):
         assert have.tobytes() == want.tobytes()
+
+
+def assert_close_training(got, weights, biases, trace, rtol=1e-12):
+    """The epoch losses within rtol, and all weights and biases as one
+    vector within rtol in norm (6e-14 and 2e-16 at most with OpenBLAS
+    0.3.31's SkylakeX, Haswell and Sandybridge kernels)."""
+    np.testing.assert_allclose(got.epoch_losses, trace, rtol=rtol)
+    have = np.concatenate([a.ravel() for a in got.model.weights
+                           + got.model.biases])
+    want = np.concatenate([a.ravel() for a in weights + biases])
+    assert np.linalg.norm(have - want) <= rtol * np.linalg.norm(want)
 
 
 def chart_sized_problem():
@@ -706,9 +733,8 @@ def chart_sized_problem():
 @pytest.mark.parametrize("batch_size", [32, 35, 34, 33])
 def test_chart_sized_training_keeps_the_full_backward_bytes(monkeypatch,
                                                             batch_size):
-    """The bytes of full_backward_train, without a call to the public
-    forward. They hold with OpenBLAS 0.3.31's SkylakeX and Sandybridge
-    kernels, not with its Haswell kernels (README, Determinism)."""
+    """The bytes of full_backward_train's active rows and the full pass's
+    weights to rounding, without a call to the public forward."""
 
     def refuse(*args):
         raise AssertionError("training called the public forward")
@@ -719,8 +745,10 @@ def test_chart_sized_training_keeps_the_full_backward_bytes(monkeypatch,
     args = dict(margin=1.0, step_size=0.02, epochs=3, batch_size=batch_size,
                 seed=5)
     got = train(model, triplets, feats, **args)
-    assert_same_training(got, *full_backward_train(model, triplets, feats,
-                                                   **args))
+    assert_same_training(got, *full_backward_train(
+        model, triplets, feats, **args, active_only=True))
+    assert_close_training(got, *full_backward_train(model, triplets, feats,
+                                                    **args))
 
 
 def test_training_bytes_do_not_depend_on_cpu_count(monkeypatch):
@@ -745,6 +773,42 @@ def test_training_bytes_do_not_depend_on_cpu_count(monkeypatch):
                              results[0].epoch_losses)
 
 
+# The training byte tests again, under the OpenBLAS kernel sets that other
+# x86-64 hosts get: Haswell on AVX2 and Zen hosts, Sandybridge on AVX ones.
+TRAINING_BYTE_TESTS = ("full_backward_bytes or exactly_the_active_triplets "
+                       "or bit_identical or out_of_place_bytes or cpu_count")
+
+
+def cpu_flags():
+    """The flags /proc/cpuinfo lists for the first CPU; none without it."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
+
+
+@pytest.mark.parametrize("coretype, flag", [("Haswell", "avx2"),
+                                            ("Sandybridge", "avx")])
+def test_training_byte_tests_hold_with_other_kernel_sets(coretype, flag):
+    if flag not in cpu_flags():
+        pytest.skip(f"{coretype} kernels need {flag}, which this CPU lacks")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_VERBOSE="2",
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--capture=sys",
+         "-k", TRAINING_BYTE_TESTS, str(Path(__file__).resolve())],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    if f"Core: {coretype}" not in done.stderr:
+        pytest.skip(f"numpy's BLAS did not take OPENBLAS_CORETYPE={coretype}")
+    assert done.returncode == 0, done.stdout[-4000:]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_row_names_its_epoch_and_batch(bad):
     # the non-finite row is only ever a negative; training forwards it
@@ -762,15 +826,6 @@ def test_non_finite_row_names_its_epoch_and_batch(bad):
                            match=f"at epoch 0, batch {batch}$"):
             train(model, triplets, feats, step_size=0.05, epochs=2,
                   batch_size=32, seed=3)
-
-
-def test_nan_hinge_is_not_taken_for_an_inactive_batch():
-    feats = np.random.default_rng(25).normal(size=(3, 4))
-    feats[2, 0] = np.nan
-    model = init_chart_model(4, hidden=(5,), seed=4)
-    loss, gw, gb = batch_loss_and_grads(model, feats, [0], [1], [2], 1.0)
-    assert math.isnan(loss)
-    assert gw is not None and gb is not None
 
 
 def synthetic_chart_problem(n_users=120, seed=16):

@@ -828,8 +828,10 @@ def test_starts_run_under_the_callers_numpy_error_state(monkeypatch, cpus):
 def failing_second_start(monkeypatch, init, failure):
     """Make every evaluation of each start but the one from init (the first)
     raise failure from the kernel factorization; build_map factors as ever.
-    fit imports minimize when it is called, so the patch goes on scipy."""
+    fit imports minimize when it is called, so the patch goes on scipy.
+    Returns the list that each raise appends its failure to."""
     marked = threading.local()
+    raised = []
     real_minimize, real_factor = minimize, gm._cholesky_with_jitter
     first = log_theta(init)
 
@@ -842,11 +844,13 @@ def failing_second_start(monkeypatch, init, failure):
 
     def factor(kernel, buf, hyper):
         if getattr(marked, "fail", False):
+            raised.append(failure)
             raise failure
         return real_factor(kernel, buf, hyper)
 
     monkeypatch.setattr(scipy.optimize, "minimize", minimize_marked)
     monkeypatch.setattr(gm, "_cholesky_with_jitter", factor)
+    return raised
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -856,8 +860,11 @@ def test_a_start_that_never_factors_leaves_the_first_starts_optimum(
     train = prior_train(61, 80, TRUTH)
     init = Hyperparams(0.0, 1.0, 1.0, 0.2)
     alone = fit(train, init=init, restarts=1)
-    failing_second_start(monkeypatch, init, IllConditionedError("forced"))
+    raised = failing_second_start(monkeypatch, init,
+                                  IllConditionedError("forced"))
     got = fit(train, init=init, restarts=3, seed=4)
+    # the later starts' factorizations did fail
+    assert len(raised) > 0
     assert fit_bytes(got) == fit_bytes(alone)
     assert got.diagnostics.converged == alone.diagnostics.converged
     assert got.diagnostics.restarts == 3

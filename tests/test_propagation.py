@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from statmap.errors import ConfigurationError, NumericalError
-from statmap.harness import DEMO_AMPLITUDES
+from statmap.harness import DEMO_AMPLITUDES, ChartTrainingConfig
 from statmap.propagation import (
     KLUYVER_CONVERGENCE_TOL,
     KLUYVER_FIRST_TERMS,
@@ -122,6 +122,21 @@ def test_config_validation():
         ScenarioConfig(field_components=0)
     with pytest.raises(ConfigurationError):
         Location(0.0, 0.0, -2.0)
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (ScenarioConfig, "cell_side", math.inf),
+    (ScenarioConfig, "noise_power", math.inf),
+    (ScenarioConfig, "shadowing_std_db", math.nan),
+    (ScenarioConfig, "pathloss_exponent", -math.inf),
+    (PointProcessConfig, "offspring_std", math.nan),
+    (PointProcessConfig, "mean_cluster_size", math.inf),
+    (ChartTrainingConfig, "margin", math.inf),
+    (ChartTrainingConfig, "step_size", math.inf),
+])
+def test_configs_refuse_non_finite_numbers(cls, name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+        cls(**{name: value})
 
 
 # ---------------------------------------------------------------- fields
